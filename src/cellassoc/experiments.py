@@ -24,7 +24,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import draw_los_slots, realize_links
-from .matching import deferred_acceptance, format_instance, mmq_match, verify
+from .matching import (
+    InfeasibleInstanceError,
+    deferred_acceptance,
+    format_instance,
+    mmq_match,
+    verify,
+)
 from .metrics import (
     max_load_difference,
     optimal_min_quota_sweep,
@@ -34,6 +40,7 @@ from .metrics import (
 )
 from .policies import (
     PolicyConfig,
+    biased_argmax,
     build_matching_instance,
     rssi_matrix_dbm,
     sinr_matrix_db,
@@ -117,22 +124,11 @@ def _point_configs(
 
 def _best_bias(metric: np.ndarray, n_mmw: int, grid: Sequence[float], tier: str) -> float:
     """Bias from the grid minimizing the load spread; ties go to the smaller bias."""
-    best_bias, best_spread = grid[0], None
-    for bias in grid:
-        biased = metric.copy()
-        if tier == "mmw":
-            biased[:, :n_mmw] += bias
-        else:
-            biased[:, n_mmw:] += bias
-        loads = np.bincount(np.argmax(biased, axis=1), minlength=metric.shape[1])
-        spread = int(loads.max() - loads.min())
-        if best_spread is None or spread < best_spread:
-            best_bias, best_spread = bias, spread
-    return best_bias
-
-
-def _argmax_assignment(metric: np.ndarray) -> list[int]:
-    return [int(n) for n in np.argmax(metric, axis=1)]
+    spreads = [
+        np.ptp(np.bincount(biased_argmax(metric, n_mmw, bias, tier), minlength=metric.shape[1]))
+        for bias in grid
+    ]
+    return grid[int(np.argmin(spreads))]
 
 
 def _run_point(
@@ -154,15 +150,15 @@ def _run_point(
     q_override = None
     if exp.random_muw_quota:
         cap = scen_cfg.n_ue // scen_cfg.n_muw
-        draws = rng_stream(scen_cfg.seed, STREAM_QUOTAS).integers(
-            0, cap + 1, scen_cfg.n_muw
-        )
+        draws = rng_stream(scen_cfg.seed, STREAM_QUOTAS).integers(0, cap + 1, scen_cfg.n_muw)
         q_override = (pol.q_min_mmw,) * scen_cfg.n_mmw + tuple(int(q) for q in draws)
 
-    instance = build_matching_instance(
-        scenario, links, scenario.los_prob, pol, q_override
-    )
-    q_min_muw_total = sum(instance.q_min[scen_cfg.n_mmw :])
+    try:
+        instance = build_matching_instance(scenario, links, scenario.los_prob, pol, q_override)
+    except InfeasibleInstanceError as exc:
+        where = f"grid point {overrides}, run {run}, seed {scen_cfg.seed}"
+        raise ConfigurationError(f"{where}: {exc}") from exc
+    q_min_muw_total = int(instance.q_min[scen_cfg.n_mmw :].sum())
 
     rows: list[dict] = []
     samples: dict[str, np.ndarray] = {}
@@ -174,26 +170,17 @@ def _run_point(
             matching = mmq_match(instance)
         elif name == "da":
             matching = deferred_acceptance(instance)
-        elif name == "max_rssi":
-            metric = rssi_matrix_dbm(scenario)
-            bias_used = (
-                _best_bias(metric, scen_cfg.n_mmw, RSSI_BIAS_GRID, "mmw")
-                if exp.auto_bias
-                else pol.bias_rssi_db
-            )
-            biased = metric.copy()
-            biased[:, : scen_cfg.n_mmw] += bias_used
-            matching = build_matching(_argmax_assignment(biased), scen_cfg.n_bs)
-        else:  # max_sinr
-            metric = sinr_matrix_db(scenario)
-            bias_used = (
-                _best_bias(metric, scen_cfg.n_mmw, SINR_BIAS_GRID, "muw")
-                if exp.auto_bias
-                else pol.bias_sinr_db
-            )
-            biased = metric.copy()
-            biased[:, scen_cfg.n_mmw :] += bias_used
-            matching = build_matching(_argmax_assignment(biased), scen_cfg.n_bs)
+        else:  # max_rssi biases the mmW tier, max_sinr the microwave tier
+            rssi = name == "max_rssi"
+            metric = rssi_matrix_dbm(scenario) if rssi else sinr_matrix_db(scenario)
+            tier = "mmw" if rssi else "muw"
+            if exp.auto_bias:
+                grid = RSSI_BIAS_GRID if rssi else SINR_BIAS_GRID
+                bias_used = _best_bias(metric, scen_cfg.n_mmw, grid, tier)
+            else:
+                bias_used = pol.bias_rssi_db if rssi else pol.bias_sinr_db
+            assignment = biased_argmax(metric, scen_cfg.n_mmw, bias_used, tier)
+            matching = build_matching(assignment, scen_cfg.n_bs)
 
         report = verify(instance, matching, enumeration_budget=0)
         if name == "mmq" and (not report.feasible or report.blocking_pairs):
@@ -314,6 +301,16 @@ def _collect_rows(
     exp: ExperimentConfig, workers: int, collect_muw_samples: bool = False
 ) -> tuple[list[dict], dict[str, list[np.ndarray]]]:
     grid = _grid_points(exp.sweep)
+    for overrides in grid:  # fail a point whose quotas no run can meet before any work
+        scen, pol = _point_configs(exp, overrides, 0)
+        q_min, q_max = pol.quota_vectors(scen.n_mmw, scen.n_muw, scen.n_ue)
+        # Random microwave minima are drawn per run; their smallest draw is 0.
+        low = sum(q_min[: scen.n_mmw] if exp.random_muw_quota else q_min)
+        if not low <= scen.n_ue <= sum(q_max):
+            raise ConfigurationError(
+                f"grid point {overrides}: no feasible matching: sum q_min={low}, "
+                f"M={scen.n_ue}, sum q_max={sum(q_max)}"
+            )
     tasks = [
         (exp, overrides, gi, run, collect_muw_samples)
         for gi, overrides in enumerate(grid)
@@ -341,7 +338,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Path:
 
     Returns the per-run CSV path; the aggregate sits next to it with an
     ``_agg`` suffix. Raises ``VerificationFailure`` if any run's quota-aware
-    matching is infeasible or unstable.
+    matching is infeasible or unstable, and ``ConfigurationError`` naming the
+    grid point (and run and seed, for random minima) whose quotas M cannot meet.
     """
     rows, _ = _collect_rows(config, workers)
     out = Path(config.output_path)

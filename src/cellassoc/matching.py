@@ -4,8 +4,10 @@ The engine is generic: "agents" propose-side players each end up with exactly
 one "host", hosts hold between ``q_min`` and ``q_max`` agents, and every host
 ranks agents by one shared master list. Provided here:
 
-* ``mmq_match``      -- two-phase quota-respecting assignment; always returns
-                        a feasible matching when the quota sums admit one.
+* ``mmq_match``      -- two-phase quota-respecting assignment; on complete
+                        preference lists it returns a feasible matching
+                        whenever the quota sums admit one. Incomplete lists
+                        can make it fail on an instance that has one.
 * ``deferred_acceptance`` -- classical agent-proposing DA against the maximum
                         quotas only; may violate minimum quotas.
 * ``verify``         -- feasibility, blocking pairs (two readings), and an
@@ -17,11 +19,14 @@ Agents and hosts are integer ids 0..M-1 and 0..N-1.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 DEFAULT_ENUMERATION_BUDGET = 10**6
+_PAD = np.iinfo(np.intp).max  # fills unlisted slots while an instance is validated
 
 
 class MatchingError(ValueError):
@@ -36,24 +41,28 @@ class EnumerationBudgetError(MatchingError):
     """The instance is too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchingInstance:
-    """A quota-constrained matching problem.
+    """A quota-constrained matching problem, held as arrays.
 
-    ``agent_prefs[m]`` ranks host ids best-first; hosts missing from the list
-    are unacceptable to that agent. ``master_list`` ranks agent ids best-first
-    and is shared by every host. ``gated[m]``, when present, flags hosts that
-    the assignment should avoid unless forced to meet a minimum quota; gated
-    hosts stay in the preference order.
+    ``agent_prefs`` (M, N) ranks host ids best-first per agent; -1 fills the
+    slots of a short list, and unlisted hosts are unacceptable. ``master_list``
+    (M,) ranks agent ids best-first for every host. ``gated`` (M, N) flags the
+    hosts an agent avoids unless forced to meet a minimum quota; they keep
+    their place in the order. Derived: ``rank[m, h]``, host h's position on
+    agent m's list (``n_hosts`` if unlisted), and ``ml_rank[m]``, agent m's
+    master-list position. The constructor also takes plain sequences: host
+    tuples of any length, and None or one set of host ids per agent for
+    ``gated``.
     """
 
     n_agents: int
     n_hosts: int
-    agent_prefs: tuple[tuple[int, ...], ...]
-    master_list: tuple[int, ...]
-    q_min: tuple[int, ...]
-    q_max: tuple[int, ...]
-    gated: Optional[tuple[frozenset[int], ...]] = None
+    agent_prefs: np.ndarray
+    master_list: np.ndarray
+    q_min: np.ndarray
+    q_max: np.ndarray
+    gated: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         m, n = self.n_agents, self.n_hosts
@@ -61,43 +70,86 @@ class MatchingInstance:
             raise MatchingError("agent and host counts must be non-negative")
         if len(self.agent_prefs) != m:
             raise MatchingError(f"expected {m} preference lists, got {len(self.agent_prefs)}")
-        if len(self.q_min) != n or len(self.q_max) != n:
+        q_min = np.asarray(self.q_min, dtype=np.intp)
+        q_max = np.asarray(self.q_max, dtype=np.intp)
+        if q_min.shape != (n,) or q_max.shape != (n,):
             raise MatchingError("quota vectors must have one entry per host")
-        for h, (lo, hi) in enumerate(zip(self.q_min, self.q_max)):
-            if not 0 <= lo <= hi:
-                raise MatchingError(f"host {h}: need 0 <= q_min <= q_max, got ({lo}, {hi})")
-        if sorted(self.master_list) != list(range(m)):
+        bad = np.flatnonzero((q_min < 0) | (q_min > q_max))
+        if bad.size:
+            h, lo, hi = bad[0], q_min[bad[0]], q_max[bad[0]]
+            raise MatchingError(f"host {h}: need 0 <= q_min <= q_max, got ({lo}, {hi})")
+        master = np.asarray(self.master_list, dtype=np.intp)
+        if master.shape != (m,) or not np.array_equal(np.sort(master), np.arange(m)):
             raise MatchingError("master list must be a permutation of all agents")
-        for a, prefs in enumerate(self.agent_prefs):
-            if len(set(prefs)) != len(prefs):
-                raise MatchingError(f"agent {a}: preference list contains duplicates")
-            if any(h < 0 or h >= n for h in prefs):
-                raise MatchingError(f"agent {a}: preference list names an unknown host")
-        if self.gated is not None:
-            if len(self.gated) != m:
-                raise MatchingError("gated sets must have one entry per agent")
-            for a, g in enumerate(self.gated):
-                if not g <= set(self.agent_prefs[a]):
-                    raise MatchingError(f"agent {a}: gated host not on preference list")
-        if sum(self.q_min) > m or m > sum(self.q_max):
-            raise InfeasibleInstanceError(
-                f"no feasible matching: sum q_min={sum(self.q_min)}, "
-                f"M={m}, sum q_max={sum(self.q_max)}"
-            )
+        prefs = _pref_matrix(self.agent_prefs, m, n)
+        known = prefs.view(np.uintp) < n  # a slot holding a host id in 0..n-1
+        rank = np.full((m, n + 1), n, dtype=np.int32)  # column n takes all other slots
+        slots = prefs if known.all() else np.where(known, prefs, n)
+        np.put_along_axis(rank, slots, np.arange(prefs.shape[1]), axis=1)
+        rank = rank[:, :n]
+        if slots is not prefs or not (rank < n).all():  # not complete lists of distinct hosts
+            # A listed slot that set no rank names an unknown host or a duplicate.
+            listed = prefs != _PAD
+            bad = np.flatnonzero((rank < n).sum(axis=1) < listed.sum(axis=1))
+            if bad.size:
+                row = prefs[bad[0], listed[bad[0]]].tolist()
+                dup = len(set(row)) < len(row)
+                what = "contains duplicates" if dup else "names an unknown host"
+                raise MatchingError(f"agent {bad[0]}: preference list {what}")
+            prefs = np.where(listed, prefs, -1)[:, :n]  # a valid row lists at most n hosts
+        if self.gated is not None and len(self.gated) != m:
+            raise MatchingError("gated sets must have one entry per agent")
+        gated = _gate_mask(self.gated, m, n)
+        bad = np.flatnonzero((gated[:, :n] & (rank == n)).any(axis=1) | gated[:, n])
+        if bad.size:
+            raise MatchingError(f"agent {bad[0]}: gated host not on preference list")
+        if q_min.sum() > m or m > q_max.sum():
+            sums = f"sum q_min={q_min.sum()}, M={m}, sum q_max={q_max.sum()}"
+            raise InfeasibleInstanceError(f"no feasible matching: {sums}")
+        ml_rank = np.argsort(master)  # the inverse permutation
+        self.__dict__.update(  # frozen: bypass __setattr__ to store the arrays
+            agent_prefs=prefs, master_list=master, q_min=q_min, q_max=q_max,
+            gated=gated[:, :n], rank=rank, ml_rank=ml_rank,
+        )
 
-    def pref_ranks(self) -> list[dict[int, int]]:
-        """Per-agent map host -> position in the preference list (0 is best)."""
-        return [{h: i for i, h in enumerate(p)} for p in self.agent_prefs]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchingInstance):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
 
-    def ml_ranks(self) -> list[int]:
-        """Per-agent master-list position (0 is best)."""
-        ranks = [0] * self.n_agents
-        for i, a in enumerate(self.master_list):
-            ranks[a] = i
-        return ranks
 
-    def is_gated(self, agent: int, host: int) -> bool:
-        return self.gated is not None and host in self.gated[agent]
+def _pref_matrix(agent_prefs, m: int, n: int) -> np.ndarray:
+    # Preference rows as an (M, W >= N) int array with _PAD in unlisted slots.
+    if isinstance(agent_prefs, np.ndarray) and agent_prefs.shape == (m, n):
+        prefs = np.asarray(agent_prefs, dtype=np.intp)
+        return np.where(prefs < 0, _PAD, prefs) if (prefs < 0).any() else prefs
+    prefs = np.full((m, max([n, *map(len, agent_prefs)])), _PAD, dtype=np.intp)
+    for a, p in enumerate(agent_prefs):
+        prefs[a, : len(p)] = p
+    return prefs
+
+
+def _gate_mask(gated, m: int, n: int) -> np.ndarray:
+    # (M, N + 1) bool mask; column n takes the host ids outside 0..n-1.
+    mask = np.zeros((m, n + 1), dtype=bool)
+    if isinstance(gated, np.ndarray):
+        mask[:, :n] = gated
+    elif gated is not None:
+        for a, hosts in enumerate(gated):
+            for h in hosts:
+                mask[a, h if 0 <= h < n else n] = True
+    return mask
+
+
+def _pref_rows(instance: MatchingInstance) -> list[list[int]]:
+    """Each agent's listed hosts, best first, as plain lists for the greedy walks."""
+    rows = instance.agent_prefs.tolist()
+    if (instance.agent_prefs < 0).any():
+        rows = [[h for h in row if h >= 0] for row in rows]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -125,22 +177,49 @@ def build_matching(assignment: Sequence[Optional[int]], n_hosts: int) -> Matchin
     )
 
 
-def _best_listed_host(
-    instance: MatchingInstance,
-    agent: int,
-    admissible,
-    respect_gating: bool = True,
-) -> Optional[int]:
-    # First pass honors the gates; callers fall back to a second pass without
-    # them so that an agent is never stranded by the soft constraint.
-    if respect_gating and instance.gated is not None:
-        for h in instance.agent_prefs[agent]:
-            if admissible(h) and not instance.is_gated(agent, h):
+def _best_listed_host(row, gate_row, loads, room) -> Optional[int]:
+    # The first host h on the row with loads[h] < room[h]. A gated host is
+    # taken only when no ungated one qualifies: the gate never strands an agent.
+    if gate_row is not None:
+        for h in row:
+            if loads[h] < room[h] and not gate_row[h]:
                 return h
-    for h in instance.agent_prefs[agent]:
-        if admissible(h):
+    for h in row:
+        if loads[h] < room[h]:
             return h
     return None
+
+
+def _master_list_pass(instance: MatchingInstance, quota_aware: bool) -> Matching:
+    # Each agent in master-list order takes its best listed host with room.
+    # Deferred acceptance: room is a free slot, no gates, an agent whose list
+    # runs out stays unmatched. mmq_match: gates apply, room turns into an
+    # unmet minimum once every agent left is needed for one (phase 2), and a
+    # list that runs out is an error.
+    m_count = instance.n_agents
+    rows = _pref_rows(instance)
+    use_gates = quota_aware and instance.gated.any()
+    gates = instance.gated.tolist() if use_gates else [None] * m_count
+    q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
+    deficit = sum(q_min) if quota_aware else 0  # unmet minimum quota; DA stays in phase 1
+    loads = [0] * instance.n_hosts
+    assignment: list[Optional[int]] = [None] * m_count
+    for pos, agent in enumerate(instance.master_list.tolist()):
+        phase_1 = m_count - pos > deficit  # once false, stays false
+        host = _best_listed_host(rows[agent], gates[agent], loads, q_max if phase_1 else q_min)
+        if host is None:
+            if not quota_aware:
+                continue
+            raise MatchingError(
+                f"agent {agent} ranks no host with "
+                f"{'spare capacity' if phase_1 else 'an unmet minimum quota'}; "
+                "preference list is too short for this instance"
+            )
+        if loads[host] < q_min[host]:
+            deficit -= 1
+        loads[host] += 1
+        assignment[agent] = host
+    return build_matching(assignment, instance.n_hosts)
 
 
 def mmq_match(instance: MatchingInstance) -> Matching:
@@ -153,81 +232,25 @@ def mmq_match(instance: MatchingInstance) -> Matching:
     still unmet. Gated hosts are skipped in both phases unless an agent has
     no ungated option, in which case the gate yields to feasibility.
 
-    The result is feasible, stable, and Pareto optimal for the agents
-    (``verify`` checks all three).
+    When every agent lists every host, the result is feasible, stable, and
+    Pareto optimal for the agents (``verify`` checks all three). With
+    incomplete lists a phase can run out of listed hosts and raise
+    ``MatchingError``, even on an instance that has a feasible matching.
     """
-    m_count, n_count = instance.n_agents, instance.n_hosts
-    loads = [0] * n_count
-    assignment: list[Optional[int]] = [None] * m_count
-    deficit = sum(instance.q_min)  # total unmet minimum quota
-    order = instance.master_list
-
-    pos = 0
-    while pos < m_count and (m_count - pos) > deficit:
-        agent = order[pos]
-        host = _best_listed_host(instance, agent, lambda h: loads[h] < instance.q_max[h])
-        if host is None:
-            raise MatchingError(
-                f"agent {agent} ranks no host with spare capacity; "
-                "preference list is too short for this instance"
-            )
-        if loads[host] < instance.q_min[host]:
-            deficit -= 1
-        loads[host] += 1
-        assignment[agent] = host
-        pos += 1
-
-    for agent in order[pos:]:
-        host = _best_listed_host(instance, agent, lambda h: loads[h] < instance.q_min[h])
-        if host is None:
-            raise MatchingError(
-                f"agent {agent} ranks no host with an unmet minimum quota; "
-                "preference list is too short for this instance"
-            )
-        loads[host] += 1
-        assignment[agent] = host
-
-    return build_matching(assignment, n_count)
+    return _master_list_pass(instance, quota_aware=True)
 
 
 def deferred_acceptance(instance: MatchingInstance) -> Matching:
     """Agent-proposing deferred acceptance against the maximum quotas.
 
-    Hosts rank proposers by the master list and hold at most ``q_max``
-    tentative agents. Minimum quotas and gates play no role, so the result
-    can be infeasible for instances with binding minima; run ``verify`` to
-    find out.
+    All hosts rank proposers by one master list, so the stable matching is
+    unique and DA returns serial dictatorship in master-list order (Ergin,
+    Econometrica 2002, the common-priority case). That runs here: phase 1 of
+    ``mmq_match`` without gates and without the stop for minimum quotas; an
+    agent whose list runs out stays unmatched. The result can violate
+    minimum quotas; run ``verify`` to find out.
     """
-    ml_rank = instance.ml_ranks()
-    next_choice = [0] * instance.n_agents
-    held: list[list[int]] = [[] for _ in range(instance.n_hosts)]
-    free = deque(instance.master_list)
-
-    while free:
-        agent = free.popleft()
-        if next_choice[agent] >= len(instance.agent_prefs[agent]):
-            continue  # exhausted every listed host; stays unmatched
-        host = instance.agent_prefs[agent][next_choice[agent]]
-        next_choice[agent] += 1
-        if len(held[host]) < instance.q_max[host]:
-            held[host].append(agent)
-            continue
-        if not held[host]:
-            free.append(agent)  # q_max == 0
-            continue
-        worst = max(held[host], key=lambda a: ml_rank[a])
-        if ml_rank[agent] < ml_rank[worst]:
-            held[host].remove(worst)
-            held[host].append(agent)
-            free.append(worst)
-        else:
-            free.append(agent)
-
-    assignment: list[Optional[int]] = [None] * instance.n_agents
-    for host, agents in enumerate(held):
-        for agent in agents:
-            assignment[agent] = host
-    return build_matching(assignment, instance.n_hosts)
+    return _master_list_pass(instance, quota_aware=False)
 
 
 @dataclass(frozen=True)
@@ -248,59 +271,60 @@ class VerifierReport:
     pareto_optimal: Optional[bool] = None
 
 
-def _check_consistency(instance: MatchingInstance, matching: Matching) -> None:
-    if len(matching.agent_to_host) != instance.n_agents:
+def _check_consistency(instance: MatchingInstance, matching: Matching) -> np.ndarray:
+    """Raise MatchingError unless the matching's three views agree; return
+    ``agent_to_host`` as an (M,) int array with -1 for unassigned agents."""
+    m, n = instance.n_agents, instance.n_hosts
+    if len(matching.agent_to_host) != m:
         raise MatchingError("matching covers the wrong number of agents")
-    if len(matching.host_to_agents) != instance.n_hosts or len(matching.loads) != instance.n_hosts:
+    if len(matching.host_to_agents) != n or len(matching.loads) != n:
         raise MatchingError("matching covers the wrong number of hosts")
-    seen: set[int] = set()
-    for host, agents in enumerate(matching.host_to_agents):
-        if len(agents) != matching.loads[host]:
-            raise MatchingError(f"host {host}: load does not equal its agent count")
-        for agent in agents:
-            if matching.agent_to_host[agent] != host:
-                raise MatchingError(f"agent {agent} and host {host} disagree on the pairing")
-            if agent in seen:
-                raise MatchingError(f"agent {agent} appears under two hosts")
-            seen.add(agent)
-    for agent, host in enumerate(matching.agent_to_host):
-        if host is not None and agent not in matching.host_to_agents[host]:
-            raise MatchingError(f"agent {agent} missing from host {host}'s set")
+    assigned = np.array(matching.agent_to_host, dtype=float)  # None -> nan
+    a2h = np.where(np.isnan(assigned), -1, assigned).astype(np.intp)
+    counts = np.array([len(agents) for agents in matching.host_to_agents], dtype=np.intp)
+    flat = itertools.chain.from_iterable(matching.host_to_agents)
+    agents = np.fromiter(flat, dtype=np.intp, count=counts.sum())
+    hosts = np.repeat(np.arange(n), counts)
+    bad = np.flatnonzero(counts != np.asarray(matching.loads))
+    if bad.size:
+        raise MatchingError(f"host {bad[0]}: load does not equal its agent count")
+    known = (agents >= 0) & (agents < m)
+    bad = np.flatnonzero(np.append(a2h, -1)[np.where(known, agents, m)] != hosts)
+    if bad.size:
+        agent, host = agents[bad[0]], hosts[bad[0]]
+        raise MatchingError(f"agent {agent} and host {host} disagree on the pairing")
+    times = np.bincount(agents, minlength=m)
+    bad = np.flatnonzero(times > 1)
+    if bad.size:
+        raise MatchingError(f"agent {bad[0]} appears under two hosts")
+    bad = np.flatnonzero(~np.isnan(assigned) & (times == 0))
+    if bad.size:
+        raise MatchingError(f"agent {bad[0]} missing from host {a2h[bad[0]]}'s set")
+    return a2h
 
 
 def _blocking_pairs(
-    instance: MatchingInstance, matching: Matching
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    ml_rank = instance.ml_ranks()
-    pref_ranks = instance.pref_ranks()
-    # Worst (largest) master-list rank currently held by each host.
-    worst_held = [
-        max((ml_rank[a] for a in agents), default=None)
-        for agents in matching.host_to_agents
-    ]
-    capacity_aware: list[tuple[int, int]] = []
-    literal: list[tuple[int, int]] = []
-    for agent in range(instance.n_agents):
-        current = matching.agent_to_host[agent]
-        current_rank = (
-            pref_ranks[agent].get(current, len(instance.agent_prefs[agent]))
-            if current is not None
-            else len(instance.agent_prefs[agent])
-        )
-        for host in instance.agent_prefs[agent][:current_rank]:
-            if instance.is_gated(agent, host):
-                continue  # the agent itself ruled this host out
-            envy = worst_held[host] is not None and ml_rank[agent] < worst_held[host]
-            if envy:
-                literal.append((agent, host))
-                capacity_aware.append((agent, host))
-            elif matching.loads[host] < instance.q_max[host]:
-                leaves_feasible = current is None or (
-                    matching.loads[current] > instance.q_min[current]
-                )
-                if leaves_feasible:
-                    capacity_aware.append((agent, host))
-    return capacity_aware, literal
+    instance: MatchingInstance, a2h: np.ndarray, loads: np.ndarray
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    n = instance.n_hosts
+    assigned = a2h >= 0
+    current_rank = np.where(assigned, instance.rank[np.arange(instance.n_agents), a2h], n)
+    # Worst (largest) master-list rank currently held by each host; -1 if empty.
+    worst_held = np.full(n, -1, dtype=np.intp)
+    np.maximum.at(worst_held, a2h[assigned], instance.ml_rank[assigned])
+    # The agent itself ruled gated hosts out, so they never block.
+    better = (instance.rank < current_rank[:, None]) & ~instance.gated
+    envy = better & (instance.ml_rank[:, None] < worst_held)
+    leaves_feasible = ~assigned | (loads[a2h] > instance.q_min[a2h])
+    capacity_aware = envy | (better & (loads < instance.q_max) & leaves_feasible[:, None])
+    return _pairs(instance, capacity_aware), _pairs(instance, envy)
+
+
+def _pairs(instance: MatchingInstance, mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    # (agent, host) pairs of the mask, by agent and then preference order.
+    agents, hosts = np.nonzero(mask)
+    order = np.lexsort((instance.rank[agents, hosts], agents))
+    return tuple(zip(agents[order].tolist(), hosts[order].tolist()))
 
 
 def enumerate_feasible(
@@ -317,9 +341,11 @@ def enumerate_feasible(
             f"{instance.n_hosts}^{instance.n_agents} assignments exceed the "
             f"budget of {budget}"
         )
+    rows = _pref_rows(instance)
+    q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
     loads = [0] * instance.n_hosts
     assignment: list[Optional[int]] = [None] * instance.n_agents
-    deficit = sum(instance.q_min)
+    deficit = sum(q_min)
 
     def recurse(agent: int) -> Iterator[Matching]:
         nonlocal deficit
@@ -330,10 +356,10 @@ def enumerate_feasible(
         remaining = instance.n_agents - agent
         if deficit > remaining:
             return  # not enough agents left to meet the minima
-        for host in sorted(instance.agent_prefs[agent]):
-            if loads[host] >= instance.q_max[host]:
+        for host in sorted(rows[agent]):
+            if loads[host] >= q_max[host]:
                 continue
-            below_min = loads[host] < instance.q_min[host]
+            below_min = loads[host] < q_min[host]
             loads[host] += 1
             if below_min:
                 deficit -= 1
@@ -347,26 +373,12 @@ def enumerate_feasible(
     yield from recurse(0)
 
 
-def _is_feasible(instance: MatchingInstance, matching: Matching) -> bool:
-    if any(h is None for h in matching.agent_to_host):
-        return False
-    return all(
-        instance.q_min[h] <= matching.loads[h] <= instance.q_max[h]
-        for h in range(instance.n_hosts)
-    )
-
-
 def _pareto_optimal(instance: MatchingInstance, matching: Matching, budget: int) -> bool:
-    pref_ranks = instance.pref_ranks()
     # Hosts not on an agent's list rank below everything it did list.
-    ranks = [
-        pref_ranks[a].get(matching.agent_to_host[a], len(instance.agent_prefs[a]))
-        for a in range(instance.n_agents)
-    ]
+    rank = instance.rank.tolist()
+    ranks = [rank[a][h] for a, h in enumerate(matching.agent_to_host)]
     for other in enumerate_feasible(instance, budget=budget):
-        other_ranks = [
-            pref_ranks[a][other.agent_to_host[a]] for a in range(instance.n_agents)
-        ]
+        other_ranks = [rank[a][h] for a, h in enumerate(other.agent_to_host)]
         if all(o <= r for o, r in zip(other_ranks, ranks)) and any(
             o < r for o, r in zip(other_ranks, ranks)
         ):
@@ -383,19 +395,23 @@ def verify(
     small enough) decide Pareto optimality by exhaustive comparison.
 
     Pairs the agent gated out are never counted as blocking; the agent
-    declared the host inadmissible itself. The Pareto check runs only for
-    feasible matchings on instances within the enumeration budget.
+    declared the host inadmissible itself. Pairs are listed by agent, then
+    in the agent's preference order. The Pareto check runs only for feasible
+    matchings on instances within the enumeration budget.
     """
-    _check_consistency(instance, matching)
-    feasible = _is_feasible(instance, matching)
-    capacity_aware, literal = _blocking_pairs(instance, matching)
+    a2h = _check_consistency(instance, matching)
+    loads = np.asarray(matching.loads, dtype=np.intp)
+    feasible = bool(
+        (a2h >= 0).all() and ((instance.q_min <= loads) & (loads <= instance.q_max)).all()
+    )
+    capacity_aware, literal = _blocking_pairs(instance, a2h, loads)
     pareto: Optional[bool] = None
     if feasible and instance.n_hosts**instance.n_agents <= enumeration_budget:
         pareto = _pareto_optimal(instance, matching, enumeration_budget)
     return VerifierReport(
         feasible=feasible,
-        blocking_pairs=tuple(capacity_aware),
-        blocking_pairs_literal=tuple(literal),
+        blocking_pairs=capacity_aware,
+        blocking_pairs_literal=literal,
         pareto_optimal=pareto,
     )
 
@@ -410,11 +426,11 @@ def format_instance(instance: MatchingInstance) -> str:
     """
     lines = [
         f"{instance.n_agents} {instance.n_hosts}",
-        " ".join(str(q) for q in instance.q_min),
-        " ".join(str(q) for q in instance.q_max),
+        " ".join(map(str, instance.q_min.tolist())),
+        " ".join(map(str, instance.q_max.tolist())),
     ]
-    lines.extend(" ".join(str(h) for h in prefs) for prefs in instance.agent_prefs)
-    lines.append(" ".join(str(a) for a in instance.master_list))
+    lines.extend(" ".join(map(str, row)) for row in _pref_rows(instance))
+    lines.append(" ".join(map(str, instance.master_list.tolist())))
     return "\n".join(lines) + "\n"
 
 

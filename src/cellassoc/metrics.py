@@ -8,7 +8,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import LinkRealization, draw_los_slots, realize_links
-from .los import oracle_f
 from .matching import Matching
 from .policies import PolicyConfig, mmq_policy
 from .scenario import (

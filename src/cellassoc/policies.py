@@ -103,30 +103,20 @@ def compute_utilities(links: channel.LinkRealization, f) -> UtilityTable:
     return UtilityTable(u=u, u_ml=u.max(axis=1), n_mmw=links.n_mmw)
 
 
-def build_preferences(
-    util: UtilityTable, c_th: float = NEG_INF
-) -> tuple[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]:
-    """Strict per-UE BS rankings plus the set of gated BSs for each UE.
+def build_preferences(util: UtilityTable, c_th: float = NEG_INF) -> tuple[np.ndarray, np.ndarray]:
+    """Strict per-UE BS rankings and the gated-BS mask, both (M, N).
 
-    Ranking is by descending utility with ties broken toward the lower BS
-    index. A microwave BS other than the UE's top choice is gated when its
-    utility falls below ``c_th``; mmW BSs and top choices are never gated.
+    Row m of the first array lists BS ids by descending utility, ties broken
+    toward the lower BS index (one row-wise stable argsort). In the bool mask
+    a microwave BS other than the UE's top choice is gated when its utility
+    falls below ``c_th``; mmW BSs and top choices are never gated.
     """
-    prefs = []
-    gated = []
-    for m in range(util.n_ue):
-        row = util.u[m]
-        order = np.argsort(-row, kind="stable")
-        prefs.append(tuple(int(n) for n in order))
-        top = int(order[0]) if order.size else -1
-        gated.append(
-            frozenset(
-                int(n)
-                for n in range(util.n_mmw, util.n_bs)
-                if n != top and row[n] < c_th
-            )
-        )
-    return tuple(prefs), tuple(gated)
+    prefs = np.argsort(-util.u, axis=1, kind="stable")
+    gated = util.u < c_th
+    gated[:, : util.n_mmw] = False
+    if util.n_bs:
+        gated[np.arange(util.n_ue), prefs[:, 0]] = False
+    return prefs, gated
 
 
 def build_master_list(util: UtilityTable) -> tuple[int, ...]:
@@ -135,7 +125,7 @@ def build_master_list(util: UtilityTable) -> tuple[int, ...]:
     Every BS uses this one list. Ties break toward the lower UE index, and
     the order depends only on the ordering of utilities, not their scale.
     """
-    return tuple(int(m) for m in np.argsort(-util.u_ml, kind="stable"))
+    return tuple(np.argsort(-util.u_ml, kind="stable").tolist())
 
 
 def build_matching_instance(
@@ -163,7 +153,7 @@ def build_matching_instance(
         master_list=master,
         q_min=q_min,
         q_max=q_max,
-        gated=gated if any(gated) else None,
+        gated=gated,
     )
 
 
@@ -230,9 +220,17 @@ def sinr_matrix_db(scenario: Scenario) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def _argmax_matching(metric: np.ndarray, n_hosts: int) -> Matching:
-    # np.argmax takes the first maximum, so exact ties go to the lower index.
-    return build_matching([int(n) for n in np.argmax(metric, axis=1)], n_hosts)
+def biased_argmax(metric: np.ndarray, n_mmw: int, bias_db: float, bias_tier: str) -> list[int]:
+    """Each UE's best BS by ``metric`` plus ``bias_db`` on the "mmw" or "muw"
+    tier; np.argmax takes the first maximum, so ties go to the lower index."""
+    biased = metric.copy()
+    if bias_tier == "mmw":
+        biased[:, :n_mmw] += bias_db
+    elif bias_tier == "muw":
+        biased[:, n_mmw:] += bias_db
+    else:
+        raise ValueError(f"bias_tier must be 'mmw' or 'muw', got {bias_tier!r}")
+    return np.argmax(biased, axis=1).tolist()
 
 
 def max_rssi_policy(
@@ -244,9 +242,8 @@ def max_rssi_policy(
     tier's entries before the argmax. Plain max-RSSI under-loads the mmW
     tier, so the bias defaults to favoring mmW. No quotas are enforced.
     """
-    metric = rssi_matrix_dbm(scenario).copy()
-    _apply_bias(metric, scenario.n_mmw, bias_db, bias_tier)
-    return _argmax_matching(metric, scenario.n_mmw + scenario.n_muw)
+    choice = biased_argmax(rssi_matrix_dbm(scenario), scenario.n_mmw, bias_db, bias_tier)
+    return build_matching(choice, scenario.n_mmw + scenario.n_muw)
 
 
 def max_sinr_policy(
@@ -258,15 +255,5 @@ def max_sinr_policy(
     range expansion bias defaults to favoring microwave. No quotas are
     enforced.
     """
-    metric = sinr_matrix_db(scenario).copy()
-    _apply_bias(metric, scenario.n_mmw, bias_db, bias_tier)
-    return _argmax_matching(metric, scenario.n_mmw + scenario.n_muw)
-
-
-def _apply_bias(metric: np.ndarray, n_mmw: int, bias_db: float, bias_tier: str) -> None:
-    if bias_tier == "mmw":
-        metric[:, :n_mmw] += bias_db
-    elif bias_tier == "muw":
-        metric[:, n_mmw:] += bias_db
-    else:
-        raise ValueError(f"bias_tier must be 'mmw' or 'muw', got {bias_tier!r}")
+    choice = biased_argmax(sinr_matrix_db(scenario), scenario.n_mmw, bias_db, bias_tier)
+    return build_matching(choice, scenario.n_mmw + scenario.n_muw)

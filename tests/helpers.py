@@ -1,26 +1,62 @@
-"""Shared test utilities: random instance generation for the matching engine."""
+"""Shared test utilities: random instances and loop-based reference oracles.
+
+The oracles are the proposal-loop deferred acceptance and the per-agent
+verifier loops that the array-based engine replaced. They read an instance
+through plain per-agent lists only, so they stay independent of the arrays'
+internals.
+"""
+
+from collections import deque
 
 import numpy as np
 
-from cellassoc.matching import MatchingInstance
+from cellassoc.matching import (
+    Matching,
+    MatchingError,
+    MatchingInstance,
+    VerifierReport,
+    build_matching,
+    enumerate_feasible,
+)
 
 
 def random_feasible_instance(
-    rng: np.random.Generator, max_agents: int = 6, max_hosts: int = 3
+    rng: np.random.Generator,
+    max_agents: int = 6,
+    max_hosts: int = 3,
+    *,
+    incomplete: bool = False,
+    gates: bool = False,
+    zero_capacity: bool = False,
+    allow_empty: bool = False,
 ) -> MatchingInstance:
-    """Random complete-list instance with quota sums that admit a solution."""
-    m = int(rng.integers(1, max_agents + 1))
+    """Random instance whose quota sums admit a solution.
+
+    By default every list is complete and every host takes at least one
+    agent. The keywords widen the instance language: ``incomplete`` cuts
+    each list to a random prefix (possibly empty), ``gates`` flags a random
+    subset of each agent's listed hosts, ``zero_capacity`` lets ``q_max`` be
+    0, and ``allow_empty`` lets M be 0. With incomplete lists the quota sums
+    no longer guarantee that a feasible matching exists.
+    """
+    m = int(rng.integers(0 if allow_empty else 1, max_agents + 1))
     n = int(rng.integers(1, max_hosts + 1))
     prefs = tuple(tuple(int(h) for h in rng.permutation(n)) for _ in range(m))
+    if incomplete:
+        prefs = tuple(p[: int(rng.integers(0, n + 1))] for p in prefs)
     master = tuple(int(a) for a in rng.permutation(m))
+    low = 0 if zero_capacity else 1
     while True:
-        q_max = rng.integers(1, m + 1, size=n)
+        q_max = rng.integers(low, max(m, low) + 1, size=n)
         if q_max.sum() >= m:
             break
     while True:
         q_min = np.array([rng.integers(0, hi + 1) for hi in q_max])
         if q_min.sum() <= m:
             break
+    gated = None
+    if gates:
+        gated = tuple(frozenset(h for h in p if rng.random() < 0.4) for p in prefs)
     return MatchingInstance(
         n_agents=m,
         n_hosts=n,
@@ -28,4 +64,151 @@ def random_feasible_instance(
         master_list=master,
         q_min=tuple(int(q) for q in q_min),
         q_max=tuple(int(q) for q in q_max),
+        gated=gated,
+    )
+
+
+def pref_lists(instance: MatchingInstance) -> list[list[int]]:
+    """Each agent's listed hosts, best first."""
+    return [[h for h in row if h >= 0] for row in instance.agent_prefs.tolist()]
+
+
+def gate_sets(instance: MatchingInstance) -> list[set[int]]:
+    return [set(np.flatnonzero(row).tolist()) for row in instance.gated]
+
+
+def ml_ranks(instance: MatchingInstance) -> list[int]:
+    ranks = [0] * instance.n_agents
+    for i, a in enumerate(instance.master_list.tolist()):
+        ranks[a] = i
+    return ranks
+
+
+def oracle_deferred_acceptance(instance: MatchingInstance) -> Matching:
+    """Agent-proposing DA as a proposal loop: hosts hold at most q_max agents
+    and reject the master-list-worst holder when a better agent proposes."""
+    prefs = pref_lists(instance)
+    q_max = instance.q_max.tolist()
+    ml_rank = ml_ranks(instance)
+    next_choice = [0] * instance.n_agents
+    held: list[list[int]] = [[] for _ in range(instance.n_hosts)]
+    free = deque(instance.master_list.tolist())
+
+    while free:
+        agent = free.popleft()
+        if next_choice[agent] >= len(prefs[agent]):
+            continue  # exhausted every listed host; stays unmatched
+        host = prefs[agent][next_choice[agent]]
+        next_choice[agent] += 1
+        if len(held[host]) < q_max[host]:
+            held[host].append(agent)
+            continue
+        if not held[host]:
+            free.append(agent)  # q_max == 0
+            continue
+        worst = max(held[host], key=lambda a: ml_rank[a])
+        if ml_rank[agent] < ml_rank[worst]:
+            held[host].remove(worst)
+            held[host].append(agent)
+            free.append(worst)
+        else:
+            free.append(agent)
+
+    assignment = [None] * instance.n_agents
+    for host, agents in enumerate(held):
+        for agent in agents:
+            assignment[agent] = host
+    return build_matching(assignment, instance.n_hosts)
+
+
+def oracle_check_consistency(instance: MatchingInstance, matching: Matching) -> None:
+    if len(matching.agent_to_host) != instance.n_agents:
+        raise MatchingError("matching covers the wrong number of agents")
+    if len(matching.host_to_agents) != instance.n_hosts or len(matching.loads) != instance.n_hosts:
+        raise MatchingError("matching covers the wrong number of hosts")
+    seen: set[int] = set()
+    for host, agents in enumerate(matching.host_to_agents):
+        if len(agents) != matching.loads[host]:
+            raise MatchingError(f"host {host}: load does not equal its agent count")
+        for agent in agents:
+            if matching.agent_to_host[agent] != host:
+                raise MatchingError(f"agent {agent} and host {host} disagree on the pairing")
+            if agent in seen:
+                raise MatchingError(f"agent {agent} appears under two hosts")
+            seen.add(agent)
+    for agent, host in enumerate(matching.agent_to_host):
+        if host is not None and agent not in matching.host_to_agents[host]:
+            raise MatchingError(f"agent {agent} missing from host {host}'s set")
+
+
+def oracle_blocking_pairs(
+    instance: MatchingInstance, matching: Matching
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    prefs = pref_lists(instance)
+    gated = gate_sets(instance)
+    ml_rank = ml_ranks(instance)
+    pref_ranks = [{h: i for i, h in enumerate(p)} for p in prefs]
+    q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
+    # Worst (largest) master-list rank currently held by each host.
+    worst_held = [
+        max((ml_rank[a] for a in agents), default=None)
+        for agents in matching.host_to_agents
+    ]
+    capacity_aware: list[tuple[int, int]] = []
+    literal: list[tuple[int, int]] = []
+    for agent in range(instance.n_agents):
+        current = matching.agent_to_host[agent]
+        current_rank = (
+            pref_ranks[agent].get(current, len(prefs[agent]))
+            if current is not None
+            else len(prefs[agent])
+        )
+        for host in prefs[agent][:current_rank]:
+            if host in gated[agent]:
+                continue  # the agent itself ruled this host out
+            envy = worst_held[host] is not None and ml_rank[agent] < worst_held[host]
+            if envy:
+                literal.append((agent, host))
+                capacity_aware.append((agent, host))
+            elif matching.loads[host] < q_max[host]:
+                leaves_feasible = current is None or (matching.loads[current] > q_min[current])
+                if leaves_feasible:
+                    capacity_aware.append((agent, host))
+    return capacity_aware, literal
+
+
+def oracle_pareto_optimal(instance: MatchingInstance, matching: Matching, budget: int) -> bool:
+    prefs = pref_lists(instance)
+    pref_ranks = [{h: i for i, h in enumerate(p)} for p in prefs]
+    ranks = [
+        pref_ranks[a].get(matching.agent_to_host[a], len(prefs[a]))
+        for a in range(instance.n_agents)
+    ]
+    for other in enumerate_feasible(instance, budget=budget):
+        other_ranks = [pref_ranks[a][other.agent_to_host[a]] for a in range(instance.n_agents)]
+        if all(o <= r for o, r in zip(other_ranks, ranks)) and any(
+            o < r for o, r in zip(other_ranks, ranks)
+        ):
+            return False
+    return True
+
+
+def oracle_verify(
+    instance: MatchingInstance, matching: Matching, enumeration_budget: int = 10**6
+) -> VerifierReport:
+    """The verifier as per-agent loops; must agree with ``verify`` exactly."""
+    oracle_check_consistency(instance, matching)
+    q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
+    feasible = all(h is not None for h in matching.agent_to_host) and all(
+        q_min[h] <= matching.loads[h] <= q_max[h] for h in range(instance.n_hosts)
+    )
+    capacity_aware, literal = oracle_blocking_pairs(instance, matching)
+    pareto = None
+    if feasible and instance.n_hosts**instance.n_agents <= enumeration_budget:
+        pareto = oracle_pareto_optimal(instance, matching, enumeration_budget)
+    return VerifierReport(
+        feasible=feasible,
+        blocking_pairs=tuple(capacity_aware),
+        blocking_pairs_literal=tuple(literal),
+        pareto_optimal=pareto,
     )

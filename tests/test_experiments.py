@@ -166,6 +166,41 @@ def test_random_quota_mode_reports_totals(tmp_path):
     assert all(r["feasible"] == "true" for r in rows)
 
 
+def test_bad_grid_point_fails_before_any_run(tmp_path, monkeypatch):
+    # q_min_muw = 3 on ten microwave BSs needs 30 UEs; M is 20.
+    import cellassoc.experiments as experiments
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the grid was checked")
+
+    monkeypatch.setattr(experiments, "generate_scenario", no_runs)
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(n_ue=20), policies_enabled=("mmq",), n_runs=2,
+        sweep={"q_min_muw": (1, 3)}, output_path=str(tmp_path / "bad.csv"),
+    )
+    with pytest.raises(
+        ConfigurationError,
+        match=r"grid point \{'q_min_muw': 3\}: no feasible matching: sum q_min=30, M=20",
+    ):
+        run_experiment(cfg)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_random_quota_failure_names_point_run_and_seed(tmp_path):
+    # Ten mmW minima of 1 plus ten random microwave minima in [0, 2] exceed
+    # M = 20 on some runs; the grid check cannot see that in advance.
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(n_ue=20, seed=40), policy=PolicyConfig(q_min_mmw=1),
+        policies_enabled=("mmq",), n_runs=30, n_slots=1, random_muw_quota=True,
+        sweep={"m": (20,)}, output_path=str(tmp_path / "rq.csv"),
+    )
+    with pytest.raises(
+        ConfigurationError,
+        match=r"grid point \{'m': 20\}, run \d+, seed \d+: no feasible matching: sum q_min=",
+    ):
+        run_experiment(cfg)
+
+
 # --- figures --------------------------------------------------------------------
 
 def test_single_policy_experiment_within_time_budget(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,11 @@ from cellassoc.matching import (
     parse_instance,
     verify,
 )
-from helpers import random_feasible_instance
+from helpers import (
+    oracle_deferred_acceptance,
+    oracle_verify,
+    random_feasible_instance,
+)
 
 
 @pytest.fixture
@@ -156,25 +162,17 @@ def test_da_rejection_chain():
     assert m.agent_to_host == (2, 1, 0)  # ML-best agent 2 lands on host 0
 
 
-def test_da_equivalence_with_greedy_is_logged_not_asserted(capsys):
-    # When minima are vacuous, agent-proposing DA against a master list is
-    # expected to coincide with the greedy master-list pass. Counterexamples
-    # are reported, never failed on.
+EXTENDED = dict(incomplete=True, gates=True, zero_capacity=True, allow_empty=True)
+
+
+def test_da_matches_proposal_loop_oracle():
+    # One master list for every host makes the stable matching unique, so
+    # the master-list pass must equal the proposal loop on every instance:
+    # incomplete lists, gates, q_max = 0 hosts and M = 0 included.
     rng = np.random.default_rng(23)
-    mismatches = 0
-    for i in range(300):
-        inst = random_feasible_instance(rng)
-        relaxed = MatchingInstance(
-            inst.n_agents, inst.n_hosts, inst.agent_prefs, inst.master_list,
-            (0,) * inst.n_hosts, inst.q_max,
-        )
-        greedy = mmq_match(relaxed)
-        da = deferred_acceptance(relaxed)
-        if greedy.agent_to_host != da.agent_to_host:
-            mismatches += 1
-            print(f"greedy/DA divergence on instance {i}: "
-                  f"{greedy.agent_to_host} vs {da.agent_to_host}")
-    print(f"greedy/DA divergences: {mismatches}/300")
+    for i in range(600):
+        inst = random_feasible_instance(rng, **(EXTENDED if i % 2 else {}))
+        assert deferred_acceptance(inst) == oracle_deferred_acceptance(inst)
 
 
 # --- verifier ----------------------------------------------------------------
@@ -241,6 +239,69 @@ def test_verify_skips_pareto_beyond_budget(counterexample):
     assert report.pareto_optimal is None
 
 
+def _sample_matchings(rng, inst):
+    # The two engines' outputs plus random assignments that leave agents
+    # unmatched or put them on hosts they did not list.
+    yield deferred_acceptance(inst)
+    try:
+        yield mmq_match(inst)
+    except MatchingError:
+        pass  # incomplete lists can strand phase 1 or 2
+    for _ in range(3):
+        hosts = rng.integers(-1, inst.n_hosts, size=inst.n_agents).tolist()
+        yield build_matching([None if h < 0 else h for h in hosts], inst.n_hosts)
+
+
+def test_verify_matches_loop_oracle():
+    rng = np.random.default_rng(99)
+    for i in range(400):
+        inst = random_feasible_instance(rng, **(EXTENDED if i % 2 else {}))
+        for matching in _sample_matchings(rng, inst):
+            assert verify(inst, matching) == oracle_verify(inst, matching)
+            assert verify(inst, matching, enumeration_budget=0) == oracle_verify(
+                inst, matching, enumeration_budget=0
+            )
+
+
+def _corrupt(rng, matching):
+    # One structural fault in an otherwise consistent matching.
+    a2h = list(matching.agent_to_host)
+    sets = [list(agents) for agents in matching.host_to_agents]
+    loads = list(matching.loads)
+    host = int(rng.integers(len(sets)))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        loads[host] += 1
+    elif not sets[host] or (kind == 1 and len(sets) == 1):
+        return None
+    elif kind == 1:  # agent moved to another host's set only
+        sets[(host + 1) % len(sets)].append(sets[host].pop())
+    elif kind == 2:  # agent listed twice under one host
+        sets[host].append(sets[host][0])
+        loads[host] += 1
+    elif kind == 3:  # agent unassigned on its own side only
+        a2h[sets[host][0]] = None
+    else:  # agent dropped from its host's set
+        sets[host].pop()
+        loads[host] -= 1
+    return Matching(tuple(a2h), tuple(tuple(a) for a in sets), tuple(loads))
+
+
+def test_verify_rejects_corrupt_matchings_like_loop_oracle():
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 300:
+        inst = random_feasible_instance(rng)
+        broken = _corrupt(rng, deferred_acceptance(inst))
+        if broken is None:
+            continue
+        with pytest.raises(MatchingError) as expected:
+            oracle_verify(inst, broken)
+        with pytest.raises(MatchingError, match=re.escape(str(expected.value))):
+            verify(inst, broken)
+        checked += 1
+
+
 # --- enumeration oracle --------------------------------------------------------
 
 def test_enumeration_counts(counterexample):
@@ -285,6 +346,77 @@ def test_structural_validation():
         MatchingInstance(2, 2, ((0, 1), (0, 1)), (0, 1), (2, 0), (1, 1))  # min > max
     with pytest.raises(MatchingError):
         MatchingInstance(1, 2, ((0, 5),), (0,), (0, 0), (1, 1))  # unknown host
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((-1, 0, (), (), (), ()), {},
+         "agent and host counts must be non-negative"),
+        ((2, 1, ((0,),), (0, 1), (0,), (2,)), {},
+         "expected 2 preference lists, got 1"),
+        ((1, 2, ((0,),), (0,), (0,), (1, 1)), {},
+         "quota vectors must have one entry per host"),
+        ((1, 2, ((0,),), (0,), (0, 2), (1, 1)), {},
+         "host 1: need 0 <= q_min <= q_max, got (2, 1)"),
+        ((1, 2, ((0,),), (0,), (0, -1), (1, 1)), {},
+         "host 1: need 0 <= q_min <= q_max, got (-1, 1)"),
+        ((2, 1, ((0,), (0,)), (1, 1), (0,), (2,)), {},
+         "master list must be a permutation of all agents"),
+        ((2, 1, ((0,), (0,)), (0,), (0,), (2,)), {},
+         "master list must be a permutation of all agents"),
+        ((2, 2, ((0,), (1, 1)), (0, 1), (0, 0), (2, 2)), {},
+         "agent 1: preference list contains duplicates"),
+        ((2, 2, ((0,), (1, 0, 1)), (0, 1), (0, 0), (2, 2)), {},
+         "agent 1: preference list contains duplicates"),
+        ((2, 2, ((0,), (5, 5)), (0, 1), (0, 0), (2, 2)), {},
+         "agent 1: preference list contains duplicates"),
+        ((2, 2, ((0, -1), (0, 0)), (0, 1), (0, 0), (2, 2)), {},
+         "agent 0: preference list names an unknown host"),
+        ((2, 2, ((0,), (1, 2)), (0, 1), (0, 0), (2, 2)), {},
+         "agent 1: preference list names an unknown host"),
+        ((1, 2, ((0,),), (0,), (0, 0), (1, 1)), {"gated": ()},
+         "gated sets must have one entry per agent"),
+        ((2, 2, ((0,), (0,)), (0, 1), (0, 0), (2, 2)), {"gated": ({0}, {1})},
+         "agent 1: gated host not on preference list"),
+        ((1, 2, ((0, 1),), (0,), (0, 0), (1, 1)), {"gated": ({7},)},
+         "agent 0: gated host not on preference list"),
+        ((2, 2, ((0, 1), (0, 1)), (0, 1), (2, 2), (2, 2)), {},
+         "no feasible matching: sum q_min=4, M=2, sum q_max=4"),
+        ((3, 1, ((0,),) * 3, (0, 1, 2), (0,), (2,)), {},
+         "no feasible matching: sum q_min=0, M=3, sum q_max=2"),
+    ],
+)
+def test_structural_errors_keep_their_messages(args, kwargs, message):
+    with pytest.raises(MatchingError, match=re.escape(message)):
+        MatchingInstance(*args, **kwargs)
+
+
+def test_array_form_equals_tuple_form():
+    tuples = MatchingInstance(
+        3, 3, ((2, 0), (1,), (0, 1, 2)), (2, 0, 1), (0, 0, 1), (2, 2, 2),
+        gated=(frozenset({0}), frozenset(), frozenset({1, 2})),
+    )
+    arrays = MatchingInstance(
+        3, 3, np.array([[2, 0, -1], [1, -1, -1], [0, 1, 2]]), np.array([2, 0, 1]),
+        np.array([0, 0, 1]), np.array([2, 2, 2]),
+        gated=np.array([[1, 0, 0], [0, 0, 0], [0, 1, 1]], dtype=bool),
+    )
+    assert arrays == tuples
+    assert tuples.rank.tolist() == [[1, 3, 0], [3, 0, 3], [0, 1, 2]]
+    assert tuples.ml_rank.tolist() == [1, 2, 0]
+    assert parse_instance(format_instance(tuples)) == MatchingInstance(
+        3, 3, tuples.agent_prefs, tuples.master_list, tuples.q_min, tuples.q_max
+    )
+
+
+@pytest.mark.xfail(strict=True, raises=MatchingError, reason=(
+    "mmq_match guarantees feasibility only for complete preference lists; "
+    "here phase 2 strands agent 1 although a0->1, a1->0 is feasible"
+))
+def test_mmq_finds_feasible_matching_with_incomplete_lists():
+    inst = parse_instance("2 2\n1 1\n1 1\n0 1\n0\n0 1\n")
+    assert verify(inst, mmq_match(inst)).feasible
 
 
 # --- gating --------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_zero_se_gives_minus_inf_not_crash():
     util = compute_utilities(links, [[0.3]])
     assert util.u[0, 0] == NEG_INF
     prefs, _ = build_preferences(util)
-    assert prefs[0] == (1, 0)  # the dead mmW link ranks last
+    assert prefs[0].tolist() == [1, 0]  # the dead mmW link ranks last
 
 
 def test_utility_ml_is_row_max():
@@ -91,16 +91,16 @@ def test_utilities_validate_f():
 def test_preferences_sorting():
     util = UtilityTable(u=np.array([[3.0, 1.0, 2.0]]), u_ml=np.array([3.0]), n_mmw=3)
     prefs, gated = build_preferences(util, NEG_INF)
-    assert prefs[0] == (0, 2, 1)
-    assert gated[0] == frozenset()
+    assert prefs[0].tolist() == [0, 2, 1]
+    assert np.flatnonzero(gated[0]).tolist() == []
 
 
 def test_gate_marks_weak_unpreferred_microwave():
     # All-microwave row: top choice immune, entries below 0.5 gated.
     util = UtilityTable(u=np.array([[3.0, 0.4, 0.6]]), u_ml=np.array([3.0]), n_mmw=0)
     prefs, gated = build_preferences(util, c_th=0.5)
-    assert prefs[0] == (0, 2, 1)
-    assert gated[0] == frozenset({1})
+    assert prefs[0].tolist() == [0, 2, 1]
+    assert np.flatnonzero(gated[0]).tolist() == [1]
 
 
 def test_gate_never_touches_mmw_or_top_choice():
@@ -111,14 +111,14 @@ def test_gate_never_touches_mmw_or_top_choice():
         n_mmw=1,
     )
     _, gated = build_preferences(util, c_th=1.0)
-    assert gated[0] == frozenset({2})  # not the mmW BS, not the top microwave
-    assert gated[1] == frozenset({1, 2})
+    assert np.flatnonzero(gated[0]).tolist() == [2]  # not the mmW BS, not the top microwave
+    assert np.flatnonzero(gated[1]).tolist() == [1, 2]
 
 
 def test_tie_break_by_index():
     util = UtilityTable(u=np.array([[1.0, 1.0, 1.0]]), u_ml=np.array([1.0]), n_mmw=3)
     prefs, _ = build_preferences(util)
-    assert prefs[0] == (0, 1, 2)
+    assert prefs[0].tolist() == [0, 1, 2]
 
 
 def test_master_list_order():
@@ -147,7 +147,7 @@ def test_rankings_invariant_under_monotone_transform(scale, shift):
     mapped_u = scale * u + shift
     mapped = UtilityTable(u=mapped_u, u_ml=mapped_u.max(axis=1), n_mmw=2)
     assert build_master_list(base) == build_master_list(mapped)
-    assert build_preferences(base)[0] == build_preferences(mapped)[0]
+    assert np.array_equal(build_preferences(base)[0], build_preferences(mapped)[0])
 
 
 # --- the quota-aware policy end to end ------------------------------------------
