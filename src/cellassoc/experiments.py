@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,7 +34,6 @@ from .matching import (
 )
 from .metrics import (
     max_load_difference,
-    optimal_min_quota_sweep,
     rate_cdf,
     run_metrics,
     slot_averaged_rates,
@@ -348,9 +348,56 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Path:
     return out
 
 
+def optimal_min_quota_sweep(
+    config: ScenarioConfig,
+    m_values,
+    quota_candidates,
+    n_runs: int = 100,
+    n_slots: int = 10,
+    workers: int = 1,
+) -> list[dict]:
+    """Find the microwave minimum quota maximizing mean sum rate, per UE count.
+
+    Runs the quota-aware policy with every candidate applied uniformly to the
+    microwave BSs (mmW minima stay zero) and reports the argmax. Candidates
+    that cannot be met (N2 * q > M) are skipped with a warning. Each M is one
+    ``q_min_muw`` sweep through the verified Monte Carlo driver. Returns one
+    row per M: {"m", "q_star", "mean_sum_rate_bps": {q: value}}.
+    """
+    rows = []
+    for m in m_values:
+        feasible = []
+        for q in quota_candidates:
+            q = int(q)
+            if config.n_muw * q > m:
+                warnings.warn(
+                    f"skipping q_min={q} at M={m}: microwave minima alone "
+                    f"exceed the UE count",
+                    stacklevel=2,
+                )
+                continue
+            feasible.append(q)
+        if not feasible:
+            continue
+        exp = ExperimentConfig(
+            scenario=replace(config, n_ue=int(m)),
+            policies_enabled=("mmq",),
+            n_runs=n_runs,
+            n_slots=n_slots,
+            sweep={"q_min_muw": tuple(feasible)},
+        )
+        totals = [0.0] * len(feasible)
+        for row in _collect_rows(exp, workers)[0]:  # sorted by grid point, then run
+            totals[row["_grid_idx"]] += row["sum_rate_bps"]
+        means = {q: totals[i] / n_runs for i, q in enumerate(feasible)}
+        q_star = max(means, key=lambda q: (means[q], -q))
+        rows.append({"m": int(m), "q_star": q_star, "mean_sum_rate_bps": means})
+    return rows
+
+
 def _figure_config(figure_id: str, n_runs: Optional[int], seed: int) -> ExperimentConfig:
     base = ScenarioConfig(seed=seed)
-    runs = n_runs or 200
+    runs = 200 if n_runs is None else n_runs
     if figure_id == "fig3":
         return ExperimentConfig(
             scenario=base,
@@ -406,7 +453,8 @@ def run_figure(
 
     fig3: mean sum rate versus UE count for the quota policy and both
     baselines at their load-optimal biases, random microwave minima.
-    fig4: sum-rate-optimal microwave minimum quota versus UE count.
+    fig4: sum-rate-optimal microwave minimum quota versus UE count; its runs
+    go through the same verified grid driver and honour ``workers``.
     fig5/fig6: load spread of the quota policy versus max-RSSI / max-SINR
     over their bias sweeps at M=70.
     fig7: empirical CDF of the microwave per-UE rate at M=100 with the
@@ -425,7 +473,7 @@ def run_figure(
             rows.extend(
                 optimal_min_quota_sweep(
                     base, [m], range(0, m // base.n_muw + 1),
-                    n_runs=n_runs or 200,
+                    n_runs=200 if n_runs is None else n_runs, workers=workers,
                 )
             )
         out.parent.mkdir(parents=True, exist_ok=True)

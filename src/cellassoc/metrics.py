@@ -1,23 +1,14 @@
-"""Loads, load difference, achievable rates, and the quota sweep."""
+"""Loads, load difference, achievable rates, and rate CDFs."""
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkRealization, draw_los_slots, realize_links
+from .channel import LinkRealization
 from .matching import Matching
-from .policies import PolicyConfig, mmq_policy
-from .scenario import (
-    STREAM_LINKS,
-    STREAM_SLOTS,
-    Scenario,
-    ScenarioConfig,
-    generate_scenario,
-    rng_stream,
-)
+from .scenario import ScenarioConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,29 +38,8 @@ def max_load_difference(loads) -> int:
 def achievable_rates(
     matching: Matching, links: LinkRealization, config: ScenarioConfig
 ) -> np.ndarray:
-    """Per-UE rate in bit/s under an equal bandwidth split at each BS.
-
-    A UE served by mmW BS n gets (w1 / load_n) times its LoS or NLoS
-    spectral efficiency, whichever the realized slot state says; a microwave
-    UE gets (w2 / load_n) times its interference-limited SE. Unmatched UEs
-    get zero.
-    """
-    n_mmw = links.n_mmw
-    rates = np.zeros(len(matching.agent_to_host))
-    for ue, bs in enumerate(matching.agent_to_host):
-        if bs is None:
-            continue
-        share = 1.0 / matching.loads[bs]
-        if bs < n_mmw:
-            se = (
-                links.se_mmw_los[ue, bs]
-                if links.los_state[ue, bs]
-                else links.se_mmw_nlos[ue, bs]
-            )
-            rates[ue] = config.bandwidth_mmw_hz * share * se
-        else:
-            rates[ue] = config.bandwidth_muw_hz * share * links.se_muw[ue, bs - n_mmw]
-    return rates
+    """Per-UE rate in bit/s in the single slot ``links.los_state`` describes."""
+    return slot_averaged_rates(matching, links, links.los_state[None], config)
 
 
 def slot_averaged_rates(
@@ -78,11 +48,30 @@ def slot_averaged_rates(
     los_slots: np.ndarray,
     config: ScenarioConfig,
 ) -> np.ndarray:
-    """Per-UE rates averaged over a stack of per-slot LoS states."""
-    acc = np.zeros(len(matching.agent_to_host))
-    for slot_state in los_slots:
-        acc += achievable_rates(matching, replace(links, los_state=slot_state), config)
-    return acc / len(los_slots)
+    """Per-UE rates in bit/s, averaged over a stack of per-slot LoS states.
+
+    Each BS splits its bandwidth equally. A UE served by mmW BS n gets
+    (w1 / load_n) times its LoS or NLoS spectral efficiency, whichever the
+    slot's state says; a microwave UE gets (w2 / load_n) times its
+    interference-limited SE. Unmatched UEs get zero.
+    """
+    n_mmw = links.n_mmw
+    host = np.array([-1 if h is None else h for h in matching.agent_to_host], dtype=int)
+    matched = host >= 0
+    share = np.zeros(host.size)
+    share[matched] = 1.0 / np.asarray(matching.loads)[host[matched]]
+    mmw = np.flatnonzero(matched & (host < n_mmw))
+    muw = np.flatnonzero(host >= n_mmw)
+    bandwidth = np.zeros(host.size)
+    bandwidth[mmw] = config.bandwidth_mmw_hz
+    bandwidth[muw] = config.bandwidth_muw_hz
+    se = np.zeros((len(los_slots), host.size))
+    h = host[mmw]
+    se[:, mmw] = np.where(
+        los_slots[:, mmw, h], links.se_mmw_los[mmw, h], links.se_mmw_nlos[mmw, h]
+    )
+    se[:, muw] = links.se_muw[muw, host[muw] - n_mmw]
+    return (bandwidth * share * se).sum(axis=0) / len(los_slots)
 
 
 def rate_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -114,58 +103,3 @@ def run_metrics(
         sum_rate_bps=float(per_ue_rate_bps.sum()),
         muw_rate_samples=per_ue_rate_bps[on_muw],
     )
-
-
-def mean_mmq_sum_rate(
-    config: ScenarioConfig,
-    policy: PolicyConfig,
-    n_runs: int,
-    n_slots: int = 10,
-) -> float:
-    """Monte Carlo mean of the quota-aware policy's sum rate, bit/s."""
-    total = 0.0
-    for run in range(n_runs):
-        cfg = replace(config, seed=config.seed + run)
-        scenario = generate_scenario(cfg)
-        links = realize_links(scenario, rng_stream(cfg.seed, STREAM_LINKS))
-        matching = mmq_policy(scenario, links, scenario.los_prob, policy)
-        slots = draw_los_slots(scenario, rng_stream(cfg.seed, STREAM_SLOTS), n_slots)
-        rates = slot_averaged_rates(matching, links, slots, cfg)
-        total += float(rates.sum())
-    return total / n_runs
-
-
-def optimal_min_quota_sweep(
-    config: ScenarioConfig,
-    m_values,
-    quota_candidates,
-    n_runs: int = 100,
-    n_slots: int = 10,
-) -> list[dict]:
-    """Find the microwave minimum quota maximizing mean sum rate, per UE count.
-
-    Runs the quota-aware policy with every candidate applied uniformly to the
-    microwave BSs (mmW minima stay zero) and reports the argmax. Candidates
-    that cannot be met (N2 * q > M) are skipped with a warning. Returns one
-    row per M: {"m", "q_star", "mean_sum_rate_bps": {q: value}}.
-    """
-    rows = []
-    for m in m_values:
-        cfg = replace(config, n_ue=int(m))
-        means: dict[int, float] = {}
-        for q in quota_candidates:
-            q = int(q)
-            if cfg.n_muw * q > m:
-                warnings.warn(
-                    f"skipping q_min={q} at M={m}: microwave minima alone "
-                    f"exceed the UE count",
-                    stacklevel=2,
-                )
-                continue
-            policy = PolicyConfig(q_min_muw=q)
-            means[q] = mean_mmq_sum_rate(cfg, policy, n_runs, n_slots)
-        if not means:
-            continue
-        q_star = max(means, key=lambda q: (means[q], -q))
-        rows.append({"m": int(m), "q_star": q_star, "mean_sum_rate_bps": means})
-    return rows

@@ -1,9 +1,10 @@
 """Shared test utilities: random instances and loop-based reference oracles.
 
-The oracles are the proposal-loop deferred acceptance and the per-agent
-verifier loops that the array-based engine replaced. They read an instance
-through plain per-agent lists only, so they stay independent of the arrays'
-internals.
+The oracles are the proposal-loop deferred acceptance, the per-agent
+verifier loops that the array-based engine replaced, and the per-UE,
+per-slot rate loop that the vectorised rate code replaced. They read an
+instance through plain per-agent lists only, so they stay independent of
+the arrays' internals.
 """
 
 from collections import deque
@@ -212,3 +213,28 @@ def oracle_verify(
         blocking_pairs_literal=tuple(literal),
         pareto_optimal=pareto,
     )
+
+
+def oracle_slot_averaged_rates(matching: Matching, links, los_slots, config) -> np.ndarray:
+    """Per-UE rates as a loop over slots and UEs: each slot's equal-split rate
+    (LoS or NLoS SE on mmW, interference-limited SE on microwave, zero when
+    unmatched) is added up in slot order, then divided by the slot count."""
+    n_mmw = links.n_mmw
+    acc = np.zeros(len(matching.agent_to_host))
+    for slot_state in los_slots:
+        rates = np.zeros(len(matching.agent_to_host))
+        for ue, bs in enumerate(matching.agent_to_host):
+            if bs is None:
+                continue
+            share = 1.0 / matching.loads[bs]
+            if bs < n_mmw:
+                se = (
+                    links.se_mmw_los[ue, bs]
+                    if slot_state[ue, bs]
+                    else links.se_mmw_nlos[ue, bs]
+                )
+                rates[ue] = config.bandwidth_mmw_hz * share * se
+            else:
+                rates[ue] = config.bandwidth_muw_hz * share * links.se_muw[ue, bs - n_mmw]
+        acc += rates
+    return acc / len(los_slots)

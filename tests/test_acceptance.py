@@ -30,7 +30,7 @@ from cellassoc.matching import (
     mmq_match,
     verify,
 )
-from cellassoc.metrics import optimal_min_quota_sweep
+from cellassoc.experiments import optimal_min_quota_sweep
 from cellassoc.policies import PolicyConfig, mmq_policy
 from cellassoc.scenario import (
     PathLossParams,

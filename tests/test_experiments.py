@@ -5,13 +5,14 @@ import pytest
 from cellassoc.cli import match_main, simulate_main
 from cellassoc.experiments import (
     ExperimentConfig,
+    VerificationFailure,
     aggregate_path,
     load_config,
     parse_config,
     run_experiment,
     run_figure,
 )
-from cellassoc.matching import MatchingInstance, format_instance
+from cellassoc.matching import MatchingInstance, VerifierReport, format_instance
 from cellassoc.policies import PolicyConfig
 from cellassoc.scenario import ConfigurationError, ScenarioConfig
 
@@ -255,6 +256,22 @@ def test_fig4_schema(tmp_path):
         assert len(stars) == 1
 
 
+def test_fig4_parallel_matches_serial(tmp_path):
+    serial = run_figure("fig4", output_path=tmp_path / "serial.csv", n_runs=2)
+    parallel = run_figure("fig4", output_path=tmp_path / "par.csv", n_runs=2, workers=2)
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_fig4_runs_pass_through_the_verifier(tmp_path, monkeypatch):
+    def report_infeasible(instance, matching, enumeration_budget=0):
+        return VerifierReport(feasible=False, blocking_pairs=(), blocking_pairs_literal=())
+
+    monkeypatch.setattr("cellassoc.experiments.verify", report_infeasible)
+    with pytest.raises(VerificationFailure, match="failed verification"):
+        run_figure("fig4", output_path=tmp_path / "f4.csv", n_runs=1)
+    assert not (tmp_path / "f4.csv").exists()
+
+
 def test_fig7_schema(tmp_path):
     out = run_figure("fig7", output_path=tmp_path / "f7.csv", n_runs=2)
     rows = read_rows(out)
@@ -285,6 +302,19 @@ def test_cli_simulate_config(tmp_path, capsys):
 
 def test_cli_simulate_missing_config(tmp_path):
     assert simulate_main(["--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+@pytest.mark.parametrize("figure_id", ["fig4", "fig5"])
+def test_cli_simulate_figure_rejects_bad_runs(tmp_path, capsys, monkeypatch, figure_id, runs):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("cellassoc.experiments._run_point", no_run)
+    out = tmp_path / f"{figure_id}.csv"
+    assert simulate_main(["figure", figure_id, "--runs", runs, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "n_runs must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_simulate_figure_usage_error():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from cellassoc.channel import LinkRealization, draw_los_slots, realize_links
+from cellassoc.experiments import optimal_min_quota_sweep
 from cellassoc.matching import build_matching
 from cellassoc.metrics import (
     achievable_rates,
     load_vector,
     max_load_difference,
-    optimal_min_quota_sweep,
     rate_cdf,
     run_metrics,
     slot_averaged_rates,
