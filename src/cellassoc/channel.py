@@ -9,6 +9,7 @@ in bit/s/Hz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -109,64 +110,64 @@ class LinkRealization:
         return self.se_muw.shape[1]
 
 
-def mmw_pathloss_matrices(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """(M, N1) LoS and NLoS path loss matrices in dB, shadowing included."""
+@dataclass(frozen=True, eq=False)
+class LinkBudget:
+    """One run's radio environment, evaluated once from the scenario.
+
+    Path losses are in dB with shadowing included, distances clamped to
+    1 m; ``sinr_muw_db[m, n]`` is UE m's SINR at microwave BS n with every
+    other microwave BS interfering, summed in the linear domain.
+    """
+
+    loss_mmw_los: np.ndarray = field(repr=False)  # (M, N1)
+    loss_mmw_nlos: np.ndarray = field(repr=False)  # (M, N1)
+    loss_muw: np.ndarray = field(repr=False)  # (M, N2)
+    sinr_muw_db: np.ndarray = field(repr=False)  # (M, N2)
+
+
+def link_budget(scenario: Scenario) -> LinkBudget:
+    """Distances, the three path loss matrices and the microwave SINR."""
     cfg = scenario.config
-    d = pairwise_distances(scenario.ue_positions, scenario.mmw_positions)
-    d = np.maximum(d, 1.0)
+    d = np.maximum(pairwise_distances(scenario.ue_positions, scenario.mmw_positions), 1.0)
     loss_los = path_loss_db(cfg.pathloss_mmw_los, d, scenario.shadow_mmw_los)
     loss_nlos = path_loss_db(cfg.pathloss_mmw_nlos, d, scenario.shadow_mmw_nlos)
-    return loss_los, loss_nlos
-
-
-def muw_pathloss_matrix(scenario: Scenario) -> np.ndarray:
-    """(M, N2) microwave path loss matrix in dB, shadowing included."""
-    cfg = scenario.config
-    d = pairwise_distances(scenario.ue_positions, scenario.muw_positions)
-    d = np.maximum(d, 1.0)
-    return path_loss_db(cfg.pathloss_muw, d, scenario.shadow_muw)
-
-
-def muw_sinr_db(scenario: Scenario) -> np.ndarray:
-    """(M, N2) SINR in dB for each UE/microwave-BS pair.
-
-    The interference at UE m for serving BS n is the linear sum of the
-    received powers from every other microwave BS.
-    """
-    cfg = scenario.config
-    if scenario.n_muw == 0:
-        return np.zeros((scenario.n_ue, 0))
-    rx_dbm = cfg.tx_power_dbm - muw_pathloss_matrix(scenario)
-    rx_mw = db_to_linear(rx_dbm)
+    d = np.maximum(pairwise_distances(scenario.ue_positions, scenario.muw_positions), 1.0)
+    loss_muw = path_loss_db(cfg.pathloss_muw, d, scenario.shadow_muw)
+    rx_mw = db_to_linear(cfg.tx_power_dbm - loss_muw)
     interference_mw = rx_mw.sum(axis=1, keepdims=True) - rx_mw
     noise_mw = db_to_linear(noise_power_dbm(cfg.noise_psd_dbm_hz, cfg.bandwidth_muw_hz))
-    return linear_to_db(rx_mw / (interference_mw + noise_mw))
+    return LinkBudget(
+        loss_mmw_los=loss_los,
+        loss_mmw_nlos=loss_nlos,
+        loss_muw=loss_muw,
+        sinr_muw_db=linear_to_db(rx_mw / (interference_mw + noise_mw)),
+    )
 
 
-def realize_links(scenario: Scenario, rng: np.random.Generator) -> LinkRealization:
-    """Evaluate all per-pair spectral efficiencies and draw one LoS slot."""
+def realize_links(
+    scenario: Scenario,
+    rng: np.random.Generator,
+    budget: Optional[LinkBudget] = None,
+) -> LinkRealization:
+    """Per-pair spectral efficiencies from the link budget, plus one LoS slot.
+
+    ``budget`` defaults to ``link_budget(scenario)``; pass it when the same
+    run derives other matrices from it too.
+    """
     cfg = scenario.config
-    if scenario.n_mmw > 0:
-        loss_los, loss_nlos = mmw_pathloss_matrices(scenario)
-        se_los = mmw_spectral_efficiency(
-            cfg.tx_power_dbm, cfg.antenna_gain_dbi, loss_los,
-            cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
-        )
-        se_nlos = mmw_spectral_efficiency(
-            cfg.tx_power_dbm, cfg.antenna_gain_dbi, loss_nlos,
-            cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
-        )
-        los_state = rng.random(scenario.los_prob.shape) < scenario.los_prob
-    else:
-        se_los = np.zeros((scenario.n_ue, 0))
-        se_nlos = np.zeros((scenario.n_ue, 0))
-        los_state = np.zeros((scenario.n_ue, 0), dtype=bool)
-    se_muw = np.log2(1.0 + db_to_linear(muw_sinr_db(scenario)))
+    if budget is None:
+        budget = link_budget(scenario)
     return LinkRealization(
-        los_state=los_state,
-        se_mmw_los=np.atleast_2d(se_los),
-        se_mmw_nlos=np.atleast_2d(se_nlos),
-        se_muw=se_muw,
+        los_state=rng.random(scenario.los_prob.shape) < scenario.los_prob,
+        se_mmw_los=mmw_spectral_efficiency(
+            cfg.tx_power_dbm, cfg.antenna_gain_dbi, budget.loss_mmw_los,
+            cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
+        ),
+        se_mmw_nlos=mmw_spectral_efficiency(
+            cfg.tx_power_dbm, cfg.antenna_gain_dbi, budget.loss_mmw_nlos,
+            cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
+        ),
+        se_muw=np.log2(1.0 + db_to_linear(budget.sinr_muw_db)),
     )
 
 
@@ -176,5 +177,9 @@ def draw_los_slots(
     """(n_slots, M, N1) boolean stack of independent per-slot LoS states."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    shape = (n_slots,) + scenario.los_prob.shape
-    return rng.random(shape) < scenario.los_prob[None, :, :]
+    # One (M, N1) draw per slot reads the same stream as one (S, M, N1) draw
+    # but keeps the float temporary to a single slot.
+    slots = np.empty((n_slots,) + scenario.los_prob.shape, dtype=bool)
+    for slot in slots:
+        np.less(rng.random(scenario.los_prob.shape), scenario.los_prob, out=slot)
+    return slots

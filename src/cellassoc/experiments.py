@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import draw_los_slots, realize_links
+from .channel import draw_los_slots, link_budget, realize_links
 from .matching import (
     InfeasibleInstanceError,
     deferred_acceptance,
@@ -44,6 +44,7 @@ from .policies import (
     build_matching_instance,
     rssi_matrix_dbm,
     sinr_matrix_db,
+    tier_columns,
 )
 from .scenario import (
     STREAM_LINKS,
@@ -122,13 +123,22 @@ def _point_configs(
     return scen, pol
 
 
-def _best_bias(metric: np.ndarray, n_mmw: int, grid: Sequence[float], tier: str) -> float:
-    """Bias from the grid minimizing the load spread; ties go to the smaller bias."""
-    spreads = [
-        np.ptp(np.bincount(biased_argmax(metric, n_mmw, bias, tier), minlength=metric.shape[1]))
-        for bias in grid
-    ]
-    return grid[int(np.argmin(spreads))]
+def _best_bias(
+    metric: np.ndarray, n_mmw: int, grid: Sequence[float], tier: str
+) -> tuple[float, list[int]]:
+    """Bias from the grid minimizing the load spread, and its assignment.
+
+    All biases are scored in one (G, M, N) stack; argmin keeps the first
+    minimum, so ties go to the earlier (smaller) bias.
+    """
+    n_bs = metric.shape[1]
+    biased = np.repeat(metric[None], len(grid), axis=0)
+    biased[:, :, tier_columns(n_mmw, tier)] += np.asarray(grid, dtype=float)[:, None, None]
+    choice = biased.argmax(axis=2)  # (G, M)
+    flat = (choice + n_bs * np.arange(len(grid))[:, None]).ravel()
+    loads = np.bincount(flat, minlength=len(grid) * n_bs).reshape(len(grid), n_bs)
+    best = int(np.argmin(np.ptp(loads, axis=1)))
+    return grid[best], choice[best].tolist()
 
 
 def _run_point(
@@ -142,7 +152,16 @@ def _run_point(
 
     scen_cfg, pol = _point_configs(exp, overrides, run)
     scenario = generate_scenario(scen_cfg)
-    links = realize_links(scenario, rng_stream(scen_cfg.seed, STREAM_LINKS))
+    budget = link_budget(scenario)
+    links = realize_links(scenario, rng_stream(scen_cfg.seed, STREAM_LINKS), budget)
+    # The baselines' metrics come from the same budget, which is then dropped
+    # so that it is not alive through the slot draw and the matching.
+    baseline_metrics = {}
+    if "max_rssi" in exp.policies_enabled:
+        baseline_metrics["max_rssi"] = rssi_matrix_dbm(scenario, budget)
+    if "max_sinr" in exp.policies_enabled:
+        baseline_metrics["max_sinr"] = sinr_matrix_db(scenario, budget)
+    del budget
     los_slots = draw_los_slots(
         scenario, rng_stream(scen_cfg.seed, STREAM_SLOTS), exp.n_slots
     )
@@ -172,14 +191,14 @@ def _run_point(
             matching = deferred_acceptance(instance)
         else:  # max_rssi biases the mmW tier, max_sinr the microwave tier
             rssi = name == "max_rssi"
-            metric = rssi_matrix_dbm(scenario) if rssi else sinr_matrix_db(scenario)
+            metric = baseline_metrics[name]
             tier = "mmw" if rssi else "muw"
             if exp.auto_bias:
                 grid = RSSI_BIAS_GRID if rssi else SINR_BIAS_GRID
-                bias_used = _best_bias(metric, scen_cfg.n_mmw, grid, tier)
+                bias_used, assignment = _best_bias(metric, scen_cfg.n_mmw, grid, tier)
             else:
                 bias_used = pol.bias_rssi_db if rssi else pol.bias_sinr_db
-            assignment = biased_argmax(metric, scen_cfg.n_mmw, bias_used, tier)
+                assignment = biased_argmax(metric, scen_cfg.n_mmw, bias_used, tier)
             matching = build_matching(assignment, scen_cfg.n_bs)
 
         report = verify(instance, matching, enumeration_budget=0)
@@ -300,6 +319,8 @@ def _write_aggregate(rows: list[dict], out: Path) -> None:
 def _collect_rows(
     exp: ExperimentConfig, workers: int, collect_muw_samples: bool = False
 ) -> tuple[list[dict], dict[str, list[np.ndarray]]]:
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     grid = _grid_points(exp.sweep)
     for overrides in grid:  # fail a point whose quotas no run can meet before any work
         scen, pol = _point_configs(exp, overrides, 0)
@@ -316,6 +337,7 @@ def _collect_rows(
         for gi, overrides in enumerate(grid)
         for run in range(exp.n_runs)
     ]
+    workers = min(workers, len(tasks))  # a worker without a run-point would sit idle
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point_star, tasks, chunksize=8))

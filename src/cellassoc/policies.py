@@ -168,68 +168,67 @@ def mmq_policy(
     return mmq_match(build_matching_instance(scenario, links, f, policy, q_min_override))
 
 
-def rssi_matrix_dbm(scenario: Scenario) -> np.ndarray:
+def rssi_matrix_dbm(
+    scenario: Scenario, budget: Optional[channel.LinkBudget] = None
+) -> np.ndarray:
     """(M, N) averaged received signal strength in dBm, mmW columns first.
 
     A mmW entry is transmit power plus antenna gain minus the attenuation
     averaged over the LoS state in the linear domain,
     10 log10(rho * 10^(L_los/10) + (1-rho) * 10^(L_nlos/10)). NLoS slots
     dominate that average, which is what makes plain max-RSSI shun the mmW
-    tier. Microwave entries are transmit power minus path loss.
+    tier. Microwave entries are transmit power minus path loss. ``budget``
+    defaults to ``channel.link_budget(scenario)``.
     """
     cfg = scenario.config
-    parts = []
-    if scenario.n_mmw > 0:
-        loss_los, loss_nlos = channel.mmw_pathloss_matrices(scenario)
-        mean_loss_db = channel.linear_to_db(
-            scenario.los_prob * channel.db_to_linear(loss_los)
-            + (1.0 - scenario.los_prob) * channel.db_to_linear(loss_nlos)
-        )
-        parts.append(cfg.tx_power_dbm + cfg.antenna_gain_dbi - mean_loss_db)
-    else:
-        parts.append(np.zeros((scenario.n_ue, 0)))
-    parts.append(cfg.tx_power_dbm - channel.muw_pathloss_matrix(scenario))
-    return np.concatenate(parts, axis=1)
+    if budget is None:
+        budget = channel.link_budget(scenario)
+    mean_loss_db = channel.linear_to_db(
+        scenario.los_prob * channel.db_to_linear(budget.loss_mmw_los)
+        + (1.0 - scenario.los_prob) * channel.db_to_linear(budget.loss_mmw_nlos)
+    )
+    rssi_mmw_dbm = cfg.tx_power_dbm + cfg.antenna_gain_dbi - mean_loss_db
+    return np.concatenate([rssi_mmw_dbm, cfg.tx_power_dbm - budget.loss_muw], axis=1)
 
 
-def sinr_matrix_db(scenario: Scenario) -> np.ndarray:
+def sinr_matrix_db(
+    scenario: Scenario, budget: Optional[channel.LinkBudget] = None
+) -> np.ndarray:
     """(M, N) average SINR in dB, mmW columns first.
 
     mmW entries are the noise-limited SNR with the linear SNR (equivalently
     the channel gain) averaged over the LoS state, which keeps max-SINR
     partial to the interference-free mmW tier; microwave entries carry the
-    cross-microwave interference.
+    cross-microwave interference. ``budget`` defaults to
+    ``channel.link_budget(scenario)``.
     """
     cfg = scenario.config
-    parts = []
-    if scenario.n_mmw > 0:
-        loss_los, loss_nlos = channel.mmw_pathloss_matrices(scenario)
-        mean_gain = scenario.los_prob * channel.db_to_linear(-loss_los) + (
-            1.0 - scenario.los_prob
-        ) * channel.db_to_linear(-loss_nlos)
-        noise_db = channel.noise_power_dbm(cfg.noise_psd_dbm_hz, cfg.bandwidth_mmw_hz)
-        parts.append(
-            cfg.tx_power_dbm
-            + cfg.antenna_gain_dbi
-            + channel.linear_to_db(mean_gain)
-            - noise_db
-        )
-    else:
-        parts.append(np.zeros((scenario.n_ue, 0)))
-    parts.append(channel.muw_sinr_db(scenario))
-    return np.concatenate(parts, axis=1)
+    if budget is None:
+        budget = channel.link_budget(scenario)
+    mean_gain = scenario.los_prob * channel.db_to_linear(-budget.loss_mmw_los) + (
+        1.0 - scenario.los_prob
+    ) * channel.db_to_linear(-budget.loss_mmw_nlos)
+    noise_db = channel.noise_power_dbm(cfg.noise_psd_dbm_hz, cfg.bandwidth_mmw_hz)
+    snr_mmw_db = (
+        cfg.tx_power_dbm + cfg.antenna_gain_dbi + channel.linear_to_db(mean_gain) - noise_db
+    )
+    return np.concatenate([snr_mmw_db, budget.sinr_muw_db], axis=1)
+
+
+def tier_columns(n_mmw: int, bias_tier: str) -> slice:
+    """The BS columns of the "mmw" or "muw" tier."""
+    if bias_tier == "mmw":
+        return slice(None, n_mmw)
+    if bias_tier == "muw":
+        return slice(n_mmw, None)
+    raise ValueError(f"bias_tier must be 'mmw' or 'muw', got {bias_tier!r}")
 
 
 def biased_argmax(metric: np.ndarray, n_mmw: int, bias_db: float, bias_tier: str) -> list[int]:
     """Each UE's best BS by ``metric`` plus ``bias_db`` on the "mmw" or "muw"
     tier; np.argmax takes the first maximum, so ties go to the lower index."""
     biased = metric.copy()
-    if bias_tier == "mmw":
-        biased[:, :n_mmw] += bias_db
-    elif bias_tier == "muw":
-        biased[:, n_mmw:] += bias_db
-    else:
-        raise ValueError(f"bias_tier must be 'mmw' or 'muw', got {bias_tier!r}")
+    biased[:, tier_columns(n_mmw, bias_tier)] += bias_db
     return np.argmax(biased, axis=1).tolist()
 
 

@@ -186,5 +186,6 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
     """Distance matrix of shape (len(a), len(b))."""
     a = np.asarray(points_a, dtype=float).reshape(-1, 2)
     b = np.asarray(points_b, dtype=float).reshape(-1, 2)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)

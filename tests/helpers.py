@@ -1,10 +1,11 @@
 """Shared test utilities: random instances and loop-based reference oracles.
 
 The oracles are the proposal-loop deferred acceptance, the per-agent
-verifier loops that the array-based engine replaced, and the per-UE,
-per-slot rate loop that the vectorised rate code replaced. They read an
-instance through plain per-agent lists only, so they stay independent of
-the arrays' internals.
+verifier loops that the array-based engine replaced, the per-UE, per-slot
+rate loop that the vectorised rate code replaced, and the per-bias CRE
+search, the 3-D distance matrix and the one-shot LoS slot draw that the
+link-budget code replaced. They read an instance through plain per-agent
+lists only, so they stay independent of the arrays' internals.
 """
 
 from collections import deque
@@ -238,3 +239,34 @@ def oracle_slot_averaged_rates(matching: Matching, links, los_slots, config) -> 
                 rates[ue] = config.bandwidth_muw_hz * share * links.se_muw[ue, bs - n_mmw]
         acc += rates
     return acc / len(los_slots)
+
+
+def oracle_best_bias(metric: np.ndarray, n_mmw: int, grid, tier: str) -> tuple[float, list[int]]:
+    """The per-bias CRE search: one copy, argmax and bincount per grid value,
+    the first minimal load spread wins, then one more argmax at that bias."""
+
+    def assign(bias):
+        biased = metric.copy()
+        if tier == "mmw":
+            biased[:, :n_mmw] += bias
+        else:
+            biased[:, n_mmw:] += bias
+        return np.argmax(biased, axis=1).tolist()
+
+    spreads = [np.ptp(np.bincount(assign(b), minlength=metric.shape[1])) for b in grid]
+    best = grid[int(np.argmin(spreads))]
+    return best, assign(best)
+
+
+def oracle_pairwise_distances(points_a, points_b) -> np.ndarray:
+    """Distance matrix from one (len(a), len(b), 2) difference stack."""
+    a = np.asarray(points_a, dtype=float).reshape(-1, 2)
+    b = np.asarray(points_b, dtype=float).reshape(-1, 2)
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def oracle_draw_los_slots(scenario, rng: np.random.Generator, n_slots: int) -> np.ndarray:
+    """All slots' LoS states from one (n_slots, M, N1) uniform draw."""
+    shape = (n_slots,) + scenario.los_prob.shape
+    return rng.random(shape) < scenario.los_prob[None, :, :]

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
@@ -315,6 +316,58 @@ def test_cli_simulate_figure_rejects_bad_runs(tmp_path, capsys, monkeypatch, fig
     assert simulate_main(["figure", figure_id, "--runs", runs, "--out", str(out)]) == 1
     assert not out.exists()
     assert "n_runs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--workers", "0"],
+        ["--workers", "-3"],
+        ["figure", "fig5", "--workers", "-1"],
+        ["figure", "fig4", "--workers", "0"],
+    ],
+)
+def test_cli_simulate_rejects_bad_workers(tmp_path, capsys, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("cellassoc.experiments._run_point", no_run)
+    out = tmp_path / "out.csv"
+    if argv[0] == "figure":
+        argv = argv + ["--runs", "2", "--out", str(out)]
+    else:
+        cfg_file = tmp_path / "w.cfg"
+        cfg_file.write_text("scenario.n_ue = 8\nexperiment.runs = 2\n")
+        argv = ["--config", str(cfg_file), "--out", str(out)] + argv
+    assert simulate_main(argv) == 1
+    assert not out.exists()
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+def test_pool_is_capped_at_the_run_point_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # runs the tasks in process; starts no worker
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("cellassoc.experiments.ProcessPoolExecutor", RecordingPool)
+    one = replace(TINY, n_runs=1, output_path=str(tmp_path / "one.csv"))
+    three = replace(TINY, n_runs=3, output_path=str(tmp_path / "three.csv"))
+    run_experiment(one, workers=4)
+    assert sizes == []  # one run-point: serial, no pool at all
+    run_experiment(three, workers=8)
+    run_experiment(three, workers=2)
+    assert sizes == [3, 2]
 
 
 def test_cli_simulate_figure_usage_error():
