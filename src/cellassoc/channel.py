@@ -48,13 +48,6 @@ def path_loss_db(params: PathLossParams, d, shadow_db=0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_los(rho: float, rng: np.random.Generator) -> bool:
-    """One Bernoulli LoS draw with success probability rho."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"LoS probability must be in [0, 1], got {rho}")
-    return bool(rng.random() < rho)
-
-
 def mmw_spectral_efficiency(p_dbm, psi_dbi, pathloss_db, w1_hz, n0_dbm_hz):
     """Noise-limited spectral efficiency of a mmW link, bit/s/Hz.
 

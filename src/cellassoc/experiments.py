@@ -18,7 +18,7 @@ import csv
 import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,8 +51,6 @@ from .scenario import (
     STREAM_QUOTAS,
     STREAM_SLOTS,
     ConfigurationError,
-    PathLossParams,
-    Scenario,
     ScenarioConfig,
     generate_scenario,
     rng_stream,
@@ -65,9 +63,6 @@ RSSI_BIAS_GRID = tuple(float(b) for b in range(0, 61, 5))
 SINR_BIAS_GRID = tuple(float(b) for b in range(0, 21, 2))
 
 SWEEP_KEYS = ("m", "q_min_mmw", "q_min_muw", "c_th", "bias_rssi_db", "bias_sinr_db")
-
-FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7")
-
 
 class VerificationFailure(RuntimeError):
     """The quota-aware policy produced an infeasible or unstable matching."""
@@ -90,36 +85,30 @@ class ExperimentConfig:
             raise ConfigurationError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.n_slots < 1:
             raise ConfigurationError(f"n_slots must be >= 1, got {self.n_slots}")
+        if not self.policies_enabled:
+            raise ConfigurationError("policies_enabled must name at least one policy")
         unknown = set(self.policies_enabled) - set(POLICY_ORDER)
         if unknown:
             raise ConfigurationError(f"unknown policies: {sorted(unknown)}")
-        if self.sweep:
-            for key, values in self.sweep.items():
-                if key not in SWEEP_KEYS:
-                    raise ConfigurationError(f"unknown sweep parameter {key!r}")
-                if len(tuple(values)) == 0:
-                    raise ConfigurationError(f"sweep.{key} has no values")
+        for key, values in (self.sweep or {}).items():
+            if key not in SWEEP_KEYS:
+                raise ConfigurationError(f"unknown sweep parameter {key!r}")
+            if len(tuple(values)) == 0:
+                raise ConfigurationError(f"sweep.{key} has no values")
 
 
 def _grid_points(sweep: Optional[dict[str, tuple]]) -> list[dict]:
-    if not sweep:
-        return [{}]
-    keys = [k for k in SWEEP_KEYS if k in sweep]
-    return [
-        dict(zip(keys, combo))
-        for combo in itertools.product(*(sweep[k] for k in keys))
-    ]
+    """The product grid of a sweep, keys in ``SWEEP_KEYS`` order; no sweep is one point."""
+    keys = [k for k in SWEEP_KEYS if k in (sweep or {})]
+    return [dict(zip(keys, combo)) for combo in itertools.product(*(sweep[k] for k in keys))]
 
 
 def _point_configs(
     exp: ExperimentConfig, overrides: dict, run: int
 ) -> tuple[ScenarioConfig, PolicyConfig]:
     scen = exp.scenario
-    if "m" in overrides:
-        scen = replace(scen, n_ue=int(overrides["m"]))
-    scen = replace(scen, seed=exp.scenario.seed + run)
-    policy_fields = {k: v for k, v in overrides.items() if k != "m"}
-    pol = replace(exp.policy, **policy_fields) if policy_fields else exp.policy
+    scen = replace(scen, n_ue=int(overrides.get("m", scen.n_ue)), seed=scen.seed + run)
+    pol = replace(exp.policy, **{k: v for k, v in overrides.items() if k != "m"})
     return scen, pol
 
 
@@ -147,8 +136,10 @@ def _run_point(
     grid_idx: int,
     run: int,
     collect_muw_samples: bool = False,
-) -> tuple[list[dict], dict[str, np.ndarray]]:
-    from .matching import build_matching  # local import keeps worker pickling simple
+) -> list[dict]:
+    # Looked up at call time, not imported at the top: a span tracer that wraps
+    # cellassoc.matching.build_matching then sees the baselines' calls too.
+    from .matching import build_matching
 
     scen_cfg, pol = _point_configs(exp, overrides, run)
     scenario = generate_scenario(scen_cfg)
@@ -180,7 +171,6 @@ def _run_point(
     q_min_muw_total = int(instance.q_min[scen_cfg.n_mmw :].sum())
 
     rows: list[dict] = []
-    samples: dict[str, np.ndarray] = {}
     for name in POLICY_ORDER:
         if name not in exp.policies_enabled:
             continue
@@ -244,12 +234,12 @@ def _run_point(
                 "_grid_idx": grid_idx,
             }
         )
-        if collect_muw_samples:
-            samples[name] = rm.muw_rate_samples
-    return rows, samples
+        if collect_muw_samples:  # only the rate CDF reads them; other rows stay small
+            rows[-1]["_muw_rates_bps"] = rm.muw_rate_samples
+    return rows
 
 
-def _run_point_star(args) -> tuple[list[dict], dict[str, np.ndarray]]:
+def _run_point_star(args) -> list[dict]:
     return _run_point(*args)
 
 
@@ -279,51 +269,51 @@ def aggregate_path(output_path) -> Path:
     return out.with_name(out.stem + "_agg" + (out.suffix or ".csv"))
 
 
-def _write_rows(rows: list[dict], out: Path) -> None:
+def _write_csv(out: Path, header: Sequence[str], records) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ROW_COLUMNS)
-        for row in rows:
-            writer.writerow([row[c] for c in ROW_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(records)
 
 
-def _write_aggregate(rows: list[dict], out: Path) -> None:
+def _write_rows(rows: list[dict], out: Path) -> None:
+    _write_csv(out, ROW_COLUMNS, ([row[c] for c in ROW_COLUMNS] for row in rows))
+
+
+def _aggregate_records(rows: list[dict]):
     groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        key = (row["_grid_idx"], row["policy"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGG_COLUMNS)
-        for key in order:
-            group = groups[key]
-            first = group[0]
-            sums = [r["sum_rate_bps"] for r in group]
-            deltas = [float(r["delta_kappa"]) for r in group]
-            writer.writerow(
-                [
-                    first["m"], first["q_min_mmw"], first["q_min_muw"],
-                    first["c_th"], first["bias_rssi_db"], first["bias_sinr_db"],
-                    first["policy"], len(group),
-                    float(np.mean(sums)), _standard_error(sums),
-                    float(np.mean(deltas)), _standard_error(deltas),
-                ]
-            )
+    for row in rows:  # dicts keep first-seen order: grid point, then policy
+        groups.setdefault((row["_grid_idx"], row["policy"]), []).append(row)
+    for group in groups.values():
+        first = group[0]
+        sums = [r["sum_rate_bps"] for r in group]
+        deltas = [float(r["delta_kappa"]) for r in group]
+        yield [
+            first["m"], first["q_min_mmw"], first["q_min_muw"],
+            first["c_th"], first["bias_rssi_db"], first["bias_sinr_db"],
+            first["policy"], len(group),
+            float(np.mean(sums)), _standard_error(sums),
+            float(np.mean(deltas)), _standard_error(deltas),
+        ]
 
 
 def _collect_rows(
-    exp: ExperimentConfig, workers: int, collect_muw_samples: bool = False
-) -> tuple[list[dict], dict[str, list[np.ndarray]]]:
+    exp: ExperimentConfig, grid: list[dict], workers: int, collect_muw_samples: bool = False
+) -> list[dict]:
+    """Run every (grid point, run) pair of ``grid`` and return the sorted rows.
+
+    ``grid`` is a list of override dicts (``SWEEP_KEYS`` to values); it need
+    not be a product, so one call can cover a ragged sweep. With
+    ``collect_muw_samples`` each row also carries its microwave UEs' rates.
+    """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    grid = _grid_points(exp.sweep)
-    for overrides in grid:  # fail a point whose quotas no run can meet before any work
-        scen, pol = _point_configs(exp, overrides, 0)
+    for overrides in grid:  # fail a point whose values or quotas no run can meet before any work
+        try:
+            scen, pol = _point_configs(exp, overrides, 0)
+        except ValueError as exc:
+            raise ConfigurationError(f"grid point {overrides}: {exc}") from exc
         q_min, q_max = pol.quota_vectors(scen.n_mmw, scen.n_muw, scen.n_ue)
         # Random microwave minima are drawn per run; their smallest draw is 0.
         low = sum(q_min[: scen.n_mmw] if exp.random_muw_quota else q_min)
@@ -344,15 +334,70 @@ def _collect_rows(
     else:
         results = [_run_point_star(t) for t in tasks]
 
-    rows: list[dict] = []
-    all_samples: dict[str, list[np.ndarray]] = {}
-    for task_rows, task_samples in results:
-        rows.extend(task_rows)
-        for name, values in task_samples.items():
-            all_samples.setdefault(name, []).append(values)
+    rows = [row for task_rows in results for row in task_rows]
     policy_rank = {name: i for i, name in enumerate(POLICY_ORDER)}
     rows.sort(key=lambda r: (r["_grid_idx"], r["run"], policy_rank[r["policy"]]))
-    return rows, all_samples
+    return rows
+
+
+# Writers: each takes (config, grid, rows) and writes the files named by
+# ``config.output_path``.
+
+
+def _write_experiment(exp: ExperimentConfig, grid, rows) -> None:
+    """Per-run rows plus the per-point aggregate next to them."""
+    out = Path(exp.output_path)
+    _write_rows(rows, out)
+    _write_csv(aggregate_path(out), AGG_COLUMNS, _aggregate_records(rows))
+
+
+def _optimal_quotas(grid: list[dict], rows: list[dict], n_runs: int) -> list[dict]:
+    """Mean sum rate per (M, microwave minimum) point, and the argmax per M.
+
+    Each mean is the sequential sum of the run-ordered rows over ``n_runs``;
+    ties go to the smaller minimum.
+    """
+    totals = [0.0] * len(grid)
+    for row in rows:
+        totals[row["_grid_idx"]] += row["sum_rate_bps"]
+    table: dict[int, dict[int, float]] = {}
+    for point, total in zip(grid, totals):
+        table.setdefault(point["m"], {})[point["q_min_muw"]] = total / n_runs
+    return [
+        {"m": m, "q_star": max(means, key=lambda q: (means[q], -q)), "mean_sum_rate_bps": means}
+        for m, means in table.items()
+    ]
+
+
+def _write_quota_table(exp: ExperimentConfig, grid, rows) -> None:
+    """One line per (M, microwave minimum), flagging the sum-rate-optimal one."""
+    _write_csv(
+        Path(exp.output_path),
+        ("m", "q_min_muw", "mean_sum_rate_bps", "optimal"),
+        (
+            [row["m"], q, mean, "true" if q == row["q_star"] else "false"]
+            for row in _optimal_quotas(grid, rows, exp.n_runs)
+            for q, mean in sorted(row["mean_sum_rate_bps"].items())
+        ),
+    )
+
+
+def _write_rate_cdf(exp: ExperimentConfig, grid, rows) -> None:
+    """Pooled microwave rate CDF per policy, plus the per-run rows in ``_runs.csv``."""
+    pooled: dict[str, list[np.ndarray]] = {}
+    for row in rows:  # sorted by grid point, run, then policy: keys fall in policy order
+        pooled.setdefault(row["policy"], []).append(row["_muw_rates_bps"])
+    out = Path(exp.output_path)
+    _write_csv(
+        out,
+        ("policy", "muw_rate_bps", "cdf"),
+        (
+            [name, float(x), float(f)]
+            for name, runs in pooled.items()
+            for x, f in zip(*rate_cdf(np.concatenate(runs)))
+        ),
+    )
+    _write_rows(rows, out.with_name(out.stem + "_runs.csv"))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Path:
@@ -363,11 +408,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Path:
     matching is infeasible or unstable, and ``ConfigurationError`` naming the
     grid point (and run and seed, for random minima) whose quotas M cannot meet.
     """
-    rows, _ = _collect_rows(config, workers)
-    out = Path(config.output_path)
-    _write_rows(rows, out)
-    _write_aggregate(rows, aggregate_path(out))
-    return out
+    grid = _grid_points(config.sweep)
+    _write_experiment(config, grid, _collect_rows(config, grid, workers))
+    return Path(config.output_path)
 
 
 def optimal_min_quota_sweep(
@@ -382,13 +425,12 @@ def optimal_min_quota_sweep(
 
     Runs the quota-aware policy with every candidate applied uniformly to the
     microwave BSs (mmW minima stay zero) and reports the argmax. Candidates
-    that cannot be met (N2 * q > M) are skipped with a warning. Each M is one
-    ``q_min_muw`` sweep through the verified Monte Carlo driver. Returns one
-    row per M: {"m", "q_star", "mean_sum_rate_bps": {q: value}}.
+    that cannot be met (N2 * q > M) are skipped with a warning. All (M, q)
+    points are one ragged grid through the verified Monte Carlo driver.
+    Returns one row per M: {"m", "q_star", "mean_sum_rate_bps": {q: value}}.
     """
-    rows = []
+    grid = []
     for m in m_values:
-        feasible = []
         for q in quota_candidates:
             q = int(q)
             if config.n_muw * q > m:
@@ -398,70 +440,47 @@ def optimal_min_quota_sweep(
                     stacklevel=2,
                 )
                 continue
-            feasible.append(q)
-        if not feasible:
-            continue
-        exp = ExperimentConfig(
-            scenario=replace(config, n_ue=int(m)),
-            policies_enabled=("mmq",),
-            n_runs=n_runs,
-            n_slots=n_slots,
-            sweep={"q_min_muw": tuple(feasible)},
-        )
-        totals = [0.0] * len(feasible)
-        for row in _collect_rows(exp, workers)[0]:  # sorted by grid point, then run
-            totals[row["_grid_idx"]] += row["sum_rate_bps"]
-        means = {q: totals[i] / n_runs for i, q in enumerate(feasible)}
-        q_star = max(means, key=lambda q: (means[q], -q))
-        rows.append({"m": int(m), "q_star": q_star, "mean_sum_rate_bps": means})
-    return rows
+            grid.append({"m": int(m), "q_min_muw": q})
+    exp = ExperimentConfig(
+        scenario=config, policies_enabled=("mmq",), n_runs=n_runs, n_slots=n_slots
+    )
+    return _optimal_quotas(grid, _collect_rows(exp, grid, workers), n_runs)
 
 
-def _figure_config(figure_id: str, n_runs: Optional[int], seed: int) -> ExperimentConfig:
-    base = ScenarioConfig(seed=seed)
-    runs = 200 if n_runs is None else n_runs
-    if figure_id == "fig3":
-        return ExperimentConfig(
-            scenario=base,
-            policies_enabled=("mmq", "max_rssi", "max_sinr"),
-            n_runs=runs,
-            sweep={"m": tuple(range(10, 101, 10))},
-            random_muw_quota=True,
-            auto_bias=True,
-            output_path="fig3.csv",
-        )
-    if figure_id == "fig5":
-        m = 70
-        q = m // base.n_bs
-        return ExperimentConfig(
-            scenario=replace(base, n_ue=m),
-            policy=PolicyConfig(q_min_mmw=q, q_min_muw=q),
-            policies_enabled=("mmq", "max_rssi"),
-            n_runs=runs,
-            sweep={"bias_rssi_db": RSSI_BIAS_GRID[::2]},
-            output_path="fig5.csv",
-        )
-    if figure_id == "fig6":
-        m = 70
-        q = m // base.n_bs
-        return ExperimentConfig(
-            scenario=replace(base, n_ue=m),
-            policy=PolicyConfig(q_min_mmw=q, q_min_muw=q),
-            policies_enabled=("mmq", "max_sinr"),
-            n_runs=runs,
-            sweep={"bias_sinr_db": SINR_BIAS_GRID},
-            output_path="fig6.csv",
-        )
-    if figure_id == "fig7":
-        return ExperimentConfig(
-            scenario=replace(base, n_ue=100),
-            policy=PolicyConfig(q_min_muw=8, c_th=0.5),
-            policies_enabled=("mmq", "max_rssi", "max_sinr"),
-            n_runs=runs,
-            auto_bias=True,
-            output_path="fig7.csv",
-        )
-    raise ConfigurationError(f"unknown figure id {figure_id!r}")
+# Canned figures: id -> (config at seed 0 and 200 runs, grid, writer, whether
+# the writer reads the microwave rate samples). Each writes <id>.csv unless told
+# otherwise. fig4 tries every microwave minimum q with N2 * q <= M (N2 = 10);
+# fig5/fig6 set every minimum to M // N = 70 // 20.
+_FIG3 = ExperimentConfig(
+    policies_enabled=("mmq", "max_rssi", "max_sinr"),
+    sweep={"m": tuple(range(10, 101, 10))},
+    random_muw_quota=True,
+    auto_bias=True,
+)
+_FIG4_GRID = [{"m": m, "q_min_muw": q} for m in range(20, 101, 20) for q in range(m // 10 + 1)]
+_FIG5 = ExperimentConfig(
+    scenario=ScenarioConfig(n_ue=70),
+    policy=PolicyConfig(q_min_mmw=3, q_min_muw=3),
+    policies_enabled=("mmq", "max_rssi"),
+    sweep={"bias_rssi_db": RSSI_BIAS_GRID[::2]},
+)
+_FIG6 = replace(
+    _FIG5, policies_enabled=("mmq", "max_sinr"), sweep={"bias_sinr_db": SINR_BIAS_GRID}
+)
+_FIG7 = ExperimentConfig(
+    scenario=ScenarioConfig(n_ue=100),
+    policy=PolicyConfig(q_min_muw=8, c_th=0.5),
+    policies_enabled=("mmq", "max_rssi", "max_sinr"),
+    auto_bias=True,
+)
+_FIGURE_TABLE = {
+    "fig3": (_FIG3, _grid_points(_FIG3.sweep), _write_experiment, False),
+    "fig4": (ExperimentConfig(policies_enabled=("mmq",)), _FIG4_GRID, _write_quota_table, False),
+    "fig5": (_FIG5, _grid_points(_FIG5.sweep), _write_experiment, False),
+    "fig6": (_FIG6, _grid_points(_FIG6.sweep), _write_experiment, False),
+    "fig7": (_FIG7, [{}], _write_rate_cdf, True),
+}
+FIGURES = tuple(_FIGURE_TABLE)
 
 
 def run_figure(
@@ -475,8 +494,8 @@ def run_figure(
 
     fig3: mean sum rate versus UE count for the quota policy and both
     baselines at their load-optimal biases, random microwave minima.
-    fig4: sum-rate-optimal microwave minimum quota versus UE count; its runs
-    go through the same verified grid driver and honour ``workers``.
+    fig4: sum-rate-optimal microwave minimum quota versus UE count, one
+    ragged (M, q) grid through the same verified driver.
     fig5/fig6: load spread of the quota policy versus max-RSSI / max-SINR
     over their bias sweeps at M=70.
     fig7: empirical CDF of the microwave per-UE rate at M=100 with the
@@ -486,51 +505,15 @@ def run_figure(
         raise ConfigurationError(
             f"unknown figure id {figure_id!r}; expected one of {FIGURES}"
         )
-
-    if figure_id == "fig4":
-        out = Path(output_path or "fig4.csv")
-        base = ScenarioConfig(seed=seed)
-        rows = []
-        for m in (20, 40, 60, 80, 100):
-            rows.extend(
-                optimal_min_quota_sweep(
-                    base, [m], range(0, m // base.n_muw + 1),
-                    n_runs=200 if n_runs is None else n_runs, workers=workers,
-                )
-            )
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "q_min_muw", "mean_sum_rate_bps", "optimal"])
-            for row in rows:
-                for q, mean in sorted(row["mean_sum_rate_bps"].items()):
-                    writer.writerow(
-                        [row["m"], q, mean, "true" if q == row["q_star"] else "false"]
-                    )
-        return out
-
-    config = _figure_config(figure_id, n_runs, seed)
-    if output_path is not None:
-        config = replace(config, output_path=str(output_path))
-
-    if figure_id == "fig7":
-        rows, samples = _collect_rows(config, workers, collect_muw_samples=True)
-        out = Path(config.output_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["policy", "muw_rate_bps", "cdf"])
-            for name in POLICY_ORDER:
-                if name not in samples:
-                    continue
-                pooled = np.concatenate(samples[name])
-                xs, cdf = rate_cdf(pooled)
-                for x, f in zip(xs, cdf):
-                    writer.writerow([name, float(x), float(f)])
-        _write_rows(rows, out.with_name(out.stem + "_runs.csv"))
-        return out
-
-    return run_experiment(config, workers=workers)
+    config, grid, write, muw_samples = _FIGURE_TABLE[figure_id]
+    config = replace(
+        config,
+        scenario=replace(config.scenario, seed=seed),
+        n_runs=200 if n_runs is None else n_runs,
+        output_path=str(f"{figure_id}.csv" if output_path is None else output_path),
+    )
+    write(config, grid, _collect_rows(config, grid, workers, muw_samples))
+    return Path(config.output_path)
 
 
 # --------------------------------------------------------------------------
@@ -539,37 +522,57 @@ def run_figure(
 
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {value!r}")
+    if lowered not in ("true", "yes", "1", "on", "false", "no", "0", "off"):
+        raise ValueError(f"expected a boolean, got {value!r}")
+    return lowered in ("true", "yes", "1", "on")
 
 
-def _parse_list(value: str, item_type):
-    return tuple(item_type(tok.strip()) for tok in value.split(",") if tok.strip())
+def _parse_list(item_type):
+    return lambda value: tuple(
+        item_type(tok.strip()) for tok in value.split(",") if tok.strip()
+    )
 
 
-_SCENARIO_FIELDS = {
-    "n_mmw": int, "n_muw": int, "n_ue": int, "seed": int,
-    "area_radius": float, "tx_power_dbm": float,
-    "bandwidth_mmw_hz": float, "bandwidth_muw_hz": float,
-    "noise_psd_dbm_hz": float, "antenna_gain_dbi": float,
+def _field_keys(path: tuple[str, ...], obj) -> dict[str, tuple]:
+    """Key table entries for every scalar field of a config dataclass, nested ones dotted."""
+    keys = {}
+    for f in fields(obj):
+        field_path = path + (f.name,)
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            keys.update(_field_keys(field_path, value))
+        else:  # typed by the default; None (the q_max caps) parses as int
+            keys[".".join(field_path)] = (field_path, int if value is None else type(value))
+    return keys
+
+
+# Dotted key -> (field path inside ExperimentConfig, value parser).
+_CONFIG_KEYS = {
+    **_field_keys(("scenario",), ScenarioConfig()),
+    **_field_keys(("policy",), PolicyConfig()),
+    # A sweep over m sets the scenario's n_ue; the other sweep keys are policy fields.
+    **{
+        f"sweep.{k}": (
+            ("sweep", k),
+            _parse_list(int if k == "m" else type(getattr(PolicyConfig(), k))),
+        )
+        for k in SWEEP_KEYS
+    },
+    "experiment.runs": (("n_runs",), int),
+    "experiment.slots": (("n_slots",), int),
+    "experiment.out": (("output_path",), str),
+    "experiment.random_muw_quota": (("random_muw_quota",), _parse_bool),
+    "experiment.auto_bias": (("auto_bias",), _parse_bool),
+    "experiment.policies": (("policies_enabled",), _parse_list(str)),
 }
-_PATHLOSS_GROUPS = ("pathloss_mmw_los", "pathloss_mmw_nlos", "pathloss_muw")
-_PATHLOSS_FIELDS = {"slope": float, "intercept_db": float, "shadow_sigma_db": float}
-_POLICY_FIELDS = {
-    "q_min_mmw": int, "q_min_muw": int, "q_max_mmw": int, "q_max_muw": int,
-    "c_th": float, "bias_rssi_db": float, "bias_sinr_db": float,
-}
-_SWEEP_FIELDS = {
-    "m": int, "q_min_mmw": int, "q_min_muw": int,
-    "c_th": float, "bias_rssi_db": float, "bias_sinr_db": float,
-}
-_EXPERIMENT_FIELDS = {
-    "runs": int, "slots": int, "out": str,
-    "random_muw_quota": _parse_bool, "auto_bias": _parse_bool,
-}
+
+
+def _with_fields(obj, values: dict):
+    """``obj`` with ``values`` replacing its fields; a dict for a dataclass field updates it."""
+    for name, value in values.items():
+        if is_dataclass(getattr(obj, name)):
+            values[name] = _with_fields(getattr(obj, name), value)
+    return replace(obj, **values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -579,15 +582,10 @@ def parse_config(text: str) -> ExperimentConfig:
     groups), ``policy.*``, ``experiment.*`` (runs, slots, out,
     random_muw_quota, auto_bias, policies), and ``sweep.*`` with
     comma-separated value lists. Lines starting with ``#`` and blank lines
-    are ignored. Unknown keys are errors.
+    are ignored. Unknown and repeated keys are errors.
     """
-    scenario_kw: dict = {}
-    pathloss_kw: dict[str, dict] = {g: {} for g in _PATHLOSS_GROUPS}
-    policy_kw: dict = {}
-    experiment_kw: dict = {}
-    sweep: dict[str, tuple] = {}
-    policies: Optional[tuple[str, ...]] = None
-
+    values: dict = {"scenario": {}, "policy": {}}  # built in this order, then the rest
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -595,56 +593,20 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        parts = key.split(".")
+        if key not in _CONFIG_KEYS:
+            raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigurationError(f"line {lineno}: {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
+        path, parse = _CONFIG_KEYS[key]
+        target = values
+        for name in path[:-1]:
+            target = target.setdefault(name, {})
         try:
-            if parts[0] == "scenario" and len(parts) == 2 and parts[1] in _SCENARIO_FIELDS:
-                scenario_kw[parts[1]] = _SCENARIO_FIELDS[parts[1]](value)
-            elif (
-                parts[0] == "scenario"
-                and len(parts) == 3
-                and parts[1] in _PATHLOSS_GROUPS
-                and parts[2] in _PATHLOSS_FIELDS
-            ):
-                pathloss_kw[parts[1]][parts[2]] = _PATHLOSS_FIELDS[parts[2]](value)
-            elif parts[0] == "policy" and len(parts) == 2 and parts[1] in _POLICY_FIELDS:
-                policy_kw[parts[1]] = _POLICY_FIELDS[parts[1]](value)
-            elif parts[0] == "experiment" and len(parts) == 2 and parts[1] == "policies":
-                policies = _parse_list(value, str)
-            elif parts[0] == "experiment" and len(parts) == 2 and parts[1] in _EXPERIMENT_FIELDS:
-                experiment_kw[parts[1]] = _EXPERIMENT_FIELDS[parts[1]](value)
-            elif parts[0] == "sweep" and len(parts) == 2 and parts[1] in _SWEEP_FIELDS:
-                sweep[parts[1]] = _parse_list(value, _SWEEP_FIELDS[parts[1]])
-            else:
-                raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+            target[path[-1]] = parse(value)
         except ValueError as exc:
-            if isinstance(exc, ConfigurationError):
-                raise
-            raise ConfigurationError(
-                f"line {lineno}: bad value {value!r} for {key!r}"
-            ) from exc
-
-    for group, kw in pathloss_kw.items():
-        if kw:
-            defaults = getattr(ScenarioConfig(), group)
-            scenario_kw[group] = replace(defaults, **kw)
-    scenario = ScenarioConfig(**scenario_kw)
-    policy = PolicyConfig(**policy_kw)
-    exp_kw: dict = {}
-    if "runs" in experiment_kw:
-        exp_kw["n_runs"] = experiment_kw["runs"]
-    if "slots" in experiment_kw:
-        exp_kw["n_slots"] = experiment_kw["slots"]
-    if "out" in experiment_kw:
-        exp_kw["output_path"] = experiment_kw["out"]
-    if "random_muw_quota" in experiment_kw:
-        exp_kw["random_muw_quota"] = experiment_kw["random_muw_quota"]
-    if "auto_bias" in experiment_kw:
-        exp_kw["auto_bias"] = experiment_kw["auto_bias"]
-    if policies is not None:
-        exp_kw["policies_enabled"] = policies
-    return ExperimentConfig(
-        scenario=scenario, policy=policy, sweep=sweep or None, **exp_kw
-    )
+            raise ConfigurationError(f"line {lineno}: bad value {value!r} for {key!r}") from exc
+    return _with_fields(ExperimentConfig(), values)
 
 
 def load_config(path) -> ExperimentConfig:

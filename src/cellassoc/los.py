@@ -55,10 +55,3 @@ def update_f(
         + (1.0 - prev.smoothing) * prev.value
     )
     return replace(prev, value=new_value)
-
-
-def oracle_f(rho: float) -> LosEstimate:
-    """Genie estimate equal to the true LoS probability."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"LoS probability must be in [0, 1], got {rho}")
-    return LosEstimate(value=rho)

@@ -22,11 +22,6 @@ class RunMetrics:
     muw_rate_samples: np.ndarray = field(repr=False, default=None)  # rates of microwave UEs
 
 
-def load_vector(matching: Matching) -> np.ndarray:
-    """UEs per BS."""
-    return np.asarray(matching.loads, dtype=int)
-
-
 def max_load_difference(loads) -> int:
     """Spread between the most and least loaded BS."""
     loads = np.asarray(loads)
@@ -90,7 +85,7 @@ def run_metrics(
     per_ue_rate_bps: np.ndarray | None = None,
 ) -> RunMetrics:
     """Assemble the per-run metric bundle; rates default to the single-slot ones."""
-    loads = load_vector(matching)
+    loads = np.asarray(matching.loads, dtype=int)
     if per_ue_rate_bps is None:
         per_ue_rate_bps = achievable_rates(matching, links, config)
     on_muw = np.array(

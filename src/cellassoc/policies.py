@@ -47,8 +47,10 @@ class PolicyConfig:
             hi = getattr(self, hi_name)
             if hi is not None and hi < getattr(self, lo_name):
                 raise ValueError(f"{hi_name} must be >= {lo_name}")
-        if self.bias_rssi_db < 0 or self.bias_sinr_db < 0:
+        if not (self.bias_rssi_db >= 0 and self.bias_sinr_db >= 0):  # NaN fails too
             raise ValueError("bias values are non-negative dB offsets")
+        if np.isnan(self.c_th):  # every comparison with NaN is false: the gate would be off
+            raise ValueError("c_th must not be NaN")
 
     def quota_vectors(
         self, n_mmw: int, n_muw: int, n_ue: int

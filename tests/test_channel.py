@@ -14,7 +14,6 @@ from cellassoc.channel import (
     noise_power_dbm,
     path_loss_db,
     realize_links,
-    sample_los,
 )
 from cellassoc.scenario import (
     PathLossParams,
@@ -65,28 +64,6 @@ def test_path_loss_vectorized():
     p = PathLossParams(2.0, 70.0)
     out = path_loss_db(p, np.array([1.0, 10.0, 100.0]))
     assert np.allclose(out, [70.0, 90.0, 110.0])
-
-
-# --- LoS sampling ----------------------------------------------------------
-
-def test_sample_los_degenerate_probabilities():
-    rng = rng_stream(0)
-    assert not any(sample_los(0.0, rng) for _ in range(1000))
-    assert all(sample_los(1.0, rng) for _ in range(1000))
-
-
-def test_sample_los_mean_matches_probability():
-    rng = rng_stream(1)
-    draws = sum(sample_los(0.3, rng) for _ in range(100_000))
-    assert 0.29 <= draws / 100_000 <= 0.31  # binomial 99% interval
-
-
-def test_sample_los_rejects_bad_probability():
-    rng = rng_stream(2)
-    with pytest.raises(ValueError):
-        sample_los(-0.1, rng)
-    with pytest.raises(ValueError):
-        sample_los(1.5, rng)
 
 
 # --- spectral efficiency ---------------------------------------------------

@@ -1,5 +1,8 @@
 import csv
-from dataclasses import replace
+import math
+import re
+import warnings
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,13 +12,14 @@ from cellassoc.experiments import (
     VerificationFailure,
     aggregate_path,
     load_config,
+    optimal_min_quota_sweep,
     parse_config,
     run_experiment,
     run_figure,
 )
 from cellassoc.matching import MatchingInstance, VerifierReport, format_instance
 from cellassoc.policies import PolicyConfig
-from cellassoc.scenario import ConfigurationError, ScenarioConfig
+from cellassoc.scenario import ConfigurationError, PathLossParams, ScenarioConfig
 
 TINY = ExperimentConfig(
     scenario=ScenarioConfig(n_mmw=2, n_muw=2, n_ue=8, seed=77),
@@ -83,6 +87,48 @@ def test_bad_value_reports_line():
 def test_missing_equals_rejected():
     with pytest.raises(ConfigurationError):
         parse_config("scenario.n_ue 5\n")
+
+
+def _scalar_config_keys():
+    scenario = ScenarioConfig()
+    keys = [f"policy.{f.name}" for f in fields(PolicyConfig)]
+    for f in fields(ScenarioConfig):
+        value = getattr(scenario, f.name)
+        if isinstance(value, PathLossParams):
+            keys += [f"scenario.{f.name}.{g.name}" for g in fields(PathLossParams)]
+        else:
+            keys.append(f"scenario.{f.name}")
+    return keys
+
+
+@pytest.mark.parametrize("key", _scalar_config_keys())
+def test_every_config_field_has_a_key(key):
+    cfg = parse_config(f"{key} = 7\n")
+    value = cfg
+    for part in key.split("."):
+        value = getattr(value, part)
+    assert value == 7
+
+
+def test_repeated_key_names_both_lines():
+    with pytest.raises(
+        ConfigurationError, match=r"line 3: 'scenario.n_ue' already set on line 1"
+    ):
+        parse_config("scenario.n_ue = 12\n# again\nscenario.n_ue = 14\n")
+
+
+def test_bad_boolean_names_line_and_key():
+    with pytest.raises(
+        ConfigurationError, match=r"line 2: bad value 'maybe' for 'experiment.auto_bias'"
+    ):
+        parse_config("scenario.n_ue = 9\nexperiment.auto_bias = maybe\n")
+
+
+def test_empty_policy_list_rejected():
+    with pytest.raises(ConfigurationError, match="at least one policy"):
+        parse_config("experiment.policies =\n")
+    with pytest.raises(ConfigurationError, match="at least one policy"):
+        ExperimentConfig(policies_enabled=())
 
 
 def test_experiment_config_validation():
@@ -188,6 +234,30 @@ def test_bad_grid_point_fails_before_any_run(tmp_path, monkeypatch):
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, values",
+    [
+        ("q_min_muw", (1, -1)),
+        ("bias_rssi_db", (0.0, -5.0)),
+        ("c_th", (0.5, math.nan)),
+        ("m", (20, 0)),
+    ],
+)
+def test_bad_sweep_value_names_grid_point_before_any_run(tmp_path, monkeypatch, key, values):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the grid was checked")
+
+    monkeypatch.setattr("cellassoc.experiments.generate_scenario", no_runs)
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(n_ue=20), policies_enabled=("mmq",), n_runs=2,
+        sweep={key: values}, output_path=str(tmp_path / "bad.csv"),
+    )
+    bad_point = re.escape(f"grid point {{{key!r}: {values[-1]!r}}}: ")
+    with pytest.raises(ConfigurationError, match=bad_point):
+        run_experiment(cfg)
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_random_quota_failure_names_point_run_and_seed(tmp_path):
     # Ten mmW minima of 1 plus ten random microwave minima in [0, 2] exceed
     # M = 20 on some runs; the grid check cannot see that in advance.
@@ -255,6 +325,31 @@ def test_fig4_schema(tmp_path):
     for m in ms:
         stars = [r for r in rows if int(r["m"]) == m and r["optimal"] == "true"]
         assert len(stars) == 1
+
+
+def test_fig4_starts_one_pool(tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr("cellassoc.experiments.ProcessPoolExecutor", recording_pool(sizes))
+    run_figure("fig4", output_path=tmp_path / "f4.csv", n_runs=1, workers=2)
+    assert sizes == [2]
+
+
+def test_fig4_emits_no_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_figure("fig4", output_path=tmp_path / "f4.csv", n_runs=1)
+
+
+def test_quota_sweep_over_many_m_equals_per_m_calls():
+    cfg = ScenarioConfig(n_mmw=2, n_muw=2, n_ue=8, seed=77)
+    candidates = (0, 3, 5)  # q = 5 cannot be met at M = 6
+    with pytest.warns(UserWarning, match="skipping q_min=5 at M=6"):
+        together = optimal_min_quota_sweep(cfg, [6, 10], candidates, n_runs=3, n_slots=2)
+    with pytest.warns(UserWarning, match="skipping q_min=5 at M=6"):
+        apart = optimal_min_quota_sweep(cfg, [6], candidates, n_runs=3, n_slots=2)
+    apart += optimal_min_quota_sweep(cfg, [10], candidates, n_runs=3, n_slots=2)
+    assert together == apart
+    assert [sorted(row["mean_sum_rate_bps"]) for row in together] == [[0, 3], [0, 3, 5]]
 
 
 def test_fig4_parallel_matches_serial(tmp_path):
@@ -344,9 +439,7 @@ def test_cli_simulate_rejects_bad_workers(tmp_path, capsys, monkeypatch, argv):
     assert "workers must be >= 1" in capsys.readouterr().err
 
 
-def test_pool_is_capped_at_the_run_point_count(tmp_path, monkeypatch):
-    sizes = []
-
+def recording_pool(sizes):
     class RecordingPool:  # runs the tasks in process; starts no worker
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -360,7 +453,12 @@ def test_pool_is_capped_at_the_run_point_count(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr("cellassoc.experiments.ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_pool_is_capped_at_the_run_point_count(tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr("cellassoc.experiments.ProcessPoolExecutor", recording_pool(sizes))
     one = replace(TINY, n_runs=1, output_path=str(tmp_path / "one.csv"))
     three = replace(TINY, n_runs=3, output_path=str(tmp_path / "three.csv"))
     run_experiment(one, workers=4)

@@ -94,7 +94,7 @@ def test_run_point_evaluates_the_link_budget_once(monkeypatch):
         policies_enabled=POLICY_ORDER,
         auto_bias=True,
     )
-    rows, _ = _run_point(exp, {}, 0, 0)
+    rows = _run_point(exp, {}, 0, 0)
     assert [row["policy"] for row in rows] == list(POLICY_ORDER)
     # One distance matrix per tier; LoS, NLoS and microwave path loss once each.
     assert counts == {"path_loss_db": 3, "pairwise_distances": 2}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellassoc.los import LosEstimate, oracle_f, update_f
+from cellassoc.los import LosEstimate, update_f
 
 
 def test_full_replacement():
@@ -42,14 +42,6 @@ def test_unassociated_decay_and_freeze():
     assert decayed.value == pytest.approx(0.75 * 0.8)  # literal update pulls toward 0
     frozen = update_f(prev, 7, 0, freeze_unobserved=True)
     assert frozen.value == 0.8
-
-
-def test_oracle_identity():
-    assert oracle_f(0.0).value == 0.0
-    assert oracle_f(1.0).value == 1.0
-    assert oracle_f(0.37).value == 0.37
-    with pytest.raises(ValueError):
-        oracle_f(1.2)
 
 
 def test_estimate_constructor_validation():

@@ -8,7 +8,6 @@ from cellassoc.experiments import optimal_min_quota_sweep
 from cellassoc.matching import build_matching
 from cellassoc.metrics import (
     achievable_rates,
-    load_vector,
     max_load_difference,
     rate_cdf,
     run_metrics,
@@ -32,19 +31,19 @@ def make_links(se_los, se_nlos, se_muw, los_state=None):
 
 def test_load_vector_counts():
     m = build_matching([0, 0, 1], 2)
-    assert list(load_vector(m)) == [2, 1]
+    assert list(m.loads) == [2, 1]
 
 
 def test_load_vector_empty():
     m = build_matching([], 3)
-    assert list(load_vector(m)) == [0, 0, 0]
+    assert list(m.loads) == [0, 0, 0]
 
 
 def test_loads_partition_random_matching():
     rng = np.random.default_rng(3)
     assignment = [int(h) for h in rng.integers(0, 7, size=40)]
     m = build_matching(assignment, 7)
-    assert load_vector(m).sum() == 40
+    assert sum(m.loads) == 40
 
 
 def test_max_load_difference():

@@ -220,6 +220,18 @@ def test_policy_config_validation():
         PolicyConfig(bias_rssi_db=-5.0)
 
 
+@pytest.mark.parametrize("name", ["c_th", "bias_rssi_db", "bias_sinr_db"])
+def test_policy_config_rejects_nan(name):
+    # A NaN bias sent every UE to one BS and a NaN gate silently gated nothing.
+    with pytest.raises(ValueError):
+        PolicyConfig(**{name: math.nan})
+
+
+def test_policy_config_accepts_infinite_gate():
+    assert PolicyConfig(c_th=math.inf).c_th == math.inf
+    assert PolicyConfig(c_th=-math.inf).c_th == -math.inf
+
+
 # --- baselines -------------------------------------------------------------------
 
 def co_located_scenario(rho: float) -> Scenario:
