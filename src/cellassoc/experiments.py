@@ -198,7 +198,7 @@ def _run_point(
                 f"{overrides}, run {run} (feasible={report.feasible}, "
                 f"blocking={len(report.blocking_pairs)}).\n"
                 f"Instance dump:\n{format_instance(instance)}"
-                f"Assignment: {matching.agent_to_host}"
+                f"Assignment: {matching.agent_to_host.tolist()}"
             )
 
         rates = slot_averaged_rates(matching, links, los_slots, scen_cfg)

@@ -19,7 +19,6 @@ Agents and hosts are integer ids 0..M-1 and 0..N-1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence
 
@@ -152,29 +151,48 @@ def _pref_rows(instance: MatchingInstance) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matching:
-    """An assignment: per-agent host (or None), per-host agent sets, loads."""
+    """An assignment held as one (M,) ``agent_to_host`` array, -1 for an
+    unmatched agent. ``loads`` (N,) counts each host's agents; both arrays are
+    read-only, so the derived views always agree with the assignment.
+    """
 
-    agent_to_host: tuple[Optional[int], ...]
-    host_to_agents: tuple[tuple[int, ...], ...]
-    loads: tuple[int, ...]
+    agent_to_host: np.ndarray
+    n_hosts: int
+
+    def __post_init__(self) -> None:
+        a2h = np.asarray(self.agent_to_host)
+        if a2h.size and a2h.dtype.kind not in "iu":
+            raise MatchingError(f"host ids must be integers, got {a2h.dtype}")
+        a2h = a2h.astype(np.intp)  # a copy: the caller's array stays its own
+        bad = np.flatnonzero((a2h < -1) | (a2h >= self.n_hosts))
+        if bad.size:
+            raise MatchingError(f"agent {bad[0]} assigned to unknown host {a2h[bad[0]]}")
+        loads = np.bincount(a2h[a2h >= 0], minlength=self.n_hosts)
+        for array in (a2h, loads):
+            array.setflags(write=False)
+        self.__dict__.update(agent_to_host=a2h, loads=loads)  # frozen: bypass __setattr__
+
+    @property
+    def host_to_agents(self) -> tuple[tuple[int, ...], ...]:
+        """Each host's agents in increasing id order."""
+        hosts: list[list[int]] = [[] for _ in range(self.n_hosts)]
+        for agent, host in enumerate(self.agent_to_host.tolist()):
+            if host >= 0:
+                hosts[host].append(agent)
+        return tuple(map(tuple, hosts))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matching):
+            return NotImplemented
+        same_hosts = self.n_hosts == other.n_hosts
+        return same_hosts and np.array_equal(self.agent_to_host, other.agent_to_host)
 
 
-def build_matching(assignment: Sequence[Optional[int]], n_hosts: int) -> Matching:
-    """Construct a consistent Matching from a per-agent host list."""
-    hosts: list[list[int]] = [[] for _ in range(n_hosts)]
-    for agent, host in enumerate(assignment):
-        if host is None:
-            continue
-        if not 0 <= host < n_hosts:
-            raise MatchingError(f"agent {agent} assigned to unknown host {host}")
-        hosts[host].append(agent)
-    return Matching(
-        agent_to_host=tuple(assignment),
-        host_to_agents=tuple(tuple(h) for h in hosts),
-        loads=tuple(len(h) for h in hosts),
-    )
+def build_matching(assignment: Sequence[int], n_hosts: int) -> Matching:
+    """The Matching of a per-agent host list (-1 for an unmatched agent)."""
+    return Matching(assignment, n_hosts)
 
 
 def _best_listed_host(row, gate_row, loads, room) -> Optional[int]:
@@ -203,7 +221,7 @@ def _master_list_pass(instance: MatchingInstance, quota_aware: bool) -> Matching
     q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
     deficit = sum(q_min) if quota_aware else 0  # unmet minimum quota; DA stays in phase 1
     loads = [0] * instance.n_hosts
-    assignment: list[Optional[int]] = [None] * m_count
+    assignment = [-1] * m_count
     for pos, agent in enumerate(instance.master_list.tolist()):
         phase_1 = m_count - pos > deficit  # once false, stays false
         host = _best_listed_host(rows[agent], gates[agent], loads, q_max if phase_1 else q_min)
@@ -271,36 +289,12 @@ class VerifierReport:
     pareto_optimal: Optional[bool] = None
 
 
-def _check_consistency(instance: MatchingInstance, matching: Matching) -> np.ndarray:
-    """Raise MatchingError unless the matching's three views agree; return
-    ``agent_to_host`` as an (M,) int array with -1 for unassigned agents."""
-    m, n = instance.n_agents, instance.n_hosts
-    if len(matching.agent_to_host) != m:
+def _check_consistency(instance: MatchingInstance, matching: Matching) -> None:
+    """Raise MatchingError unless the matching has the instance's agent and host counts."""
+    if matching.agent_to_host.size != instance.n_agents:
         raise MatchingError("matching covers the wrong number of agents")
-    if len(matching.host_to_agents) != n or len(matching.loads) != n:
+    if matching.n_hosts != instance.n_hosts:
         raise MatchingError("matching covers the wrong number of hosts")
-    assigned = np.array(matching.agent_to_host, dtype=float)  # None -> nan
-    a2h = np.where(np.isnan(assigned), -1, assigned).astype(np.intp)
-    counts = np.array([len(agents) for agents in matching.host_to_agents], dtype=np.intp)
-    flat = itertools.chain.from_iterable(matching.host_to_agents)
-    agents = np.fromiter(flat, dtype=np.intp, count=counts.sum())
-    hosts = np.repeat(np.arange(n), counts)
-    bad = np.flatnonzero(counts != np.asarray(matching.loads))
-    if bad.size:
-        raise MatchingError(f"host {bad[0]}: load does not equal its agent count")
-    known = (agents >= 0) & (agents < m)
-    bad = np.flatnonzero(np.append(a2h, -1)[np.where(known, agents, m)] != hosts)
-    if bad.size:
-        agent, host = agents[bad[0]], hosts[bad[0]]
-        raise MatchingError(f"agent {agent} and host {host} disagree on the pairing")
-    times = np.bincount(agents, minlength=m)
-    bad = np.flatnonzero(times > 1)
-    if bad.size:
-        raise MatchingError(f"agent {bad[0]} appears under two hosts")
-    bad = np.flatnonzero(~np.isnan(assigned) & (times == 0))
-    if bad.size:
-        raise MatchingError(f"agent {bad[0]} missing from host {a2h[bad[0]]}'s set")
-    return a2h
 
 
 def _blocking_pairs(
@@ -344,7 +338,7 @@ def enumerate_feasible(
     rows = _pref_rows(instance)
     q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
     loads = [0] * instance.n_hosts
-    assignment: list[Optional[int]] = [None] * instance.n_agents
+    assignment = [-1] * instance.n_agents
     deficit = sum(q_min)
 
     def recurse(agent: int) -> Iterator[Matching]:
@@ -365,7 +359,7 @@ def enumerate_feasible(
                 deficit -= 1
             assignment[agent] = host
             yield from recurse(agent + 1)
-            assignment[agent] = None
+            assignment[agent] = -1
             loads[host] -= 1
             if below_min:
                 deficit += 1
@@ -375,13 +369,11 @@ def enumerate_feasible(
 
 def _pareto_optimal(instance: MatchingInstance, matching: Matching, budget: int) -> bool:
     # Hosts not on an agent's list rank below everything it did list.
-    rank = instance.rank.tolist()
-    ranks = [rank[a][h] for a, h in enumerate(matching.agent_to_host)]
+    agents = np.arange(instance.n_agents)
+    ranks = instance.rank[agents, matching.agent_to_host]
     for other in enumerate_feasible(instance, budget=budget):
-        other_ranks = [rank[a][h] for a, h in enumerate(other.agent_to_host)]
-        if all(o <= r for o, r in zip(other_ranks, ranks)) and any(
-            o < r for o, r in zip(other_ranks, ranks)
-        ):
+        other_ranks = instance.rank[agents, other.agent_to_host]
+        if (other_ranks <= ranks).all() and (other_ranks < ranks).any():
             return False
     return True
 
@@ -399,8 +391,8 @@ def verify(
     in the agent's preference order. The Pareto check runs only for feasible
     matchings on instances within the enumeration budget.
     """
-    a2h = _check_consistency(instance, matching)
-    loads = np.asarray(matching.loads, dtype=np.intp)
+    _check_consistency(instance, matching)
+    a2h, loads = matching.agent_to_host, matching.loads
     feasible = bool(
         (a2h >= 0).all() and ((instance.q_min <= loads) & (loads <= instance.q_max)).all()
     )

@@ -51,10 +51,10 @@ def slot_averaged_rates(
     interference-limited SE. Unmatched UEs get zero.
     """
     n_mmw = links.n_mmw
-    host = np.array([-1 if h is None else h for h in matching.agent_to_host], dtype=int)
+    host = matching.agent_to_host
     matched = host >= 0
     share = np.zeros(host.size)
-    share[matched] = 1.0 / np.asarray(matching.loads)[host[matched]]
+    share[matched] = 1.0 / matching.loads[host[matched]]
     mmw = np.flatnonzero(matched & (host < n_mmw))
     muw = np.flatnonzero(host >= n_mmw)
     bandwidth = np.zeros(host.size)
@@ -85,15 +85,12 @@ def run_metrics(
     per_ue_rate_bps: np.ndarray | None = None,
 ) -> RunMetrics:
     """Assemble the per-run metric bundle; rates default to the single-slot ones."""
-    loads = np.asarray(matching.loads, dtype=int)
     if per_ue_rate_bps is None:
         per_ue_rate_bps = achievable_rates(matching, links, config)
-    on_muw = np.array(
-        [bs is not None and bs >= links.n_mmw for bs in matching.agent_to_host]
-    )
+    on_muw = matching.agent_to_host >= links.n_mmw
     return RunMetrics(
-        loads=loads,
-        delta_kappa=max_load_difference(loads),
+        loads=matching.loads,
+        delta_kappa=max_load_difference(matching.loads),
         per_ue_rate_bps=per_ue_rate_bps,
         sum_rate_bps=float(per_ue_rate_bps.sum()),
         muw_rate_samples=per_ue_rate_bps[on_muw],

@@ -9,7 +9,7 @@ channel module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +34,14 @@ def rng_stream(seed: int, stream: int = STREAM_SCENARIO) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _require_finite(config) -> None:
+    # NaN passes every <, <= range check, so finiteness is tested first.
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not np.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PathLossParams:
     """Log-distance path loss fit: slope, intercept at 1 m, shadowing std (dB)."""
@@ -43,6 +51,7 @@ class PathLossParams:
     shadow_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.slope <= 0:
             raise ConfigurationError(f"slope must be > 0, got {self.slope}")
         if self.shadow_sigma_db < 0:
@@ -80,9 +89,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.area_radius <= 0:
-            raise ConfigurationError(f"area_radius must be > 0, got {self.area_radius}")
-        for name in ("bandwidth_mmw_hz", "bandwidth_muw_hz"):
+        _require_finite(self)
+        for name in ("area_radius", "bandwidth_mmw_hz", "bandwidth_muw_hz"):
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")

@@ -116,7 +116,7 @@ def oracle_deferred_acceptance(instance: MatchingInstance) -> Matching:
         else:
             free.append(agent)
 
-    assignment = [None] * instance.n_agents
+    assignment = [-1] * instance.n_agents
     for host, agents in enumerate(held):
         for agent in agents:
             assignment[agent] = host
@@ -126,21 +126,8 @@ def oracle_deferred_acceptance(instance: MatchingInstance) -> Matching:
 def oracle_check_consistency(instance: MatchingInstance, matching: Matching) -> None:
     if len(matching.agent_to_host) != instance.n_agents:
         raise MatchingError("matching covers the wrong number of agents")
-    if len(matching.host_to_agents) != instance.n_hosts or len(matching.loads) != instance.n_hosts:
+    if len(matching.loads) != instance.n_hosts:
         raise MatchingError("matching covers the wrong number of hosts")
-    seen: set[int] = set()
-    for host, agents in enumerate(matching.host_to_agents):
-        if len(agents) != matching.loads[host]:
-            raise MatchingError(f"host {host}: load does not equal its agent count")
-        for agent in agents:
-            if matching.agent_to_host[agent] != host:
-                raise MatchingError(f"agent {agent} and host {host} disagree on the pairing")
-            if agent in seen:
-                raise MatchingError(f"agent {agent} appears under two hosts")
-            seen.add(agent)
-    for agent, host in enumerate(matching.agent_to_host):
-        if host is not None and agent not in matching.host_to_agents[host]:
-            raise MatchingError(f"agent {agent} missing from host {host}'s set")
 
 
 def oracle_blocking_pairs(
@@ -151,6 +138,7 @@ def oracle_blocking_pairs(
     ml_rank = ml_ranks(instance)
     pref_ranks = [{h: i for i, h in enumerate(p)} for p in prefs]
     q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
+    a2h, loads = matching.agent_to_host.tolist(), matching.loads.tolist()
     # Worst (largest) master-list rank currently held by each host.
     worst_held = [
         max((ml_rank[a] for a in agents), default=None)
@@ -159,10 +147,10 @@ def oracle_blocking_pairs(
     capacity_aware: list[tuple[int, int]] = []
     literal: list[tuple[int, int]] = []
     for agent in range(instance.n_agents):
-        current = matching.agent_to_host[agent]
+        current = a2h[agent]
         current_rank = (
             pref_ranks[agent].get(current, len(prefs[agent]))
-            if current is not None
+            if current >= 0
             else len(prefs[agent])
         )
         for host in prefs[agent][:current_rank]:
@@ -172,8 +160,8 @@ def oracle_blocking_pairs(
             if envy:
                 literal.append((agent, host))
                 capacity_aware.append((agent, host))
-            elif matching.loads[host] < q_max[host]:
-                leaves_feasible = current is None or (matching.loads[current] > q_min[current])
+            elif loads[host] < q_max[host]:
+                leaves_feasible = current < 0 or (loads[current] > q_min[current])
                 if leaves_feasible:
                     capacity_aware.append((agent, host))
     return capacity_aware, literal
@@ -182,12 +170,11 @@ def oracle_blocking_pairs(
 def oracle_pareto_optimal(instance: MatchingInstance, matching: Matching, budget: int) -> bool:
     prefs = pref_lists(instance)
     pref_ranks = [{h: i for i, h in enumerate(p)} for p in prefs]
-    ranks = [
-        pref_ranks[a].get(matching.agent_to_host[a], len(prefs[a]))
-        for a in range(instance.n_agents)
-    ]
+    a2h = matching.agent_to_host.tolist()
+    ranks = [pref_ranks[a].get(a2h[a], len(prefs[a])) for a in range(instance.n_agents)]
     for other in enumerate_feasible(instance, budget=budget):
-        other_ranks = [pref_ranks[a][other.agent_to_host[a]] for a in range(instance.n_agents)]
+        other_a2h = other.agent_to_host.tolist()
+        other_ranks = [pref_ranks[a][other_a2h[a]] for a in range(instance.n_agents)]
         if all(o <= r for o, r in zip(other_ranks, ranks)) and any(
             o < r for o, r in zip(other_ranks, ranks)
         ):
@@ -201,8 +188,9 @@ def oracle_verify(
     """The verifier as per-agent loops; must agree with ``verify`` exactly."""
     oracle_check_consistency(instance, matching)
     q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
-    feasible = all(h is not None for h in matching.agent_to_host) and all(
-        q_min[h] <= matching.loads[h] <= q_max[h] for h in range(instance.n_hosts)
+    loads = matching.loads.tolist()
+    feasible = all(h >= 0 for h in matching.agent_to_host.tolist()) and all(
+        q_min[h] <= loads[h] <= q_max[h] for h in range(instance.n_hosts)
     )
     capacity_aware, literal = oracle_blocking_pairs(instance, matching)
     pareto = None
@@ -224,8 +212,8 @@ def oracle_slot_averaged_rates(matching: Matching, links, los_slots, config) -> 
     acc = np.zeros(len(matching.agent_to_host))
     for slot_state in los_slots:
         rates = np.zeros(len(matching.agent_to_host))
-        for ue, bs in enumerate(matching.agent_to_host):
-            if bs is None:
+        for ue, bs in enumerate(matching.agent_to_host.tolist()):
+            if bs < 0:
                 continue
             share = 1.0 / matching.loads[bs]
             if bs < n_mmw:

@@ -1,8 +1,10 @@
 import csv
+import importlib.util
 import math
 import re
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -368,6 +370,22 @@ def test_fig4_runs_pass_through_the_verifier(tmp_path, monkeypatch):
     assert not (tmp_path / "f4.csv").exists()
 
 
+def test_verification_failure_lists_every_host(tmp_path, monkeypatch):
+    def report_infeasible(instance, matching, enumeration_budget=0):
+        return VerifierReport(feasible=False, blocking_pairs=(), blocking_pairs_literal=())
+
+    monkeypatch.setattr("cellassoc.experiments.verify", report_infeasible)
+    exp = replace(
+        TINY, scenario=replace(TINY.scenario, n_ue=1001), policy=PolicyConfig(),
+        policies_enabled=("mmq",), n_runs=1, output_path=str(tmp_path / "big.csv"),
+    )
+    with pytest.raises(VerificationFailure) as failure:
+        run_experiment(exp)
+    assignment = str(failure.value).split("Assignment: ")[1]
+    assert "..." not in assignment
+    assert len(assignment.strip("[]").split(", ")) == 1001
+
+
 def test_fig7_schema(tmp_path):
     out = run_figure("fig7", output_path=tmp_path / "f7.csv", n_runs=2)
     rows = read_rows(out)
@@ -394,6 +412,19 @@ def test_cli_simulate_config(tmp_path, capsys):
     rows = read_rows(out)
     assert len(rows) == 2  # --runs override applied
     assert rows[0]["seed"] == "3"
+
+
+def test_cli_simulate_rejects_nan_scenario_value(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("cellassoc.experiments._run_point", no_run)
+    cfg_file = tmp_path / "nan.cfg"
+    cfg_file.write_text("scenario.n_ue = 8\nscenario.area_radius = nan\nexperiment.runs = 2\n")
+    out = tmp_path / "nan.csv"
+    assert simulate_main(["--config", str(cfg_file), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "area_radius must be finite" in capsys.readouterr().err
 
 
 def test_cli_simulate_missing_config(tmp_path):
@@ -495,6 +526,16 @@ def test_cli_match_roundtrip(tmp_path, capsys):
     assert "feasible: False" in out
 
 
+def test_cli_match_reports_unmatched_agents(tmp_path, capsys):
+    # Both agents list only host 0, which holds one: DA strands agent 1.
+    path = tmp_path / "short.txt"
+    path.write_text("2 2\n0 0\n1 1\n0\n0\n0 1\n")
+    assert match_main(["--instance", str(path), "--algorithm", "da"]) == 1
+    out = capsys.readouterr().out
+    assert "unmatched agents: 1\n" in out
+    assert "feasible: False" in out
+
+
 def test_cli_match_missing_file(tmp_path):
     assert match_main(["--instance", str(tmp_path / "none.txt")]) == 1
 
@@ -505,3 +546,15 @@ def test_load_config_roundtrip(tmp_path):
     cfg = load_config(path)
     assert cfg.scenario.n_ue == 9
     assert cfg.n_runs == 2
+
+
+def test_bench_trace_targets_resolve():
+    # The benchmark's span tracer wraps these names; a rename must fail here,
+    # not only show up as a missing name in a benchmark note.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attribute, _layer in tracing.TARGETS:
+        assert hasattr(importlib.import_module(module), attribute), f"{module}.{attribute}"

@@ -38,9 +38,9 @@ def test_rates_match_loop_oracle_on_random_scenarios(seed, n_slots):
 
     # Both tiers and unmatched UEs: UE 0 unmatched, UE 1 on mmW, UE 2 on microwave.
     assignment = [
-        None if rng.random() < 0.3 else int(rng.integers(cfg.n_bs)) for _ in range(cfg.n_ue)
+        -1 if rng.random() < 0.3 else int(rng.integers(cfg.n_bs)) for _ in range(cfg.n_ue)
     ]
-    assignment[:3] = [None, 0, cfg.n_mmw]
+    assignment[:3] = [-1, 0, cfg.n_mmw]
     matching = build_matching(assignment, cfg.n_bs)
     assert_rates_match_oracle(matching, links, slots, cfg)
     assert slot_averaged_rates(matching, links, slots, cfg)[0] == 0.0
@@ -60,6 +60,6 @@ def test_rates_match_loop_oracle_without_mmw_tier(n_slots):
         se_muw=rng.uniform(0.1, 5.0, size=(m, n_muw)),
     )
     slots = np.zeros((n_slots, m, 0), dtype=bool)
-    assignment = [None, 0, 1, 2, 2, None, 1, 0, 0]
+    assignment = [-1, 0, 1, 2, 2, -1, 1, 0, 0]
     assert_rates_match_oracle(build_matching(assignment, n_muw), links, slots, ScenarioConfig())
 

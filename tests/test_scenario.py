@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -38,6 +41,25 @@ def test_bad_pathloss_params():
         PathLossParams(slope=0.0, intercept_db=70.0)
     with pytest.raises(ConfigurationError, match="shadow_sigma_db"):
         PathLossParams(slope=2.0, intercept_db=70.0, shadow_sigma_db=-1.0)
+
+
+def _float_fields(cls):
+    return [f.name for f in fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _float_fields(ScenarioConfig))
+def test_scenario_config_rejects_non_finite(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        ScenarioConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _float_fields(PathLossParams))
+def test_pathloss_params_reject_non_finite(name, value):
+    base = PathLossParams(slope=3.0, intercept_db=38.0, shadow_sigma_db=10.0)
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        replace(base, **{name: value})
 
 
 def test_same_seed_bit_identical():
