@@ -96,11 +96,11 @@ class LinkRealization:
 
     @property
     def n_mmw(self) -> int:
-        return self.se_mmw_los.shape[1]
+        return self.se_mmw_los.shape[-1]
 
     @property
     def n_muw(self) -> int:
-        return self.se_muw.shape[1]
+        return self.se_muw.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +119,7 @@ class LinkBudget:
 
 
 def link_budget(scenario: Scenario) -> LinkBudget:
-    """Distances, the three path loss matrices and the microwave SINR."""
+    """Distances, the path loss matrices and the microwave SINR; (R, M, N) when stacked."""
     cfg = scenario.config
     d = np.maximum(pairwise_distances(scenario.ue_positions, scenario.mmw_positions), 1.0)
     loss_los = path_loss_db(cfg.pathloss_mmw_los, d, scenario.shadow_mmw_los)
@@ -127,7 +127,7 @@ def link_budget(scenario: Scenario) -> LinkBudget:
     d = np.maximum(pairwise_distances(scenario.ue_positions, scenario.muw_positions), 1.0)
     loss_muw = path_loss_db(cfg.pathloss_muw, d, scenario.shadow_muw)
     rx_mw = db_to_linear(cfg.tx_power_dbm - loss_muw)
-    interference_mw = rx_mw.sum(axis=1, keepdims=True) - rx_mw
+    interference_mw = rx_mw.sum(axis=-1, keepdims=True) - rx_mw
     noise_mw = db_to_linear(noise_power_dbm(cfg.noise_psd_dbm_hz, cfg.bandwidth_muw_hz))
     return LinkBudget(
         loss_mmw_los=loss_los,
@@ -145,13 +145,14 @@ def realize_links(
     """Per-pair spectral efficiencies from the link budget, plus one LoS slot.
 
     ``budget`` defaults to ``link_budget(scenario)``; pass it when the same
-    run derives other matrices from it too.
+    run derives other matrices from it too. A stacked scenario takes one
+    generator per run, as in ``draw_los_slots``.
     """
     cfg = scenario.config
     if budget is None:
         budget = link_budget(scenario)
     return LinkRealization(
-        los_state=rng.random(scenario.los_prob.shape) < scenario.los_prob,
+        los_state=draw_los_slots(scenario, rng, 1)[0],
         se_mmw_los=mmw_spectral_efficiency(
             cfg.tx_power_dbm, cfg.antenna_gain_dbi, budget.loss_mmw_los,
             cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
@@ -167,12 +168,16 @@ def realize_links(
 def draw_los_slots(
     scenario: Scenario, rng: np.random.Generator, n_slots: int
 ) -> np.ndarray:
-    """(n_slots, M, N1) boolean stack of independent per-slot LoS states."""
+    """(n_slots, M, N1) boolean stack of independent per-slot LoS states; a
+    stacked scenario takes one generator per run and gives (n_slots, R, M, N1)."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
+    prob = scenario.los_prob
+    slots = np.empty((n_slots,) + prob.shape, dtype=bool)
+    runs = zip(rng, prob, slots.swapaxes(0, 1)) if prob.ndim > 2 else [(rng, prob, slots)]
     # One (M, N1) draw per slot reads the same stream as one (S, M, N1) draw
     # but keeps the float temporary to a single slot.
-    slots = np.empty((n_slots,) + scenario.los_prob.shape, dtype=bool)
-    for slot in slots:
-        np.less(rng.random(scenario.los_prob.shape), scenario.los_prob, out=slot)
+    for run_rng, run_prob, run_slots in runs:
+        for slot in run_slots:
+            np.less(run_rng.random(run_prob.shape), run_prob, out=slot)
     return slots

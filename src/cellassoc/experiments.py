@@ -8,14 +8,15 @@ would mean an engine bug), and emits one CSV row per policy. A second file
 with suffix ``_agg`` holds per-point means and standard errors.
 
 Output is deterministic: identical config gives byte-identical files, and
-parallel execution matches serial because rows are computed independently
-and ordered by (grid point, run, policy) before writing.
+parallel execution matches serial because batches of runs depend on the grid
+point alone and rows are ordered by (grid point, run, policy) before writing.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -40,7 +41,6 @@ from .metrics import (
 )
 from .policies import (
     PolicyConfig,
-    biased_argmax,
     build_matching_instance,
     rssi_matrix_dbm,
     sinr_matrix_db,
@@ -51,6 +51,7 @@ from .scenario import (
     STREAM_QUOTAS,
     STREAM_SLOTS,
     ConfigurationError,
+    Scenario,
     ScenarioConfig,
     generate_scenario,
     rng_stream,
@@ -63,6 +64,10 @@ RSSI_BIAS_GRID = tuple(float(b) for b in range(0, 61, 5))
 SINR_BIAS_GRID = tuple(float(b) for b in range(0, 21, 2))
 
 SWEEP_KEYS = ("m", "q_min_mmw", "q_min_muw", "c_th", "bias_rssi_db", "bias_sinr_db")
+
+# Runs per batch: as many as keep the (R, M, N) stacks within this many entries.
+_BATCH_ELEMENTS = 8192
+
 
 class VerificationFailure(RuntimeError):
     """The quota-aware policy produced an infeasible or unstable matching."""
@@ -89,7 +94,7 @@ class ExperimentConfig:
             raise ConfigurationError("policies_enabled must name at least one policy")
         unknown = set(self.policies_enabled) - set(POLICY_ORDER)
         if unknown:
-            raise ConfigurationError(f"unknown policies: {sorted(unknown)}")
+            raise ConfigurationError(f"unknown policies in policies_enabled: {sorted(unknown)}")
         for key, values in (self.sweep or {}).items():
             if key not in SWEEP_KEYS:
                 raise ConfigurationError(f"unknown sweep parameter {key!r}")
@@ -114,133 +119,142 @@ def _point_configs(
 
 def _best_bias(
     metric: np.ndarray, n_mmw: int, grid: Sequence[float], tier: str
-) -> tuple[float, list[int]]:
-    """Bias from the grid minimizing the load spread, and its assignment.
+) -> tuple:
+    """Bias from the grid minimizing the load spread, and its assignment: one
+    bias and a host list for an (M, N) metric, R biases and an (R, M) array for
+    (R, M, N). Biases go one at a time into one reused buffer; argmin keeps the
+    first minimum, so ties go to the earlier (smaller) bias."""
+    if metric.ndim == 2:
+        biases, choice = _best_bias(metric[None], n_mmw, grid, tier)
+        return biases[0], choice[0].tolist()
+    n_runs, n_bs = metric.shape[0], metric.shape[2]
+    cols = tier_columns(n_mmw, tier)
+    biased = metric.copy()
+    choices = []
+    for bias in grid:
+        np.add(metric[..., cols], bias, out=biased[..., cols])
+        choices.append(biased.argmax(axis=-1))
+    choice = np.stack(choices)  # (G, R, M)
+    flat = choice + n_bs * np.arange(len(grid) * n_runs).reshape(len(grid), n_runs, 1)
+    loads = np.bincount(flat.ravel(), minlength=len(grid) * n_runs * n_bs)
+    best = np.argmin(np.ptp(loads.reshape(len(grid), n_runs, n_bs), axis=-1), axis=0)
+    return [grid[g] for g in best.tolist()], choice[best, np.arange(n_runs)]
 
-    All biases are scored in one (G, M, N) stack; argmin keeps the first
-    minimum, so ties go to the earlier (smaller) bias.
-    """
-    n_bs = metric.shape[1]
-    biased = np.repeat(metric[None], len(grid), axis=0)
-    biased[:, :, tier_columns(n_mmw, tier)] += np.asarray(grid, dtype=float)[:, None, None]
-    choice = biased.argmax(axis=2)  # (G, M)
-    flat = (choice + n_bs * np.arange(len(grid))[:, None]).ravel()
-    loads = np.bincount(flat, minlength=len(grid) * n_bs).reshape(len(grid), n_bs)
-    best = int(np.argmin(np.ptp(loads, axis=1)))
-    return grid[best], choice[best].tolist()
+
+def _stack_scenarios(scenarios: list[Scenario]) -> Scenario:
+    # One scenario with a leading run axis; a lone run's arrays become views, not copies.
+    arrays = ([getattr(sc, f.name) for sc in scenarios] for f in fields(Scenario)[1:])
+    return Scenario(
+        scenarios[0].config, *(a[0][None] if len(a) == 1 else np.stack(a) for a in arrays)
+    )
 
 
-def _run_point(
+def _run_batch(
     exp: ExperimentConfig,
     overrides: dict,
     grid_idx: int,
-    run: int,
+    runs: range,
     collect_muw_samples: bool = False,
 ) -> list[dict]:
+    """The rows of runs ``runs`` of one grid point. Each run has its own seeds,
+    instance, matchings and checks; the array stages run once for the batch,
+    on arrays with a leading run axis, and give each run what it gets alone."""
     # Looked up at call time, not imported at the top: a span tracer that wraps
     # cellassoc.matching.build_matching then sees the baselines' calls too.
     from .matching import build_matching
 
-    scen_cfg, pol = _point_configs(exp, overrides, run)
-    scenario = generate_scenario(scen_cfg)
-    budget = link_budget(scenario)
-    links = realize_links(scenario, rng_stream(scen_cfg.seed, STREAM_LINKS), budget)
+    first, pol = _point_configs(exp, overrides, runs[0])
+    cfgs = [replace(first, seed=first.seed + k) for k in range(len(runs))]
+    batch = _stack_scenarios([generate_scenario(cfg) for cfg in cfgs])
+    budget = link_budget(batch)
+    links = realize_links(batch, [rng_stream(cfg.seed, STREAM_LINKS) for cfg in cfgs], budget)
     # The baselines' metrics come from the same budget, which is then dropped
     # so that it is not alive through the slot draw and the matching.
     baseline_metrics = {}
     if "max_rssi" in exp.policies_enabled:
-        baseline_metrics["max_rssi"] = rssi_matrix_dbm(scenario, budget)
+        baseline_metrics["max_rssi"] = rssi_matrix_dbm(batch, budget)
     if "max_sinr" in exp.policies_enabled:
-        baseline_metrics["max_sinr"] = sinr_matrix_db(scenario, budget)
+        baseline_metrics["max_sinr"] = sinr_matrix_db(batch, budget)
     del budget
-    los_slots = draw_los_slots(
-        scenario, rng_stream(scen_cfg.seed, STREAM_SLOTS), exp.n_slots
-    )
+    slot_rngs = [rng_stream(cfg.seed, STREAM_SLOTS) for cfg in cfgs]
+    los_slots = draw_los_slots(batch, slot_rngs, exp.n_slots)
 
-    q_override = None
+    choices = {}  # baseline -> (bias per run, host choices per run)
+    for name, metric in baseline_metrics.items():  # max_rssi biases mmW, max_sinr microwave
+        rssi = name == "max_rssi"
+        fixed = (pol.bias_rssi_db if rssi else pol.bias_sinr_db,)  # a one-bias grid
+        grid = (RSSI_BIAS_GRID if rssi else SINR_BIAS_GRID) if exp.auto_bias else fixed
+        choices[name] = _best_bias(metric, first.n_mmw, grid, "mmw" if rssi else "muw")
+    del baseline_metrics
+
+    q_min = None
     if exp.random_muw_quota:
-        cap = scen_cfg.n_ue // scen_cfg.n_muw
-        draws = rng_stream(scen_cfg.seed, STREAM_QUOTAS).integers(0, cap + 1, scen_cfg.n_muw)
-        q_override = (pol.q_min_mmw,) * scen_cfg.n_mmw + tuple(int(q) for q in draws)
+        cap = first.n_ue // first.n_muw
+        draws = [rng_stream(c.seed, STREAM_QUOTAS).integers(0, cap + 1, c.n_muw) for c in cfgs]
+        q_min = [(pol.q_min_mmw,) * first.n_mmw + tuple(d.tolist()) for d in draws]
 
-    try:
-        instance = build_matching_instance(scenario, links, scenario.los_prob, pol, q_override)
-    except InfeasibleInstanceError as exc:
-        where = f"grid point {overrides}, run {run}, seed {scen_cfg.seed}"
-        raise ConfigurationError(f"{where}: {exc}") from exc
-    q_min_muw_total = int(instance.q_min[scen_cfg.n_mmw :].sum())
-
-    rows: list[dict] = []
-    for name in POLICY_ORDER:
-        if name not in exp.policies_enabled:
-            continue
-        bias_used = 0.0
-        if name == "mmq":
-            matching = mmq_match(instance)
-        elif name == "da":
-            matching = deferred_acceptance(instance)
-        else:  # max_rssi biases the mmW tier, max_sinr the microwave tier
-            rssi = name == "max_rssi"
-            metric = baseline_metrics[name]
-            tier = "mmw" if rssi else "muw"
-            if exp.auto_bias:
-                grid = RSSI_BIAS_GRID if rssi else SINR_BIAS_GRID
-                bias_used, assignment = _best_bias(metric, scen_cfg.n_mmw, grid, tier)
+    enabled = [name for name in POLICY_ORDER if name in exp.policies_enabled]
+    instances = build_matching_instance(batch, links, batch.los_prob, pol, q_min)
+    matchings, reports, q_min_muw_totals = [], [], []
+    for k, (run, cfg) in enumerate(zip(runs, cfgs)):
+        try:
+            instance = next(instances)
+        except InfeasibleInstanceError as exc:
+            where = f"grid point {overrides}, run {run}, seed {cfg.seed}"
+            raise ConfigurationError(f"{where}: {exc}") from exc
+        q_min_muw_totals.append(int(instance.q_min[first.n_mmw :].sum()))
+        matchings.append([])
+        for name in enabled:
+            if name == "mmq":
+                matching = mmq_match(instance)
+            elif name == "da":
+                matching = deferred_acceptance(instance)
             else:
-                bias_used = pol.bias_rssi_db if rssi else pol.bias_sinr_db
-                assignment = biased_argmax(metric, scen_cfg.n_mmw, bias_used, tier)
-            matching = build_matching(assignment, scen_cfg.n_bs)
+                matching = build_matching(choices[name][1][k], first.n_bs)
+            report = verify(instance, matching, enumeration_budget=0)
+            if name == "mmq" and (not report.feasible or report.blocking_pairs):
+                raise VerificationFailure(
+                    f"quota-aware matching failed verification at grid point "
+                    f"{overrides}, run {run} (feasible={report.feasible}, "
+                    f"blocking={len(report.blocking_pairs)}).\n"
+                    f"Instance dump:\n{format_instance(instance)}"
+                    f"Assignment: {matching.agent_to_host.tolist()}"
+                )
+            matchings[-1].append(matching)
+            reports.append(report)
 
-        report = verify(instance, matching, enumeration_budget=0)
-        if name == "mmq" and (not report.feasible or report.blocking_pairs):
-            raise VerificationFailure(
-                f"quota-aware matching failed verification at grid point "
-                f"{overrides}, run {run} (feasible={report.feasible}, "
-                f"blocking={len(report.blocking_pairs)}).\n"
-                f"Instance dump:\n{format_instance(instance)}"
-                f"Assignment: {matching.agent_to_host.tolist()}"
-            )
-
-        rates = slot_averaged_rates(matching, links, los_slots, scen_cfg)
-        rm = run_metrics(matching, links, scen_cfg, rates)
-        loads = rm.loads
-        mmw_loads, muw_loads = loads[: scen_cfg.n_mmw], loads[scen_cfg.n_mmw :]
-        rows.append(
-            {
-                "m": scen_cfg.n_ue,
-                "n_mmw": scen_cfg.n_mmw,
-                "n_muw": scen_cfg.n_muw,
-                "q_min_mmw": pol.q_min_mmw,
-                "q_min_muw": pol.q_min_muw,
-                "q_min_muw_total": q_min_muw_total,
-                "c_th": pol.c_th,
-                "bias_rssi_db": pol.bias_rssi_db,
-                "bias_sinr_db": pol.bias_sinr_db,
-                "seed": scen_cfg.seed,
-                "run": run,
-                "policy": name,
-                "bias_db": bias_used,
-                "sum_rate_bps": rm.sum_rate_bps,
-                "delta_kappa": rm.delta_kappa,
-                "delta_kappa_mmw": max_load_difference(mmw_loads),
-                "delta_kappa_muw": max_load_difference(muw_loads),
-                "ue_mmw": int(mmw_loads.sum()),
-                "ue_muw": int(muw_loads.sum()),
-                "feasible": "true" if report.feasible else "false",
-                "blocking_pairs": len(report.blocking_pairs),
-                "mean_ue_rate_bps": float(rates.mean()),
-                "min_ue_rate_bps": float(rates.min()),
-                "p5_ue_rate_bps": float(np.percentile(rates, 5.0)),
-                "_grid_idx": grid_idx,
-            }
-        )
+    # A policy axis after the run axis: rates are (R, P, M), statistics (R, P).
+    per_policy = replace(links, **{f.name: getattr(links, f.name)[:, None] for f in fields(links)})
+    rates = slot_averaged_rates(matchings, per_policy, los_slots[:, :, None], first)
+    rm = run_metrics(matchings, links, first, rates)
+    mmw_loads, muw_loads = rm.loads[..., : first.n_mmw], rm.loads[..., first.n_mmw :]
+    stats = {
+        "sum_rate_bps": rm.sum_rate_bps, "delta_kappa": rm.delta_kappa,
+        "delta_kappa_mmw": max_load_difference(mmw_loads),
+        "delta_kappa_muw": max_load_difference(muw_loads),
+        "ue_mmw": mmw_loads.sum(axis=-1), "ue_muw": muw_loads.sum(axis=-1),
+        "mean_ue_rate_bps": rates.mean(axis=-1), "min_ue_rate_bps": rates.min(axis=-1),
+        "p5_ue_rate_bps": np.percentile(rates, 5.0, axis=-1),
+    }
+    stats = {key: value.ravel().tolist() for key, value in stats.items()}  # one number per row
+    rows: list[dict] = []
+    for i, report in enumerate(reports):
+        k, p = divmod(i, len(enabled))
+        name = enabled[p]
+        rows.append({
+            "m": first.n_ue, "n_mmw": first.n_mmw, "n_muw": first.n_muw,
+            "q_min_mmw": pol.q_min_mmw, "q_min_muw": pol.q_min_muw,
+            "q_min_muw_total": q_min_muw_totals[k], "c_th": pol.c_th,
+            "bias_rssi_db": pol.bias_rssi_db, "bias_sinr_db": pol.bias_sinr_db,
+            "seed": cfgs[k].seed, "run": runs[k], "policy": name,
+            "bias_db": choices[name][0][k] if name in choices else 0.0,
+            **{key: values[i] for key, values in stats.items()},
+            "feasible": "true" if report.feasible else "false",
+            "blocking_pairs": len(report.blocking_pairs), "_grid_idx": grid_idx,
+        })
         if collect_muw_samples:  # only the rate CDF reads them; other rows stay small
-            rows[-1]["_muw_rates_bps"] = rm.muw_rate_samples
+            rows[-1]["_muw_rates_bps"] = rm.muw_rate_samples[i]
     return rows
-
-
-def _run_point_star(args) -> list[dict]:
-    return _run_point(*args)
 
 
 ROW_COLUMNS = (
@@ -306,10 +320,12 @@ def _collect_rows(
     ``grid`` is a list of override dicts (``SWEEP_KEYS`` to values); it need
     not be a product, so one call can cover a ragged sweep. With
     ``collect_muw_samples`` each row also carries its microwave UEs' rates.
+    A grid point's runs go to ``_run_batch`` in batches, the pool's tasks.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    for overrides in grid:  # fail a point whose values or quotas no run can meet before any work
+    tasks = []
+    for gi, overrides in enumerate(grid):  # fail a point no run can meet before any work
         try:
             scen, pol = _point_configs(exp, overrides, 0)
         except ValueError as exc:
@@ -322,17 +338,18 @@ def _collect_rows(
                 f"grid point {overrides}: no feasible matching: sum q_min={low}, "
                 f"M={scen.n_ue}, sum q_max={sum(q_max)}"
             )
-    tasks = [
-        (exp, overrides, gi, run, collect_muw_samples)
-        for gi, overrides in enumerate(grid)
-        for run in range(exp.n_runs)
-    ]
-    workers = min(workers, len(tasks))  # a worker without a run-point would sit idle
+        # Runs per batch depend on the grid point alone, never on ``workers``.
+        size = max(1, min(exp.n_runs, _BATCH_ELEMENTS // (scen.n_ue * scen.n_bs)))
+        tasks += [
+            (exp, overrides, gi, range(start, min(start + size, exp.n_runs)), collect_muw_samples)
+            for start in range(0, exp.n_runs, size)
+        ]
+    workers = min(workers, len(tasks))  # a worker without a batch would sit idle
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_point_star, tasks, chunksize=8))
+            results = list(pool.map(_run_batch, *zip(*tasks)))
     else:
-        results = [_run_point_star(t) for t in tasks]
+        results = list(itertools.starmap(_run_batch, tasks))
 
     rows = [row for task_rows in results for row in task_rows]
     policy_rank = {name: i for i, name in enumerate(POLICY_ORDER)}
@@ -567,12 +584,26 @@ _CONFIG_KEYS = {
 }
 
 
-def _with_fields(obj, values: dict):
-    """``obj`` with ``values`` replacing its fields; a dict for a dataclass field updates it."""
+def _with_fields(obj, values: dict, lines: dict[str, int], path: tuple[str, ...] = ()):
+    """``obj`` with ``values`` replacing its fields; a dict for a dataclass field updates it.
+
+    ``lines`` maps each key set in the file to its line. A value rejected by
+    ``obj`` (at field ``path``) names the line and key of each set field it names.
+    """
     for name, value in values.items():
         if is_dataclass(getattr(obj, name)):
-            values[name] = _with_fields(getattr(obj, name), value)
-    return replace(obj, **values)
+            values[name] = _with_fields(getattr(obj, name), value, lines, path + (name,))
+    try:
+        return replace(obj, **values)
+    except ValueError as exc:
+        named = [
+            f"line {line}: {key}"
+            for key, line in lines.items()  # in line order
+            if _CONFIG_KEYS[key][0][: len(path)] == path
+            and re.search(rf"\b{_CONFIG_KEYS[key][0][-1]}\b", str(exc))
+        ]
+        message = f"{', '.join(named)}: {exc}" if named else str(exc)
+        raise ConfigurationError(message) from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -606,7 +637,7 @@ def parse_config(text: str) -> ExperimentConfig:
             target[path[-1]] = parse(value)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: bad value {value!r} for {key!r}") from exc
-    return _with_fields(ExperimentConfig(), values)
+    return _with_fields(ExperimentConfig(), values, seen)
 
 
 def load_config(path) -> ExperimentConfig:

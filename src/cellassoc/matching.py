@@ -20,6 +20,7 @@ Agents and hosts are integer ids 0..M-1 and 0..N-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -119,6 +120,14 @@ class MatchingInstance:
             for f in fields(self)
         )
 
+    @cached_property
+    def _pref_rows(self) -> list[list[int]]:
+        """Each agent's listed hosts, best first, as plain lists; converted once."""
+        rows = self.agent_prefs.tolist()
+        if (self.agent_prefs < 0).any():
+            rows = [[h for h in row if h >= 0] for row in rows]
+        return rows
+
 
 def _pref_matrix(agent_prefs, m: int, n: int) -> np.ndarray:
     # Preference rows as an (M, W >= N) int array with _PAD in unlisted slots.
@@ -141,14 +150,6 @@ def _gate_mask(gated, m: int, n: int) -> np.ndarray:
             for h in hosts:
                 mask[a, h if 0 <= h < n else n] = True
     return mask
-
-
-def _pref_rows(instance: MatchingInstance) -> list[list[int]]:
-    """Each agent's listed hosts, best first, as plain lists for the greedy walks."""
-    rows = instance.agent_prefs.tolist()
-    if (instance.agent_prefs < 0).any():
-        rows = [[h for h in row if h >= 0] for row in rows]
-    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +216,7 @@ def _master_list_pass(instance: MatchingInstance, quota_aware: bool) -> Matching
     # unmet minimum once every agent left is needed for one (phase 2), and a
     # list that runs out is an error.
     m_count = instance.n_agents
-    rows = _pref_rows(instance)
+    rows = instance._pref_rows
     use_gates = quota_aware and instance.gated.any()
     gates = instance.gated.tolist() if use_gates else [None] * m_count
     q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
@@ -335,7 +336,7 @@ def enumerate_feasible(
             f"{instance.n_hosts}^{instance.n_agents} assignments exceed the "
             f"budget of {budget}"
         )
-    rows = _pref_rows(instance)
+    rows = instance._pref_rows
     q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
     loads = [0] * instance.n_hosts
     assignment = [-1] * instance.n_agents
@@ -421,7 +422,7 @@ def format_instance(instance: MatchingInstance) -> str:
         " ".join(map(str, instance.q_min.tolist())),
         " ".join(map(str, instance.q_max.tolist())),
     ]
-    lines.extend(" ".join(map(str, row)) for row in _pref_rows(instance))
+    lines.extend(" ".join(map(str, row)) for row in instance._pref_rows)
     lines.append(" ".join(map(str, instance.master_list.tolist())))
     return "\n".join(lines) + "\n"
 

@@ -13,7 +13,7 @@ from .scenario import ScenarioConfig
 
 @dataclass(frozen=True, eq=False)
 class RunMetrics:
-    """Per-run outcome of one policy on one realized network."""
+    """Per-run outcome of one policy on one realized network (see ``run_metrics``)."""
 
     loads: np.ndarray  # (N,) UEs per BS
     delta_kappa: int  # max load minus min load, both tiers pooled
@@ -22,12 +22,20 @@ class RunMetrics:
     muw_rate_samples: np.ndarray = field(repr=False, default=None)  # rates of microwave UEs
 
 
-def max_load_difference(loads) -> int:
-    """Spread between the most and least loaded BS."""
+def max_load_difference(loads):
+    """Spread between the most and least loaded BS; one per row of (..., N) loads."""
     loads = np.asarray(loads)
     if loads.size == 0:
         raise ValueError("load vector is empty")
-    return int(loads.max() - loads.min())
+    spread = loads.max(axis=-1) - loads.min(axis=-1)
+    return int(spread) if spread.ndim == 0 else spread
+
+
+def _hosts_and_loads(matching) -> tuple[np.ndarray, np.ndarray]:
+    # Hosts (..., M) and loads (..., N) of one Matching or of a nested list of them.
+    grid = np.asarray(matching, dtype=object)
+    host = np.stack([m.agent_to_host for m in grid.flat]).reshape(grid.shape + (-1,))
+    return host, np.stack([m.loads for m in grid.flat]).reshape(grid.shape + (-1,))
 
 
 def achievable_rates(
@@ -48,25 +56,33 @@ def slot_averaged_rates(
     Each BS splits its bandwidth equally. A UE served by mmW BS n gets
     (w1 / load_n) times its LoS or NLoS spectral efficiency, whichever the
     slot's state says; a microwave UE gets (w2 / load_n) times its
-    interference-limited SE. Unmatched UEs get zero.
+    interference-limited SE. Unmatched UEs get zero. A nested list of matchings
+    gives (..., M) rates; the links' (..., M, N) and ``los_slots`` (S, ..., M, N1)
+    arrays broadcast against its shape.
     """
     n_mmw = links.n_mmw
-    host = matching.agent_to_host
+    host, loads = _hosts_and_loads(matching)
+    lead = host.shape[:-1]
     matched = host >= 0
-    share = np.zeros(host.size)
-    share[matched] = 1.0 / matching.loads[host[matched]]
-    mmw = np.flatnonzero(matched & (host < n_mmw))
-    muw = np.flatnonzero(host >= n_mmw)
-    bandwidth = np.zeros(host.size)
+    share = np.zeros(host.shape)
+    share[matched] = 1.0 / np.take_along_axis(loads, np.maximum(host, 0), axis=-1)[matched]
+    mmw = np.nonzero(matched & (host < n_mmw))  # leading indices, then the UE
+    muw = np.nonzero(host >= n_mmw)
+    bandwidth = np.zeros(host.shape)
     bandwidth[mmw] = config.bandwidth_mmw_hz
     bandwidth[muw] = config.bandwidth_muw_hz
-    se = np.zeros((len(los_slots), host.size))
-    h = host[mmw]
-    se[:, mmw] = np.where(
-        los_slots[:, mmw, h], links.se_mmw_los[mmw, h], links.se_mmw_nlos[mmw, h]
+    se_los, se_nlos, se_muw = (
+        np.broadcast_to(a, lead + a.shape[-2:])
+        for a in (links.se_mmw_los, links.se_mmw_nlos, links.se_muw)
     )
-    se[:, muw] = links.se_muw[muw, host[muw] - n_mmw]
-    return (bandwidth * share * se).sum(axis=0) / len(los_slots)
+    slots = np.broadcast_to(los_slots, los_slots.shape[:1] + lead + los_slots.shape[-2:])
+    se = np.zeros((len(los_slots),) + host.shape)
+    at_mmw = mmw + (host[mmw],)
+    se[(slice(None),) + mmw] = np.where(
+        slots[(slice(None),) + at_mmw], se_los[at_mmw], se_nlos[at_mmw]
+    )
+    se[(slice(None),) + muw] = se_muw[muw + (host[muw] - n_mmw,)]
+    return (bandwidth * share * se).cumsum(axis=0)[-1] / len(los_slots)  # summed in slot order
 
 
 def rate_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -84,14 +100,17 @@ def run_metrics(
     config: ScenarioConfig,
     per_ue_rate_bps: np.ndarray | None = None,
 ) -> RunMetrics:
-    """Assemble the per-run metric bundle; rates default to the single-slot ones."""
+    """Assemble the per-run metric bundle; rates default to the single-slot ones. A nested
+    list of matchings gives its leading axes to every array field and one sample array each."""
     if per_ue_rate_bps is None:
         per_ue_rate_bps = achievable_rates(matching, links, config)
-    on_muw = matching.agent_to_host >= links.n_mmw
+    host, loads = _hosts_and_loads(matching)
+    on_muw = host >= links.n_mmw
+    samples = [per_ue_rate_bps[i][on_muw[i]] for i in np.ndindex(host.shape[:-1])]
     return RunMetrics(
-        loads=matching.loads,
-        delta_kappa=max_load_difference(matching.loads),
+        loads=loads,
+        delta_kappa=max_load_difference(loads),
         per_ue_rate_bps=per_ue_rate_bps,
-        sum_rate_bps=float(per_ue_rate_bps.sum()),
-        muw_rate_samples=per_ue_rate_bps[on_muw],
+        sum_rate_bps=per_ue_rate_bps.sum(axis=-1),
+        muw_rate_samples=samples if host.ndim > 1 else samples[0],
     )

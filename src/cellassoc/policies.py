@@ -47,8 +47,10 @@ class PolicyConfig:
             hi = getattr(self, hi_name)
             if hi is not None and hi < getattr(self, lo_name):
                 raise ValueError(f"{hi_name} must be >= {lo_name}")
-        if not (self.bias_rssi_db >= 0 and self.bias_sinr_db >= 0):  # NaN fails too
-            raise ValueError("bias values are non-negative dB offsets")
+        for name in ("bias_rssi_db", "bias_sinr_db"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be a non-negative dB offset, got {value}")
         if np.isnan(self.c_th):  # every comparison with NaN is false: the gate would be off
             raise ValueError("c_th must not be NaN")
 
@@ -77,11 +79,11 @@ class UtilityTable:
 
     @property
     def n_ue(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-2]
 
     @property
     def n_bs(self) -> int:
-        return self.u.shape[1]
+        return self.u.shape[-1]
 
 
 def compute_utilities(links: channel.LinkRealization, f) -> UtilityTable:
@@ -101,23 +103,23 @@ def compute_utilities(links: channel.LinkRealization, f) -> UtilityTable:
         raise ValueError("LoS estimates must lie in [0, 1]")
     expected_mmw = f * links.se_mmw_los + (1.0 - f) * links.se_mmw_nlos
     with np.errstate(divide="ignore"):
-        u = np.concatenate([np.log(expected_mmw), np.log(links.se_muw)], axis=1)
-    return UtilityTable(u=u, u_ml=u.max(axis=1), n_mmw=links.n_mmw)
+        u = np.concatenate([np.log(expected_mmw), np.log(links.se_muw)], axis=-1)
+    return UtilityTable(u=u, u_ml=u.max(axis=-1), n_mmw=links.n_mmw)
 
 
 def build_preferences(util: UtilityTable, c_th: float = NEG_INF) -> tuple[np.ndarray, np.ndarray]:
-    """Strict per-UE BS rankings and the gated-BS mask, both (M, N).
+    """Strict per-UE BS rankings and the gated-BS mask, both (..., M, N).
 
     Row m of the first array lists BS ids by descending utility, ties broken
     toward the lower BS index (one row-wise stable argsort). In the bool mask
     a microwave BS other than the UE's top choice is gated when its utility
     falls below ``c_th``; mmW BSs and top choices are never gated.
     """
-    prefs = np.argsort(-util.u, axis=1, kind="stable")
+    prefs = np.argsort(-util.u, axis=-1, kind="stable")
     gated = util.u < c_th
-    gated[:, : util.n_mmw] = False
+    gated[..., : util.n_mmw] = False
     if util.n_bs:
-        gated[np.arange(util.n_ue), prefs[:, 0]] = False
+        np.put_along_axis(gated, prefs[..., :1], False, axis=-1)
     return prefs, gated
 
 
@@ -126,8 +128,9 @@ def build_master_list(util: UtilityTable) -> tuple[int, ...]:
 
     Every BS uses this one list. Ties break toward the lower UE index, and
     the order depends only on the ordering of utilities, not their scale.
+    A table with a leading run axis gives one list per run.
     """
-    return tuple(np.argsort(-util.u_ml, kind="stable").tolist())
+    return tuple(np.argsort(-util.u_ml, axis=-1, kind="stable").tolist())
 
 
 def build_matching_instance(
@@ -140,22 +143,21 @@ def build_matching_instance(
     """Assemble the matching problem for one realized network state.
 
     ``q_min_override`` replaces the expanded per-BS minimum quota vector,
-    e.g. for per-run random quota draws.
+    e.g. for per-run random quota draws. A stacked scenario (one override row
+    per run) gives an iterator that builds each run's instance when reached.
     """
     util = compute_utilities(links, f)
     prefs, gated = build_preferences(util, policy.c_th)
     master = build_master_list(util)
     q_min, q_max = policy.quota_vectors(scenario.n_mmw, scenario.n_muw, scenario.n_ue)
-    if q_min_override is not None:
-        q_min = tuple(int(q) for q in q_min_override)
-    return MatchingInstance(
-        n_agents=scenario.n_ue,
-        n_hosts=scenario.n_mmw + scenario.n_muw,
-        agent_prefs=prefs,
-        master_list=master,
-        q_min=q_min,
-        q_max=q_max,
-        gated=gated,
+    n_hosts = scenario.n_mmw + scenario.n_muw
+    if prefs.ndim == 2:
+        q_min = q_min if q_min_override is None else q_min_override
+        return MatchingInstance(scenario.n_ue, n_hosts, prefs, master, q_min, q_max, gated)
+    q_mins = [q_min] * len(prefs) if q_min_override is None else q_min_override
+    return (
+        MatchingInstance(scenario.n_ue, n_hosts, run_prefs, run_master, run_q_min, q_max, gates)
+        for run_prefs, run_master, run_q_min, gates in zip(prefs, master, q_mins, gated)
     )
 
 
@@ -173,7 +175,7 @@ def mmq_policy(
 def rssi_matrix_dbm(
     scenario: Scenario, budget: Optional[channel.LinkBudget] = None
 ) -> np.ndarray:
-    """(M, N) averaged received signal strength in dBm, mmW columns first.
+    """(..., M, N) averaged received signal strength in dBm, mmW columns first.
 
     A mmW entry is transmit power plus antenna gain minus the attenuation
     averaged over the LoS state in the linear domain,
@@ -190,13 +192,13 @@ def rssi_matrix_dbm(
         + (1.0 - scenario.los_prob) * channel.db_to_linear(budget.loss_mmw_nlos)
     )
     rssi_mmw_dbm = cfg.tx_power_dbm + cfg.antenna_gain_dbi - mean_loss_db
-    return np.concatenate([rssi_mmw_dbm, cfg.tx_power_dbm - budget.loss_muw], axis=1)
+    return np.concatenate([rssi_mmw_dbm, cfg.tx_power_dbm - budget.loss_muw], axis=-1)
 
 
 def sinr_matrix_db(
     scenario: Scenario, budget: Optional[channel.LinkBudget] = None
 ) -> np.ndarray:
-    """(M, N) average SINR in dB, mmW columns first.
+    """(..., M, N) average SINR in dB, mmW columns first.
 
     mmW entries are the noise-limited SNR with the linear SNR (equivalently
     the channel gain) averaged over the LoS state, which keeps max-SINR
@@ -214,7 +216,7 @@ def sinr_matrix_db(
     snr_mmw_db = (
         cfg.tx_power_dbm + cfg.antenna_gain_dbi + channel.linear_to_db(mean_gain) - noise_db
     )
-    return np.concatenate([snr_mmw_db, budget.sinr_muw_db], axis=1)
+    return np.concatenate([snr_mmw_db, budget.sinr_muw_db], axis=-1)
 
 
 def tier_columns(n_mmw: int, bias_tier: str) -> slice:

@@ -108,7 +108,8 @@ class Scenario:
 
     BS indexing convention used throughout the package: indices 0..n_mmw-1 are
     the mmW BSs, n_mmw..n_bs-1 the microwave BSs. Arrays are write-protected;
-    a scenario may be shared read-only across workers.
+    a scenario may be shared read-only across workers. A stacked scenario
+    puts a leading run axis on every array (runs that differ only in seed).
     """
 
     config: ScenarioConfig
@@ -134,15 +135,15 @@ class Scenario:
 
     @property
     def n_mmw(self) -> int:
-        return self.mmw_positions.shape[0]
+        return self.mmw_positions.shape[-2]
 
     @property
     def n_muw(self) -> int:
-        return self.muw_positions.shape[0]
+        return self.muw_positions.shape[-2]
 
     @property
     def n_ue(self) -> int:
-        return self.ue_positions.shape[0]
+        return self.ue_positions.shape[-2]
 
 
 def _uniform_disk(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
@@ -191,9 +192,9 @@ def distance(a, b) -> float:
 
 
 def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Distance matrix of shape (len(a), len(b))."""
-    a = np.asarray(points_a, dtype=float).reshape(-1, 2)
-    b = np.asarray(points_b, dtype=float).reshape(-1, 2)
-    dx = a[:, None, 0] - b[None, :, 0]
-    dy = a[:, None, 1] - b[None, :, 1]
+    """Distance matrix of shape (..., len(a), len(b)); leading axes broadcast."""
+    a, b = (np.asarray(p, dtype=float) for p in (points_a, points_b))
+    a, b = (p.reshape(p.shape[:-2] + (-1, 2)) for p in (a, b))  # a lone point may come flat
+    dx = a[..., :, None, 0] - b[..., None, :, 0]
+    dy = a[..., :, None, 1] - b[..., None, :, 1]
     return np.sqrt(dx * dx + dy * dy)

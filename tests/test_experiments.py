@@ -418,13 +418,53 @@ def test_cli_simulate_rejects_nan_scenario_value(tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr("cellassoc.experiments._run_point", no_run)
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_run)
     cfg_file = tmp_path / "nan.cfg"
     cfg_file.write_text("scenario.n_ue = 8\nscenario.area_radius = nan\nexperiment.runs = 2\n")
     out = tmp_path / "nan.csv"
     assert simulate_main(["--config", str(cfg_file), "--out", str(out)]) == 1
     assert not out.exists()
     assert "area_radius must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "scenario.n_ue = 8\nscenario.pathloss_muw.slope = 0\n",
+            "error: line 2: scenario.pathloss_muw.slope: slope must be > 0, got 0.0\n",
+        ),
+        (
+            "policy.q_min_mmw = 5\nscenario.n_ue = 30\npolicy.q_max_mmw = 3\n",
+            "error: line 1: policy.q_min_mmw, line 3: policy.q_max_mmw: "
+            "q_max_mmw must be >= q_min_mmw\n",
+        ),
+        (
+            "experiment.runs = 2\npolicy.bias_sinr_db = nan\n",
+            "error: line 2: policy.bias_sinr_db: "
+            "bias_sinr_db must be a non-negative dB offset, got nan\n",
+        ),
+        (
+            "\nexperiment.policies = mmq, oracle\n",
+            "error: line 2: experiment.policies: "
+            "unknown policies in policies_enabled: ['oracle']\n",
+        ),
+    ],
+    ids=["one_key", "two_keys", "policy_bias", "experiment"],
+)
+def test_cli_simulate_rejected_value_names_line_and_key(
+    tmp_path, capsys, monkeypatch, text, message
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_run)
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "bad.csv"
+    assert simulate_main(["--config", str(cfg_file), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == message
 
 
 def test_cli_simulate_missing_config(tmp_path):
@@ -437,7 +477,7 @@ def test_cli_simulate_figure_rejects_bad_runs(tmp_path, capsys, monkeypatch, fig
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr("cellassoc.experiments._run_point", no_run)
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_run)
     out = tmp_path / f"{figure_id}.csv"
     assert simulate_main(["figure", figure_id, "--runs", runs, "--out", str(out)]) == 1
     assert not out.exists()
@@ -457,7 +497,7 @@ def test_cli_simulate_rejects_bad_workers(tmp_path, capsys, monkeypatch, argv):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr("cellassoc.experiments._run_point", no_run)
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_run)
     out = tmp_path / "out.csv"
     if argv[0] == "figure":
         argv = argv + ["--runs", "2", "--out", str(out)]
@@ -481,22 +521,50 @@ def recording_pool(sizes):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     return RecordingPool
 
 
-def test_pool_is_capped_at_the_run_point_count(tmp_path, monkeypatch):
+def test_pool_is_capped_at_the_batch_count(tmp_path, monkeypatch):
     sizes = []
     monkeypatch.setattr("cellassoc.experiments.ProcessPoolExecutor", recording_pool(sizes))
     one = replace(TINY, n_runs=1, output_path=str(tmp_path / "one.csv"))
-    three = replace(TINY, n_runs=3, output_path=str(tmp_path / "three.csv"))
+    three_runs = replace(TINY, n_runs=3, output_path=str(tmp_path / "runs.csv"))
+    three_points = replace(one, sweep={"m": (8, 9, 10)}, output_path=str(tmp_path / "pts.csv"))
     run_experiment(one, workers=4)
-    assert sizes == []  # one run-point: serial, no pool at all
-    run_experiment(three, workers=8)
-    run_experiment(three, workers=2)
+    run_experiment(three_runs, workers=4)
+    assert sizes == []  # one batch (TINY's three runs fit in one): serial, no pool at all
+    run_experiment(three_points, workers=8)
+    run_experiment(three_points, workers=2)
     assert sizes == [3, 2]
+
+
+def test_batches_depend_on_the_grid_point_alone(tmp_path, monkeypatch):
+    # Runs per batch = max(1, min(runs, 8192 // (M * N))) with N = 20 here:
+    # all 9 runs at M=10, 4 at M=100 and 1 at M=500, whatever --workers says.
+    batches = []
+
+    def record(exp, overrides, grid_idx, runs, collect_muw_samples):
+        batches.append((overrides["m"], runs))
+        return []
+
+    monkeypatch.setattr("cellassoc.experiments.ProcessPoolExecutor", recording_pool([]))
+    monkeypatch.setattr("cellassoc.experiments._run_batch", record)
+    exp = replace(
+        TINY,
+        scenario=replace(TINY.scenario, n_mmw=10, n_muw=10),
+        n_runs=9,
+        sweep={"m": (10, 100, 500)},
+        output_path=str(tmp_path / "b.csv"),
+    )
+    want = [(10, range(9)), (100, range(4)), (100, range(4, 8)), (100, range(8, 9))]
+    want += [(500, range(run, run + 1)) for run in range(9)]
+    for workers in (1, 2, 5):
+        batches.clear()
+        run_experiment(exp, workers=workers)
+        assert batches == want
 
 
 def test_cli_simulate_figure_usage_error():

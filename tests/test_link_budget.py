@@ -18,7 +18,7 @@ from cellassoc.experiments import (
     SINR_BIAS_GRID,
     ExperimentConfig,
     _best_bias,
-    _run_point,
+    _run_batch,
 )
 from cellassoc.policies import rssi_matrix_dbm, sinr_matrix_db
 from cellassoc.scenario import (
@@ -85,7 +85,7 @@ def _counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_run_point_evaluates_the_link_budget_once(monkeypatch):
+def test_run_batch_evaluates_the_link_budget_once(monkeypatch):
     counts = {"path_loss_db": 0, "pairwise_distances": 0}
     for name in counts:
         _counting(monkeypatch, channel, name, counts)
@@ -94,9 +94,11 @@ def test_run_point_evaluates_the_link_budget_once(monkeypatch):
         policies_enabled=POLICY_ORDER,
         auto_bias=True,
     )
-    rows = _run_point(exp, {}, 0, 0)
-    assert [row["policy"] for row in rows] == list(POLICY_ORDER)
-    # One distance matrix per tier; LoS, NLoS and microwave path loss once each.
+    rows = _run_batch(exp, {}, 0, range(5))
+    assert [row["policy"] for row in rows] == list(POLICY_ORDER) * 5
+    assert [row["run"] for row in rows] == [run for run in range(5) for _ in POLICY_ORDER]
+    # One distance matrix per tier; LoS, NLoS and microwave path loss once
+    # each, for the whole 5-run batch.
     assert counts == {"path_loss_db": 3, "pairwise_distances": 2}
 
 

@@ -402,6 +402,22 @@ def test_array_form_equals_tuple_form():
     )
 
 
+def test_pref_rows_are_converted_once_per_instance(monkeypatch):
+    inst = MatchingInstance(3, 3, ((2, 0), (1,), (0, 1, 2)), (2, 0, 1), (0, 0, 0), (2, 2, 2))
+    cached = MatchingInstance.__dict__["_pref_rows"]
+    convert, calls = cached.func, []
+    monkeypatch.setattr(cached, "func", lambda instance: calls.append(1) or convert(instance))
+    assert mmq_match(inst).agent_to_host.tolist() == [2, 1, 0]
+    assert deferred_acceptance(inst).agent_to_host.tolist() == [2, 1, 0]
+    # The text format and the enumeration oracle read the same listed hosts.
+    assert format_instance(inst).splitlines()[3:6] == ["2 0", "1", "0 1 2"]
+    assert len(list(enumerate_feasible(inst))) == 6  # 2 * 1 * 3 choices, none over q_max
+    assert calls == [1]
+    other = MatchingInstance(3, 3, inst.agent_prefs, inst.master_list, inst.q_min, inst.q_max)
+    mmq_match(other)
+    assert calls == [1, 1]  # one conversion per instance
+
+
 @pytest.mark.xfail(strict=True, raises=MatchingError, reason=(
     "mmq_match guarantees feasibility only for complete preference lists; "
     "here phase 2 strands agent 1 although a0->1, a1->0 is feasible"
