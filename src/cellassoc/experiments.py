@@ -40,11 +40,12 @@ from .metrics import (
     slot_averaged_rates,
 )
 from .policies import (
+    CRE_BIAS_GRIDS,
     PolicyConfig,
     build_matching_instance,
+    cre_association,
     rssi_matrix_dbm,
     sinr_matrix_db,
-    tier_columns,
 )
 from .scenario import (
     STREAM_LINKS,
@@ -58,10 +59,6 @@ from .scenario import (
 )
 
 POLICY_ORDER = ("mmq", "da", "max_rssi", "max_sinr")
-
-# Bias grids scanned when an experiment asks for the load-optimal bias.
-RSSI_BIAS_GRID = tuple(float(b) for b in range(0, 61, 5))
-SINR_BIAS_GRID = tuple(float(b) for b in range(0, 21, 2))
 
 SWEEP_KEYS = ("m", "q_min_mmw", "q_min_muw", "c_th", "bias_rssi_db", "bias_sinr_db")
 
@@ -117,30 +114,6 @@ def _point_configs(
     return scen, pol
 
 
-def _best_bias(
-    metric: np.ndarray, n_mmw: int, grid: Sequence[float], tier: str
-) -> tuple:
-    """Bias from the grid minimizing the load spread, and its assignment: one
-    bias and a host list for an (M, N) metric, R biases and an (R, M) array for
-    (R, M, N). Biases go one at a time into one reused buffer; argmin keeps the
-    first minimum, so ties go to the earlier (smaller) bias."""
-    if metric.ndim == 2:
-        biases, choice = _best_bias(metric[None], n_mmw, grid, tier)
-        return biases[0], choice[0].tolist()
-    n_runs, n_bs = metric.shape[0], metric.shape[2]
-    cols = tier_columns(n_mmw, tier)
-    biased = metric.copy()
-    choices = []
-    for bias in grid:
-        np.add(metric[..., cols], bias, out=biased[..., cols])
-        choices.append(biased.argmax(axis=-1))
-    choice = np.stack(choices)  # (G, R, M)
-    flat = choice + n_bs * np.arange(len(grid) * n_runs).reshape(len(grid), n_runs, 1)
-    loads = np.bincount(flat.ravel(), minlength=len(grid) * n_runs * n_bs)
-    best = np.argmin(np.ptp(loads.reshape(len(grid), n_runs, n_bs), axis=-1), axis=0)
-    return [grid[g] for g in best.tolist()], choice[best, np.arange(n_runs)]
-
-
 def _stack_scenarios(scenarios: list[Scenario]) -> Scenario:
     # One scenario with a leading run axis; a lone run's arrays become views, not copies.
     arrays = ([getattr(sc, f.name) for sc in scenarios] for f in fields(Scenario)[1:])
@@ -170,22 +143,17 @@ def _run_batch(
     links = realize_links(batch, [rng_stream(cfg.seed, STREAM_LINKS) for cfg in cfgs], budget)
     # The baselines' metrics come from the same budget, which is then dropped
     # so that it is not alive through the slot draw and the matching.
-    baseline_metrics = {}
-    if "max_rssi" in exp.policies_enabled:
-        baseline_metrics["max_rssi"] = rssi_matrix_dbm(batch, budget)
-    if "max_sinr" in exp.policies_enabled:
-        baseline_metrics["max_sinr"] = sinr_matrix_db(batch, budget)
+    choices = {}  # baseline -> (bias per run, host choices per run)
+    for name, metric, bias in (
+        ("max_rssi", rssi_matrix_dbm, pol.bias_rssi_db),
+        ("max_sinr", sinr_matrix_db, pol.bias_sinr_db),
+    ):
+        if name in exp.policies_enabled:
+            grid = CRE_BIAS_GRIDS[name] if exp.auto_bias else (bias,)
+            choices[name] = cre_association(name, metric(batch, budget), first.n_mmw, grid)
     del budget
     slot_rngs = [rng_stream(cfg.seed, STREAM_SLOTS) for cfg in cfgs]
     los_slots = draw_los_slots(batch, slot_rngs, exp.n_slots)
-
-    choices = {}  # baseline -> (bias per run, host choices per run)
-    for name, metric in baseline_metrics.items():  # max_rssi biases mmW, max_sinr microwave
-        rssi = name == "max_rssi"
-        fixed = (pol.bias_rssi_db if rssi else pol.bias_sinr_db,)  # a one-bias grid
-        grid = (RSSI_BIAS_GRID if rssi else SINR_BIAS_GRID) if exp.auto_bias else fixed
-        choices[name] = _best_bias(metric, first.n_mmw, grid, "mmw" if rssi else "muw")
-    del baseline_metrics
 
     q_min = None
     if exp.random_muw_quota:
@@ -479,10 +447,10 @@ _FIG5 = ExperimentConfig(
     scenario=ScenarioConfig(n_ue=70),
     policy=PolicyConfig(q_min_mmw=3, q_min_muw=3),
     policies_enabled=("mmq", "max_rssi"),
-    sweep={"bias_rssi_db": RSSI_BIAS_GRID[::2]},
+    sweep={"bias_rssi_db": CRE_BIAS_GRIDS["max_rssi"][::2]},
 )
 _FIG6 = replace(
-    _FIG5, policies_enabled=("mmq", "max_sinr"), sweep={"bias_sinr_db": SINR_BIAS_GRID}
+    _FIG5, policies_enabled=("mmq", "max_sinr"), sweep={"bias_sinr_db": CRE_BIAS_GRIDS["max_sinr"]}
 )
 _FIG7 = ExperimentConfig(
     scenario=ScenarioConfig(n_ue=100),

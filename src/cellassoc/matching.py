@@ -428,20 +428,27 @@ def format_instance(instance: MatchingInstance) -> str:
 
 
 def parse_instance(text: str) -> MatchingInstance:
-    """Parse the plain-text exchange format written by ``format_instance``."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Parse the plain-text exchange format written by ``format_instance``.
+
+    Blank lines are skipped. A token that is not an integer is rejected
+    naming its line, counted from 1 with blank lines included.
+    """
+    lines = []  # the integers of each non-blank line
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        try:  # int() names the bad token
+            row = tuple(int(tok) for tok in raw.split())
+        except ValueError as exc:
+            raise MatchingError(f"line {lineno}: {exc}") from None
+        if row:
+            lines.append(row)
     if not lines:
         raise MatchingError("empty instance file")
-    try:
-        m, n = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise MatchingError(f"bad header line {lines[0]!r}") from exc
+    if len(lines[0]) != 2:
+        raise MatchingError(f"bad header line {' '.join(map(str, lines[0]))!r}")
+    m, n = lines[0]
     if len(lines) != 4 + m:
         raise MatchingError(f"expected {4 + m} lines for M={m}, got {len(lines)}")
-    q_min = tuple(int(tok) for tok in lines[1].split())
-    q_max = tuple(int(tok) for tok in lines[2].split())
-    prefs = tuple(tuple(int(tok) for tok in lines[3 + i].split()) for i in range(m))
-    master = tuple(int(tok) for tok in lines[3 + m].split())
+    q_min, q_max, *prefs, master = lines[1:]
     return MatchingInstance(
         n_agents=m, n_hosts=n, agent_prefs=prefs,
         master_list=master, q_min=q_min, q_max=q_max,

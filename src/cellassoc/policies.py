@@ -10,6 +10,7 @@ BS indexing follows the scenario convention: mmW BSs first, then microwave.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -49,8 +50,8 @@ class PolicyConfig:
                 raise ValueError(f"{hi_name} must be >= {lo_name}")
         for name in ("bias_rssi_db", "bias_sinr_db"):
             value = getattr(self, name)
-            if not value >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be a non-negative dB offset, got {value}")
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be a finite non-negative dB offset, got {value}")
         if np.isnan(self.c_th):  # every comparison with NaN is false: the gate would be off
             raise ValueError("c_th must not be NaN")
 
@@ -219,44 +220,63 @@ def sinr_matrix_db(
     return np.concatenate([snr_mmw_db, budget.sinr_muw_db], axis=-1)
 
 
-def tier_columns(n_mmw: int, bias_tier: str) -> slice:
-    """The BS columns of the "mmw" or "muw" tier."""
-    if bias_tier == "mmw":
-        return slice(None, n_mmw)
-    if bias_tier == "muw":
-        return slice(n_mmw, None)
-    raise ValueError(f"bias_tier must be 'mmw' or 'muw', got {bias_tier!r}")
+# Cell range expansion: max-RSSI biases the mmW tier, which its plain form
+# shuns, and max-SINR the microwave tier, which its plain form starves. An
+# experiment asking for the load-optimal bias scans the baseline's grid.
+CRE_BIAS_GRIDS = {
+    "max_rssi": tuple(float(b) for b in range(0, 61, 5)),
+    "max_sinr": tuple(float(b) for b in range(0, 21, 2)),
+}
 
 
-def biased_argmax(metric: np.ndarray, n_mmw: int, bias_db: float, bias_tier: str) -> list[int]:
-    """Each UE's best BS by ``metric`` plus ``bias_db`` on the "mmw" or "muw"
-    tier; np.argmax takes the first maximum, so ties go to the lower index."""
+def cre_association(
+    name: str, metric: np.ndarray, n_mmw: int, biases: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The load-optimal CRE bias of baseline ``name`` and its host choices.
+
+    Each bias is added to the baseline's tier of the (..., M, N) ``metric``
+    and every UE takes its argmax, ties going to the lower BS index. Per
+    leading index the bias with the smallest load spread wins, ties going to
+    the earlier bias. Returns the winning biases, shaped like the leading
+    axes, and the (..., M) host choices. Biases go one at a time into one
+    reused buffer.
+    """
+    if not np.isfinite(biases).all():  # an infinite bias sends a whole tier to its first BS
+        raise ValueError(f"CRE biases must be finite, got {list(biases)}")
+    cols = slice(None, n_mmw) if name == "max_rssi" else slice(n_mmw, None)
+    *lead, n_ue, n_bs = metric.shape
+    n_runs = math.prod(lead)
+    metric = metric.reshape(n_runs, n_ue, n_bs)
     biased = metric.copy()
-    biased[:, tier_columns(n_mmw, bias_tier)] += bias_db
-    return np.argmax(biased, axis=1).tolist()
+    choices = []
+    for bias in biases:
+        np.add(metric[..., cols], bias, out=biased[..., cols])
+        choices.append(biased.argmax(axis=-1))
+    choice = np.stack(choices)  # (G, R, M)
+    flat = choice + n_bs * np.arange(len(biases) * n_runs).reshape(len(biases), n_runs, 1)
+    loads = np.bincount(flat.ravel(), minlength=len(biases) * n_runs * n_bs)
+    best = np.argmin(np.ptp(loads.reshape(len(biases), n_runs, n_bs), axis=-1), axis=0)
+    winners = np.asarray(biases, dtype=float)[best].reshape(lead)
+    return winners, choice[best, np.arange(n_runs)].reshape(*lead, n_ue)
 
 
-def max_rssi_policy(
-    scenario: Scenario, bias_db: float = 0.0, bias_tier: str = "mmw"
-) -> Matching:
+def max_rssi_policy(scenario: Scenario, bias_db: float = 0.0) -> Matching:
     """Each UE picks the BS with the strongest average received power.
 
-    ``bias_db`` implements cell range expansion: it is added to the biased
-    tier's entries before the argmax. Plain max-RSSI under-loads the mmW
-    tier, so the bias defaults to favoring mmW. No quotas are enforced.
+    ``bias_db`` implements cell range expansion: it is added to the mmW
+    entries before the argmax, since plain max-RSSI under-loads the mmW
+    tier. No quotas are enforced.
     """
-    choice = biased_argmax(rssi_matrix_dbm(scenario), scenario.n_mmw, bias_db, bias_tier)
+    _, choice = cre_association("max_rssi", rssi_matrix_dbm(scenario), scenario.n_mmw, (bias_db,))
     return build_matching(choice, scenario.n_mmw + scenario.n_muw)
 
 
-def max_sinr_policy(
-    scenario: Scenario, bias_db: float = 0.0, bias_tier: str = "muw"
-) -> Matching:
+def max_sinr_policy(scenario: Scenario, bias_db: float = 0.0) -> Matching:
     """Each UE picks the BS with the best average SINR.
 
     Plain max-SINR over-loads the interference-free mmW tier, so the cell
-    range expansion bias defaults to favoring microwave. No quotas are
+    range expansion bias ``bias_db`` favors microwave. No quotas are
     enforced.
     """
-    choice = biased_argmax(sinr_matrix_db(scenario), scenario.n_mmw, bias_db, bias_tier)
+    _, choice = cre_association("max_sinr", sinr_matrix_db(scenario), scenario.n_mmw, (bias_db,))
     return build_matching(choice, scenario.n_mmw + scenario.n_muw)

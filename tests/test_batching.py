@@ -14,10 +14,7 @@ import pytest
 
 from cellassoc.channel import draw_los_slots, link_budget, realize_links
 from cellassoc.experiments import (
-    RSSI_BIAS_GRID,
-    SINR_BIAS_GRID,
     ExperimentConfig,
-    _best_bias,
     _run_batch,
     _stack_scenarios,
     _write_rows,
@@ -26,11 +23,13 @@ from cellassoc.experiments import (
 from cellassoc.matching import build_matching, mmq_match
 from cellassoc.metrics import run_metrics, slot_averaged_rates
 from cellassoc.policies import (
+    CRE_BIAS_GRIDS,
     PolicyConfig,
     build_master_list,
     build_matching_instance,
     build_preferences,
     compute_utilities,
+    cre_association,
     rssi_matrix_dbm,
     sinr_matrix_db,
 )
@@ -152,9 +151,10 @@ def test_stacked_best_bias_matches_oracle_per_run(m, n, tier, integer):
         else:
             metric = rng.normal(0.0, 20.0, shape)
         n_mmw = int(rng.integers(0, n + 1))
-        for grid in (RSSI_BIAS_GRID, SINR_BIAS_GRID, (0.0, 1.0, 2.0, 3.0)):
-            biases, choice = _best_bias(metric, n_mmw, grid, tier)
-            assert choice.shape == shape[:2]
+        name = "max_rssi" if tier == "mmw" else "max_sinr"  # the baseline biasing ``tier``
+        for grid in (*CRE_BIAS_GRIDS.values(), (0.0, 1.0, 2.0, 3.0)):
+            biases, choice = cre_association(name, metric, n_mmw, grid)
+            assert biases.shape == shape[:1] and choice.shape == shape[:2]
             for r in range(shape[0]):
                 want_bias, want_choice = oracle_best_bias(metric[r], n_mmw, grid, tier)
                 assert biases[r] == want_bias

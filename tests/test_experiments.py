@@ -20,8 +20,13 @@ from cellassoc.experiments import (
     run_figure,
 )
 from cellassoc.matching import MatchingInstance, VerifierReport, format_instance
-from cellassoc.policies import PolicyConfig
-from cellassoc.scenario import ConfigurationError, PathLossParams, ScenarioConfig
+from cellassoc.policies import PolicyConfig, max_rssi_policy, max_sinr_policy
+from cellassoc.scenario import (
+    ConfigurationError,
+    PathLossParams,
+    ScenarioConfig,
+    generate_scenario,
+)
 
 TINY = ExperimentConfig(
     scenario=ScenarioConfig(n_mmw=2, n_muw=2, n_ue=8, seed=77),
@@ -243,6 +248,7 @@ def test_bad_grid_point_fails_before_any_run(tmp_path, monkeypatch):
         ("bias_rssi_db", (0.0, -5.0)),
         ("c_th", (0.5, math.nan)),
         ("m", (20, 0)),
+        ("bias_rssi_db", (0.0, math.inf)),
     ],
 )
 def test_bad_sweep_value_names_grid_point_before_any_run(tmp_path, monkeypatch, key, values):
@@ -273,6 +279,28 @@ def test_random_quota_failure_names_point_run_and_seed(tmp_path):
         match=r"grid point \{'m': 20\}, run \d+, seed \d+: no feasible matching: sum q_min=",
     ):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_driver_baselines_match_one_scenario_policies(tmp_path, seed):
+    # The driver and max_rssi_policy/max_sinr_policy share one CRE search: with
+    # fixed biases, each baseline row describes the one-scenario policy's matching.
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(n_ue=40, seed=seed),
+        policy=PolicyConfig(bias_rssi_db=20.0, bias_sinr_db=6.0),
+        policies_enabled=("max_rssi", "max_sinr"), n_runs=1, n_slots=1,
+        output_path=str(tmp_path / "base.csv"),
+    )
+    rows = {row["policy"]: row for row in read_rows(run_experiment(cfg))}
+    sc = generate_scenario(cfg.scenario)
+    for name, policy, bias in (
+        ("max_rssi", max_rssi_policy, 20.0), ("max_sinr", max_sinr_policy, 6.0)
+    ):
+        loads = policy(sc, bias).loads
+        assert float(rows[name]["bias_db"]) == bias
+        assert int(rows[name]["ue_mmw"]) == loads[: sc.n_mmw].sum()
+        assert int(rows[name]["ue_muw"]) == loads[sc.n_mmw :].sum()
+        assert int(rows[name]["delta_kappa"]) == loads.max() - loads.min()
 
 
 # --- figures --------------------------------------------------------------------
@@ -442,15 +470,20 @@ def test_cli_simulate_rejects_nan_scenario_value(tmp_path, capsys, monkeypatch):
         (
             "experiment.runs = 2\npolicy.bias_sinr_db = nan\n",
             "error: line 2: policy.bias_sinr_db: "
-            "bias_sinr_db must be a non-negative dB offset, got nan\n",
+            "bias_sinr_db must be a finite non-negative dB offset, got nan\n",
         ),
         (
             "\nexperiment.policies = mmq, oracle\n",
             "error: line 2: experiment.policies: "
             "unknown policies in policies_enabled: ['oracle']\n",
         ),
+        (
+            "policy.bias_rssi_db = inf\nexperiment.runs = 2\n",
+            "error: line 1: policy.bias_rssi_db: "
+            "bias_rssi_db must be a finite non-negative dB offset, got inf\n",
+        ),
     ],
-    ids=["one_key", "two_keys", "policy_bias", "experiment"],
+    ids=["one_key", "two_keys", "policy_bias", "experiment", "policy_bias_inf"],
 )
 def test_cli_simulate_rejected_value_names_line_and_key(
     tmp_path, capsys, monkeypatch, text, message
@@ -602,6 +635,14 @@ def test_cli_match_reports_unmatched_agents(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "unmatched agents: 1\n" in out
     assert "feasible: False" in out
+
+
+def test_cli_match_bad_token_names_its_line(tmp_path, capsys):
+    # Line 5 of the file, counting the blank line 3: agent 1's preferences.
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2\n1 1\n\n1 1\n0 x\n0\n0 1\n")
+    assert match_main(["--instance", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 5: invalid literal for int() with base 10: 'x'\n"
 
 
 def test_cli_match_missing_file(tmp_path):

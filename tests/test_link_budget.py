@@ -12,15 +12,8 @@ import pytest
 
 from cellassoc import channel
 from cellassoc.channel import draw_los_slots, link_budget, path_loss_db, realize_links
-from cellassoc.experiments import (
-    POLICY_ORDER,
-    RSSI_BIAS_GRID,
-    SINR_BIAS_GRID,
-    ExperimentConfig,
-    _best_bias,
-    _run_batch,
-)
-from cellassoc.policies import rssi_matrix_dbm, sinr_matrix_db
+from cellassoc.experiments import POLICY_ORDER, ExperimentConfig, _run_batch
+from cellassoc.policies import CRE_BIAS_GRIDS, cre_association, rssi_matrix_dbm, sinr_matrix_db
 from cellassoc.scenario import (
     STREAM_SLOTS,
     ScenarioConfig,
@@ -70,9 +63,11 @@ def test_best_bias_matches_per_bias_loop(m, n, tier, integer):
         else:
             metric = rng.normal(0.0, 20.0, (m, n))
         n_mmw = int(rng.integers(0, n + 1))
-        for grid in (RSSI_BIAS_GRID, SINR_BIAS_GRID, (0.0, 1.0, 2.0, 3.0)):
-            got = _best_bias(metric, n_mmw, grid, tier)
-            assert got == oracle_best_bias(metric, n_mmw, grid, tier)
+        name = "max_rssi" if tier == "mmw" else "max_sinr"  # the baseline biasing ``tier``
+        for grid in (*CRE_BIAS_GRIDS.values(), (0.0, 1.0, 2.0, 3.0)):
+            bias, choice = cre_association(name, metric, n_mmw, grid)
+            assert bias.shape == () and choice.shape == (m,)
+            assert (bias, choice.tolist()) == oracle_best_bias(metric, n_mmw, grid, tier)
 
 
 def _counting(monkeypatch, module, name, counts):

@@ -227,6 +227,15 @@ def test_policy_config_rejects_nan(name):
         PolicyConfig(**{name: math.nan})
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["bias_rssi_db", "bias_sinr_db"])
+def test_policy_config_rejects_non_finite_bias(name, value):
+    # An infinite bias made every entry of the biased tier infinite, so the
+    # argmax sent every UE to that tier's first BS.
+    with pytest.raises(ValueError, match=f"^{name} must be a finite non-negative dB offset"):
+        PolicyConfig(**{name: value})
+
+
 def test_policy_config_accepts_infinite_gate():
     assert PolicyConfig(c_th=math.inf).c_th == math.inf
     assert PolicyConfig(c_th=-math.inf).c_th == -math.inf
@@ -322,10 +331,12 @@ def test_max_sinr_huge_bias_sends_everyone_to_microwave():
     assert all(h >= sc.n_mmw for h in matching.agent_to_host)
 
 
-def test_bias_tier_validation():
-    sc = co_located_scenario(0.5)
-    with pytest.raises(ValueError):
-        max_rssi_policy(sc, 10.0, bias_tier="both")
+@pytest.mark.parametrize("policy", [max_rssi_policy, max_sinr_policy])
+def test_baselines_reject_non_finite_bias(policy):
+    sc = generate_scenario(ScenarioConfig(n_ue=20, seed=4))
+    for bias in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="CRE biases must be finite"):
+            policy(sc, bias)
 
 
 def test_baselines_assign_every_ue():
