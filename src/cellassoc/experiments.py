@@ -4,8 +4,11 @@ One experiment is a grid of parameter points times ``n_runs`` independent
 seeded runs. Each run generates a scenario from ``base_seed + run``, realizes
 the links once, executes every enabled policy on the same realization, checks
 the quota-aware policy's output (a failed check aborts the experiment; it
-would mean an engine bug), and emits one CSV row per policy. A second file
-with suffix ``_agg`` holds per-point means and standard errors.
+would mean an engine bug), and emits one CSV row per policy. Runs go in
+batches: apart from each run's scenario draw and matcher walk, every stage,
+the instance and its check included, runs once per batch on arrays with a
+leading run axis. A second file with suffix ``_agg`` holds per-point means
+and standard errors.
 
 Output is deterministic: identical config gives byte-identical files, and
 parallel execution matches serial because batches of runs depend on the grid
@@ -129,11 +132,13 @@ def _run_batch(
     runs: range,
     collect_muw_samples: bool = False,
 ) -> list[dict]:
-    """The rows of runs ``runs`` of one grid point. Each run has its own seeds,
-    instance, matchings and checks; the array stages run once for the batch,
-    on arrays with a leading run axis, and give each run what it gets alone."""
+    """The rows of runs ``runs`` of one grid point. Each run has its own seeds
+    and matcher walk. Everything else runs once for the batch, on arrays with a
+    leading run axis, and gives each run what it gets alone: one validated
+    instance, one (R, P, M) matching of every enabled policy, one ``verify``
+    call. An error names the grid point, the run and its seed."""
     # Looked up at call time, not imported at the top: a span tracer that wraps
-    # cellassoc.matching.build_matching then sees the baselines' calls too.
+    # cellassoc.matching.build_matching then sees the driver's call too.
     from .matching import build_matching
 
     first, pol = _point_configs(exp, overrides, runs[0])
@@ -162,34 +167,37 @@ def _run_batch(
         q_min = [(pol.q_min_mmw,) * first.n_mmw + tuple(d.tolist()) for d in draws]
 
     enabled = [name for name in POLICY_ORDER if name in exp.policies_enabled]
-    instances = build_matching_instance(batch, links, batch.los_prob, pol, q_min)
-    matchings, reports, q_min_muw_totals = [], [], []
-    for k, (run, cfg) in enumerate(zip(runs, cfgs)):
-        try:
-            instance = next(instances)
-        except InfeasibleInstanceError as exc:
-            where = f"grid point {overrides}, run {run}, seed {cfg.seed}"
-            raise ConfigurationError(f"{where}: {exc}") from exc
-        q_min_muw_totals.append(int(instance.q_min[first.n_mmw :].sum()))
-        matchings.append([])
-        for name in enabled:
-            if name == "mmq":
-                matching = mmq_match(instance)
-            elif name == "da":
-                matching = deferred_acceptance(instance)
-            else:
-                matching = build_matching(choices[name][1][k], first.n_bs)
-            report = verify(instance, matching, enumeration_budget=0)
-            if name == "mmq" and (not report.feasible or report.blocking_pairs):
-                raise VerificationFailure(
-                    f"quota-aware matching failed verification at grid point "
-                    f"{overrides}, run {run} (feasible={report.feasible}, "
-                    f"blocking={len(report.blocking_pairs)}).\n"
-                    f"Instance dump:\n{format_instance(instance)}"
-                    f"Assignment: {matching.agent_to_host.tolist()}"
-                )
-            matchings[-1].append(matching)
-            reports.append(report)
+    try:
+        instance = build_matching_instance(batch, links, batch.los_prob, pol, q_min)
+    except InfeasibleInstanceError as exc:
+        where = f"grid point {overrides}, run {runs[exc.run]}, seed {cfgs[exc.run].seed}"
+        raise ConfigurationError(f"{where}: {exc.args[0]}") from exc
+    matchers = {"mmq": mmq_match, "da": deferred_acceptance}
+    # Policy p's assignment of run k is matchings.agent_to_host[k, p].
+    matchings = build_matching(
+        np.stack(
+            [matchers[name](instance).agent_to_host if name in matchers else choices[name][1]
+             for name in enabled],
+            axis=1,
+        ),
+        first.n_bs,
+    )
+    report = verify(instance, matchings, enumeration_budget=0)
+    feasible, blocking = report.feasible, report.n_blocking_pairs
+    del report  # its (R, P, M, N) masks need not outlive the counts
+    q_min_muw_totals = instance.q_min[:, first.n_mmw :].sum(axis=-1).tolist()
+    if "mmq" in enabled:
+        p = enabled.index("mmq")
+        failed = np.flatnonzero(~feasible[:, p] | (blocking[:, p] > 0))
+        if failed.size:
+            k = failed[0]
+            raise VerificationFailure(
+                f"quota-aware matching failed verification at grid point "
+                f"{overrides}, run {runs[k]}, seed {cfgs[k].seed} "
+                f"(feasible={feasible[k, p]}, blocking={blocking[k, p]}).\n"
+                f"Instance dump:\n{format_instance(instance.run(k))}"
+                f"Assignment: {matchings.agent_to_host[k, p].tolist()}"
+            )
 
     # A policy axis after the run axis: rates are (R, P, M), statistics (R, P).
     per_policy = replace(links, **{f.name: getattr(links, f.name)[:, None] for f in fields(links)})
@@ -204,9 +212,11 @@ def _run_batch(
         "mean_ue_rate_bps": rates.mean(axis=-1), "min_ue_rate_bps": rates.min(axis=-1),
         "p5_ue_rate_bps": np.percentile(rates, 5.0, axis=-1),
     }
-    stats = {key: value.ravel().tolist() for key, value in stats.items()}  # one number per row
+    stats["feasible"] = np.where(feasible, "true", "false")
+    stats["blocking_pairs"] = blocking
+    stats = {key: value.ravel().tolist() for key, value in stats.items()}  # one value per row
     rows: list[dict] = []
-    for i, report in enumerate(reports):
+    for i in range(len(runs) * len(enabled)):
         k, p = divmod(i, len(enabled))
         name = enabled[p]
         rows.append({
@@ -216,9 +226,7 @@ def _run_batch(
             "bias_rssi_db": pol.bias_rssi_db, "bias_sinr_db": pol.bias_sinr_db,
             "seed": cfgs[k].seed, "run": runs[k], "policy": name,
             "bias_db": choices[name][0][k] if name in choices else 0.0,
-            **{key: values[i] for key, values in stats.items()},
-            "feasible": "true" if report.feasible else "false",
-            "blocking_pairs": len(report.blocking_pairs), "_grid_idx": grid_idx,
+            **{key: values[i] for key, values in stats.items()}, "_grid_idx": grid_idx,
         })
         if collect_muw_samples:  # only the rate CDF reads them; other rows stay small
             rows[-1]["_muw_rates_bps"] = rm.muw_rate_samples[i]

@@ -14,12 +14,17 @@ ranks agents by one shared master list. Provided here:
                         exhaustive Pareto-optimality check on small instances.
 * ``enumerate_feasible`` -- brute-force oracle over all feasible matchings.
 
-Agents and hosts are integer ids 0..M-1 and 0..N-1.
+Agents and hosts are integer ids 0..M-1 and 0..N-1. An instance may stack R
+runs of one size on a leading axis: it is validated once, the matchers walk
+each run and return an (R, M) matching, and ``verify`` checks an (R, P, M)
+stack of assignments in one array pass. Without the axis, the same code
+checks one run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -30,7 +35,15 @@ _PAD = np.iinfo(np.intp).max  # fills unlisted slots while an instance is valida
 
 
 class MatchingError(ValueError):
-    """Structural problem with an instance or a matching."""
+    """Structural problem with an instance or a matching. ``run`` is the index
+    of the failing run of a stacked instance (None otherwise); it prefixes the
+    message."""
+
+    run: Optional[int] = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.run is None else f"run {self.run}: {text}"
 
 
 class InfeasibleInstanceError(MatchingError):
@@ -54,6 +67,12 @@ class MatchingInstance:
     master-list position. The constructor also takes plain sequences: host
     tuples of any length, and None or one set of host ids per agent for
     ``gated``.
+
+    A stacked instance holds R runs that share M and N: an (R, M, N)
+    ``agent_prefs`` array gives every array a leading run axis (quotas given
+    per host apply to every run). It is validated as a whole; a run that
+    fails raises the error it raises alone, with ``run`` set to the lowest
+    such run. ``run(k)`` gives run k as a single-run instance.
     """
 
     n_agents: int
@@ -68,48 +87,45 @@ class MatchingInstance:
         m, n = self.n_agents, self.n_hosts
         if m < 0 or n < 0:
             raise MatchingError("agent and host counts must be non-negative")
-        if len(self.agent_prefs) != m:
+        stacked = isinstance(self.agent_prefs, np.ndarray) and self.agent_prefs.ndim == 3
+        lead = self.agent_prefs.shape[:1] if stacked else ()
+        if stacked and self.agent_prefs.shape[1:] != (m, n):
+            raise MatchingError(f"stacked preferences must be (R, {m}, {n}) arrays")
+        if not stacked and len(self.agent_prefs) != m:
             raise MatchingError(f"expected {m} preference lists, got {len(self.agent_prefs)}")
         q_min = np.asarray(self.q_min, dtype=np.intp)
         q_max = np.asarray(self.q_max, dtype=np.intp)
-        if q_min.shape != (n,) or q_max.shape != (n,):
+        if not {q_min.shape, q_max.shape} <= {(n,), lead + (n,)}:
             raise MatchingError("quota vectors must have one entry per host")
-        bad = np.flatnonzero((q_min < 0) | (q_min > q_max))
-        if bad.size:
-            h, lo, hi = bad[0], q_min[bad[0]], q_max[bad[0]]
-            raise MatchingError(f"host {h}: need 0 <= q_min <= q_max, got ({lo}, {hi})")
+        q_min, q_max = (np.broadcast_to(q, lead + (n,)) for q in (q_min, q_max))
         master = np.asarray(self.master_list, dtype=np.intp)
-        if master.shape != (m,) or not np.array_equal(np.sort(master), np.arange(m)):
+        if master.shape != lead + (m,):
             raise MatchingError("master list must be a permutation of all agents")
-        prefs = _pref_matrix(self.agent_prefs, m, n)
-        known = prefs.view(np.uintp) < n  # a slot holding a host id in 0..n-1
-        rank = np.full((m, n + 1), n, dtype=np.int32)  # column n takes all other slots
-        slots = prefs if known.all() else np.where(known, prefs, n)
-        np.put_along_axis(rank, slots, np.arange(prefs.shape[1]), axis=1)
-        rank = rank[:, :n]
-        if slots is not prefs or not (rank < n).all():  # not complete lists of distinct hosts
-            # A listed slot that set no rank names an unknown host or a duplicate.
-            listed = prefs != _PAD
-            bad = np.flatnonzero((rank < n).sum(axis=1) < listed.sum(axis=1))
-            if bad.size:
-                row = prefs[bad[0], listed[bad[0]]].tolist()
-                dup = len(set(row)) < len(row)
-                what = "contains duplicates" if dup else "names an unknown host"
-                raise MatchingError(f"agent {bad[0]}: preference list {what}")
-            prefs = np.where(listed, prefs, -1)[:, :n]  # a valid row lists at most n hosts
-        if self.gated is not None and len(self.gated) != m:
+        gates = self.gated
+        if gates is not None and (gates.shape[:-1] if stacked else (len(gates),)) != lead + (m,):
             raise MatchingError("gated sets must have one entry per agent")
-        gated = _gate_mask(self.gated, m, n)
-        bad = np.flatnonzero((gated[:, :n] & (rank == n)).any(axis=1) | gated[:, n])
-        if bad.size:
-            raise MatchingError(f"agent {bad[0]}: gated host not on preference list")
-        if q_min.sum() > m or m > q_max.sum():
-            sums = f"sum q_min={q_min.sum()}, M={m}, sum q_max={q_max.sum()}"
-            raise InfeasibleInstanceError(f"no feasible matching: {sums}")
-        ml_rank = np.argsort(master)  # the inverse permutation
-        self.__dict__.update(  # frozen: bypass __setattr__ to store the arrays
-            agent_prefs=prefs, master_list=master, q_min=q_min, q_max=q_max,
-            gated=gated[:, :n], rank=rank, ml_rank=ml_rank,
+        try:
+            arrays = _validated(m, n, self.agent_prefs, master, q_min, q_max, gates)
+        except MatchingError as exc:
+            if not stacked:
+                raise
+            for k in range(lead[0]):  # the lowest failing run raises its own error
+                try:
+                    MatchingInstance(
+                        m, n, self.agent_prefs[k], master[k], q_min[k], q_max[k],
+                        None if gates is None else gates[k],
+                    )
+                except MatchingError as run_exc:
+                    run_exc.run = k
+                    raise run_exc from None
+            raise exc
+        self.__dict__.update(arrays)  # frozen: bypass __setattr__ to store the arrays
+
+    def run(self, k: int) -> "MatchingInstance":
+        """Run ``k`` of a stacked instance as a single-run instance."""
+        return MatchingInstance(
+            self.n_agents, self.n_hosts, self.agent_prefs[k], self.master_list[k],
+            self.q_min[k], self.q_max[k], self.gated[k],
         )
 
     def __eq__(self, other: object) -> bool:
@@ -121,17 +137,61 @@ class MatchingInstance:
         )
 
     @cached_property
-    def _pref_rows(self) -> list[list[int]]:
-        """Each agent's listed hosts, best first, as plain lists; converted once."""
+    def _pref_rows(self) -> list:
+        """Each agent's listed hosts, best first, as plain lists (one list of
+        rows per run when stacked); converted once."""
         rows = self.agent_prefs.tolist()
         if (self.agent_prefs < 0).any():
-            rows = [[h for h in row if h >= 0] for row in rows]
+            strip = lambda run: [[h for h in row if h >= 0] for row in run]  # noqa: E731
+            rows = [strip(run) for run in rows] if self.agent_prefs.ndim == 3 else strip(rows)
         return rows
 
 
+def _validated(m: int, n: int, agent_prefs, master, q_min, q_max, gated) -> dict:
+    # The checks every run must pass, on arrays with an optional leading run
+    # axis, and the instance's stored arrays. A failure's message describes
+    # the first failing entry of a single-run instance.
+    bad = np.argwhere((q_min < 0) | (q_min > q_max))
+    if bad.size:
+        at = tuple(bad[0])
+        got = f"({q_min[at]}, {q_max[at]})"
+        raise MatchingError(f"host {at[-1]}: need 0 <= q_min <= q_max, got {got}")
+    if not (np.sort(master, axis=-1) == np.arange(m)).all():
+        raise MatchingError("master list must be a permutation of all agents")
+    prefs = _pref_matrix(agent_prefs, m, n)
+    known = prefs.view(np.uintp) < n  # a slot holding a host id in 0..n-1
+    rank = np.full(prefs.shape[:-1] + (n + 1,), n, dtype=np.int32)  # column n: all other slots
+    slots = prefs if known.all() else np.where(known, prefs, n)
+    np.put_along_axis(rank, slots, np.arange(prefs.shape[-1]), axis=-1)
+    rank = rank[..., :n]
+    if slots is not prefs or not (rank < n).all():  # not complete lists of distinct hosts
+        # A listed slot that set no rank names an unknown host or a duplicate.
+        listed = prefs != _PAD
+        bad = np.argwhere((rank < n).sum(axis=-1) < listed.sum(axis=-1))
+        if bad.size:
+            at = tuple(bad[0])
+            row = prefs[at][listed[at]].tolist()
+            what = "contains duplicates" if len(set(row)) < len(row) else "names an unknown host"
+            raise MatchingError(f"agent {at[-1]}: preference list {what}")
+        prefs = np.where(listed, prefs, -1)[..., :n]  # a valid row lists at most n hosts
+    gated = _gate_mask(gated, prefs.shape[:-1], n)
+    bad = np.argwhere((gated[..., :n] & (rank == n)).any(axis=-1) | gated[..., n])
+    if bad.size:
+        raise MatchingError(f"agent {bad[0][-1]}: gated host not on preference list")
+    low, high = q_min.sum(axis=-1), q_max.sum(axis=-1)
+    if (low > m).any() or (m > high).any():
+        sums = f"sum q_min={low.max()}, M={m}, sum q_max={high.min()}"
+        raise InfeasibleInstanceError(f"no feasible matching: {sums}")
+    ml_rank = np.argsort(master, axis=-1)  # the inverse permutation
+    return dict(
+        agent_prefs=prefs, master_list=master, q_min=q_min, q_max=q_max,
+        gated=gated[..., :n], rank=rank, ml_rank=ml_rank,
+    )
+
+
 def _pref_matrix(agent_prefs, m: int, n: int) -> np.ndarray:
-    # Preference rows as an (M, W >= N) int array with _PAD in unlisted slots.
-    if isinstance(agent_prefs, np.ndarray) and agent_prefs.shape == (m, n):
+    # Preference rows as an ([R,] M, W >= N) int array with _PAD in unlisted slots.
+    if isinstance(agent_prefs, np.ndarray) and agent_prefs.shape[-2:] == (m, n):
         prefs = np.asarray(agent_prefs, dtype=np.intp)
         return np.where(prefs < 0, _PAD, prefs) if (prefs < 0).any() else prefs
     prefs = np.full((m, max([n, *map(len, agent_prefs)])), _PAD, dtype=np.intp)
@@ -140,11 +200,11 @@ def _pref_matrix(agent_prefs, m: int, n: int) -> np.ndarray:
     return prefs
 
 
-def _gate_mask(gated, m: int, n: int) -> np.ndarray:
-    # (M, N + 1) bool mask; column n takes the host ids outside 0..n-1.
-    mask = np.zeros((m, n + 1), dtype=bool)
+def _gate_mask(gated, rows: tuple, n: int) -> np.ndarray:
+    # (rows..., N + 1) bool mask; column n takes the host ids outside 0..n-1.
+    mask = np.zeros(rows + (n + 1,), dtype=bool)
     if isinstance(gated, np.ndarray):
-        mask[:, :n] = gated
+        mask[..., :n] = gated
     elif gated is not None:
         for a, hosts in enumerate(gated):
             for h in hosts:
@@ -156,7 +216,8 @@ def _gate_mask(gated, m: int, n: int) -> np.ndarray:
 class Matching:
     """An assignment held as one (M,) ``agent_to_host`` array, -1 for an
     unmatched agent. ``loads`` (N,) counts each host's agents; both arrays are
-    read-only, so the derived views always agree with the assignment.
+    read-only, so the derived views always agree with the assignment. An
+    (..., M) array holds one assignment per leading index, with (..., N) loads.
     """
 
     agent_to_host: np.ndarray
@@ -167,17 +228,24 @@ class Matching:
         if a2h.size and a2h.dtype.kind not in "iu":
             raise MatchingError(f"host ids must be integers, got {a2h.dtype}")
         a2h = a2h.astype(np.intp)  # a copy: the caller's array stays its own
-        bad = np.flatnonzero((a2h < -1) | (a2h >= self.n_hosts))
+        bad = np.argwhere((a2h < -1) | (a2h >= self.n_hosts))
         if bad.size:
-            raise MatchingError(f"agent {bad[0]} assigned to unknown host {a2h[bad[0]]}")
-        loads = np.bincount(a2h[a2h >= 0], minlength=self.n_hosts)
+            at = tuple(bad[0])
+            where = f"matching {list(at[:-1])}: " if len(at) > 1 else ""
+            raise MatchingError(f"{where}agent {at[-1]} assigned to unknown host {a2h[at]}")
+        lead = a2h.shape[:-1]
+        flat = _flat_hosts(a2h, self.n_hosts)[a2h >= 0]
+        loads = np.bincount(flat, minlength=math.prod(lead) * self.n_hosts)
+        loads = loads.reshape(lead + (self.n_hosts,))
         for array in (a2h, loads):
             array.setflags(write=False)
         self.__dict__.update(agent_to_host=a2h, loads=loads)  # frozen: bypass __setattr__
 
     @property
     def host_to_agents(self) -> tuple[tuple[int, ...], ...]:
-        """Each host's agents in increasing id order."""
+        """Each host's agents in increasing id order (one assignment)."""
+        if self.agent_to_host.ndim != 1:
+            raise MatchingError("host_to_agents needs one (M,) assignment, not a stack")
         hosts: list[list[int]] = [[] for _ in range(self.n_hosts)]
         for agent, host in enumerate(self.agent_to_host.tolist()):
             if host >= 0:
@@ -189,6 +257,13 @@ class Matching:
             return NotImplemented
         same_hosts = self.n_hosts == other.n_hosts
         return same_hosts and np.array_equal(self.agent_to_host, other.agent_to_host)
+
+
+def _flat_hosts(a2h: np.ndarray, n_hosts: int) -> np.ndarray:
+    # Host ids of an (..., M) assignment made distinct across leading indices:
+    # host h of the i-th assignment (in C order) becomes i * n_hosts + h.
+    lead = a2h.shape[:-1]
+    return a2h + n_hosts * np.arange(math.prod(lead)).reshape(lead + (1,))
 
 
 def build_matching(assignment: Sequence[int], n_hosts: int) -> Matching:
@@ -214,31 +289,42 @@ def _master_list_pass(instance: MatchingInstance, quota_aware: bool) -> Matching
     # Deferred acceptance: room is a free slot, no gates, an agent whose list
     # runs out stays unmatched. mmq_match: gates apply, room turns into an
     # unmet minimum once every agent left is needed for one (phase 2), and a
-    # list that runs out is an error.
-    m_count = instance.n_agents
-    rows = instance._pref_rows
-    use_gates = quota_aware and instance.gated.any()
-    gates = instance.gated.tolist() if use_gates else [None] * m_count
-    q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
-    deficit = sum(q_min) if quota_aware else 0  # unmet minimum quota; DA stays in phase 1
-    loads = [0] * instance.n_hosts
-    assignment = [-1] * m_count
-    for pos, agent in enumerate(instance.master_list.tolist()):
-        phase_1 = m_count - pos > deficit  # once false, stays false
-        host = _best_listed_host(rows[agent], gates[agent], loads, q_max if phase_1 else q_min)
-        if host is None:
-            if not quota_aware:
-                continue
-            raise MatchingError(
-                f"agent {agent} ranks no host with "
-                f"{'spare capacity' if phase_1 else 'an unmet minimum quota'}; "
-                "preference list is too short for this instance"
-            )
-        if loads[host] < q_min[host]:
-            deficit -= 1
-        loads[host] += 1
-        assignment[agent] = host
-    return build_matching(assignment, instance.n_hosts)
+    # list that runs out is an error. A stacked instance is walked run by run.
+    m, n = instance.n_agents, instance.n_hosts
+    stacked = instance.agent_prefs.ndim == 3
+    r = len(instance.agent_prefs) if stacked else 1
+    runs = zip(
+        instance._pref_rows if stacked else [instance._pref_rows],
+        instance.gated.reshape(r, m, n).tolist()
+        if quota_aware and instance.gated.any() else [[None] * m] * r,
+        instance.master_list.reshape(r, m).tolist(),
+        instance.q_min.reshape(r, n).tolist(),
+        instance.q_max.reshape(r, n).tolist(),
+    )
+    hosts = []
+    for k, (rows, gates, master, q_min, q_max) in enumerate(runs):
+        deficit = sum(q_min) if quota_aware else 0  # unmet minimum quota; DA stays in phase 1
+        loads = [0] * n
+        assignment = [-1] * m
+        for pos, agent in enumerate(master):
+            phase_1 = m - pos > deficit  # once false, stays false
+            host = _best_listed_host(rows[agent], gates[agent], loads, q_max if phase_1 else q_min)
+            if host is None:
+                if not quota_aware:
+                    continue
+                error = MatchingError(
+                    f"agent {agent} ranks no host with "
+                    f"{'spare capacity' if phase_1 else 'an unmet minimum quota'}; "
+                    "preference list is too short for this instance"
+                )
+                error.run = k if stacked else None
+                raise error
+            if loads[host] < q_min[host]:
+                deficit -= 1
+            loads[host] += 1
+            assignment[agent] = host
+        hosts.append(assignment)
+    return build_matching(hosts if stacked else hosts[0], n)
 
 
 def mmq_match(instance: MatchingInstance) -> Matching:
@@ -255,6 +341,7 @@ def mmq_match(instance: MatchingInstance) -> Matching:
     Pareto optimal for the agents (``verify`` checks all three). With
     incomplete lists a phase can run out of listed hosts and raise
     ``MatchingError``, even on an instance that has a feasible matching.
+    A stacked instance gives an (R, M) matching, one walk per run.
     """
     return _master_list_pass(instance, quota_aware=True)
 
@@ -272,54 +359,77 @@ def deferred_acceptance(instance: MatchingInstance) -> Matching:
     return _master_list_pass(instance, quota_aware=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerifierReport:
     """Feasibility, blocking pairs under both readings, Pareto optimality.
 
-    ``blocking_pairs`` uses the capacity-aware reading: an agent also blocks
+    ``capacity_aware`` and ``envy`` are (M, N) bool masks of the blocking
+    (agent, host) pairs. The capacity-aware reading: an agent also blocks
     with a strictly preferred host that has a free slot, provided leaving its
-    current host would not break that host's minimum quota. ``blocking_pairs_literal``
-    counts only envy pairs, where the preferred host holds a master-list-worse
-    agent. ``pareto_optimal`` is None when the matching is infeasible or the
-    instance exceeds the enumeration budget.
+    current host would not break that host's minimum quota. The envy
+    (literal) reading counts only pairs where the preferred host holds a
+    master-list-worse agent. ``blocking_pairs`` and ``blocking_pairs_literal``
+    list the two masks' pairs by agent, then in the agent's preference order
+    (``rank``), built when first read; ``n_blocking_pairs`` counts the
+    capacity-aware ones. ``pareto_optimal`` is None when the matching is
+    infeasible or the instance exceeds the enumeration budget.
+
+    A report on an (..., M) matching gives every field its leading axes:
+    ``feasible`` and ``n_blocking_pairs`` as arrays, the pair tuples and
+    Pareto answers as object arrays. Entry [i] of each is what checking
+    assignment i alone gives.
     """
 
     feasible: bool
-    blocking_pairs: tuple[tuple[int, int], ...]
-    blocking_pairs_literal: tuple[tuple[int, int], ...]
+    capacity_aware: np.ndarray = field(repr=False)
+    envy: np.ndarray = field(repr=False)
+    rank: np.ndarray = field(repr=False)
     pareto_optimal: Optional[bool] = None
+
+    @property
+    def n_blocking_pairs(self):
+        return _scalar(self.capacity_aware.sum(axis=(-2, -1)))
+
+    @cached_property
+    def blocking_pairs(self) -> tuple[tuple[int, int], ...]:
+        return _pairs(self.capacity_aware, self.rank)
+
+    @cached_property
+    def blocking_pairs_literal(self) -> tuple[tuple[int, int], ...]:
+        return _pairs(self.envy, self.rank)
+
+
+def _scalar(values: np.ndarray):
+    # A value with no leading axes as a plain Python value; arrays stay arrays.
+    return values.item() if values.ndim == 0 else values
+
+
+def _pairs(mask: np.ndarray, rank: np.ndarray):
+    # The (agent, host) pairs of each (M, N) mask, by agent and then preference order.
+    pairs = np.empty(mask.shape[:-2], dtype=object)
+    for i in np.ndindex(pairs.shape):
+        agents, hosts = np.nonzero(mask[i])
+        order = np.lexsort((rank[i][agents, hosts], agents))
+        pairs[i] = tuple(zip(agents[order].tolist(), hosts[order].tolist()))
+    return _scalar(pairs)
 
 
 def _check_consistency(instance: MatchingInstance, matching: Matching) -> None:
-    """Raise MatchingError unless the matching has the instance's agent and host counts."""
-    if matching.agent_to_host.size != instance.n_agents:
+    """Raise MatchingError unless the matching has the instance's agent and
+    host counts and its leading axes start with the instance's run axis."""
+    a2h = matching.agent_to_host
+    if a2h.shape[-1] != instance.n_agents:
         raise MatchingError("matching covers the wrong number of agents")
     if matching.n_hosts != instance.n_hosts:
         raise MatchingError("matching covers the wrong number of hosts")
+    runs = instance.agent_prefs.shape[:-2]
+    if a2h.shape[:-1][: len(runs)] != runs:
+        raise MatchingError(f"matching's leading axes must start with the instance's {runs}")
 
 
-def _blocking_pairs(
-    instance: MatchingInstance, a2h: np.ndarray, loads: np.ndarray
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    n = instance.n_hosts
-    assigned = a2h >= 0
-    current_rank = np.where(assigned, instance.rank[np.arange(instance.n_agents), a2h], n)
-    # Worst (largest) master-list rank currently held by each host; -1 if empty.
-    worst_held = np.full(n, -1, dtype=np.intp)
-    np.maximum.at(worst_held, a2h[assigned], instance.ml_rank[assigned])
-    # The agent itself ruled gated hosts out, so they never block.
-    better = (instance.rank < current_rank[:, None]) & ~instance.gated
-    envy = better & (instance.ml_rank[:, None] < worst_held)
-    leaves_feasible = ~assigned | (loads[a2h] > instance.q_min[a2h])
-    capacity_aware = envy | (better & (loads < instance.q_max) & leaves_feasible[:, None])
-    return _pairs(instance, capacity_aware), _pairs(instance, envy)
-
-
-def _pairs(instance: MatchingInstance, mask: np.ndarray) -> tuple[tuple[int, int], ...]:
-    # (agent, host) pairs of the mask, by agent and then preference order.
-    agents, hosts = np.nonzero(mask)
-    order = np.lexsort((instance.rank[agents, hosts], agents))
-    return tuple(zip(agents[order].tolist(), hosts[order].tolist()))
+def _require_one_run(instance: MatchingInstance) -> None:
+    if instance.agent_prefs.ndim == 3:
+        raise MatchingError("a stacked instance: take one run with instance.run(k)")
 
 
 def enumerate_feasible(
@@ -331,6 +441,7 @@ def enumerate_feasible(
     quota bounds hold. Refuses instances with more than ``budget`` raw
     assignments to scan.
     """
+    _require_one_run(instance)
     if instance.n_hosts**instance.n_agents > budget:
         raise EnumerationBudgetError(
             f"{instance.n_hosts}^{instance.n_agents} assignments exceed the "
@@ -368,10 +479,10 @@ def enumerate_feasible(
     yield from recurse(0)
 
 
-def _pareto_optimal(instance: MatchingInstance, matching: Matching, budget: int) -> bool:
+def _pareto_optimal(instance: MatchingInstance, a2h: np.ndarray, budget: int) -> bool:
     # Hosts not on an agent's list rank below everything it did list.
     agents = np.arange(instance.n_agents)
-    ranks = instance.rank[agents, matching.agent_to_host]
+    ranks = instance.rank[agents, a2h]
     for other in enumerate_feasible(instance, budget=budget):
         other_ranks = instance.rank[agents, other.agent_to_host]
         if (other_ranks <= ranks).all() and (other_ranks < ranks).any():
@@ -384,28 +495,58 @@ def verify(
     matching: Matching,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VerifierReport:
-    """Check feasibility, enumerate blocking pairs, and (when the instance is
+    """Check feasibility, find blocking pairs, and (when the instance is
     small enough) decide Pareto optimality by exhaustive comparison.
 
     Pairs the agent gated out are never counted as blocking; the agent
-    declared the host inadmissible itself. Pairs are listed by agent, then
-    in the agent's preference order. The Pareto check runs only for feasible
-    matchings on instances within the enumeration budget.
+    declared the host inadmissible itself. The Pareto check runs only for
+    feasible matchings on instances within the enumeration budget.
+
+    The matching may carry leading axes; a stacked instance's run axis must
+    lead them (an (R, P, M) matching holds P assignments per run). One array
+    pass checks every assignment, and the report carries the leading axes.
     """
     _check_consistency(instance, matching)
-    a2h, loads = matching.agent_to_host, matching.loads
-    feasible = bool(
-        (a2h >= 0).all() and ((instance.q_min <= loads) & (loads <= instance.q_max)).all()
+    a2h, loads, n = matching.agent_to_host, matching.loads, instance.n_hosts
+    runs = instance.agent_prefs.ndim - 2  # 1 for a stacked instance
+    extra = (1,) * (a2h.ndim - 1 - runs)  # the matching's axes after the run axis
+    rank, gated, ml_rank, q_min, q_max = (
+        x.reshape(x.shape[:runs] + extra + x.shape[runs:])  # views
+        for x in (instance.rank, instance.gated, instance.ml_rank, instance.q_min, instance.q_max)
     )
-    capacity_aware, literal = _blocking_pairs(instance, a2h, loads)
-    pareto: Optional[bool] = None
-    if feasible and instance.n_hosts**instance.n_agents <= enumeration_budget:
-        pareto = _pareto_optimal(instance, matching, enumeration_budget)
+    assigned = a2h >= 0
+    feasible = assigned.all(axis=-1) & ((q_min <= loads) & (loads <= q_max)).all(axis=-1)
+    host = np.maximum(a2h, 0)  # the unassigned read host 0, masked out below
+    current_rank = np.where(assigned, np.take_along_axis(rank, host[..., None], -1)[..., 0], n)
+    # Worst (largest) master-list rank currently held by each host; -1 if empty.
+    worst_held = np.full(loads.shape, -1, dtype=np.intp)
+    held_ml = np.broadcast_to(ml_rank, a2h.shape)[assigned]
+    np.maximum.at(worst_held.reshape(-1), _flat_hosts(a2h, n)[assigned], held_ml)
+    leaves_feasible = ~assigned | (
+        np.take_along_axis(loads, host, -1) > np.take_along_axis(q_min, host, -1)
+    )
+    # In place, so that three (..., M, N) bool arrays at most are alive at once.
+    # The agent itself ruled gated hosts out, so they never block.
+    better = rank < current_rank[..., None]
+    better &= ~gated
+    envy = ml_rank[..., None] < worst_held[..., None, :]
+    envy &= better
+    capacity_aware = better  # better & free slot & leaving keeps the minimum, or envy
+    capacity_aware &= (loads < q_max)[..., None, :]
+    capacity_aware &= leaves_feasible[..., None]
+    capacity_aware |= envy
+    pareto = np.full(feasible.shape, None, dtype=object)
+    if n**instance.n_agents <= enumeration_budget:
+        for i in np.ndindex(feasible.shape):
+            if feasible[i]:
+                run = instance.run(i[0]) if runs else instance
+                pareto[i] = _pareto_optimal(run, a2h[i], enumeration_budget)
     return VerifierReport(
-        feasible=feasible,
-        blocking_pairs=capacity_aware,
-        blocking_pairs_literal=literal,
-        pareto_optimal=pareto,
+        feasible=_scalar(feasible),
+        capacity_aware=capacity_aware,
+        envy=envy,
+        rank=np.broadcast_to(rank, capacity_aware.shape),
+        pareto_optimal=_scalar(pareto),
     )
 
 
@@ -417,6 +558,7 @@ def format_instance(instance: MatchingInstance) -> str:
     line with the master list (agent ids, best first). Gates are not part
     of the format.
     """
+    _require_one_run(instance)
     lines = [
         f"{instance.n_agents} {instance.n_hosts}",
         " ".join(map(str, instance.q_min.tolist())),
@@ -430,8 +572,9 @@ def format_instance(instance: MatchingInstance) -> str:
 def parse_instance(text: str) -> MatchingInstance:
     """Parse the plain-text exchange format written by ``format_instance``.
 
-    Blank lines are skipped. A token that is not an integer is rejected
-    naming its line, counted from 1 with blank lines included.
+    Blank lines are skipped. A token that is not an integer, and a negative
+    agent or host count in the header, are rejected naming their line,
+    counted from 1 with blank lines included.
     """
     lines = []  # the integers of each non-blank line
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -440,12 +583,18 @@ def parse_instance(text: str) -> MatchingInstance:
         except ValueError as exc:
             raise MatchingError(f"line {lineno}: {exc}") from None
         if row:
+            if not lines:
+                header_line = lineno
             lines.append(row)
     if not lines:
         raise MatchingError("empty instance file")
     if len(lines[0]) != 2:
         raise MatchingError(f"bad header line {' '.join(map(str, lines[0]))!r}")
     m, n = lines[0]
+    if m < 0 or n < 0:
+        raise MatchingError(
+            f"line {header_line}: agent and host counts must be non-negative, got {m} {n}"
+        )
     if len(lines) != 4 + m:
         raise MatchingError(f"expected {4 + m} lines for M={m}, got {len(lines)}")
     q_min, q_max, *prefs, master = lines[1:]

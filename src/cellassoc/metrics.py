@@ -31,13 +31,6 @@ def max_load_difference(loads):
     return int(spread) if spread.ndim == 0 else spread
 
 
-def _hosts_and_loads(matching) -> tuple[np.ndarray, np.ndarray]:
-    # Hosts (..., M) and loads (..., N) of one Matching or of a nested list of them.
-    grid = np.asarray(matching, dtype=object)
-    host = np.stack([m.agent_to_host for m in grid.flat]).reshape(grid.shape + (-1,))
-    return host, np.stack([m.loads for m in grid.flat]).reshape(grid.shape + (-1,))
-
-
 def achievable_rates(
     matching: Matching, links: LinkRealization, config: ScenarioConfig
 ) -> np.ndarray:
@@ -56,12 +49,12 @@ def slot_averaged_rates(
     Each BS splits its bandwidth equally. A UE served by mmW BS n gets
     (w1 / load_n) times its LoS or NLoS spectral efficiency, whichever the
     slot's state says; a microwave UE gets (w2 / load_n) times its
-    interference-limited SE. Unmatched UEs get zero. A nested list of matchings
+    interference-limited SE. Unmatched UEs get zero. An (..., M) matching
     gives (..., M) rates; the links' (..., M, N) and ``los_slots`` (S, ..., M, N1)
     arrays broadcast against its shape.
     """
     n_mmw = links.n_mmw
-    host, loads = _hosts_and_loads(matching)
+    host, loads = matching.agent_to_host, matching.loads
     lead = host.shape[:-1]
     matched = host >= 0
     share = np.zeros(host.shape)
@@ -100,11 +93,12 @@ def run_metrics(
     config: ScenarioConfig,
     per_ue_rate_bps: np.ndarray | None = None,
 ) -> RunMetrics:
-    """Assemble the per-run metric bundle; rates default to the single-slot ones. A nested
-    list of matchings gives its leading axes to every array field and one sample array each."""
+    """Assemble the per-run metric bundle; rates default to the single-slot ones. An
+    (..., M) matching gives its leading axes to every array field and one sample array
+    per leading index, in C order."""
     if per_ue_rate_bps is None:
         per_ue_rate_bps = achievable_rates(matching, links, config)
-    host, loads = _hosts_and_loads(matching)
+    host, loads = matching.agent_to_host, matching.loads
     on_muw = host >= links.n_mmw
     samples = [per_ue_rate_bps[i][on_muw[i]] for i in np.ndindex(host.shape[:-1])]
     return RunMetrics(

@@ -144,22 +144,18 @@ def build_matching_instance(
     """Assemble the matching problem for one realized network state.
 
     ``q_min_override`` replaces the expanded per-BS minimum quota vector,
-    e.g. for per-run random quota draws. A stacked scenario (one override row
-    per run) gives an iterator that builds each run's instance when reached.
+    e.g. for per-run random quota draws. A stacked scenario (with one
+    override row per run) gives one stacked instance, validated as a whole;
+    an invalid run raises naming the lowest such run.
     """
     util = compute_utilities(links, f)
     prefs, gated = build_preferences(util, policy.c_th)
     master = build_master_list(util)
+    del util  # the (..., M, N) utilities are not alive while the instance is checked
     q_min, q_max = policy.quota_vectors(scenario.n_mmw, scenario.n_muw, scenario.n_ue)
-    n_hosts = scenario.n_mmw + scenario.n_muw
-    if prefs.ndim == 2:
-        q_min = q_min if q_min_override is None else q_min_override
-        return MatchingInstance(scenario.n_ue, n_hosts, prefs, master, q_min, q_max, gated)
-    q_mins = [q_min] * len(prefs) if q_min_override is None else q_min_override
-    return (
-        MatchingInstance(scenario.n_ue, n_hosts, run_prefs, run_master, run_q_min, q_max, gates)
-        for run_prefs, run_master, run_q_min, gates in zip(prefs, master, q_mins, gated)
-    )
+    q_min = q_min if q_min_override is None else q_min_override
+    n_bs = scenario.n_mmw + scenario.n_muw
+    return MatchingInstance(scenario.n_ue, n_bs, prefs, master, q_min, q_max, gated)
 
 
 def mmq_policy(

@@ -9,6 +9,8 @@ lists only, so they stay independent of the arrays' internals.
 """
 
 from collections import deque
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -16,7 +18,6 @@ from cellassoc.matching import (
     Matching,
     MatchingError,
     MatchingInstance,
-    VerifierReport,
     build_matching,
     enumerate_feasible,
 )
@@ -182,9 +183,30 @@ def oracle_pareto_optimal(instance: MatchingInstance, matching: Matching, budget
     return True
 
 
+@dataclass(frozen=True)
+class OracleReport:
+    """The answers ``oracle_verify`` gives, named as ``VerifierReport`` names them."""
+
+    feasible: bool
+    blocking_pairs: tuple[tuple[int, int], ...]
+    blocking_pairs_literal: tuple[tuple[int, int], ...]
+    pareto_optimal: Optional[bool] = None
+
+
+def assert_reports_agree(report, want, index: tuple = ()) -> None:
+    """Every answer of ``report`` (entry ``index`` of a stacked one) equals
+    ``want``'s: feasibility, both pair tuples in the same order, the count of
+    capacity-aware pairs, and the Pareto answer."""
+    for name in ("feasible", "blocking_pairs", "blocking_pairs_literal", "pareto_optimal"):
+        got = getattr(report, name)
+        assert (got[index] if index else got) == getattr(want, name), name
+    count = report.n_blocking_pairs
+    assert (count[index] if index else count) == len(want.blocking_pairs)
+
+
 def oracle_verify(
     instance: MatchingInstance, matching: Matching, enumeration_budget: int = 10**6
-) -> VerifierReport:
+) -> OracleReport:
     """The verifier as per-agent loops; must agree with ``verify`` exactly."""
     oracle_check_consistency(instance, matching)
     q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
@@ -196,7 +218,7 @@ def oracle_verify(
     pareto = None
     if feasible and instance.n_hosts**instance.n_agents <= enumeration_budget:
         pareto = oracle_pareto_optimal(instance, matching, enumeration_budget)
-    return VerifierReport(
+    return OracleReport(
         feasible=feasible,
         blocking_pairs=tuple(capacity_aware),
         blocking_pairs_literal=tuple(literal),

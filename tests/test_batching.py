@@ -7,7 +7,9 @@ gives, and the rows of a batch must be the rows of its runs taken one at a time.
 """
 
 import hashlib
+import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from cellassoc.experiments import (
     _run_batch,
     _stack_scenarios,
     _write_rows,
+    aggregate_path,
+    load_config,
+    run_experiment,
     run_figure,
 )
 from cellassoc.matching import build_matching, mmq_match
@@ -117,8 +122,8 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
     prefs, gated = build_preferences(util, c_th)
     master = build_master_list(util)
     policy = PolicyConfig(q_min_muw=1, c_th=c_th)
-    instances = list(build_matching_instance(batch, links, batch.los_prob, policy))
-    assert len(instances) == n_runs
+    instance = build_matching_instance(batch, links, batch.los_prob, policy)
+    assert instance.agent_prefs.shape == (n_runs, 11, 7)
     for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
         run_budget = link_budget(sc)
         for name in ("loss_mmw_los", "loss_mmw_nlos", "loss_muw", "sinr_muw_db"):
@@ -135,7 +140,7 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
         run_prefs, run_gated = build_preferences(run_util, c_th)
         assert np.array_equal(prefs[r], run_prefs) and np.array_equal(gated[r], run_gated)
         assert tuple(master[r]) == build_master_list(run_util)
-        assert instances[r] == build_matching_instance(sc, run_links, sc.los_prob, policy)
+        assert instance.run(r) == build_matching_instance(sc, run_links, sc.los_prob, policy)
 
 
 @pytest.mark.parametrize("m, n", [(7, 3), (1, 2), (40, 20)])
@@ -169,14 +174,11 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     batch = _stack_scenarios(scenarios)
     links = realize_links(batch, [rng_stream(c.seed, STREAM_LINKS) for c in configs])
     slots = draw_los_slots(batch, [rng_stream(c.seed, STREAM_SLOTS) for c in configs], n_slots)
-    instances = build_matching_instance(batch, links, batch.los_prob, PolicyConfig())
-    matchings = [
-        [
-            mmq_match(instance),
-            build_matching(rng.integers(-1, 5, n_ue), 5),  # both tiers and unmatched UEs
-        ]
-        for instance in instances
-    ]
+    instance = build_matching_instance(batch, links, batch.los_prob, PolicyConfig())
+    hosts = np.stack(  # (run, policy, UE); the random policy has both tiers and unmatched UEs
+        [mmq_match(instance).agent_to_host, rng.integers(-1, 5, (3, n_ue))], axis=1
+    )
+    matchings = build_matching(hosts, 5)
     per_policy = replace(links, **{f.name: getattr(links, f.name)[:, None] for f in fields(links)})
     rates = slot_averaged_rates(matchings, per_policy, slots[:, :, None], configs[0])
     rm = run_metrics(matchings, links, configs[0], rates)
@@ -184,7 +186,8 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
         run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_LINKS))
         run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), n_slots)
-        for p, matching in enumerate(matchings[r]):
+        for p in range(2):
+            matching = build_matching(hosts[r, p], 5)
             want = oracle_slot_averaged_rates(matching, run_links, run_slots, cfg)
             assert np.array_equal(rates[r, p], want)
             one_run = slot_averaged_rates(matching, run_links, run_slots, cfg)
@@ -222,3 +225,21 @@ def test_figures_keep_their_bytes(tmp_path, workers):
         run_figure(figure_id, tmp_path / f"{figure_id}.csv", n_runs=3, seed=5, workers=workers)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == FIGURE_DIGESTS
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.skipif(
+    np.__version__ != FIGURE_DIGESTS_NUMPY,
+    reason=f"benchmark digests were recorded with numpy {FIGURE_DIGESTS_NUMPY}",
+)
+@pytest.mark.parametrize("workload", sorted(p.stem for p in (BENCH / "workloads").glob("*.cfg")))
+def test_bench_workloads_keep_their_digests(tmp_path, workload):
+    # Each benchmark workload at its committed seed, serially (serial output
+    # equals parallel), against the digests the benchmark checks every repetition.
+    exp = load_config(BENCH / "workloads" / f"{workload}.cfg")
+    out = run_experiment(replace(exp, output_path=str(tmp_path / f"{workload}.csv")))
+    want = json.loads((BENCH / "digests.json").read_text())[workload]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want["csv_sha256"]
+    assert hashlib.sha256(aggregate_path(out).read_bytes()).hexdigest() == want["agg_sha256"]

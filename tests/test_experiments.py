@@ -6,6 +6,7 @@ import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cellassoc.cli import match_main, simulate_main
@@ -19,7 +20,14 @@ from cellassoc.experiments import (
     run_experiment,
     run_figure,
 )
-from cellassoc.matching import MatchingInstance, VerifierReport, format_instance
+from cellassoc.matching import (
+    MatchingError,
+    MatchingInstance,
+    build_matching,
+    format_instance,
+    parse_instance,
+    verify,
+)
 from cellassoc.policies import PolicyConfig, max_rssi_policy, max_sinr_policy
 from cellassoc.scenario import (
     ConfigurationError,
@@ -390,7 +398,8 @@ def test_fig4_parallel_matches_serial(tmp_path):
 
 def test_fig4_runs_pass_through_the_verifier(tmp_path, monkeypatch):
     def report_infeasible(instance, matching, enumeration_budget=0):
-        return VerifierReport(feasible=False, blocking_pairs=(), blocking_pairs_literal=())
+        report = verify(instance, matching, enumeration_budget)
+        return replace(report, feasible=np.zeros_like(report.feasible))
 
     monkeypatch.setattr("cellassoc.experiments.verify", report_infeasible)
     with pytest.raises(VerificationFailure, match="failed verification"):
@@ -400,7 +409,8 @@ def test_fig4_runs_pass_through_the_verifier(tmp_path, monkeypatch):
 
 def test_verification_failure_lists_every_host(tmp_path, monkeypatch):
     def report_infeasible(instance, matching, enumeration_budget=0):
-        return VerifierReport(feasible=False, blocking_pairs=(), blocking_pairs_literal=())
+        report = verify(instance, matching, enumeration_budget)
+        return replace(report, feasible=np.zeros_like(report.feasible))
 
     monkeypatch.setattr("cellassoc.experiments.verify", report_infeasible)
     exp = replace(
@@ -412,6 +422,31 @@ def test_verification_failure_lists_every_host(tmp_path, monkeypatch):
     assignment = str(failure.value).split("Assignment: ")[1]
     assert "..." not in assignment
     assert len(assignment.strip("[]").split(", ")) == 1001
+
+
+def test_verification_failure_names_run_and_seed(tmp_path, monkeypatch):
+    # One batch of four runs and three policies; only run 2's quota-aware
+    # assignment is broken, so a check that reads one run or one policy misses it.
+    import cellassoc.experiments as experiments
+
+    real_mmq = experiments.mmq_match
+
+    def break_run_2(instance):
+        hosts = real_mmq(instance).agent_to_host.copy()
+        hosts[2, 0] = -1  # agent 0 of run 2 left unmatched
+        return build_matching(hosts, instance.n_hosts)
+
+    monkeypatch.setattr(experiments, "mmq_match", break_run_2)
+    exp = replace(
+        TINY, policies_enabled=("mmq", "da", "max_rssi"), n_runs=4,
+        output_path=str(tmp_path / "broken.csv"),
+    )
+    with pytest.raises(VerificationFailure) as failure:
+        run_experiment(exp)
+    message = str(failure.value)
+    assert f"grid point {{}}, run 2, seed {TINY.scenario.seed + 2} (feasible=False" in message
+    assert message.split("Assignment: ")[1].startswith("[-1, ")
+    assert not (tmp_path / "broken.csv").exists()
 
 
 def test_fig7_schema(tmp_path):
@@ -643,6 +678,22 @@ def test_cli_match_bad_token_names_its_line(tmp_path, capsys):
     path.write_text("2 2\n1 1\n\n1 1\n0 x\n0\n0 1\n")
     assert match_main(["--instance", str(path)]) == 1
     assert capsys.readouterr().err == "error: line 5: invalid literal for int() with base 10: 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-1 2\n0 0\n1 1\n", "line 1: agent and host counts must be non-negative, got -1 2"),
+        ("\n1 -2\n0\n1\n0\n0\n", "line 2: agent and host counts must be non-negative, got 1 -2"),
+    ],
+)
+def test_cli_match_rejects_negative_counts(tmp_path, capsys, text, message):
+    path = tmp_path / "negative.txt"
+    path.write_text(text)
+    assert match_main(["--instance", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(MatchingError, match=f"^{re.escape(message)}$"):
+        parse_instance(text)
 
 
 def test_cli_match_missing_file(tmp_path):

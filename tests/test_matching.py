@@ -20,6 +20,7 @@ from cellassoc.matching import (
     verify,
 )
 from helpers import (
+    assert_reports_agree,
     oracle_deferred_acceptance,
     oracle_verify,
     random_feasible_instance,
@@ -288,11 +289,143 @@ def test_verify_matches_loop_oracle():
     for i in range(400):
         inst = random_feasible_instance(rng, **(EXTENDED if i % 2 else {}))
         for matching in _sample_matchings(rng, inst):
-            assert verify(inst, matching) == oracle_verify(inst, matching)
-            assert verify(inst, matching, enumeration_budget=0) == oracle_verify(
-                inst, matching, enumeration_budget=0
+            assert_reports_agree(verify(inst, matching), oracle_verify(inst, matching))
+            assert_reports_agree(
+                verify(inst, matching, enumeration_budget=0),
+                oracle_verify(inst, matching, enumeration_budget=0),
             )
 
+
+def _same_shape_instances(rng, n_runs, **kwargs):
+    # ``n_runs`` random instances that share M and N, so that they stack.
+    runs = [random_feasible_instance(rng, **kwargs)]
+    while len(runs) < n_runs:
+        inst = random_feasible_instance(rng, **kwargs)
+        if (inst.n_agents, inst.n_hosts) == (runs[0].n_agents, runs[0].n_hosts):
+            runs.append(inst)
+    return runs
+
+
+def _stack(runs):
+    first = runs[0]
+    return MatchingInstance(
+        first.n_agents, first.n_hosts,
+        *(np.stack([getattr(inst, name) for inst in runs])
+          for name in ("agent_prefs", "master_list", "q_min", "q_max", "gated")),
+    )
+
+
+@pytest.mark.parametrize("n_policies", [1, 3])
+@pytest.mark.parametrize("n_runs", [1, 3])
+@pytest.mark.parametrize(
+    "variant", [{}, {"incomplete": True}, {"gates": True}, {"zero_capacity": True}]
+)
+def test_stacked_verify_matches_single_run_calls(variant, n_runs, n_policies):
+    rng = np.random.default_rng([n_runs, n_policies, len(str(variant))])
+    for _ in range(40):
+        runs = _same_shape_instances(rng, n_runs, **variant)
+        stacked = _stack(runs)
+        for k, inst in enumerate(runs):
+            assert stacked.run(k) == inst
+        # Each run's P assignments: the engines' outputs and random ones, which
+        # leave agents unmatched, use unlisted hosts and break quotas.
+        hosts = np.stack([
+            [m.agent_to_host for m in list(_sample_matchings(rng, inst))[-n_policies:]]
+            for inst in runs
+        ])
+        assert hosts.shape == (n_runs, n_policies, stacked.n_agents)
+        for budget in (10**6, 0):
+            report = verify(stacked, build_matching(hosts, stacked.n_hosts), budget)
+            assert report.feasible.shape == (n_runs, n_policies)
+            for k, p in np.ndindex(n_runs, n_policies):
+                matching = build_matching(hosts[k, p], stacked.n_hosts)
+                single = verify(runs[k], matching, budget)
+                assert_reports_agree(report, single, (k, p))
+                assert_reports_agree(report, oracle_verify(runs[k], matching, budget), (k, p))
+        if n_policies == 1:  # an (R, M) matching: one assignment per run
+            report = verify(stacked, build_matching(hosts[:, 0], stacked.n_hosts))
+            for k in range(n_runs):
+                single = verify(runs[k], build_matching(hosts[k, 0], stacked.n_hosts))
+                assert_reports_agree(report, single, (k,))
+
+
+def _mmq_error(inst):
+    try:
+        mmq_match(inst)
+    except MatchingError as exc:
+        return str(exc)
+    return None
+
+
+def test_stacked_matchers_walk_each_run():
+    rng = np.random.default_rng(17)
+    for variant in ({}, {"gates": True}, {"incomplete": True}):
+        for _ in range(20):
+            runs = _same_shape_instances(rng, 4, **variant)
+            stacked = _stack(runs)
+            want = [deferred_acceptance(inst).agent_to_host for inst in runs]
+            assert deferred_acceptance(stacked) == build_matching(want, stacked.n_hosts)
+            errors = [_mmq_error(inst) for inst in runs]
+            failing = [k for k, error in enumerate(errors) if error is not None]
+            if not failing:
+                want = [mmq_match(inst).agent_to_host for inst in runs]
+                assert mmq_match(stacked) == build_matching(want, stacked.n_hosts)
+                continue
+            with pytest.raises(MatchingError) as failure:  # the lowest failing run raises
+                mmq_match(stacked)
+            assert failure.value.run == failing[0]
+            assert str(failure.value) == f"run {failing[0]}: {errors[failing[0]]}"
+
+
+def test_stacked_instance_reuses_complete_arrays():
+    prefs = np.argsort(np.random.default_rng(3).random((2, 4, 3)), axis=-1)
+    inst = MatchingInstance(4, 3, prefs, np.tile(np.arange(4), (2, 1)), (0, 0, 0), (4, 4, 4))
+    assert inst.agent_prefs is prefs
+    assert inst.q_min.shape == (2, 3) and np.shares_memory(inst.q_min[0], inst.q_min[1])
+
+
+
+def test_one_run_functions_reject_stacks():
+    stacked = MatchingInstance(
+        2, 2, np.array([[[0, 1], [1, 0]]] * 3), np.array([[0, 1]] * 3), (0, 0), (2, 2)
+    )
+    for one_run in (format_instance, lambda inst: list(enumerate_feasible(inst))):
+        with pytest.raises(MatchingError, match=r"stacked instance: take one run"):
+            one_run(stacked)
+    assert format_instance(stacked.run(2)) == "2 2\n0 0\n2 2\n0 1\n1 0\n0 1\n"
+    with pytest.raises(MatchingError, match=r"one \(M,\) assignment"):
+        mmq_match(stacked).host_to_agents  # noqa: B018
+
+@pytest.mark.parametrize(
+    "edits, run, error, message",
+    [
+        # Run 3 fails the first check and run 1 the last one: run 1 is the lowest.
+        ({("q_min", (3, 0)): 3, ("q_min", 1): (2, 1)}, 1, InfeasibleInstanceError,
+         "no feasible matching: sum q_min=3, M=2, sum q_max=4"),
+        ({("agent_prefs", (2, 1)): (0, 0)}, 2, MatchingError,
+         "agent 1: preference list contains duplicates"),
+        ({("master_list", 0): (1, 1), ("gated", (1, 0, 1)): True, ("agent_prefs", (1, 0, 1)): -1},
+         0, MatchingError, "master list must be a permutation of all agents"),
+        ({("gated", (1, 0, 1)): True, ("agent_prefs", (1, 0, 1)): -1}, 1, MatchingError,
+         "agent 0: gated host not on preference list"),
+        ({("q_min", (3, 1)): 3}, 3, MatchingError, "host 1: need 0 <= q_min <= q_max, got (3, 2)"),
+    ],
+)
+def test_stacked_instance_names_its_lowest_failing_run(edits, run, error, message):
+    arrays = {
+        "agent_prefs": np.array([[[0, 1], [1, 0]]] * 4), "master_list": np.array([[0, 1]] * 4),
+        "q_min": np.zeros((4, 2), dtype=int), "q_max": np.full((4, 2), 2),
+        "gated": np.zeros((4, 2, 2), dtype=bool),
+    }
+    for (name, index), value in edits.items():
+        arrays[name][index] = value
+    with pytest.raises(error) as failure:
+        MatchingInstance(2, 2, **arrays)
+    assert type(failure.value) is error
+    assert failure.value.run == run
+    assert str(failure.value) == f"run {run}: {message}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):  # the run alone: no prefix
+        MatchingInstance(2, 2, *(arrays[name][run] for name in arrays))
 
 # --- enumeration oracle --------------------------------------------------------
 
