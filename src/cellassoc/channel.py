@@ -13,7 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import PathLossParams, Scenario, pairwise_distances
+from .scenario import STREAM_SLOTS, PathLossParams, Scenario, pairwise_distances, rekey
+
+# Entries per working array: the Monte Carlo driver batches as many runs as
+# keep its (R, M, N) stacks within it, and a slot draw as many slots.
+_BATCH_ELEMENTS = 16384
 
 
 def db_to_linear(x_db):
@@ -86,7 +90,8 @@ class LinkRealization:
     """Per-pair spectral efficiencies plus one slot's LoS/NLoS outcome.
 
     The three SE matrices are fixed for a run (they depend only on geometry
-    and static shadowing); ``los_state`` is the part that is redrawn per slot.
+    and static shadowing); ``los_state`` is the part that is redrawn per slot
+    (the Monte Carlo driver's is slot 0 of the slot stack it averages over).
     """
 
     los_state: np.ndarray = field(repr=False)  # (M, N1) bool
@@ -139,20 +144,22 @@ def link_budget(scenario: Scenario) -> LinkBudget:
 
 def realize_links(
     scenario: Scenario,
-    rng: np.random.Generator,
+    rng: np.random.Generator | np.ndarray,
     budget: Optional[LinkBudget] = None,
 ) -> LinkRealization:
     """Per-pair spectral efficiencies from the link budget, plus one LoS slot.
 
-    ``budget`` defaults to ``link_budget(scenario)``; pass it when the same
-    run derives other matrices from it too. A stacked scenario takes one
-    generator per run, as in ``draw_los_slots``.
+    ``rng`` draws the slot of a one-run scenario. In its place, a boolean
+    state drawn already serves any scenario, stacked ones too: the Monte Carlo
+    driver passes slot 0 of its slot stack, a placeholder, since its rates
+    read the whole stack. ``budget`` defaults to ``link_budget(scenario)``;
+    pass it when the same run derives other matrices from it too.
     """
     cfg = scenario.config
     if budget is None:
         budget = link_budget(scenario)
     return LinkRealization(
-        los_state=draw_los_slots(scenario, rng, 1)[0],
+        los_state=rng if isinstance(rng, np.ndarray) else draw_los_slots(scenario, rng, 1)[0],
         se_mmw_los=mmw_spectral_efficiency(
             cfg.tx_power_dbm, cfg.antenna_gain_dbi, budget.loss_mmw_los,
             cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
@@ -166,18 +173,28 @@ def realize_links(
 
 
 def draw_los_slots(
-    scenario: Scenario, rng: np.random.Generator, n_slots: int
+    scenario: Scenario, rng: np.random.Generator, n_slots: int, seeds=None
 ) -> np.ndarray:
-    """(n_slots, M, N1) boolean stack of independent per-slot LoS states; a
-    stacked scenario takes one generator per run and gives (n_slots, R, M, N1)."""
+    """(n_slots, M, N1) boolean stack of independent per-slot LoS states. A
+    stacked scenario gives (n_slots, R, M, N1) and takes its runs' ``seeds``:
+    ``rng``, a Philox generator, is re-keyed to ``(seed, STREAM_SLOTS)``
+    before each run's draw. A ``random`` call fills as many slots as fit in
+    ``_BATCH_ELEMENTS`` floats, at least one."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     prob = scenario.los_prob
+    stacked = prob.ndim > 2
+    if stacked != (seeds is not None) or stacked and len(seeds) != len(prob):
+        raise ValueError("a stacked scenario takes one seed per run, one run none")
     slots = np.empty((n_slots,) + prob.shape, dtype=bool)
-    runs = zip(rng, prob, slots.swapaxes(0, 1)) if prob.ndim > 2 else [(rng, prob, slots)]
-    # One (M, N1) draw per slot reads the same stream as one (S, M, N1) draw
-    # but keeps the float temporary to a single slot.
-    for run_rng, run_prob, run_slots in runs:
-        for slot in run_slots:
-            np.less(run_rng.random(run_prob.shape), run_prob, out=slot)
+    runs = zip(seeds, prob, slots.swapaxes(0, 1)) if stacked else [(None, prob, slots)]
+    # Chunks of slots read the same stream as one (S, M, N1) draw, through one float buffer.
+    chunk = min(n_slots, max(1, _BATCH_ELEMENTS // max(1, prob.shape[-2] * prob.shape[-1])))
+    buffer = np.empty((chunk,) + prob.shape[-2:])
+    for seed, run_prob, run_slots in runs:
+        run_rng = rng if seed is None else rekey(rng, seed, STREAM_SLOTS)
+        for start in range(0, n_slots, chunk):
+            draw = buffer[: n_slots - start]
+            run_rng.random(out=draw)
+            np.less(draw, run_prob, out=run_slots[start : start + chunk])
     return slots

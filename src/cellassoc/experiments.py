@@ -1,14 +1,14 @@
 """Monte Carlo experiment driver: config files, sweeps, CSV output.
 
 One experiment is a grid of parameter points times ``n_runs`` independent
-seeded runs. Each run generates a scenario from ``base_seed + run``, realizes
-the links once, executes every enabled policy on the same realization, checks
-the quota-aware policy's output (a failed check aborts the experiment; it
-would mean an engine bug), and emits one CSV row per policy. Runs go in
-batches: apart from each run's scenario draw and matcher walk, every stage,
-the instance and its check included, runs once per batch on arrays with a
-leading run axis. A second file with suffix ``_agg`` holds per-point means
-and standard errors.
+seeded runs. Each run draws a scenario and LoS slots from ``base_seed + run``,
+executes every enabled policy on the same spectral efficiencies, checks the
+quota-aware policy's output (a failed check aborts the experiment; it would
+mean an engine bug), and emits one CSV row per policy. Runs go in batches:
+re-keyed generators make each run's raw draws, and all else but each run's
+matcher walk, the instance and its check included, runs once per batch on
+arrays with a leading run axis. A second file with suffix ``_agg`` holds
+per-point means and standard errors.
 
 Output is deterministic: identical config gives byte-identical files, and
 parallel execution matches serial because batches of runs depend on the grid
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import draw_los_slots, link_budget, realize_links
+from .channel import _BATCH_ELEMENTS, draw_los_slots, link_budget, realize_links
 from .matching import (
     InfeasibleInstanceError,
     deferred_acceptance,
@@ -51,22 +51,18 @@ from .policies import (
     sinr_matrix_db,
 )
 from .scenario import (
-    STREAM_LINKS,
     STREAM_QUOTAS,
     STREAM_SLOTS,
     ConfigurationError,
-    Scenario,
     ScenarioConfig,
     generate_scenario,
+    rekey,
     rng_stream,
 )
 
 POLICY_ORDER = ("mmq", "da", "max_rssi", "max_sinr")
 
 SWEEP_KEYS = ("m", "q_min_mmw", "q_min_muw", "c_th", "bias_rssi_db", "bias_sinr_db")
-
-# Runs per batch: as many as keep the (R, M, N) stacks within this many entries.
-_BATCH_ELEMENTS = 8192
 
 
 class VerificationFailure(RuntimeError):
@@ -112,17 +108,9 @@ def _point_configs(
     exp: ExperimentConfig, overrides: dict, run: int
 ) -> tuple[ScenarioConfig, PolicyConfig]:
     scen = exp.scenario
-    scen = replace(scen, n_ue=int(overrides.get("m", scen.n_ue)), seed=scen.seed + run)
+    scen = replace(scen, n_ue=int(overrides.get("m", scen.n_ue)), seed=int(scen.seed) + run)
     pol = replace(exp.policy, **{k: v for k, v in overrides.items() if k != "m"})
     return scen, pol
-
-
-def _stack_scenarios(scenarios: list[Scenario]) -> Scenario:
-    # One scenario with a leading run axis; a lone run's arrays become views, not copies.
-    arrays = ([getattr(sc, f.name) for sc in scenarios] for f in fields(Scenario)[1:])
-    return Scenario(
-        scenarios[0].config, *(a[0][None] if len(a) == 1 else np.stack(a) for a in arrays)
-    )
 
 
 def _run_batch(
@@ -133,21 +121,24 @@ def _run_batch(
     collect_muw_samples: bool = False,
 ) -> list[dict]:
     """The rows of runs ``runs`` of one grid point. Each run has its own seeds
-    and matcher walk. Everything else runs once for the batch, on arrays with a
-    leading run axis, and gives each run what it gets alone: one validated
-    instance, one (R, P, M) matching of every enabled policy, one ``verify``
-    call. An error names the grid point, the run and its seed."""
+    (re-keyed streams, see ``rekey``) and matcher walk. Everything else runs
+    once for the batch, on arrays with a leading run axis, and gives each run
+    what it gets alone: one validated instance, one (R, P, M) matching of
+    every enabled policy, one ``verify`` call. An error names the grid point,
+    the run and its seed."""
     # Looked up at call time, not imported at the top: a span tracer that wraps
     # cellassoc.matching.build_matching then sees the driver's call too.
     from .matching import build_matching
 
     first, pol = _point_configs(exp, overrides, runs[0])
-    cfgs = [replace(first, seed=first.seed + k) for k in range(len(runs))]
-    batch = _stack_scenarios([generate_scenario(cfg) for cfg in cfgs])
+    seeds = [first.seed + k for k in range(len(runs))]
+    batch = generate_scenario(first, seeds)
+    rng = rng_stream(first.seed, STREAM_SLOTS)  # re-keyed to each run's slot and quota streams
+    los_slots = draw_los_slots(batch, rng, exp.n_slots, seeds)
     budget = link_budget(batch)
-    links = realize_links(batch, [rng_stream(cfg.seed, STREAM_LINKS) for cfg in cfgs], budget)
+    links = realize_links(batch, los_slots[0], budget)  # rates read the slots, not los_state
     # The baselines' metrics come from the same budget, which is then dropped
-    # so that it is not alive through the slot draw and the matching.
+    # so that it is not alive through the matching.
     choices = {}  # baseline -> (bias per run, host choices per run)
     for name, metric, bias in (
         ("max_rssi", rssi_matrix_dbm, pol.bias_rssi_db),
@@ -157,20 +148,18 @@ def _run_batch(
             grid = CRE_BIAS_GRIDS[name] if exp.auto_bias else (bias,)
             choices[name] = cre_association(name, metric(batch, budget), first.n_mmw, grid)
     del budget
-    slot_rngs = [rng_stream(cfg.seed, STREAM_SLOTS) for cfg in cfgs]
-    los_slots = draw_los_slots(batch, slot_rngs, exp.n_slots)
 
     q_min = None
     if exp.random_muw_quota:
         cap = first.n_ue // first.n_muw
-        draws = [rng_stream(c.seed, STREAM_QUOTAS).integers(0, cap + 1, c.n_muw) for c in cfgs]
+        draws = [rekey(rng, s, STREAM_QUOTAS).integers(0, cap + 1, first.n_muw) for s in seeds]
         q_min = [(pol.q_min_mmw,) * first.n_mmw + tuple(d.tolist()) for d in draws]
 
     enabled = [name for name in POLICY_ORDER if name in exp.policies_enabled]
     try:
         instance = build_matching_instance(batch, links, batch.los_prob, pol, q_min)
     except InfeasibleInstanceError as exc:
-        where = f"grid point {overrides}, run {runs[exc.run]}, seed {cfgs[exc.run].seed}"
+        where = f"grid point {overrides}, run {runs[exc.run]}, seed {seeds[exc.run]}"
         raise ConfigurationError(f"{where}: {exc.args[0]}") from exc
     matchers = {"mmq": mmq_match, "da": deferred_acceptance}
     # Policy p's assignment of run k is matchings.agent_to_host[k, p].
@@ -193,7 +182,7 @@ def _run_batch(
             k = failed[0]
             raise VerificationFailure(
                 f"quota-aware matching failed verification at grid point "
-                f"{overrides}, run {runs[k]}, seed {cfgs[k].seed} "
+                f"{overrides}, run {runs[k]}, seed {seeds[k]} "
                 f"(feasible={feasible[k, p]}, blocking={blocking[k, p]}).\n"
                 f"Instance dump:\n{format_instance(instance.run(k))}"
                 f"Assignment: {matchings.agent_to_host[k, p].tolist()}"
@@ -224,7 +213,7 @@ def _run_batch(
             "q_min_mmw": pol.q_min_mmw, "q_min_muw": pol.q_min_muw,
             "q_min_muw_total": q_min_muw_totals[k], "c_th": pol.c_th,
             "bias_rssi_db": pol.bias_rssi_db, "bias_sinr_db": pol.bias_sinr_db,
-            "seed": cfgs[k].seed, "run": runs[k], "policy": name,
+            "seed": seeds[k], "run": runs[k], "policy": name,
             "bias_db": choices[name][0][k] if name in choices else 0.0,
             **{key: values[i] for key, values in stats.items()}, "_grid_idx": grid_idx,
         })

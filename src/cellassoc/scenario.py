@@ -28,10 +28,27 @@ class ConfigurationError(ValueError):
     """A configuration value is out of range; the message names the field."""
 
 
+def _stream_key(seed: int, stream: int) -> np.ndarray:
+    # int() first: masking a numpy integer seed would overflow a C long.
+    return np.array([int(seed) & _MASK64, stream & _MASK64], dtype=np.uint64)
+
+
 def rng_stream(seed: int, stream: int = STREAM_SCENARIO) -> np.random.Generator:
     """Counter-based (Philox) generator keyed by (seed, stream)."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
+
+
+_FRESH = np.zeros(4, dtype=np.uint64)
+
+
+def rekey(rng: np.random.Generator, seed: int, stream: int) -> np.random.Generator:
+    """Restart the Philox generator ``rng`` in place as ``rng_stream(seed, stream)``
+    and return it: a fresh state (counter 0, empty buffers, no half-used 32-bit
+    word) gives the same stream as a new generator at a fifth of its cost."""
+    key = {"counter": _FRESH, "key": _stream_key(seed, stream)}
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": key, "buffer": _FRESH,
+                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _require_finite(config) -> None:
@@ -146,42 +163,43 @@ class Scenario:
         return self.ue_positions.shape[-2]
 
 
-def _uniform_disk(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    # Polar sampling; sqrt on the radial draw keeps the density uniform in area.
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * np.pi * rng.random(n)
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-
-
-def generate_scenario(config: ScenarioConfig) -> Scenario:
+def generate_scenario(config: ScenarioConfig, seeds=None) -> Scenario:
     """Draw one network snapshot, deterministically from config.seed.
 
     Positions are uniform on the disk of radius ``area_radius``; LoS
     probabilities are i.i.d. uniform on [0, 1]; shadowing is zero-mean
     Gaussian with the per-class sigma, drawn once per (pair, LoS state)
-    and held fixed for the run.
+    and held fixed for the run. With ``seeds``, one stacked scenario holds a
+    run per seed instead. Each run re-keys one generator to its seed and
+    draws three blocks: every position, the LoS probabilities, then all
+    shadowing as standard normals; disk transforms and scaling run once for
+    all runs.
     """
-    rng = rng_stream(config.seed, STREAM_SCENARIO)
-    mmw = _uniform_disk(rng, config.n_mmw, config.area_radius)
-    muw = _uniform_disk(rng, config.n_muw, config.area_radius)
-    ue = _uniform_disk(rng, config.n_ue, config.area_radius)
-    shape_mmw = (config.n_ue, config.n_mmw)
-    rho = rng.random(shape_mmw)
-    shadow_los = rng.normal(0.0, config.pathloss_mmw_los.shadow_sigma_db, shape_mmw)
-    shadow_nlos = rng.normal(0.0, config.pathloss_mmw_nlos.shadow_sigma_db, shape_mmw)
-    shadow_muw = rng.normal(
-        0.0, config.pathloss_muw.shadow_sigma_db, (config.n_ue, config.n_muw)
-    )
-    return Scenario(
-        config=config,
-        mmw_positions=mmw,
-        muw_positions=muw,
-        ue_positions=ue,
-        los_prob=rho,
-        shadow_mmw_los=shadow_los,
-        shadow_mmw_nlos=shadow_nlos,
-        shadow_muw=shadow_muw,
-    )
+    stacked = seeds is not None
+    seeds = seeds if stacked else (config.seed,)
+    rng = rng_stream(seeds[0])
+    n1, n2, m = config.n_mmw, config.n_muw, config.n_ue
+    uniform = np.empty((len(seeds), 2 * (n1 + n2 + m)))
+    rho = np.empty((len(seeds), m, n1))
+    normal = np.empty((len(seeds), m * (2 * n1 + n2)))
+    for row, seed in enumerate(seeds):
+        run_rng = rekey(rng, seed, STREAM_SCENARIO)
+        run_rng.random(out=uniform[row])
+        run_rng.random(out=rho[row])
+        run_rng.standard_normal(out=normal[row])
+    arrays = []
+    for start, n in ((0, n1), (2 * n1, n2), (2 * (n1 + n2), m)):
+        # Polar sampling; sqrt on the radial draw keeps the density uniform in area.
+        r = config.area_radius * np.sqrt(uniform[:, start : start + n])
+        theta = 2.0 * np.pi * uniform[:, start + n : start + 2 * n]
+        arrays.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1))
+    arrays.append(rho)
+    classes = (config.pathloss_mmw_los, config.pathloss_mmw_nlos, config.pathloss_muw)
+    for z, params in zip(np.split(normal, [m * n1, 2 * m * n1], axis=-1), classes):
+        z *= params.shadow_sigma_db
+        z += 0.0  # rng.normal's loc + scale * z, bit for bit (-0.0 becomes 0.0)
+        arrays.append(z.reshape(len(seeds), m, -1))
+    return Scenario(config, *(arrays if stacked else [a[0] for a in arrays]))
 
 
 def distance(a, b) -> float:

@@ -2,9 +2,10 @@
 
 The oracles are the proposal-loop deferred acceptance, the per-agent
 verifier loops that the array-based engine replaced, the per-UE, per-slot
-rate loop that the vectorised rate code replaced, and the per-bias CRE
+rate loop that the vectorised rate code replaced, the per-bias CRE
 search, the 3-D distance matrix and the one-shot LoS slot draw that the
-link-budget code replaced. They read an instance through plain per-agent
+link-budget code replaced, and the one-generator-per-run scenario draw that
+the batched draw replaced. They read an instance through plain per-agent
 lists only, so they stay independent of the arrays' internals.
 """
 
@@ -21,6 +22,7 @@ from cellassoc.matching import (
     build_matching,
     enumerate_feasible,
 )
+from cellassoc.scenario import STREAM_SCENARIO, Scenario, ScenarioConfig, rng_stream
 
 
 def random_feasible_instance(
@@ -280,3 +282,25 @@ def oracle_draw_los_slots(scenario, rng: np.random.Generator, n_slots: int) -> n
     """All slots' LoS states from one (n_slots, M, N1) uniform draw."""
     shape = (n_slots,) + scenario.los_prob.shape
     return rng.random(shape) < scenario.los_prob[None, :, :]
+
+
+def _oracle_uniform_disk(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
+    r = radius * np.sqrt(rng.random(n))
+    theta = 2.0 * np.pi * rng.random(n)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+def oracle_generate_scenario(config: ScenarioConfig) -> Scenario:
+    """One run's scenario from its own generator, one call per block."""
+    rng = rng_stream(config.seed, STREAM_SCENARIO)
+    mmw = _oracle_uniform_disk(rng, config.n_mmw, config.area_radius)
+    muw = _oracle_uniform_disk(rng, config.n_muw, config.area_radius)
+    ue = _oracle_uniform_disk(rng, config.n_ue, config.area_radius)
+    shape_mmw = (config.n_ue, config.n_mmw)
+    rho = rng.random(shape_mmw)
+    shadow_los = rng.normal(0.0, config.pathloss_mmw_los.shadow_sigma_db, shape_mmw)
+    shadow_nlos = rng.normal(0.0, config.pathloss_mmw_nlos.shadow_sigma_db, shape_mmw)
+    shadow_muw = rng.normal(
+        0.0, config.pathloss_muw.shadow_sigma_db, (config.n_ue, config.n_muw)
+    )
+    return Scenario(config, mmw, muw, ue, rho, shadow_los, shadow_nlos, shadow_muw)

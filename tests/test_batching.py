@@ -18,7 +18,6 @@ from cellassoc.channel import draw_los_slots, link_budget, realize_links
 from cellassoc.experiments import (
     ExperimentConfig,
     _run_batch,
-    _stack_scenarios,
     _write_rows,
     aggregate_path,
     load_config,
@@ -39,8 +38,8 @@ from cellassoc.policies import (
     sinr_matrix_db,
 )
 from cellassoc.scenario import (
-    STREAM_LINKS,
     STREAM_SLOTS,
+    Scenario,
     ScenarioConfig,
     generate_scenario,
     rng_stream,
@@ -97,27 +96,30 @@ def test_batch_rows_equal_one_run_batches(tmp_path, case, overrides):
 
 
 def _per_run(cfg: ScenarioConfig, n_runs: int):
+    """Per-run configs and scenarios, plus the batched draw of the same seeds."""
     configs = [replace(cfg, seed=cfg.seed + k) for k in range(n_runs)]
-    return configs, [generate_scenario(c) for c in configs]
+    batch = generate_scenario(cfg, [c.seed for c in configs])
+    return configs, [generate_scenario(c) for c in configs], batch
 
 
 def test_one_run_stack_is_a_view():
-    (sc,) = _per_run(ScenarioConfig(n_ue=6, seed=2), 1)[1]
-    batch = _stack_scenarios([sc])
+    # A one-run call is the batched draw of one seed, the run axis dropped by views.
+    cfg = ScenarioConfig(n_ue=6, seed=2)
+    (sc,), batch = _per_run(cfg, 1)[1:]
     assert batch.los_prob.shape == (1,) + sc.los_prob.shape
-    assert np.shares_memory(batch.los_prob, sc.los_prob)
-    assert np.shares_memory(batch.ue_positions, sc.ue_positions)
+    for f in fields(Scenario)[1:]:
+        assert np.array_equal(getattr(batch, f.name)[0], getattr(sc, f.name))
+        assert not getattr(sc, f.name).flags.owndata
 
 
 @pytest.mark.parametrize("n_runs", [1, 4])
 @pytest.mark.parametrize("c_th", [float("-inf"), 0.5])
 def test_stacked_stages_match_per_run(n_runs, c_th):
-    configs, scenarios = _per_run(ScenarioConfig(n_mmw=3, n_muw=4, n_ue=11, seed=9), n_runs)
-    batch = _stack_scenarios(scenarios)
+    configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=4, n_ue=11, seed=9), n_runs)
     assert (batch.n_ue, batch.n_mmw, batch.n_muw) == (11, 3, 4)
     budget = link_budget(batch)
-    links = realize_links(batch, [rng_stream(c.seed, STREAM_LINKS) for c in configs], budget)
-    slots = draw_los_slots(batch, [rng_stream(c.seed, STREAM_SLOTS) for c in configs], 5)
+    slots = draw_los_slots(batch, rng_stream(0), 5, [c.seed for c in configs])
+    links = realize_links(batch, slots[0], budget)
     util = compute_utilities(links, batch.los_prob)
     prefs, gated = build_preferences(util, c_th)
     master = build_master_list(util)
@@ -128,7 +130,8 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
         run_budget = link_budget(sc)
         for name in ("loss_mmw_los", "loss_mmw_nlos", "loss_muw", "sinr_muw_db"):
             assert np.array_equal(getattr(budget, name)[r], getattr(run_budget, name))
-        run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_LINKS), run_budget)
+        # One slot drawn from the slot stream is slot 0 of the run's slot stack.
+        run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_SLOTS), run_budget)
         for name in ("los_state", "se_mmw_los", "se_mmw_nlos", "se_muw"):
             assert np.array_equal(getattr(links, name)[r], getattr(run_links, name))
         run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), 5)
@@ -170,10 +173,9 @@ def test_stacked_best_bias_matches_oracle_per_run(m, n, tier, integer):
 @pytest.mark.parametrize("n_ue", [1, 17])
 def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     rng = np.random.default_rng([n_slots, n_ue])
-    configs, scenarios = _per_run(ScenarioConfig(n_mmw=3, n_muw=2, n_ue=n_ue, seed=5), 3)
-    batch = _stack_scenarios(scenarios)
-    links = realize_links(batch, [rng_stream(c.seed, STREAM_LINKS) for c in configs])
-    slots = draw_los_slots(batch, [rng_stream(c.seed, STREAM_SLOTS) for c in configs], n_slots)
+    configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=2, n_ue=n_ue, seed=5), 3)
+    slots = draw_los_slots(batch, rng_stream(0), n_slots, [c.seed for c in configs])
+    links = realize_links(batch, slots[0])
     instance = build_matching_instance(batch, links, batch.los_prob, PolicyConfig())
     hosts = np.stack(  # (run, policy, UE); the random policy has both tiers and unmatched UEs
         [mmq_match(instance).agent_to_host, rng.integers(-1, 5, (3, n_ue))], axis=1
@@ -184,7 +186,7 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     rm = run_metrics(matchings, links, configs[0], rates)
     assert rates.shape == (3, 2, n_ue) and rm.loads.shape == (3, 2, 5)
     for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
-        run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_LINKS))
+        run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_SLOTS))
         run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), n_slots)
         for p in range(2):
             matching = build_matching(hosts[r, p], 5)

@@ -10,16 +10,20 @@ import math
 import numpy as np
 import pytest
 
-from cellassoc import channel
+from cellassoc import channel, experiments, scenario
 from cellassoc.channel import draw_los_slots, link_budget, path_loss_db, realize_links
 from cellassoc.experiments import POLICY_ORDER, ExperimentConfig, _run_batch
 from cellassoc.policies import CRE_BIAS_GRIDS, cre_association, rssi_matrix_dbm, sinr_matrix_db
 from cellassoc.scenario import (
+    STREAM_LINKS,
+    STREAM_QUOTAS,
+    STREAM_SCENARIO,
     STREAM_SLOTS,
     ScenarioConfig,
     distance,
     generate_scenario,
     pairwise_distances,
+    rekey,
     rng_stream,
 )
 from helpers import oracle_best_bias, oracle_draw_los_slots, oracle_pairwise_distances
@@ -48,6 +52,29 @@ def test_draw_los_slots_matches_one_shot_draw(m, n, n_slots):
     want = oracle_draw_los_slots(sc, rng_stream(sc.config.seed, STREAM_SLOTS), n_slots)
     assert got.dtype == bool and got.shape == (n_slots, m, n)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 50, 64, 10**6])
+def test_chunked_slot_draw_matches_one_shot_draw(monkeypatch, budget):
+    # 16 floats per slot: chunks of 1, 1, 3 (3 + 3 + 1), 4 (4 + 3) and all 7 slots,
+    # each run's stream re-keyed from one generator as the driver does.
+    monkeypatch.setattr(channel, "_BATCH_ELEMENTS", budget)
+    cfg = ScenarioConfig(n_ue=4, n_mmw=4, n_muw=1, seed=3)
+    seeds = [3, -1, 2**63]
+    got = draw_los_slots(generate_scenario(cfg, seeds), rng_stream(0), 7, seeds)
+    assert got.dtype == bool and got.shape == (7, 3, 4, 4)
+    for r, seed in enumerate(seeds):
+        sc = generate_scenario(ScenarioConfig(n_ue=4, n_mmw=4, n_muw=1, seed=seed))
+        assert np.array_equal(got[:, r], oracle_draw_los_slots(sc, rng_stream(seed, STREAM_SLOTS), 7))
+        assert np.array_equal(got[:, r], draw_los_slots(sc, rng_stream(seed, STREAM_SLOTS), 7))
+
+
+def test_slot_draw_takes_one_seed_per_stacked_run():
+    cfg = ScenarioConfig(n_ue=4, n_mmw=4, n_muw=1, seed=3)
+    batch = generate_scenario(cfg, [3, 4])
+    for sc, seeds in ((batch, None), (batch, [3]), (batch, [3, 4, 5]), (generate_scenario(cfg), [3])):
+        with pytest.raises(ValueError, match="one seed per run"):
+            draw_los_slots(sc, rng_stream(0), 2, seeds)
 
 
 @pytest.mark.parametrize("m, n", SHAPES)
@@ -95,6 +122,43 @@ def test_run_batch_evaluates_the_link_budget_once(monkeypatch):
     # One distance matrix per tier; LoS, NLoS and microwave path loss once
     # each, for the whole 5-run batch.
     assert counts == {"path_loss_db": 3, "pairwise_distances": 2}
+
+
+@pytest.mark.parametrize("random_muw_quota", [False, True])
+def test_run_batch_builds_two_generators(monkeypatch, random_muw_quota):
+    # Two generators per batch, one for the scenarios and one for the slots and
+    # random minima, each re-keyed once per run and stream used; the links carry
+    # slot 0 of the slot stack, so the link stream is never keyed.
+    built, keys, rekeys = [], [], []
+    real_generator, real_key = np.random.Generator, scenario._stream_key
+
+    def generator(bit_generator):
+        built.append(bit_generator)
+        return real_generator(bit_generator)
+
+    def stream_key(seed, stream):
+        keys.append(stream)
+        return real_key(seed, stream)
+
+    def counted_rekey(rng, seed, stream):
+        rekeys.append((seed, stream))
+        return rekey(rng, seed, stream)
+
+    monkeypatch.setattr(np.random, "Generator", generator)
+    monkeypatch.setattr(scenario, "_stream_key", stream_key)
+    for module in (scenario, channel, experiments):
+        monkeypatch.setattr(module, "rekey", counted_rekey)
+    exp = ExperimentConfig(
+        scenario=ScenarioConfig(n_ue=30, seed=4),
+        policies_enabled=POLICY_ORDER,
+        random_muw_quota=random_muw_quota,
+    )
+    runs = range(3, 8)
+    _run_batch(exp, {}, 0, runs)
+    streams = [STREAM_SCENARIO, STREAM_SLOTS] + [STREAM_QUOTAS] * random_muw_quota
+    assert len(built) == 2
+    assert sorted(rekeys) == sorted((4 + run, stream) for run in runs for stream in streams)
+    assert len(keys) == 2 + len(rekeys) and STREAM_LINKS not in keys
 
 
 def test_budget_matrices_match_per_entry_recomputation():

@@ -6,14 +6,19 @@ import pytest
 from scipy import stats
 
 from cellassoc.scenario import (
+    STREAM_QUOTAS,
+    STREAM_SCENARIO,
+    STREAM_SLOTS,
     ConfigurationError,
     PathLossParams,
     Scenario,
     ScenarioConfig,
     distance,
     generate_scenario,
+    rekey,
     rng_stream,
 )
+from helpers import oracle_generate_scenario
 
 
 def test_zero_ue_count_rejected():
@@ -136,6 +141,56 @@ def test_rng_streams_are_independent():
     b = rng_stream(99, 1).random(8)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, rng_stream(99, 0).random(8))
+
+
+# Negative seeds, seeds >= 2**63 and 2**64 - 1, which keys the stream of -1.
+SEEDS = [0, 17, -1, -(2**40), 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize(
+    "m, n1, n2, seeds",
+    [(1, 1, 1, SEEDS), (1, 3, 2, SEEDS), (4, 1, 1, SEEDS), (100, 10, 10, SEEDS),
+     (5000, 100, 100, [-1, 2**63, 2**64 - 1])],
+)
+@pytest.mark.parametrize("sigma_muw", [10.0, 0.0])
+def test_batched_draw_matches_per_run_oracle(m, n1, n2, seeds, sigma_muw):
+    cfg = ScenarioConfig(
+        n_ue=m, n_mmw=n1, n_muw=n2, seed=99,
+        pathloss_muw=PathLossParams(slope=3.0, intercept_db=38.0, shadow_sigma_db=sigma_muw),
+    )
+    batch = generate_scenario(cfg, seeds)
+    assert batch.config is cfg and batch.los_prob.shape == (len(seeds), m, n1)
+    for r, seed in enumerate(seeds):
+        want = oracle_generate_scenario(replace(cfg, seed=seed))
+        one = generate_scenario(replace(cfg, seed=seed))
+        for f in fields(Scenario)[1:]:
+            got, expected = getattr(batch, f.name)[r], getattr(want, f.name)
+            assert np.array_equal(got, expected)
+            assert got.tobytes() == expected.tobytes()  # signed zeros too
+            assert getattr(one, f.name).tobytes() == expected.tobytes()
+    alias = seeds.index(2**64 - 1)
+    assert np.array_equal(batch.ue_positions[alias], batch.ue_positions[seeds.index(-1)])
+
+
+def test_rekey_after_half_used_word_equals_fresh_stream():
+    rng = rng_stream(5, STREAM_QUOTAS)
+    for seed, stream in ((9, STREAM_QUOTAS), (-1, STREAM_SCENARIO), (2**64 - 1, STREAM_SLOTS)):
+        # An odd count of fresh 32-bit draws leaves half a 64-bit word buffered.
+        rng.integers(0, 3, 7 + rng.bit_generator.state["has_uint32"])
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert rekey(rng, seed, stream) is rng
+        fresh = rng_stream(seed, stream)
+        # A power-of-two range takes every 32-bit word as it comes, a stale one too.
+        assert np.array_equal(rng.integers(0, 4, 7), fresh.integers(0, 4, 7))
+        assert np.array_equal(rng.random(9), fresh.random(9))
+        assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
+
+
+def test_numpy_integer_seed_keys_like_python_int():
+    for seed in (np.int64(3), np.int64(-1), np.uint64(2**64 - 1)):
+        want = rng_stream(int(seed), STREAM_SLOTS).random(4)
+        assert np.array_equal(rng_stream(seed, STREAM_SLOTS).random(4), want)
+        assert np.array_equal(rekey(rng_stream(0), seed, STREAM_SLOTS).random(4), want)
 
 
 def test_scenario_direct_construction():
