@@ -124,12 +124,12 @@ def build_preferences(util: UtilityTable, c_th: float = NEG_INF) -> tuple[np.nda
     return prefs, gated
 
 
-def build_master_list(util: UtilityTable) -> tuple[int, ...]:
+def build_master_list(util: UtilityTable) -> tuple[int, ...] | tuple[list[int], ...]:
     """UEs ranked by their best achievable utility, high to low.
 
     Every BS uses this one list. Ties break toward the lower UE index, and
     the order depends only on the ordering of utilities, not their scale.
-    A table with a leading run axis gives one list per run.
+    A table with a leading run axis gives a tuple of one list per run.
     """
     return tuple(np.argsort(-util.u_ml, axis=-1, kind="stable").tolist())
 
@@ -234,26 +234,46 @@ def cre_association(
     and every UE takes its argmax, ties going to the lower BS index. Per
     leading index the bias with the smallest load spread wins, ties going to
     the earlier bias. Returns the winning biases, shaped like the leading
-    axes, and the (..., M) host choices. Biases go one at a time into one
-    reused buffer.
+    axes, and the (..., M) host choices.
+
+    Each tier's max and argmax are taken once. Rounding is monotone, so a
+    bias then costs one comparison of (..., M) tier maxima. A UE whose biased
+    tier has a second entry within a few ulps of its maximum (it may round
+    onto it), or a maximum that may overflow, takes the per-bias argmax.
     """
+    if name not in CRE_BIAS_GRIDS:
+        raise ValueError(f"unknown CRE baseline {name!r}, expected one of {list(CRE_BIAS_GRIDS)}")
+    if not len(biases):
+        raise ValueError("CRE bias grid must not be empty")
     if not np.isfinite(biases).all():  # an infinite bias sends a whole tier to its first BS
         raise ValueError(f"CRE biases must be finite, got {list(biases)}")
     cols = slice(None, n_mmw) if name == "max_rssi" else slice(n_mmw, None)
     *lead, n_ue, n_bs = metric.shape
     n_runs = math.prod(lead)
     metric = metric.reshape(n_runs, n_ue, n_bs)
-    biased = metric.copy()
-    choices = []
-    for bias in biases:
-        np.add(metric[..., cols], bias, out=biased[..., cols])
-        choices.append(biased.argmax(axis=-1))
-    choice = np.stack(choices)  # (G, R, M)
-    flat = choice + n_bs * np.arange(len(biases) * n_runs).reshape(len(biases), n_runs, 1)
-    loads = np.bincount(flat.ravel(), minlength=len(biases) * n_runs * n_bs)
-    best = np.argmin(np.ptp(loads.reshape(len(biases), n_runs, n_bs), axis=-1), axis=0)
-    winners = np.asarray(biases, dtype=float)[best].reshape(lead)
-    return winners, choice[best, np.arange(n_runs)].reshape(*lead, n_ue)
+    grid = np.asarray(biases, dtype=float)
+    spans = ((0, n_mmw), (n_mmw, n_bs))  # the mmW tier, then microwave
+    hosts = [metric[..., lo:hi].argmax(-1) + lo for lo, hi in spans if hi > lo]
+    hosts *= 3 - len(hosts)  # an empty tier takes the other tier's argmax
+    tops = [np.take_along_axis(metric, host[..., None], -1)[..., 0] for host in hosts]
+    if np.isnan(tops).any():  # argmax stops at the first NaN
+        raise ValueError("CRE metric must not contain NaN")
+    pairs = list(zip(tops, hosts))  # (max, argmax) per tier; the biased tier goes first
+    (top, host), (rival, rival_host) = pairs if name == "max_rssi" else pairs[::-1]
+    raised = top + grid[:, None, None]  # (G, R, M); ties go to the mmW tier
+    choice = np.where(raised >= rival if name == "max_rssi" else raised > rival, host, rival_host)
+    # fl(x + b) == fl(top + b) < inf needs top - x <= 2 * spacing(max(|top|, |b|)).
+    reach = float(np.abs(grid).max())
+    near = metric[..., cols] >= (top - 4 * np.spacing(np.maximum(abs(top), reach)))[..., None]
+    guard = (near.sum(-1) > 1) | (abs(top) >= np.finfo(float).max - reach)
+    if guard.any():
+        shifted = np.repeat(metric[guard][None], len(grid), axis=0)  # (G, flagged UEs, N)
+        shifted[..., cols] += grid[:, None, None]
+        choice[:, guard] = shifted.argmax(-1)
+    flat = choice + n_bs * np.arange(len(grid) * n_runs).reshape(len(grid), n_runs, 1)
+    loads = np.bincount(flat.ravel(), minlength=len(grid) * n_runs * n_bs)
+    best = np.argmin(np.ptp(loads.reshape(len(grid), n_runs, n_bs), axis=-1), axis=0)
+    return grid[best].reshape(lead), choice[best, np.arange(n_runs)].reshape(*lead, n_ue)
 
 
 def max_rssi_policy(scenario: Scenario, bias_db: float = 0.0) -> Matching:

@@ -97,6 +97,81 @@ def test_best_bias_matches_per_bias_loop(m, n, tier, integer):
             assert (bias, choice.tolist()) == oracle_best_bias(metric, n_mmw, grid, tier)
 
 
+BIASED_TIER = {"max_rssi": "mmw", "max_sinr": "muw"}  # the tier each baseline biases
+
+
+def assert_matches_loop(name, metric, n_mmw, grid):
+    """``cre_association`` on an (M, N) or stacked (R, M, N) metric equals the
+    per-bias loop run by run."""
+    biases, choice = cre_association(name, metric, n_mmw, grid)
+    assert biases.shape == metric.shape[:-2] and choice.shape == metric.shape[:-1]
+    runs = metric.reshape(-1, *metric.shape[-2:])
+    for run, bias, hosts in zip(runs, biases.reshape(-1), choice.reshape(len(runs), -1)):
+        assert (bias, hosts.tolist()) == oracle_best_bias(run, n_mmw, grid, BIASED_TIER[name])
+
+
+@pytest.mark.parametrize("name", BIASED_TIER)
+def test_rounding_clash_in_the_biased_tier_follows_the_loop(name):
+    # 1 + 3 and nextafter(1, 2) + 3 both round to 4.0, so the loop's argmax
+    # takes the earlier entry although the biased tier's argmax is the later.
+    top = np.nextafter(1.0, 2.0)
+    row, n_mmw, want = ([1.0, top, -50.0], 2, 0) if name == "max_rssi" else ([-50.0, 1.0, top], 1, 1)
+    assert 1.0 + 3.0 == top + 3.0
+    metric = np.array([row, row[::-1], [0.0, 0.0, 0.0]])
+    bias, choice = cre_association(name, metric, n_mmw, (3.0,))
+    assert bias == 3.0 and choice[0] == want
+    for grid in ((3.0,), CRE_BIAS_GRIDS[name], (0.0, 3.0)):
+        assert_matches_loop(name, metric, n_mmw, grid)
+        assert_matches_loop(name, np.stack([metric, metric[::-1]]), n_mmw, grid)
+
+
+@pytest.mark.parametrize("name", BIASED_TIER)
+def test_stacked_near_duplicates_follow_the_loop(name):
+    # Entries a few ulps apart in every tier: many (bias, run, UE) slices
+    # where a lower entry rounds onto the biased tier's maximum.
+    rng = np.random.default_rng(len(name))
+    for _ in range(40):
+        base = rng.choice([1.0, 2.0, -3.0, 57.5, 0.0], (4, 6, 5))
+        metric = base + rng.integers(-3, 4, base.shape) * np.spacing(base)
+        n_mmw = int(rng.integers(0, 6))
+        for grid in (CRE_BIAS_GRIDS[name], (3.0,), (0.0, 0.5, 1e-15, 2.5)):
+            assert_matches_loop(name, metric, n_mmw, grid)
+
+
+@pytest.mark.parametrize("name", BIASED_TIER)
+@pytest.mark.parametrize("n_mmw", [0, 4], ids=["no_mmw", "no_muw"])
+def test_empty_tier_follows_the_loop(name, n_mmw):
+    rng = np.random.default_rng(n_mmw)
+    metric = rng.normal(0.0, 20.0, (3, 9, 4))
+    metric[0, 0] = -np.inf  # a UE with no usable BS goes to BS 0 at every bias
+    metric[1, :, :2] = 1.0
+    metric[1, :, 1] = np.nextafter(1.0, 2.0)  # near-duplicates inside the one tier
+    for grid in (CRE_BIAS_GRIDS[name], (7.0,), (3.0, 0.0)):
+        assert_matches_loop(name, metric, n_mmw, grid)
+
+
+@pytest.mark.parametrize("name", BIASED_TIER)
+@pytest.mark.parametrize("bias", [0.0, 6.0, 500.0])
+def test_fixed_bias_grid_follows_the_loop(name, bias):
+    rng = np.random.default_rng(int(bias))
+    metric = rng.normal(-70.0, 20.0, (5, 30, 8))
+    assert_matches_loop(name, metric, 3, (bias,))
+    assert_matches_loop(name, metric[0], 3, (bias,))
+    assert (cre_association(name, metric, 3, (bias,))[0] == bias).all()
+
+
+@pytest.mark.parametrize("name", BIASED_TIER)
+def test_infinite_and_overflowing_entries_follow_the_loop(name):
+    big = np.finfo(float).max
+    values = [np.inf, -np.inf, big, -big, np.nextafter(big, 0.0), 0.0, 1.0]
+    rng = np.random.default_rng(7)
+    with np.errstate(over="ignore"):  # the biased sums overflow in the loop too
+        for _ in range(40):
+            metric = rng.choice(values, (3, 5, 4))
+            for grid in (CRE_BIAS_GRIDS[name], (1e300,), (-1e300, 0.0)):
+                assert_matches_loop(name, metric, int(rng.integers(0, 5)), grid)
+
+
 def _counting(monkeypatch, module, name, counts):
     original = getattr(module, name)
 

@@ -14,6 +14,7 @@ from cellassoc.policies import (
     build_matching_instance,
     build_preferences,
     compute_utilities,
+    cre_association,
     max_rssi_policy,
     max_sinr_policy,
     mmq_policy,
@@ -337,6 +338,25 @@ def test_baselines_reject_non_finite_bias(policy):
     for bias in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="CRE biases must be finite"):
             policy(sc, bias)
+
+
+def test_cre_association_rejects_an_empty_bias_grid():
+    with pytest.raises(ValueError, match="CRE bias grid must not be empty"):
+        cre_association("max_rssi", np.zeros((2, 3)), 1, ())
+
+
+def test_cre_association_rejects_an_unknown_baseline():
+    with pytest.raises(ValueError, match="unknown CRE baseline 'max_snr'"):
+        cre_association("max_snr", np.zeros((2, 3)), 1, (0.0,))
+
+
+@pytest.mark.parametrize("name", ["max_rssi", "max_sinr"])
+@pytest.mark.parametrize("col", [0, 2])
+def test_cre_association_rejects_a_nan_metric(name, col):
+    metric = np.zeros((2, 4, 3))
+    metric[1, 3, col] = math.nan
+    with pytest.raises(ValueError, match="CRE metric must not contain NaN"):
+        cre_association(name, metric, 1, (0.0, 5.0))
 
 
 def test_baselines_assign_every_ue():
