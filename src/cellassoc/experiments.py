@@ -12,7 +12,7 @@ per-point means and standard errors.
 
 Output is deterministic: identical config gives byte-identical files, and
 parallel execution matches serial because batches of runs depend on the grid
-point alone and rows are ordered by (grid point, run, policy) before writing.
+point alone and rows arrive in task order: grid point, then run, then policy.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ class ExperimentConfig:
         unknown = set(self.policies_enabled) - set(POLICY_ORDER)
         if unknown:
             raise ConfigurationError(f"unknown policies in policies_enabled: {sorted(unknown)}")
+        if len(set(self.policies_enabled)) < len(self.policies_enabled):
+            raise ConfigurationError(f"policies_enabled repeats a policy: {self.policies_enabled}")
         for key, values in (self.sweep or {}).items():
             if key not in SWEEP_KEYS:
                 raise ConfigurationError(f"unknown sweep parameter {key!r}")
@@ -116,11 +118,12 @@ def _point_configs(
 def _run_batch(
     exp: ExperimentConfig,
     overrides: dict,
-    grid_idx: int,
     runs: range,
     collect_muw_samples: bool = False,
-) -> list[dict]:
-    """The rows of runs ``runs`` of one grid point. Each run has its own seeds
+) -> dict[str, list]:
+    """The rows of runs ``runs`` of one grid point as ``ROW_COLUMNS`` columns,
+    run-major with policies in ``POLICY_ORDER``, plus each row's microwave UE
+    rates as ``muw_rates_bps`` with ``collect_muw_samples``. Each run has its own seeds
     (re-keyed streams, see ``rekey``) and matcher walk. Everything else runs
     once for the batch, on arrays with a leading run axis, and gives each run
     what it gets alone: one validated instance, one (R, P, M) matching of
@@ -174,7 +177,6 @@ def _run_batch(
     report = verify(instance, matchings, enumeration_budget=0)
     feasible, blocking = report.feasible, report.n_blocking_pairs
     del report  # its (R, P, M, N) masks need not outlive the counts
-    q_min_muw_totals = instance.q_min[:, first.n_mmw :].sum(axis=-1).tolist()
     if "mmq" in enabled:
         p = enabled.index("mmq")
         failed = np.flatnonzero(~feasible[:, p] | (blocking[:, p] > 0))
@@ -193,33 +195,30 @@ def _run_batch(
     rates = slot_averaged_rates(matchings, per_policy, los_slots[:, :, None], first)
     rm = run_metrics(matchings, links, first, rates)
     mmw_loads, muw_loads = rm.loads[..., : first.n_mmw], rm.loads[..., first.n_mmw :]
-    stats = {
+    stats = {  # (R, P) each
+        "bias_db": np.stack([choices.get(name, [np.zeros(len(runs))])[0] for name in enabled], 1),
         "sum_rate_bps": rm.sum_rate_bps, "delta_kappa": rm.delta_kappa,
         "delta_kappa_mmw": max_load_difference(mmw_loads),
         "delta_kappa_muw": max_load_difference(muw_loads),
         "ue_mmw": mmw_loads.sum(axis=-1), "ue_muw": muw_loads.sum(axis=-1),
+        "feasible": np.where(feasible, "true", "false"), "blocking_pairs": blocking,
         "mean_ue_rate_bps": rates.mean(axis=-1), "min_ue_rate_bps": rates.min(axis=-1),
         "p5_ue_rate_bps": np.percentile(rates, 5.0, axis=-1),
     }
-    stats["feasible"] = np.where(feasible, "true", "false")
-    stats["blocking_pairs"] = blocking
-    stats = {key: value.ravel().tolist() for key, value in stats.items()}  # one value per row
-    rows: list[dict] = []
-    for i in range(len(runs) * len(enabled)):
-        k, p = divmod(i, len(enabled))
-        name = enabled[p]
-        rows.append({
-            "m": first.n_ue, "n_mmw": first.n_mmw, "n_muw": first.n_muw,
-            "q_min_mmw": pol.q_min_mmw, "q_min_muw": pol.q_min_muw,
-            "q_min_muw_total": q_min_muw_totals[k], "c_th": pol.c_th,
-            "bias_rssi_db": pol.bias_rssi_db, "bias_sinr_db": pol.bias_sinr_db,
-            "seed": seeds[k], "run": runs[k], "policy": name,
-            "bias_db": choices[name][0][k] if name in choices else 0.0,
-            **{key: values[i] for key, values in stats.items()}, "_grid_idx": grid_idx,
-        })
-        if collect_muw_samples:  # only the rate CDF reads them; other rows stay small
-            rows[-1]["_muw_rates_bps"] = rm.muw_rate_samples[i]
-    return rows
+    point = {
+        "m": first.n_ue, "n_mmw": first.n_mmw, "n_muw": first.n_muw,
+        "q_min_mmw": pol.q_min_mmw, "q_min_muw": pol.q_min_muw, "c_th": pol.c_th,
+        "bias_rssi_db": pol.bias_rssi_db, "bias_sinr_db": pol.bias_sinr_db,
+    }
+    totals = instance.q_min[:, first.n_mmw :].sum(axis=-1).tolist()
+    per_run = {"q_min_muw_total": totals, "seed": seeds, "run": runs}
+    columns = {key: [value] * (len(runs) * len(enabled)) for key, value in point.items()}
+    columns.update({key: [v for v in values for _ in enabled] for key, values in per_run.items()})
+    columns.update({key: value.ravel().tolist() for key, value in stats.items()})
+    columns["policy"] = enabled * len(runs)
+    if collect_muw_samples:  # only the rate CDF reads them; other batches stay small
+        columns["muw_rates_bps"] = rm.muw_rate_samples
+    return columns
 
 
 ROW_COLUMNS = (
@@ -256,41 +255,43 @@ def _write_csv(out: Path, header: Sequence[str], records) -> None:
         writer.writerows(records)
 
 
-def _write_rows(rows: list[dict], out: Path) -> None:
-    _write_csv(out, ROW_COLUMNS, ([row[c] for c in ROW_COLUMNS] for row in rows))
+def _write_rows(columns: dict[str, list], out: Path) -> None:
+    _write_csv(out, ROW_COLUMNS, zip(*(columns[c] for c in ROW_COLUMNS)))
 
 
-def _aggregate_records(rows: list[dict]):
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:  # dicts keep first-seen order: grid point, then policy
-        groups.setdefault((row["_grid_idx"], row["policy"]), []).append(row)
-    for group in groups.values():
-        first = group[0]
-        sums = [r["sum_rate_bps"] for r in group]
-        deltas = [float(r["delta_kappa"]) for r in group]
-        yield [
-            first["m"], first["q_min_mmw"], first["q_min_muw"],
-            first["c_th"], first["bias_rssi_db"], first["bias_sinr_db"],
-            first["policy"], len(group),
-            float(np.mean(sums)), _standard_error(sums),
-            float(np.mean(deltas)), _standard_error(deltas),
-        ]
+def _aggregate_records(exp: ExperimentConfig, columns: dict[str, list]):
+    """One record per grid point and policy, in row order. Each point owns
+    ``n_runs`` * P consecutive rows, run-major, so a policy's are every P-th."""
+    n_policies = len(exp.policies_enabled)
+    size = exp.n_runs * n_policies
+    for start in range(0, len(columns["policy"]), size):
+        for first in range(start, start + n_policies):
+            group = slice(first, start + size, n_policies)
+            sums = columns["sum_rate_bps"][group]
+            deltas = [float(d) for d in columns["delta_kappa"][group]]
+            yield [
+                *(columns[c][first] for c in AGG_COLUMNS[:7]),  # m through policy
+                exp.n_runs,
+                float(np.mean(sums)), _standard_error(sums),
+                float(np.mean(deltas)), _standard_error(deltas),
+            ]
 
 
 def _collect_rows(
     exp: ExperimentConfig, grid: list[dict], workers: int, collect_muw_samples: bool = False
-) -> list[dict]:
-    """Run every (grid point, run) pair of ``grid`` and return the sorted rows.
+) -> dict[str, list]:
+    """Run every (grid point, run) pair of ``grid`` and return the rows' columns.
 
     ``grid`` is a list of override dicts (``SWEEP_KEYS`` to values); it need
     not be a product, so one call can cover a ragged sweep. With
-    ``collect_muw_samples`` each row also carries its microwave UEs' rates.
-    A grid point's runs go to ``_run_batch`` in batches, the pool's tasks.
+    ``collect_muw_samples`` a ``muw_rates_bps`` column holds each row's
+    microwave UE rates. A grid point's runs go to ``_run_batch`` in batches,
+    the pool's tasks; rows arrive in task order (grid point, run, policy).
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     tasks = []
-    for gi, overrides in enumerate(grid):  # fail a point no run can meet before any work
+    for overrides in grid:  # fail a point no run can meet before any work
         try:
             scen, pol = _point_configs(exp, overrides, 0)
         except ValueError as exc:
@@ -306,7 +307,7 @@ def _collect_rows(
         # Runs per batch depend on the grid point alone, never on ``workers``.
         size = max(1, min(exp.n_runs, _BATCH_ELEMENTS // (scen.n_ue * scen.n_bs)))
         tasks += [
-            (exp, overrides, gi, range(start, min(start + size, exp.n_runs)), collect_muw_samples)
+            (exp, overrides, range(start, min(start + size, exp.n_runs)), collect_muw_samples)
             for start in range(0, exp.n_runs, size)
         ]
     workers = min(workers, len(tasks))  # a worker without a batch would sit idle
@@ -315,35 +316,32 @@ def _collect_rows(
             results = list(pool.map(_run_batch, *zip(*tasks)))
     else:
         results = list(itertools.starmap(_run_batch, tasks))
-
-    rows = [row for task_rows in results for row in task_rows]
-    policy_rank = {name: i for i, name in enumerate(POLICY_ORDER)}
-    rows.sort(key=lambda r: (r["_grid_idx"], r["run"], policy_rank[r["policy"]]))
-    return rows
+    keys = ROW_COLUMNS + ("muw_rates_bps",) * collect_muw_samples
+    return {key: [value for batch in results for value in batch[key]] for key in keys}
 
 
-# Writers: each takes (config, grid, rows) and writes the files named by
+# Writers: each takes (config, grid, row columns) and writes the files named by
 # ``config.output_path``.
 
 
-def _write_experiment(exp: ExperimentConfig, grid, rows) -> None:
+def _write_experiment(exp: ExperimentConfig, grid, columns) -> None:
     """Per-run rows plus the per-point aggregate next to them."""
     out = Path(exp.output_path)
-    _write_rows(rows, out)
-    _write_csv(aggregate_path(out), AGG_COLUMNS, _aggregate_records(rows))
+    _write_rows(columns, out)
+    _write_csv(aggregate_path(out), AGG_COLUMNS, _aggregate_records(exp, columns))
 
 
-def _optimal_quotas(grid: list[dict], rows: list[dict], n_runs: int) -> list[dict]:
-    """Mean sum rate per (M, microwave minimum) point, and the argmax per M.
+def _optimal_quotas(grid: list[dict], columns: dict[str, list], n_runs: int) -> list[dict]:
+    """Mean sum rate per (M, microwave minimum) point of one policy, and the argmax per M.
 
-    Each mean is the sequential sum of the run-ordered rows over ``n_runs``;
-    ties go to the smaller minimum.
+    Point i owns rows i * ``n_runs`` onwards. Each mean is the sequential sum
+    of its run-ordered rows over ``n_runs``; ties go to the smaller minimum.
     """
-    totals = [0.0] * len(grid)
-    for row in rows:
-        totals[row["_grid_idx"]] += row["sum_rate_bps"]
     table: dict[int, dict[int, float]] = {}
-    for point, total in zip(grid, totals):
+    for i, point in enumerate(grid):
+        total = 0.0
+        for value in columns["sum_rate_bps"][i * n_runs : (i + 1) * n_runs]:
+            total += value
         table.setdefault(point["m"], {})[point["q_min_muw"]] = total / n_runs
     return [
         {"m": m, "q_star": max(means, key=lambda q: (means[q], -q)), "mean_sum_rate_bps": means}
@@ -351,35 +349,33 @@ def _optimal_quotas(grid: list[dict], rows: list[dict], n_runs: int) -> list[dic
     ]
 
 
-def _write_quota_table(exp: ExperimentConfig, grid, rows) -> None:
+def _write_quota_table(exp: ExperimentConfig, grid, columns) -> None:
     """One line per (M, microwave minimum), flagging the sum-rate-optimal one."""
     _write_csv(
         Path(exp.output_path),
         ("m", "q_min_muw", "mean_sum_rate_bps", "optimal"),
         (
             [row["m"], q, mean, "true" if q == row["q_star"] else "false"]
-            for row in _optimal_quotas(grid, rows, exp.n_runs)
+            for row in _optimal_quotas(grid, columns, exp.n_runs)
             for q, mean in sorted(row["mean_sum_rate_bps"].items())
         ),
     )
 
 
-def _write_rate_cdf(exp: ExperimentConfig, grid, rows) -> None:
+def _write_rate_cdf(exp: ExperimentConfig, grid, columns) -> None:
     """Pooled microwave rate CDF per policy, plus the per-run rows in ``_runs.csv``."""
-    pooled: dict[str, list[np.ndarray]] = {}
-    for row in rows:  # sorted by grid point, run, then policy: keys fall in policy order
-        pooled.setdefault(row["policy"], []).append(row["_muw_rates_bps"])
+    n_policies = len(exp.policies_enabled)  # rows are run-major: a policy's are every P-th
     out = Path(exp.output_path)
     _write_csv(
         out,
         ("policy", "muw_rate_bps", "cdf"),
         (
             [name, float(x), float(f)]
-            for name, runs in pooled.items()
-            for x, f in zip(*rate_cdf(np.concatenate(runs)))
+            for p, name in enumerate(columns["policy"][:n_policies])
+            for x, f in zip(*rate_cdf(np.concatenate(columns["muw_rates_bps"][p::n_policies])))
         ),
     )
-    _write_rows(rows, out.with_name(out.stem + "_runs.csv"))
+    _write_rows(columns, out.with_name(out.stem + "_runs.csv"))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Path:

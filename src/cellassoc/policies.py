@@ -264,7 +264,8 @@ def cre_association(
     choice = np.where(raised >= rival if name == "max_rssi" else raised > rival, host, rival_host)
     # fl(x + b) == fl(top + b) < inf needs top - x <= 2 * spacing(max(|top|, |b|)).
     reach = float(np.abs(grid).max())
-    near = metric[..., cols] >= (top - 4 * np.spacing(np.maximum(abs(top), reach)))[..., None]
+    with np.errstate(over="ignore"):  # a top near float max overflows here; the guard flags it
+        near = metric[..., cols] >= (top - 4 * np.spacing(np.maximum(abs(top), reach)))[..., None]
     guard = (near.sum(-1) > 1) | (abs(top) >= np.finfo(float).max - reach)
     if guard.any():
         shifted = np.repeat(metric[guard][None], len(grid), axis=0)  # (G, flagged UEs, N)

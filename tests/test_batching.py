@@ -16,6 +16,7 @@ import pytest
 
 from cellassoc.channel import draw_los_slots, link_budget, realize_links
 from cellassoc.experiments import (
+    ROW_COLUMNS,
     ExperimentConfig,
     _run_batch,
     _write_rows,
@@ -78,21 +79,24 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("overrides", [{}, {"m": 13}])
 def test_batch_rows_equal_one_run_batches(tmp_path, case, overrides):
+    # A batch's columns are its one-run batches' columns end to end: rows run-major,
+    # policies in POLICY_ORDER, and the rate samples only when asked for.
     exp, samples = CASES[case]
     runs = range(2, 7)
-    batch = _run_batch(exp, overrides, 0, runs, samples)
-    single = [
-        row for run in runs for row in _run_batch(exp, overrides, 0, range(run, run + 1), samples)
-    ]
+    batch = _run_batch(exp, overrides, runs, samples)
+    singles = [_run_batch(exp, overrides, range(run, run + 1), samples) for run in runs]
+    assert batch.keys() == set(ROW_COLUMNS + ("muw_rates_bps",) * samples)
+    single = {key: [value for one in singles for value in one[key]] for key in batch}
+    n_policies = len(exp.policies_enabled)
+    assert {len(column) for column in batch.values()} == {len(runs) * n_policies}
+    assert batch["run"] == [run for run in runs for _ in range(n_policies)]
+    if samples:
+        got, want = batch.pop("muw_rates_bps"), single.pop("muw_rates_bps")
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    assert batch == single
     _write_rows(batch, tmp_path / "batch.csv")
     _write_rows(single, tmp_path / "single.csv")
     assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
-    assert len(batch) == len(runs) * len(exp.policies_enabled)
-    for got, want in zip(batch, single):
-        assert got.keys() == want.keys()
-        if samples:
-            assert np.array_equal(got.pop("_muw_rates_bps"), want.pop("_muw_rates_bps"))
-        assert got == want
 
 
 def _per_run(cfg: ScenarioConfig, n_runs: int):

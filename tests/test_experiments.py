@@ -11,8 +11,12 @@ import pytest
 
 from cellassoc.cli import match_main, simulate_main
 from cellassoc.experiments import (
+    POLICY_ORDER,
+    ROW_COLUMNS,
     ExperimentConfig,
     VerificationFailure,
+    _collect_rows,
+    _grid_points,
     aggregate_path,
     load_config,
     optimal_min_quota_sweep,
@@ -144,6 +148,20 @@ def test_empty_policy_list_rejected():
         parse_config("experiment.policies =\n")
     with pytest.raises(ConfigurationError, match="at least one policy"):
         ExperimentConfig(policies_enabled=())
+
+
+def test_repeated_policy_rejected():
+    with pytest.raises(ConfigurationError, match=r"policies_enabled repeats a policy"):
+        ExperimentConfig(policies_enabled=("mmq", "mmq", "max_rssi"))
+
+
+def test_parsed_repeated_policy_names_its_line():
+    with pytest.raises(
+        ConfigurationError,
+        match=r"^line 2: experiment.policies: policies_enabled repeats a policy: "
+        r"\('mmq', 'mmq', 'max_rssi'\)$",
+    ):
+        parse_config("experiment.runs = 2\nexperiment.policies = mmq, mmq, max_rssi\n")
 
 
 def test_experiment_config_validation():
@@ -404,6 +422,12 @@ def test_quota_sweep_over_many_m_equals_per_m_calls():
     assert [sorted(row["mean_sum_rate_bps"]) for row in together] == [[0, 3], [0, 3, 5]]
 
 
+def test_quota_sweep_with_every_candidate_skipped_is_empty():
+    with pytest.warns(UserWarning, match="skipping q_min") as record:
+        assert optimal_min_quota_sweep(ScenarioConfig(), [5], [3, 4]) == []
+    assert len(record) == 2  # one warning per skipped (M, q)
+
+
 def test_fig4_parallel_matches_serial(tmp_path):
     serial = run_figure("fig4", output_path=tmp_path / "serial.csv", n_runs=2)
     parallel = run_figure("fig4", output_path=tmp_path / "par.csv", n_runs=2, workers=2)
@@ -623,14 +647,14 @@ def test_pool_is_capped_at_the_batch_count(tmp_path, monkeypatch):
     assert sizes == [3, 2]
 
 
-def test_batches_depend_on_the_grid_point_alone(tmp_path, monkeypatch):
+def test_batches_depend_on_the_grid_point_alone(monkeypatch):
     # Runs per batch = max(1, min(runs, 16384 // (M * N))) with N = 20 here:
     # all 9 runs at M=10, 8 at M=100 and 1 at M=500, whatever --workers says.
     batches = []
 
-    def record(exp, overrides, grid_idx, runs, collect_muw_samples):
+    def record(exp, overrides, runs, collect_muw_samples):
         batches.append((overrides["m"], runs))
-        return []
+        return dict.fromkeys(ROW_COLUMNS, ())
 
     monkeypatch.setattr("cellassoc.experiments.ProcessPoolExecutor", recording_pool([]))
     monkeypatch.setattr("cellassoc.experiments._run_batch", record)
@@ -639,14 +663,38 @@ def test_batches_depend_on_the_grid_point_alone(tmp_path, monkeypatch):
         scenario=replace(TINY.scenario, n_mmw=10, n_muw=10),
         n_runs=9,
         sweep={"m": (10, 100, 500)},
-        output_path=str(tmp_path / "b.csv"),
     )
     want = [(10, range(9)), (100, range(8)), (100, range(8, 9))]
     want += [(500, range(run, run + 1)) for run in range(9)]
     for workers in (1, 2, 5):
         batches.clear()
-        run_experiment(exp, workers=workers)
+        columns = _collect_rows(exp, _grid_points(exp.sweep), workers)
+        assert columns == dict.fromkeys(ROW_COLUMNS, [])
         assert batches == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rows_arrive_in_grid_run_policy_order(tmp_path, workers):
+    # At M=500 and N=20 each batch holds one run, so the second grid point spans
+    # three batches; its rows must still follow the first point's, run by run.
+    exp = replace(
+        TINY,
+        scenario=replace(TINY.scenario, n_mmw=10, n_muw=10),
+        policies_enabled=("max_sinr", "mmq", "max_rssi"),
+        sweep={"m": (10, 500)},
+        output_path=str(tmp_path / "order.csv"),
+    )
+    rows = read_rows(run_experiment(exp, workers=workers))
+    rank = {name: i for i, name in enumerate(POLICY_ORDER)}
+    order = [(int(row["m"]), int(row["run"]), rank[row["policy"]]) for row in rows]
+    assert order == sorted(order)
+    assert order == [(m, k, p) for m in (10, 500) for k in range(3) for p in (0, 2, 3)]
+    agg = read_rows(aggregate_path(tmp_path / "order.csv"))
+    groups = [(row["m"], row["policy"]) for row in agg]
+    assert groups == [(m, p) for m in ("10", "500") for p in ("mmq", "max_rssi", "max_sinr")]
+    for group, row in zip(groups, agg):
+        sums = [float(r["sum_rate_bps"]) for r in rows if (r["m"], r["policy"]) == group]
+        assert row["n_runs"] == "3" and float(row["sum_rate_mean_bps"]) == np.mean(sums)
 
 
 def test_cli_simulate_figure_usage_error():

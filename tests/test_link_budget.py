@@ -191,9 +191,9 @@ def test_run_batch_evaluates_the_link_budget_once(monkeypatch):
         policies_enabled=POLICY_ORDER,
         auto_bias=True,
     )
-    rows = _run_batch(exp, {}, 0, range(5))
-    assert [row["policy"] for row in rows] == list(POLICY_ORDER) * 5
-    assert [row["run"] for row in rows] == [run for run in range(5) for _ in POLICY_ORDER]
+    columns = _run_batch(exp, {}, range(5))
+    assert columns["policy"] == list(POLICY_ORDER) * 5
+    assert columns["run"] == [run for run in range(5) for _ in POLICY_ORDER]
     # One distance matrix per tier; LoS, NLoS and microwave path loss once
     # each, for the whole 5-run batch.
     assert counts == {"path_loss_db": 3, "pairwise_distances": 2}
@@ -229,7 +229,7 @@ def test_run_batch_builds_two_generators(monkeypatch, random_muw_quota):
         random_muw_quota=random_muw_quota,
     )
     runs = range(3, 8)
-    _run_batch(exp, {}, 0, runs)
+    _run_batch(exp, {}, runs)
     streams = [STREAM_SCENARIO, STREAM_SLOTS] + [STREAM_QUOTAS] * random_muw_quota
     assert len(built) == 2
     assert sorted(rekeys) == sorted((4 + run, stream) for run in runs for stream in streams)

@@ -28,6 +28,7 @@ from cellassoc.scenario import (
     generate_scenario,
     rng_stream,
 )
+from helpers import oracle_best_bias
 
 NEG_INF = float("-inf")
 
@@ -357,6 +358,30 @@ def test_cre_association_rejects_a_nan_metric(name, col):
     metric[1, 3, col] = math.nan
     with pytest.raises(ValueError, match="CRE metric must not contain NaN"):
         cre_association(name, metric, 1, (0.0, 5.0))
+
+
+MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize(
+    "name, row",
+    [
+        ("max_rssi", [MAX, 1.0, -50.0]),
+        ("max_rssi", [-MAX, -MAX, -50.0]),
+        ("max_rssi", [np.nextafter(MAX, 0), MAX, 0.0]),
+        ("max_sinr", [1.0, 2.0, -MAX]),
+        ("max_sinr", [1.0, 2.0, MAX]),
+        ("max_sinr", [-50.0, 0.0, MAX / 2]),
+    ],
+)
+def test_cre_association_at_float_max_matches_the_per_bias_search(name, row):
+    # A biased tier's maximum at +-float max is flagged for the per-bias argmax
+    # without an overflow warning (tier-1 turns warnings into errors).
+    metric = np.array([[row]])
+    tier = "mmw" if name == "max_rssi" else "muw"
+    biases, choice = cre_association(name, metric, 2, (0.0, 3.0, 60.0))
+    want_bias, want_choice = oracle_best_bias(metric[0], 2, (0.0, 3.0, 60.0), tier)
+    assert biases.tolist() == [want_bias] and choice.tolist() == [want_choice]
 
 
 def test_baselines_assign_every_ue():
