@@ -94,9 +94,6 @@ def match_main(argv=None) -> int:
     for host, agents in enumerate(matching.host_to_agents):
         members = " ".join(str(a) for a in agents) or "-"
         print(f"host {host} (load {matching.loads[host]}): {members}")
-    unmatched = [a for a, h in enumerate(matching.agent_to_host.tolist()) if h < 0]
-    if unmatched:
-        print(f"unmatched agents: {' '.join(str(a) for a in unmatched)}")
     print(f"feasible: {report.feasible}")
     print(f"blocking pairs: {len(report.blocking_pairs)} {list(report.blocking_pairs)}")
     if report.pareto_optimal is not None:

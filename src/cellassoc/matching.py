@@ -2,12 +2,11 @@
 
 The engine is generic: "agents" propose-side players each end up with exactly
 one "host", hosts hold between ``q_min`` and ``q_max`` agents, and every host
-ranks agents by one shared master list. Provided here:
+ranks agents by one shared master list. Every agent ranks every host (an
+instance with a shorter or longer preference list is rejected). Provided here:
 
-* ``mmq_match``      -- two-phase quota-respecting assignment; on complete
-                        preference lists it returns a feasible matching
-                        whenever the quota sums admit one. Incomplete lists
-                        can make it fail on an instance that has one.
+* ``mmq_match``      -- two-phase quota-respecting assignment; it returns a
+                        feasible matching whenever the quota sums admit one.
 * ``deferred_acceptance`` -- classical agent-proposing DA against the maximum
                         quotas only; may violate minimum quotas.
 * ``verify``         -- feasibility, blocking pairs (two readings), and an
@@ -31,7 +30,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
-_PAD = np.iinfo(np.intp).max  # fills unlisted slots while an instance is validated
 
 
 class MatchingError(ValueError):
@@ -58,15 +56,14 @@ class EnumerationBudgetError(MatchingError):
 class MatchingInstance:
     """A quota-constrained matching problem, held as arrays.
 
-    ``agent_prefs`` (M, N) ranks host ids best-first per agent; -1 fills the
-    slots of a short list, and unlisted hosts are unacceptable. ``master_list``
-    (M,) ranks agent ids best-first for every host. ``gated`` (M, N) flags the
-    hosts an agent avoids unless forced to meet a minimum quota; they keep
-    their place in the order. Derived: ``rank[m, h]``, host h's position on
-    agent m's list (``n_hosts`` if unlisted), and ``ml_rank[m]``, agent m's
-    master-list position. The constructor also takes plain sequences: host
-    tuples of any length, and None or one set of host ids per agent for
-    ``gated``.
+    ``agent_prefs`` (M, N) ranks all N host ids best-first per agent: each
+    row is a permutation of 0..N-1. ``master_list`` (M,) ranks agent ids
+    best-first for every host. ``gated`` (M, N) flags the hosts an agent
+    avoids unless forced to meet a minimum quota; they keep their place in
+    the order. Derived: ``rank[m, h]``, host h's position on agent m's list,
+    and ``ml_rank[m]``, agent m's master-list position. The constructor also
+    takes plain sequences: one N-host tuple per agent, and None or one set of
+    host ids per agent for ``gated``. Every id must be an integer.
 
     A stacked instance holds R runs that share M and N: an (R, M, N)
     ``agent_prefs`` array gives every array a leading run axis (quotas given
@@ -87,32 +84,43 @@ class MatchingInstance:
         m, n = self.n_agents, self.n_hosts
         if m < 0 or n < 0:
             raise MatchingError("agent and host counts must be non-negative")
-        stacked = isinstance(self.agent_prefs, np.ndarray) and self.agent_prefs.ndim == 3
-        lead = self.agent_prefs.shape[:1] if stacked else ()
-        if stacked and self.agent_prefs.shape[1:] != (m, n):
-            raise MatchingError(f"stacked preferences must be (R, {m}, {n}) arrays")
-        if not stacked and len(self.agent_prefs) != m:
-            raise MatchingError(f"expected {m} preference lists, got {len(self.agent_prefs)}")
-        q_min = np.asarray(self.q_min, dtype=np.intp)
-        q_max = np.asarray(self.q_max, dtype=np.intp)
+        prefs = self.agent_prefs
+        lead = prefs.shape[:1] if isinstance(prefs, np.ndarray) and prefs.ndim == 3 else ()
+        shape = lead + (m, n)
+        if isinstance(prefs, np.ndarray):
+            if prefs.shape != shape:
+                raise MatchingError(f"agent_prefs must be a {shape} array, got {prefs.shape}")
+        else:
+            if len(prefs) != m:
+                raise MatchingError(f"expected {m} preference lists, got {len(prefs)}")
+            for a, row in enumerate(prefs):
+                if len(row) != n:
+                    got = f"must rank all {n} hosts, got {len(row)}"
+                    raise MatchingError(f"agent {a}: preference list {got}")
+            prefs = np.asarray(prefs).reshape(m, n)
+        prefs = _integers("agent_prefs", prefs)
+        q_min, q_max = _integers("q_min", self.q_min), _integers("q_max", self.q_max)
         if not {q_min.shape, q_max.shape} <= {(n,), lead + (n,)}:
             raise MatchingError("quota vectors must have one entry per host")
         q_min, q_max = (np.broadcast_to(q, lead + (n,)) for q in (q_min, q_max))
-        master = np.asarray(self.master_list, dtype=np.intp)
+        master = _integers("master_list", self.master_list)
         if master.shape != lead + (m,):
             raise MatchingError("master list must be a permutation of all agents")
         gates = self.gated
-        if gates is not None and (gates.shape[:-1] if stacked else (len(gates),)) != lead + (m,):
+        if isinstance(gates, np.ndarray):
+            if gates.shape != shape:
+                raise MatchingError(f"gated must be a {shape} array, got {gates.shape}")
+        elif gates is not None and (lead or len(gates) != m):
             raise MatchingError("gated sets must have one entry per agent")
         try:
-            arrays = _validated(m, n, self.agent_prefs, master, q_min, q_max, gates)
+            arrays = _validated(m, n, prefs, master, q_min, q_max, gates)
         except MatchingError as exc:
-            if not stacked:
+            if not lead:
                 raise
             for k in range(lead[0]):  # the lowest failing run raises its own error
                 try:
                     MatchingInstance(
-                        m, n, self.agent_prefs[k], master[k], q_min[k], q_max[k],
+                        m, n, prefs[k], master[k], q_min[k], q_max[k],
                         None if gates is None else gates[k],
                     )
                 except MatchingError as run_exc:
@@ -138,16 +146,20 @@ class MatchingInstance:
 
     @cached_property
     def _pref_rows(self) -> list:
-        """Each agent's listed hosts, best first, as plain lists (one list of
-        rows per run when stacked); converted once."""
-        rows = self.agent_prefs.tolist()
-        if (self.agent_prefs < 0).any():
-            strip = lambda run: [[h for h in row if h >= 0] for row in run]  # noqa: E731
-            rows = [strip(run) for run in rows] if self.agent_prefs.ndim == 3 else strip(rows)
-        return rows
+        """Each agent's hosts, best first, as plain lists (one list of rows
+        per run when stacked); converted once."""
+        return self.agent_prefs.tolist()
 
 
-def _validated(m: int, n: int, agent_prefs, master, q_min, q_max, gated) -> dict:
+def _integers(name: str, values) -> np.ndarray:
+    # An integer array; a non-empty one of another dtype is refused, not truncated.
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise MatchingError(f"{name} must be integers, got {array.dtype}")
+    return array.astype(np.intp, copy=False)
+
+
+def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
     # The checks every run must pass, on arrays with an optional leading run
     # axis, and the instance's stored arrays. A failure's message describes
     # the first failing entry of a single-run instance.
@@ -158,26 +170,18 @@ def _validated(m: int, n: int, agent_prefs, master, q_min, q_max, gated) -> dict
         raise MatchingError(f"host {at[-1]}: need 0 <= q_min <= q_max, got {got}")
     if not (np.sort(master, axis=-1) == np.arange(m)).all():
         raise MatchingError("master list must be a permutation of all agents")
-    prefs = _pref_matrix(agent_prefs, m, n)
     known = prefs.view(np.uintp) < n  # a slot holding a host id in 0..n-1
-    rank = np.full(prefs.shape[:-1] + (n + 1,), n, dtype=np.int32)  # column n: all other slots
+    rank = np.full(prefs.shape[:-1] + (n + 1,), n, dtype=np.int32)  # column n: unknown ids
     slots = prefs if known.all() else np.where(known, prefs, n)
-    np.put_along_axis(rank, slots, np.arange(prefs.shape[-1]), axis=-1)
+    np.put_along_axis(rank, slots, np.arange(n), axis=-1)
     rank = rank[..., :n]
-    if slots is not prefs or not (rank < n).all():  # not complete lists of distinct hosts
-        # A listed slot that set no rank names an unknown host or a duplicate.
-        listed = prefs != _PAD
-        bad = np.argwhere((rank < n).sum(axis=-1) < listed.sum(axis=-1))
-        if bad.size:
-            at = tuple(bad[0])
-            row = prefs[at][listed[at]].tolist()
-            what = "contains duplicates" if len(set(row)) < len(row) else "names an unknown host"
-            raise MatchingError(f"agent {at[-1]}: preference list {what}")
-        prefs = np.where(listed, prefs, -1)[..., :n]  # a valid row lists at most n hosts
-    gated = _gate_mask(gated, prefs.shape[:-1], n)
-    bad = np.argwhere((gated[..., :n] & (rank == n)).any(axis=-1) | gated[..., n])
+    bad = np.argwhere((rank == n).any(axis=-1))  # a host no slot names: not a permutation
     if bad.size:
-        raise MatchingError(f"agent {bad[0][-1]}: gated host not on preference list")
+        at = tuple(bad[0])
+        row = prefs[at].tolist()
+        what = "contains duplicates" if len(set(row)) < len(row) else "names an unknown host"
+        raise MatchingError(f"agent {at[-1]}: preference list {what}")
+    gated = _gate_mask(gated, prefs.shape[:-1], n)
     low, high = q_min.sum(axis=-1), q_max.sum(axis=-1)
     if (low > m).any() or (m > high).any():
         sums = f"sum q_min={low.max()}, M={m}, sum q_max={high.min()}"
@@ -185,30 +189,21 @@ def _validated(m: int, n: int, agent_prefs, master, q_min, q_max, gated) -> dict
     ml_rank = np.argsort(master, axis=-1)  # the inverse permutation
     return dict(
         agent_prefs=prefs, master_list=master, q_min=q_min, q_max=q_max,
-        gated=gated[..., :n], rank=rank, ml_rank=ml_rank,
+        gated=gated, rank=rank, ml_rank=ml_rank,
     )
 
 
-def _pref_matrix(agent_prefs, m: int, n: int) -> np.ndarray:
-    # Preference rows as an ([R,] M, W >= N) int array with _PAD in unlisted slots.
-    if isinstance(agent_prefs, np.ndarray) and agent_prefs.shape[-2:] == (m, n):
-        prefs = np.asarray(agent_prefs, dtype=np.intp)
-        return np.where(prefs < 0, _PAD, prefs) if (prefs < 0).any() else prefs
-    prefs = np.full((m, max([n, *map(len, agent_prefs)])), _PAD, dtype=np.intp)
-    for a, p in enumerate(agent_prefs):
-        prefs[a, : len(p)] = p
-    return prefs
-
-
 def _gate_mask(gated, rows: tuple, n: int) -> np.ndarray:
-    # (rows..., N + 1) bool mask; column n takes the host ids outside 0..n-1.
-    mask = np.zeros(rows + (n + 1,), dtype=bool)
+    # The (rows..., N) bool mask of gated hosts; every host is on every list,
+    # so only an id outside 0..n-1 can be a gated host that is not listed.
     if isinstance(gated, np.ndarray):
-        mask[..., :n] = gated
-    elif gated is not None:
-        for a, hosts in enumerate(gated):
-            for h in hosts:
-                mask[a, h if 0 <= h < n else n] = True
+        return gated.astype(bool)  # a copy: the caller's array stays its own
+    mask = np.zeros(rows + (n,), dtype=bool)
+    for a, hosts in enumerate(gated or ()):
+        for h in hosts:
+            if not 0 <= h < n:
+                raise MatchingError(f"agent {a}: gated host not on preference list")
+            mask[a, h] = True
     return mask
 
 
@@ -224,10 +219,7 @@ class Matching:
     n_hosts: int
 
     def __post_init__(self) -> None:
-        a2h = np.asarray(self.agent_to_host)
-        if a2h.size and a2h.dtype.kind not in "iu":
-            raise MatchingError(f"host ids must be integers, got {a2h.dtype}")
-        a2h = a2h.astype(np.intp)  # a copy: the caller's array stays its own
+        a2h = _integers("host ids", self.agent_to_host).copy()  # the caller's array stays its own
         bad = np.argwhere((a2h < -1) | (a2h >= self.n_hosts))
         if bad.size:
             at = tuple(bad[0])
@@ -271,7 +263,7 @@ def build_matching(assignment: Sequence[int], n_hosts: int) -> Matching:
     return Matching(assignment, n_hosts)
 
 
-def _best_listed_host(row, gate_row, loads, room) -> Optional[int]:
+def _best_host(row, gate_row, loads, room) -> int:
     # The first host h on the row with loads[h] < room[h]. A gated host is
     # taken only when no ungated one qualifies: the gate never strands an agent.
     if gate_row is not None:
@@ -281,15 +273,14 @@ def _best_listed_host(row, gate_row, loads, room) -> Optional[int]:
     for h in row:
         if loads[h] < room[h]:
             return h
-    return None
 
 
 def _master_list_pass(instance: MatchingInstance, quota_aware: bool) -> Matching:
-    # Each agent in master-list order takes its best listed host with room.
-    # Deferred acceptance: room is a free slot, no gates, an agent whose list
-    # runs out stays unmatched. mmq_match: gates apply, room turns into an
-    # unmet minimum once every agent left is needed for one (phase 2), and a
-    # list that runs out is an error. A stacked instance is walked run by run.
+    # Each agent in master-list order takes its best host with room.
+    # Deferred acceptance: room is a free slot, no gates. mmq_match: gates
+    # apply, and room turns into an unmet minimum once every agent left is
+    # needed for one (phase 2). Complete lists and sum q_min <= M <= sum q_max
+    # leave each phase a host with room. A stacked instance is walked run by run.
     m, n = instance.n_agents, instance.n_hosts
     stacked = instance.agent_prefs.ndim == 3
     r = len(instance.agent_prefs) if stacked else 1
@@ -302,23 +293,13 @@ def _master_list_pass(instance: MatchingInstance, quota_aware: bool) -> Matching
         instance.q_max.reshape(r, n).tolist(),
     )
     hosts = []
-    for k, (rows, gates, master, q_min, q_max) in enumerate(runs):
+    for rows, gates, master, q_min, q_max in runs:
         deficit = sum(q_min) if quota_aware else 0  # unmet minimum quota; DA stays in phase 1
         loads = [0] * n
         assignment = [-1] * m
         for pos, agent in enumerate(master):
             phase_1 = m - pos > deficit  # once false, stays false
-            host = _best_listed_host(rows[agent], gates[agent], loads, q_max if phase_1 else q_min)
-            if host is None:
-                if not quota_aware:
-                    continue
-                error = MatchingError(
-                    f"agent {agent} ranks no host with "
-                    f"{'spare capacity' if phase_1 else 'an unmet minimum quota'}; "
-                    "preference list is too short for this instance"
-                )
-                error.run = k if stacked else None
-                raise error
+            host = _best_host(rows[agent], gates[agent], loads, q_max if phase_1 else q_min)
             if loads[host] < q_min[host]:
                 deficit -= 1
             loads[host] += 1
@@ -337,11 +318,9 @@ def mmq_match(instance: MatchingInstance) -> Matching:
     still unmet. Gated hosts are skipped in both phases unless an agent has
     no ungated option, in which case the gate yields to feasibility.
 
-    When every agent lists every host, the result is feasible, stable, and
-    Pareto optimal for the agents (``verify`` checks all three). With
-    incomplete lists a phase can run out of listed hosts and raise
-    ``MatchingError``, even on an instance that has a feasible matching.
-    A stacked instance gives an (R, M) matching, one walk per run.
+    Every agent ranks every host, so the result is feasible, stable, and
+    Pareto optimal for the agents (``verify`` checks all three). A stacked
+    instance gives an (R, M) matching, one walk per run.
     """
     return _master_list_pass(instance, quota_aware=True)
 
@@ -352,9 +331,9 @@ def deferred_acceptance(instance: MatchingInstance) -> Matching:
     All hosts rank proposers by one master list, so the stable matching is
     unique and DA returns serial dictatorship in master-list order (Ergin,
     Econometrica 2002, the common-priority case). That runs here: phase 1 of
-    ``mmq_match`` without gates and without the stop for minimum quotas; an
-    agent whose list runs out stays unmatched. The result can violate
-    minimum quotas; run ``verify`` to find out.
+    ``mmq_match`` without gates and without the stop for minimum quotas, so
+    every agent is matched. The result can violate minimum quotas; run
+    ``verify`` to find out.
     """
     return _master_list_pass(instance, quota_aware=False)
 
@@ -437,9 +416,9 @@ def enumerate_feasible(
 ) -> Iterator[Matching]:
     """Yield every feasible matching exactly once (brute-force oracle).
 
-    Feasible means every agent is assigned to a host on its list and all
-    quota bounds hold. Refuses instances with more than ``budget`` raw
-    assignments to scan.
+    Feasible means every agent is assigned to a host and all quota bounds
+    hold. Refuses instances with more than ``budget`` raw assignments to
+    scan.
     """
     _require_one_run(instance)
     if instance.n_hosts**instance.n_agents > budget:
@@ -480,7 +459,7 @@ def enumerate_feasible(
 
 
 def _pareto_optimal(instance: MatchingInstance, a2h: np.ndarray, budget: int) -> bool:
-    # Hosts not on an agent's list rank below everything it did list.
+    # Another feasible matching no agent ranks worse and one ranks better disproves it.
     agents = np.arange(instance.n_agents)
     ranks = instance.rank[agents, a2h]
     for other in enumerate_feasible(instance, budget=budget):
@@ -554,7 +533,7 @@ def format_instance(instance: MatchingInstance) -> str:
     """Serialize to the plain-text exchange format.
 
     Line 1: ``M N``. Line 2: the N minimum quotas. Line 3: the N maximum
-    quotas. Then M preference lines (host ids, best first) and one final
+    quotas. Then M preference lines (all N host ids, best first) and one final
     line with the master list (agent ids, best first). Gates are not part
     of the format.
     """

@@ -41,6 +41,11 @@ class PolicyConfig:
     bias_sinr_db: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("q_min_mmw", "q_min_muw", "q_max_mmw", "q_max_muw"):
+            value = getattr(self, name)
+            uncapped = value is None and name.startswith("q_max")
+            if not (uncapped or isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("q_min_mmw", "q_min_muw"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

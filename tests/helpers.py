@@ -30,25 +30,20 @@ def random_feasible_instance(
     max_agents: int = 6,
     max_hosts: int = 3,
     *,
-    incomplete: bool = False,
     gates: bool = False,
     zero_capacity: bool = False,
     allow_empty: bool = False,
 ) -> MatchingInstance:
     """Random instance whose quota sums admit a solution.
 
-    By default every list is complete and every host takes at least one
-    agent. The keywords widen the instance language: ``incomplete`` cuts
-    each list to a random prefix (possibly empty), ``gates`` flags a random
-    subset of each agent's listed hosts, ``zero_capacity`` lets ``q_max`` be
-    0, and ``allow_empty`` lets M be 0. With incomplete lists the quota sums
-    no longer guarantee that a feasible matching exists.
+    By default every host takes at least one agent. The keywords widen the
+    instance language: ``gates`` flags a random subset of each agent's
+    hosts, ``zero_capacity`` lets ``q_max`` be 0, and ``allow_empty`` lets M
+    be 0.
     """
     m = int(rng.integers(0 if allow_empty else 1, max_agents + 1))
     n = int(rng.integers(1, max_hosts + 1))
     prefs = tuple(tuple(int(h) for h in rng.permutation(n)) for _ in range(m))
-    if incomplete:
-        prefs = tuple(p[: int(rng.integers(0, n + 1))] for p in prefs)
     master = tuple(int(a) for a in rng.permutation(m))
     low = 0 if zero_capacity else 1
     while True:

@@ -275,6 +275,7 @@ def test_bad_grid_point_fails_before_any_run(tmp_path, monkeypatch):
         ("c_th", (0.5, math.nan)),
         ("m", (20, 0)),
         ("bias_rssi_db", (0.0, math.inf)),
+        ("q_min_muw", (1, 0.5)),
     ],
 )
 def test_bad_sweep_value_names_grid_point_before_any_run(tmp_path, monkeypatch, key, values):
@@ -724,14 +725,15 @@ def test_cli_match_roundtrip(tmp_path, capsys):
     assert "feasible: False" in out
 
 
-def test_cli_match_reports_unmatched_agents(tmp_path, capsys):
-    # Both agents list only host 0, which holds one: DA strands agent 1.
+def test_cli_match_rejects_short_preference_lists(tmp_path, capsys):
+    # Both agents list only host 0 of two: refused before either matcher runs.
     path = tmp_path / "short.txt"
     path.write_text("2 2\n0 0\n1 1\n0\n0\n0 1\n")
-    assert match_main(["--instance", str(path), "--algorithm", "da"]) == 1
-    out = capsys.readouterr().out
-    assert "unmatched agents: 1\n" in out
-    assert "feasible: False" in out
+    for algorithm in ("mmq", "da"):
+        assert match_main(["--instance", str(path), "--algorithm", algorithm]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: agent 0: preference list must rank all 2 hosts, got 1\n"
 
 
 def test_cli_match_bad_token_names_its_line(tmp_path, capsys):

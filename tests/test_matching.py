@@ -163,13 +163,13 @@ def test_da_rejection_chain():
     assert m.agent_to_host.tolist() == [2, 1, 0]  # ML-best agent 2 lands on host 0
 
 
-EXTENDED = dict(incomplete=True, gates=True, zero_capacity=True, allow_empty=True)
+EXTENDED = dict(gates=True, zero_capacity=True, allow_empty=True)
 
 
 def test_da_matches_proposal_loop_oracle():
     # One master list for every host makes the stable matching unique, so
     # the master-list pass must equal the proposal loop on every instance:
-    # incomplete lists, gates, q_max = 0 hosts and M = 0 included.
+    # gates, q_max = 0 hosts and M = 0 included.
     rng = np.random.default_rng(23)
     for i in range(600):
         inst = random_feasible_instance(rng, **(EXTENDED if i % 2 else {}))
@@ -273,12 +273,9 @@ def test_verify_skips_pareto_beyond_budget(counterexample):
 
 def _sample_matchings(rng, inst):
     # The two engines' outputs plus random assignments that leave agents
-    # unmatched or put them on hosts they did not list.
+    # unmatched and break quotas.
     yield deferred_acceptance(inst)
-    try:
-        yield mmq_match(inst)
-    except MatchingError:
-        pass  # incomplete lists can strand phase 1 or 2
+    yield mmq_match(inst)
     for _ in range(3):
         hosts = rng.integers(-1, inst.n_hosts, size=inst.n_agents).tolist()
         yield build_matching(hosts, inst.n_hosts)
@@ -318,7 +315,7 @@ def _stack(runs):
 @pytest.mark.parametrize("n_policies", [1, 3])
 @pytest.mark.parametrize("n_runs", [1, 3])
 @pytest.mark.parametrize(
-    "variant", [{}, {"incomplete": True}, {"gates": True}, {"zero_capacity": True}]
+    "variant", [{}, {"allow_empty": True}, {"gates": True}, {"zero_capacity": True}]
 )
 def test_stacked_verify_matches_single_run_calls(variant, n_runs, n_policies):
     rng = np.random.default_rng([n_runs, n_policies, len(str(variant))])
@@ -328,7 +325,7 @@ def test_stacked_verify_matches_single_run_calls(variant, n_runs, n_policies):
         for k, inst in enumerate(runs):
             assert stacked.run(k) == inst
         # Each run's P assignments: the engines' outputs and random ones, which
-        # leave agents unmatched, use unlisted hosts and break quotas.
+        # leave agents unmatched and break quotas.
         hosts = np.stack([
             [m.agent_to_host for m in list(_sample_matchings(rng, inst))[-n_policies:]]
             for inst in runs
@@ -349,32 +346,15 @@ def test_stacked_verify_matches_single_run_calls(variant, n_runs, n_policies):
                 assert_reports_agree(report, single, (k,))
 
 
-def _mmq_error(inst):
-    try:
-        mmq_match(inst)
-    except MatchingError as exc:
-        return str(exc)
-    return None
-
-
 def test_stacked_matchers_walk_each_run():
     rng = np.random.default_rng(17)
-    for variant in ({}, {"gates": True}, {"incomplete": True}):
+    for variant in ({}, {"gates": True}, {"zero_capacity": True}):
         for _ in range(20):
             runs = _same_shape_instances(rng, 4, **variant)
             stacked = _stack(runs)
-            want = [deferred_acceptance(inst).agent_to_host for inst in runs]
-            assert deferred_acceptance(stacked) == build_matching(want, stacked.n_hosts)
-            errors = [_mmq_error(inst) for inst in runs]
-            failing = [k for k, error in enumerate(errors) if error is not None]
-            if not failing:
-                want = [mmq_match(inst).agent_to_host for inst in runs]
-                assert mmq_match(stacked) == build_matching(want, stacked.n_hosts)
-                continue
-            with pytest.raises(MatchingError) as failure:  # the lowest failing run raises
-                mmq_match(stacked)
-            assert failure.value.run == failing[0]
-            assert str(failure.value) == f"run {failing[0]}: {errors[failing[0]]}"
+            for matcher in (deferred_acceptance, mmq_match):
+                want = [matcher(inst).agent_to_host for inst in runs]
+                assert matcher(stacked) == build_matching(want, stacked.n_hosts)
 
 
 def test_stacked_instance_reuses_complete_arrays():
@@ -406,8 +386,8 @@ def test_one_run_functions_reject_stacks():
          "agent 1: preference list contains duplicates"),
         ({("master_list", 0): (1, 1), ("gated", (1, 0, 1)): True, ("agent_prefs", (1, 0, 1)): -1},
          0, MatchingError, "master list must be a permutation of all agents"),
-        ({("gated", (1, 0, 1)): True, ("agent_prefs", (1, 0, 1)): -1}, 1, MatchingError,
-         "agent 0: gated host not on preference list"),
+        ({("agent_prefs", (1, 0, 1)): -1}, 1, MatchingError,
+         "agent 0: preference list names an unknown host"),
         ({("q_min", (3, 1)): 3}, 3, MatchingError, "host 1: need 0 <= q_min <= q_max, got (3, 2)"),
     ],
 )
@@ -480,29 +460,29 @@ def test_structural_validation():
          "agent and host counts must be non-negative"),
         ((2, 1, ((0,),), (0, 1), (0,), (2,)), {},
          "expected 2 preference lists, got 1"),
-        ((1, 2, ((0,),), (0,), (0,), (1, 1)), {},
+        ((1, 2, ((0, 1),), (0,), (0,), (1, 1)), {},
          "quota vectors must have one entry per host"),
-        ((1, 2, ((0,),), (0,), (0, 2), (1, 1)), {},
+        ((1, 2, ((0, 1),), (0,), (0, 2), (1, 1)), {},
          "host 1: need 0 <= q_min <= q_max, got (2, 1)"),
-        ((1, 2, ((0,),), (0,), (0, -1), (1, 1)), {},
+        ((1, 2, ((0, 1),), (0,), (0, -1), (1, 1)), {},
          "host 1: need 0 <= q_min <= q_max, got (-1, 1)"),
         ((2, 1, ((0,), (0,)), (1, 1), (0,), (2,)), {},
          "master list must be a permutation of all agents"),
         ((2, 1, ((0,), (0,)), (0,), (0,), (2,)), {},
          "master list must be a permutation of all agents"),
-        ((2, 2, ((0,), (1, 1)), (0, 1), (0, 0), (2, 2)), {},
+        ((2, 2, ((0, 1), (1, 1)), (0, 1), (0, 0), (2, 2)), {},
          "agent 1: preference list contains duplicates"),
-        ((2, 2, ((0,), (1, 0, 1)), (0, 1), (0, 0), (2, 2)), {},
-         "agent 1: preference list contains duplicates"),
-        ((2, 2, ((0,), (5, 5)), (0, 1), (0, 0), (2, 2)), {},
+        ((2, 2, ((0, 1), (1, 0, 1)), (0, 1), (0, 0), (2, 2)), {},
+         "agent 1: preference list must rank all 2 hosts, got 3"),
+        ((2, 2, ((0, 1), (5, 5)), (0, 1), (0, 0), (2, 2)), {},
          "agent 1: preference list contains duplicates"),
         ((2, 2, ((0, -1), (0, 0)), (0, 1), (0, 0), (2, 2)), {},
          "agent 0: preference list names an unknown host"),
-        ((2, 2, ((0,), (1, 2)), (0, 1), (0, 0), (2, 2)), {},
+        ((2, 2, ((0, 1), (1, 2)), (0, 1), (0, 0), (2, 2)), {},
          "agent 1: preference list names an unknown host"),
-        ((1, 2, ((0,),), (0,), (0, 0), (1, 1)), {"gated": ()},
+        ((1, 2, ((0, 1),), (0,), (0, 0), (1, 1)), {"gated": ()},
          "gated sets must have one entry per agent"),
-        ((2, 2, ((0,), (0,)), (0, 1), (0, 0), (2, 2)), {"gated": ({0}, {1})},
+        ((2, 2, ((0, 1), (0, 1)), (0, 1), (0, 0), (2, 2)), {"gated": ({0}, {2})},
          "agent 1: gated host not on preference list"),
         ((1, 2, ((0, 1),), (0,), (0, 0), (1, 1)), {"gated": ({7},)},
          "agent 0: gated host not on preference list"),
@@ -510,6 +490,26 @@ def test_structural_validation():
          "no feasible matching: sum q_min=4, M=2, sum q_max=4"),
         ((3, 1, ((0,),) * 3, (0, 1, 2), (0,), (2,)), {},
          "no feasible matching: sum q_min=0, M=3, sum q_max=2"),
+        ((2, 2, ((0, 1), (0,)), (0, 1), (0, 0), (2, 2)), {},
+         "agent 1: preference list must rank all 2 hosts, got 1"),
+        ((2, 2, np.array([[0, 1, 0], [1, 0, 1]]), (0, 1), (0, 0), (2, 2)), {},
+         "agent_prefs must be a (2, 2) array, got (2, 3)"),
+        ((2, 2, np.zeros((3, 2, 1), dtype=int), (0, 1), (0, 0), (2, 2)), {},
+         "agent_prefs must be a (3, 2, 2) array, got (3, 2, 1)"),
+        ((2, 2, ((0, 1), (1, 0)), (0, 1), (0, 0), (2, 2)), {"gated": np.array([False, True])},
+         "gated must be a (2, 2) array, got (2,)"),
+        ((2, 2, ((0, 1), (1, 0)), (0, 1), (0, 0), (2, 2)), {"gated": np.zeros((2, 3), bool)},
+         "gated must be a (2, 2) array, got (2, 3)"),
+        ((2, 2, np.array([[[0, 1], [1, 0]]]), np.array([[0, 1]]), (0, 0), (2, 2)),
+         {"gated": ({0}, {1})}, "gated sets must have one entry per agent"),
+        ((2, 2, ((0, 1), (1, 0.0)), (0, 1), (0, 0), (2, 2)), {},
+         "agent_prefs must be integers, got float64"),
+        ((2, 2, ((0, 1), (1, 0)), np.array([0.0, 1.0]), (0, 0), (2, 2)), {},
+         "master_list must be integers, got float64"),
+        ((2, 2, ((0, 1), (1, 0)), (0, 1), (0.7, 0), (2, 2)), {},
+         "q_min must be integers, got float64"),
+        ((2, 2, ((0, 1), (1, 0)), (0, 1), (0, 0), (2, 2.9)), {},
+         "q_max must be integers, got float64"),
     ],
 )
 def test_structural_errors_keep_their_messages(args, kwargs, message):
@@ -519,16 +519,16 @@ def test_structural_errors_keep_their_messages(args, kwargs, message):
 
 def test_array_form_equals_tuple_form():
     tuples = MatchingInstance(
-        3, 3, ((2, 0), (1,), (0, 1, 2)), (2, 0, 1), (0, 0, 1), (2, 2, 2),
+        3, 3, ((2, 0, 1), (1, 2, 0), (0, 1, 2)), (2, 0, 1), (0, 0, 1), (2, 2, 2),
         gated=(frozenset({0}), frozenset(), frozenset({1, 2})),
     )
     arrays = MatchingInstance(
-        3, 3, np.array([[2, 0, -1], [1, -1, -1], [0, 1, 2]]), np.array([2, 0, 1]),
+        3, 3, np.array([[2, 0, 1], [1, 2, 0], [0, 1, 2]]), np.array([2, 0, 1]),
         np.array([0, 0, 1]), np.array([2, 2, 2]),
         gated=np.array([[1, 0, 0], [0, 0, 0], [0, 1, 1]], dtype=bool),
     )
     assert arrays == tuples
-    assert tuples.rank.tolist() == [[1, 3, 0], [3, 0, 3], [0, 1, 2]]
+    assert tuples.rank.tolist() == [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
     assert tuples.ml_rank.tolist() == [1, 2, 0]
     assert parse_instance(format_instance(tuples)) == MatchingInstance(
         3, 3, tuples.agent_prefs, tuples.master_list, tuples.q_min, tuples.q_max
@@ -536,28 +536,30 @@ def test_array_form_equals_tuple_form():
 
 
 def test_pref_rows_are_converted_once_per_instance(monkeypatch):
-    inst = MatchingInstance(3, 3, ((2, 0), (1,), (0, 1, 2)), (2, 0, 1), (0, 0, 0), (2, 2, 2))
+    inst = MatchingInstance(
+        3, 3, ((2, 0, 1), (1, 2, 0), (0, 1, 2)), (2, 0, 1), (0, 0, 0), (2, 2, 2)
+    )
     cached = MatchingInstance.__dict__["_pref_rows"]
     convert, calls = cached.func, []
     monkeypatch.setattr(cached, "func", lambda instance: calls.append(1) or convert(instance))
     assert mmq_match(inst).agent_to_host.tolist() == [2, 1, 0]
     assert deferred_acceptance(inst).agent_to_host.tolist() == [2, 1, 0]
-    # The text format and the enumeration oracle read the same listed hosts.
-    assert format_instance(inst).splitlines()[3:6] == ["2 0", "1", "0 1 2"]
-    assert len(list(enumerate_feasible(inst))) == 6  # 2 * 1 * 3 choices, none over q_max
+    # The text format and the enumeration oracle read the same rows.
+    assert format_instance(inst).splitlines()[3:6] == ["2 0 1", "1 2 0", "0 1 2"]
+    assert len(list(enumerate_feasible(inst))) == 24  # 3^3, less 3 that put 3 on one host
     assert calls == [1]
     other = MatchingInstance(3, 3, inst.agent_prefs, inst.master_list, inst.q_min, inst.q_max)
     mmq_match(other)
     assert calls == [1, 1]  # one conversion per instance
 
 
-@pytest.mark.xfail(strict=True, raises=MatchingError, reason=(
-    "mmq_match guarantees feasibility only for complete preference lists; "
-    "here phase 2 strands agent 1 although a0->1, a1->0 is feasible"
-))
-def test_mmq_finds_feasible_matching_with_incomplete_lists():
-    inst = parse_instance("2 2\n1 1\n1 1\n0 1\n0\n0 1\n")
-    assert verify(inst, mmq_match(inst)).feasible
+def test_incomplete_preference_list_is_rejected():
+    # Agent 1 lists host 0 only. a0->1, a1->0 is feasible, yet mmq_match's
+    # phase 2 would strand agent 1: its guarantee needs every agent to rank
+    # every host, so the instance is refused before any matcher runs.
+    message = "^agent 1: preference list must rank all 2 hosts, got 1$"
+    with pytest.raises(MatchingError, match=message):
+        parse_instance("2 2\n1 1\n1 1\n0 1\n0\n0 1\n")
 
 
 # --- gating --------------------------------------------------------------------

@@ -222,6 +222,17 @@ def test_policy_config_validation():
         PolicyConfig(bias_rssi_db=-5.0)
 
 
+@pytest.mark.parametrize("name", ["q_min_mmw", "q_min_muw", "q_max_mmw", "q_max_muw"])
+def test_policy_config_rejects_fractional_quotas(name):
+    # A fractional quota ran truncated while every CSV row reported the fraction.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+        PolicyConfig(**{name: 2.5})
+    assert getattr(PolicyConfig(**{name: np.int64(3)}), name) == 3
+    if name.startswith("q_min"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got None$"):
+            PolicyConfig(**{name: None})
+
+
 @pytest.mark.parametrize("name", ["c_th", "bias_rssi_db", "bias_sinr_db"])
 def test_policy_config_rejects_nan(name):
     # A NaN bias sent every UE to one BS and a NaN gate silently gated nothing.
