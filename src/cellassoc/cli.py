@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (
@@ -13,58 +12,37 @@ from .experiments import (
     load_config,
     run_experiment,
     run_figure,
+    with_overrides,
 )
 from .matching import deferred_acceptance, mmq_match, parse_instance, verify
-from .scenario import ConfigurationError
 
 
 def simulate_main(argv=None) -> int:
     """Run a config-file experiment or one of the canned figure sweeps."""
     argv = sys.argv[1:] if argv is None else list(argv)
-
-    if argv and argv[0] == "figure":
+    figure = argv[:1] == ["figure"]
+    if figure:
         parser = argparse.ArgumentParser(
             prog="simulate figure", description="Run a canned figure sweep."
         )
         parser.add_argument("figure_id", choices=FIGURES)
-        parser.add_argument("--runs", type=int, default=None)
-        parser.add_argument("--seed", type=int, default=0)
-        parser.add_argument("--out", default=None)
-        parser.add_argument("--workers", type=int, default=1)
-        args = parser.parse_args(argv[1:])
-        try:
-            out = run_figure(
-                args.figure_id,
-                output_path=args.out,
-                n_runs=args.runs,
-                seed=args.seed,
-                workers=args.workers,
-            )
-        except (ConfigurationError, VerificationFailure, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(out)
-        return 0
-
-    parser = argparse.ArgumentParser(
-        prog="simulate", description="Run a Monte Carlo cell association experiment."
-    )
-    parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--runs", type=int, default=None, help="override run count")
-    parser.add_argument("--seed", type=int, default=None, help="override base seed")
-    parser.add_argument("--out", default=None, help="override output CSV path")
+    else:
+        parser = argparse.ArgumentParser(
+            prog="simulate", description="Run a Monte Carlo cell association experiment."
+        )
+        parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--runs", type=int, help="override run count")
+    parser.add_argument("--seed", type=int, help="override base seed")
+    parser.add_argument("--out", help="override output CSV path")
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv[figure:])
     try:
-        config = load_config(args.config)
-        if args.runs is not None:
-            config = replace(config, n_runs=args.runs)
-        if args.seed is not None:
-            config = replace(config, scenario=replace(config.scenario, seed=args.seed))
-        if args.out is not None:
-            config = replace(config, output_path=args.out)
-        out = run_experiment(config, workers=args.workers)
-    except (ConfigurationError, VerificationFailure, OSError, ValueError) as exc:
+        if figure:
+            out = run_figure(args.figure_id, args.out, args.runs, args.seed, args.workers)
+        else:
+            config = with_overrides(load_config(args.config), args.runs, args.seed, args.out)
+            out = run_experiment(config, workers=args.workers)
+    except (ValueError, VerificationFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(out)

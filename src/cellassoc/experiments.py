@@ -378,6 +378,14 @@ def _write_rate_cdf(exp: ExperimentConfig, grid, columns) -> None:
     _write_rows(columns, out.with_name(out.stem + "_runs.csv"))
 
 
+def with_overrides(exp, n_runs=None, seed=None, output_path=None) -> ExperimentConfig:
+    """``exp`` with its run count, base seed and output path replaced; None keeps its own."""
+    scenario = exp.scenario if seed is None else replace(exp.scenario, seed=seed)
+    n_runs = exp.n_runs if n_runs is None else n_runs
+    output_path = exp.output_path if output_path is None else str(output_path)
+    return replace(exp, scenario=scenario, n_runs=n_runs, output_path=output_path)
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Path:
     """Execute the experiment and write the per-run CSV plus the aggregate.
 
@@ -465,7 +473,7 @@ def run_figure(
     figure_id: str,
     output_path=None,
     n_runs: Optional[int] = None,
-    seed: int = 0,
+    seed: Optional[int] = None,
     workers: int = 1,
 ) -> Path:
     """Run one canned figure sweep and write its plot-ready CSV.
@@ -478,18 +486,15 @@ def run_figure(
     over their bias sweeps at M=70.
     fig7: empirical CDF of the microwave per-UE rate at M=100 with the
     utility gate at 0.5.
+
+    ``n_runs``, ``seed`` and ``output_path`` go through ``with_overrides``;
+    None keeps the figure's own 200 runs, base seed 0 and ``<figure_id>.csv``.
     """
     if figure_id not in FIGURES:
-        raise ConfigurationError(
-            f"unknown figure id {figure_id!r}; expected one of {FIGURES}"
-        )
+        raise ConfigurationError(f"unknown figure id {figure_id!r}; expected one of {FIGURES}")
     config, grid, write, muw_samples = _FIGURE_TABLE[figure_id]
-    config = replace(
-        config,
-        scenario=replace(config.scenario, seed=seed),
-        n_runs=200 if n_runs is None else n_runs,
-        output_path=str(f"{figure_id}.csv" if output_path is None else output_path),
-    )
+    out = f"{figure_id}.csv" if output_path is None else output_path
+    config = with_overrides(config, n_runs, seed, out)
     write(config, grid, _collect_rows(config, grid, workers, muw_samples))
     return Path(config.output_path)
 

@@ -58,7 +58,7 @@ class MatchingInstance:
 
     ``agent_prefs`` (M, N) ranks all N host ids best-first per agent: each
     row is a permutation of 0..N-1. ``master_list`` (M,) ranks agent ids
-    best-first for every host. ``gated`` (M, N) flags the hosts an agent
+    best-first for every host. ``gated`` (M, N) bool flags the hosts an agent
     avoids unless forced to meet a minimum quota; they keep their place in
     the order. Derived: ``rank[m, h]``, host h's position on agent m's list,
     and ``ml_rank[m]``, agent m's master-list position. The constructor also
@@ -110,6 +110,8 @@ class MatchingInstance:
         if isinstance(gates, np.ndarray):
             if gates.shape != shape:
                 raise MatchingError(f"gated must be a {shape} array, got {gates.shape}")
+            if gates.dtype != bool:
+                raise MatchingError(f"gated must be a bool array, got {gates.dtype}")
         elif gates is not None and (lead or len(gates) != m):
             raise MatchingError("gated sets must have one entry per agent")
         try:
@@ -152,10 +154,13 @@ class MatchingInstance:
 
 
 def _integers(name: str, values) -> np.ndarray:
-    # An integer array; a non-empty one of another dtype is refused, not truncated.
+    # An intp array; a non-empty one of another dtype is refused, not truncated,
+    # and an unsigned value beyond intp is refused, not wrapped.
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise MatchingError(f"{name} must be integers, got {array.dtype}")
+    if array.dtype.kind == "u" and array.size and array.max() > np.iinfo(np.intp).max:
+        raise MatchingError(f"{name} must fit in {np.dtype(np.intp)}, got {array.max()}")
     return array.astype(np.intp, copy=False)
 
 
@@ -426,7 +431,6 @@ def enumerate_feasible(
             f"{instance.n_hosts}^{instance.n_agents} assignments exceed the "
             f"budget of {budget}"
         )
-    rows = instance._pref_rows
     q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
     loads = [0] * instance.n_hosts
     assignment = [-1] * instance.n_agents
@@ -441,7 +445,7 @@ def enumerate_feasible(
         remaining = instance.n_agents - agent
         if deficit > remaining:
             return  # not enough agents left to meet the minima
-        for host in sorted(rows[agent]):
+        for host in range(instance.n_hosts):
             if loads[host] >= q_max[host]:
                 continue
             below_min = loads[host] < q_min[host]

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import math
 import re
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -23,6 +24,7 @@ from cellassoc.experiments import (
     parse_config,
     run_experiment,
     run_figure,
+    with_overrides,
 )
 from cellassoc.matching import (
     MatchingError,
@@ -514,6 +516,97 @@ def test_cli_simulate_config(tmp_path, capsys):
     rows = read_rows(out)
     assert len(rows) == 2  # --runs override applied
     assert rows[0]["seed"] == "3"
+
+
+def written_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+CLI_CONFIG = (
+    "scenario.n_mmw = 2\nscenario.n_muw = 2\nscenario.n_ue = 8\n"
+    "experiment.policies = mmq, max_rssi\nexperiment.runs = 5\nexperiment.slots = 2\n"
+)
+
+
+def test_cli_simulate_config_matches_the_library_call(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CLI_CONFIG)
+    (tmp_path / "cli").mkdir()
+    (tmp_path / "lib").mkdir()
+    out = tmp_path / "cli" / "x.csv"
+    argv = ["--config", str(cfg_file), "--runs", "2", "--seed", "3", "--out", str(out)]
+    assert simulate_main(argv) == 0
+    assert capsys.readouterr().out == f"{out}\n"
+    config = load_config(cfg_file)
+    run_experiment(
+        replace(
+            config,
+            scenario=replace(config.scenario, seed=3),
+            n_runs=2,
+            output_path=str(tmp_path / "lib" / "x.csv"),
+        )
+    )
+    assert written_bytes(tmp_path / "cli") == written_bytes(tmp_path / "lib")
+
+
+def test_cli_simulate_figure_matches_the_library_call(tmp_path, capsys):
+    (tmp_path / "cli").mkdir()
+    (tmp_path / "lib").mkdir()
+    out = tmp_path / "cli" / "x.csv"
+    argv = ["figure", "fig5", "--runs", "2", "--seed", "3", "--out", str(out)]
+    assert simulate_main(argv) == 0
+    assert capsys.readouterr().out == f"{out}\n"
+    run_figure("fig5", tmp_path / "lib" / "x.csv", n_runs=2, seed=3)
+    assert written_bytes(tmp_path / "cli") == written_bytes(tmp_path / "lib")
+
+
+def test_cli_simulate_figure_defaults_to_its_own_seed_and_file_name(
+    tmp_path, capsys, monkeypatch
+):
+    (tmp_path / "default").mkdir()
+    (tmp_path / "seed0").mkdir()
+    monkeypatch.chdir(tmp_path / "default")
+    assert simulate_main(["figure", "fig5", "--runs", "2"]) == 0
+    assert capsys.readouterr().out == "fig5.csv\n"
+    out = tmp_path / "seed0" / "fig5.csv"
+    assert simulate_main(["figure", "fig5", "--runs", "2", "--seed", "0", "--out", str(out)]) == 0
+    assert written_bytes(tmp_path / "default") == written_bytes(tmp_path / "seed0")
+
+
+def test_with_overrides_keeps_what_is_none():
+    assert with_overrides(TINY) == TINY
+    changed = with_overrides(TINY, n_runs=2, seed=3, output_path=Path("b.csv"))
+    assert changed == replace(
+        TINY, scenario=replace(TINY.scenario, seed=3), n_runs=2, output_path="b.csv"
+    )
+    with pytest.raises(ConfigurationError, match="n_runs must be >= 1"):
+        with_overrides(TINY, n_runs=0)
+
+
+@pytest.mark.parametrize("form", ["config", "figure"])
+def test_cli_simulate_out_naming_a_directory_fails_cleanly(tmp_path, capsys, form):
+    if form == "figure":
+        argv = ["figure", "fig5", "--runs", "1"]
+    else:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(CLI_CONFIG)
+        argv = ["--config", str(cfg_file)]
+    assert simulate_main(argv + ["--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_scripts_resolve():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert set(scripts) == {"simulate", "match"}
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
 
 
 def test_cli_simulate_rejects_nan_scenario_value(tmp_path, capsys, monkeypatch):

@@ -510,6 +510,10 @@ def test_structural_validation():
          "q_min must be integers, got float64"),
         ((2, 2, ((0, 1), (1, 0)), (0, 1), (0, 0), (2, 2.9)), {},
          "q_max must be integers, got float64"),
+        ((2, 2, ((0, 1), (1, 0)), (0, 1), (0, 0), (2, 2)),
+         {"gated": np.array([[0.5, 0], [0, 0]])}, "gated must be a bool array, got float64"),
+        ((2, 2, ((0, 1), (1, 0)), (0, 1), (0, 0), np.array([2**63, 1], dtype=np.uint64)), {},
+         "q_max must fit in int64, got 9223372036854775808"),
     ],
 )
 def test_structural_errors_keep_their_messages(args, kwargs, message):
