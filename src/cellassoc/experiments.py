@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -297,7 +298,12 @@ def _collect_rows(
         except ValueError as exc:
             raise ConfigurationError(f"grid point {overrides}: {exc}") from exc
         q_min, q_max = pol.quota_vectors(scen.n_mmw, scen.n_muw, scen.n_ue)
-        # Random microwave minima are drawn per run; their smallest draw is 0.
+        cap = scen.n_ue // scen.n_muw  # random microwave minima are drawn in [0, cap]
+        if exp.random_muw_quota and cap > q_max[-1]:
+            raise ConfigurationError(
+                f"grid point {overrides}: random microwave minima reach M // N2 = {cap} > "
+                f"q_max_muw = {q_max[-1]}"
+            )
         low = sum(q_min[: scen.n_mmw] if exp.random_muw_quota else q_min)
         if not low <= scen.n_ue <= sum(q_max):
             raise ConfigurationError(
@@ -320,15 +326,31 @@ def _collect_rows(
     return {key: [value for batch in results for value in batch[key]] for key in keys}
 
 
-# Writers: each takes (config, grid, row columns) and writes the files named by
-# ``config.output_path``.
+def _run_and_write(exp: ExperimentConfig, grid, write, workers: int) -> Path:
+    """Run ``grid`` and ``write`` its files, returning the first. Each path is
+    checked first, so that an OSError the writer would raise comes before any run."""
+    paths = _WRITTEN_PATHS[write](Path(exp.output_path))
+    for path in paths:
+        base = next(p for p in (path, *path.parents) if p.exists())  # the writer makes the rest
+        if path.is_dir():
+            raise IsADirectoryError(f"output path {path} is a directory")
+        if not (base == path or base.is_dir()):
+            raise NotADirectoryError(f"output path {path}: {base} is not a directory")
+        if not os.access(base, os.W_OK):
+            raise PermissionError(f"output path {path}: {base} is not writable")
+    muw_samples = write is _write_rate_cdf  # the one writer that reads them
+    write(exp, grid, _collect_rows(exp, grid, workers, muw_samples), *paths)
+    return paths[0]
 
 
-def _write_experiment(exp: ExperimentConfig, grid, columns) -> None:
+# Writers: each takes (config, grid, row columns) and writes the paths that
+# ``_WRITTEN_PATHS`` gives for ``config.output_path``.
+
+
+def _write_experiment(exp: ExperimentConfig, grid, columns, out: Path, agg: Path) -> None:
     """Per-run rows plus the per-point aggregate next to them."""
-    out = Path(exp.output_path)
     _write_rows(columns, out)
-    _write_csv(aggregate_path(out), AGG_COLUMNS, _aggregate_records(exp, columns))
+    _write_csv(agg, AGG_COLUMNS, _aggregate_records(exp, columns))
 
 
 def _optimal_quotas(grid: list[dict], columns: dict[str, list], n_runs: int) -> list[dict]:
@@ -349,10 +371,10 @@ def _optimal_quotas(grid: list[dict], columns: dict[str, list], n_runs: int) -> 
     ]
 
 
-def _write_quota_table(exp: ExperimentConfig, grid, columns) -> None:
+def _write_quota_table(exp: ExperimentConfig, grid, columns, out: Path) -> None:
     """One line per (M, microwave minimum), flagging the sum-rate-optimal one."""
     _write_csv(
-        Path(exp.output_path),
+        out,
         ("m", "q_min_muw", "mean_sum_rate_bps", "optimal"),
         (
             [row["m"], q, mean, "true" if q == row["q_star"] else "false"]
@@ -362,10 +384,9 @@ def _write_quota_table(exp: ExperimentConfig, grid, columns) -> None:
     )
 
 
-def _write_rate_cdf(exp: ExperimentConfig, grid, columns) -> None:
+def _write_rate_cdf(exp: ExperimentConfig, grid, columns, out: Path, runs: Path) -> None:
     """Pooled microwave rate CDF per policy, plus the per-run rows in ``_runs.csv``."""
     n_policies = len(exp.policies_enabled)  # rows are run-major: a policy's are every P-th
-    out = Path(exp.output_path)
     _write_csv(
         out,
         ("policy", "muw_rate_bps", "cdf"),
@@ -375,7 +396,14 @@ def _write_rate_cdf(exp: ExperimentConfig, grid, columns) -> None:
             for x, f in zip(*rate_cdf(np.concatenate(columns["muw_rates_bps"][p::n_policies])))
         ),
     )
-    _write_rows(columns, out.with_name(out.stem + "_runs.csv"))
+    _write_rows(columns, runs)
+
+
+_WRITTEN_PATHS = {
+    _write_experiment: lambda out: (out, aggregate_path(out)),
+    _write_quota_table: lambda out: (out,),
+    _write_rate_cdf: lambda out: (out, out.with_name(out.stem + "_runs.csv")),
+}
 
 
 def with_overrides(exp, n_runs=None, seed=None, output_path=None) -> ExperimentConfig:
@@ -391,12 +419,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Path:
 
     Returns the per-run CSV path; the aggregate sits next to it with an
     ``_agg`` suffix. Raises ``VerificationFailure`` if any run's quota-aware
-    matching is infeasible or unstable, and ``ConfigurationError`` naming the
-    grid point (and run and seed, for random minima) whose quotas M cannot meet.
+    matching is infeasible or unstable, ``ConfigurationError`` naming the grid
+    point (and run and seed, for random minima) whose quotas M cannot meet,
+    and, before any run, ``OSError`` for an output path it could not write.
     """
-    grid = _grid_points(config.sweep)
-    _write_experiment(config, grid, _collect_rows(config, grid, workers))
-    return Path(config.output_path)
+    return _run_and_write(config, _grid_points(config.sweep), _write_experiment, workers)
 
 
 def optimal_min_quota_sweep(
@@ -433,10 +460,9 @@ def optimal_min_quota_sweep(
     return _optimal_quotas(grid, _collect_rows(exp, grid, workers), n_runs)
 
 
-# Canned figures: id -> (config at seed 0 and 200 runs, grid, writer, whether
-# the writer reads the microwave rate samples). Each writes <id>.csv unless told
-# otherwise. fig4 tries every microwave minimum q with N2 * q <= M (N2 = 10);
-# fig5/fig6 set every minimum to M // N = 70 // 20.
+# Canned figures: id -> (config at seed 0 and 200 runs, grid, writer). Each
+# writes <id>.csv unless told otherwise. fig4 tries every microwave minimum q
+# with N2 * q <= M (N2 = 10); fig5/fig6 set every minimum to M // N = 70 // 20.
 _FIG3 = ExperimentConfig(
     policies_enabled=("mmq", "max_rssi", "max_sinr"),
     sweep={"m": tuple(range(10, 101, 10))},
@@ -460,11 +486,11 @@ _FIG7 = ExperimentConfig(
     auto_bias=True,
 )
 _FIGURE_TABLE = {
-    "fig3": (_FIG3, _grid_points(_FIG3.sweep), _write_experiment, False),
-    "fig4": (ExperimentConfig(policies_enabled=("mmq",)), _FIG4_GRID, _write_quota_table, False),
-    "fig5": (_FIG5, _grid_points(_FIG5.sweep), _write_experiment, False),
-    "fig6": (_FIG6, _grid_points(_FIG6.sweep), _write_experiment, False),
-    "fig7": (_FIG7, [{}], _write_rate_cdf, True),
+    "fig3": (_FIG3, _grid_points(_FIG3.sweep), _write_experiment),
+    "fig4": (ExperimentConfig(policies_enabled=("mmq",)), _FIG4_GRID, _write_quota_table),
+    "fig5": (_FIG5, _grid_points(_FIG5.sweep), _write_experiment),
+    "fig6": (_FIG6, _grid_points(_FIG6.sweep), _write_experiment),
+    "fig7": (_FIG7, [{}], _write_rate_cdf),
 }
 FIGURES = tuple(_FIGURE_TABLE)
 
@@ -492,11 +518,9 @@ def run_figure(
     """
     if figure_id not in FIGURES:
         raise ConfigurationError(f"unknown figure id {figure_id!r}; expected one of {FIGURES}")
-    config, grid, write, muw_samples = _FIGURE_TABLE[figure_id]
+    config, grid, write = _FIGURE_TABLE[figure_id]
     out = f"{figure_id}.csv" if output_path is None else output_path
-    config = with_overrides(config, n_runs, seed, out)
-    write(config, grid, _collect_rows(config, grid, workers, muw_samples))
-    return Path(config.output_path)
+    return _run_and_write(with_overrides(config, n_runs, seed, out), grid, write, workers)
 
 
 # --------------------------------------------------------------------------

@@ -58,12 +58,12 @@ class MatchingInstance:
 
     ``agent_prefs`` (M, N) ranks all N host ids best-first per agent: each
     row is a permutation of 0..N-1. ``master_list`` (M,) ranks agent ids
-    best-first for every host. ``gated`` (M, N) bool flags the hosts an agent
-    avoids unless forced to meet a minimum quota; they keep their place in
-    the order. Derived: ``rank[m, h]``, host h's position on agent m's list,
-    and ``ml_rank[m]``, agent m's master-list position. The constructor also
-    takes plain sequences: one N-host tuple per agent, and None or one set of
-    host ids per agent for ``gated``. Every id must be an integer.
+    best-first for every host. ``gated`` is None (no gates) or an (M, N) bool
+    array flagging the hosts an agent avoids unless forced to meet a minimum
+    quota; they keep their place in ``agent_prefs``. Derived: ``rank[m, h]``,
+    host h's position on agent m's list, and ``ml_rank[m]``, agent m's
+    master-list position. ``agent_prefs`` may also be given as one N-host
+    tuple per agent. Every id must be an integer.
 
     A stacked instance holds R runs that share M and N: an (R, M, N)
     ``agent_prefs`` array gives every array a leading run axis (quotas given
@@ -106,14 +106,12 @@ class MatchingInstance:
         master = _integers("master_list", self.master_list)
         if master.shape != lead + (m,):
             raise MatchingError("master list must be a permutation of all agents")
-        gates = self.gated
-        if isinstance(gates, np.ndarray):
-            if gates.shape != shape:
-                raise MatchingError(f"gated must be a {shape} array, got {gates.shape}")
-            if gates.dtype != bool:
-                raise MatchingError(f"gated must be a bool array, got {gates.dtype}")
-        elif gates is not None and (lead or len(gates) != m):
-            raise MatchingError("gated sets must have one entry per agent")
+        gates = np.zeros(shape, dtype=bool) if self.gated is None else self.gated
+        got = gates.shape if isinstance(gates, np.ndarray) else type(gates).__name__
+        if got != shape:
+            raise MatchingError(f"gated must be a {shape} array, got {got}")
+        if gates.dtype != bool:
+            raise MatchingError(f"gated must be a bool array, got {gates.dtype}")
         try:
             arrays = _validated(m, n, prefs, master, q_min, q_max, gates)
         except MatchingError as exc:
@@ -121,10 +119,7 @@ class MatchingInstance:
                 raise
             for k in range(lead[0]):  # the lowest failing run raises its own error
                 try:
-                    MatchingInstance(
-                        m, n, prefs[k], master[k], q_min[k], q_max[k],
-                        None if gates is None else gates[k],
-                    )
+                    MatchingInstance(m, n, prefs[k], master[k], q_min[k], q_max[k], gates[k])
                 except MatchingError as run_exc:
                     run_exc.run = k
                     raise run_exc from None
@@ -151,6 +146,13 @@ class MatchingInstance:
         """Each agent's hosts, best first, as plain lists (one list of rows
         per run when stacked); converted once."""
         return self.agent_prefs.tolist()
+
+    @cached_property
+    def _walk_rows(self) -> list:
+        """``_pref_rows`` in ``mmq_match``'s order: ascending ``rank + N * gated``."""
+        if not self.gated.any():
+            return self._pref_rows
+        return np.argsort(self.rank + self.n_hosts * self.gated, axis=-1).tolist()
 
 
 def _integers(name: str, values) -> np.ndarray:
@@ -186,7 +188,6 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
         row = prefs[at].tolist()
         what = "contains duplicates" if len(set(row)) < len(row) else "names an unknown host"
         raise MatchingError(f"agent {at[-1]}: preference list {what}")
-    gated = _gate_mask(gated, prefs.shape[:-1], n)
     low, high = q_min.sum(axis=-1), q_max.sum(axis=-1)
     if (low > m).any() or (m > high).any():
         sums = f"sum q_min={low.max()}, M={m}, sum q_max={high.min()}"
@@ -194,22 +195,8 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
     ml_rank = np.argsort(master, axis=-1)  # the inverse permutation
     return dict(
         agent_prefs=prefs, master_list=master, q_min=q_min, q_max=q_max,
-        gated=gated, rank=rank, ml_rank=ml_rank,
+        gated=gated.copy(), rank=rank, ml_rank=ml_rank,  # the caller's gates stay its own
     )
-
-
-def _gate_mask(gated, rows: tuple, n: int) -> np.ndarray:
-    # The (rows..., N) bool mask of gated hosts; every host is on every list,
-    # so only an id outside 0..n-1 can be a gated host that is not listed.
-    if isinstance(gated, np.ndarray):
-        return gated.astype(bool)  # a copy: the caller's array stays its own
-    mask = np.zeros(rows + (n,), dtype=bool)
-    for a, hosts in enumerate(gated or ()):
-        for h in hosts:
-            if not 0 <= h < n:
-                raise MatchingError(f"agent {a}: gated host not on preference list")
-            mask[a, h] = True
-    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,43 +255,32 @@ def build_matching(assignment: Sequence[int], n_hosts: int) -> Matching:
     return Matching(assignment, n_hosts)
 
 
-def _best_host(row, gate_row, loads, room) -> int:
-    # The first host h on the row with loads[h] < room[h]. A gated host is
-    # taken only when no ungated one qualifies: the gate never strands an agent.
-    if gate_row is not None:
-        for h in row:
-            if loads[h] < room[h] and not gate_row[h]:
-                return h
-    for h in row:
-        if loads[h] < room[h]:
-            return h
-
-
 def _master_list_pass(instance: MatchingInstance, quota_aware: bool) -> Matching:
-    # Each agent in master-list order takes its best host with room.
-    # Deferred acceptance: room is a free slot, no gates. mmq_match: gates
-    # apply, and room turns into an unmet minimum once every agent left is
-    # needed for one (phase 2). Complete lists and sum q_min <= M <= sum q_max
-    # leave each phase a host with room. A stacked instance is walked run by run.
+    # Each agent in master-list order takes the first host with room on its
+    # row. Deferred acceptance: preference rows, room is a free slot. mmq_match:
+    # walk rows (gated hosts last), and room turns into an unmet minimum once
+    # every agent left is needed for one (phase 2). Complete rows and sum q_min
+    # <= M <= sum q_max leave each phase a host. A stacked instance goes run by run.
     m, n = instance.n_agents, instance.n_hosts
     stacked = instance.agent_prefs.ndim == 3
     r = len(instance.agent_prefs) if stacked else 1
+    walk = instance._walk_rows if quota_aware else instance._pref_rows
     runs = zip(
-        instance._pref_rows if stacked else [instance._pref_rows],
-        instance.gated.reshape(r, m, n).tolist()
-        if quota_aware and instance.gated.any() else [[None] * m] * r,
+        walk if stacked else [walk],
         instance.master_list.reshape(r, m).tolist(),
         instance.q_min.reshape(r, n).tolist(),
         instance.q_max.reshape(r, n).tolist(),
     )
     hosts = []
-    for rows, gates, master, q_min, q_max in runs:
+    for rows, master, q_min, q_max in runs:
         deficit = sum(q_min) if quota_aware else 0  # unmet minimum quota; DA stays in phase 1
         loads = [0] * n
         assignment = [-1] * m
         for pos, agent in enumerate(master):
-            phase_1 = m - pos > deficit  # once false, stays false
-            host = _best_host(rows[agent], gates[agent], loads, q_max if phase_1 else q_min)
+            room = q_max if m - pos > deficit else q_min  # phase 1, then phase 2 for good
+            for host in rows[agent]:
+                if loads[host] < room[host]:
+                    break
             if loads[host] < q_min[host]:
                 deficit -= 1
             loads[host] += 1
@@ -320,12 +296,13 @@ def mmq_match(instance: MatchingInstance) -> Matching:
     host with spare capacity, but only while the number of unassigned agents
     exceeds the total unmet minimum quota. Phase 2 assigns everyone left, in
     master-list order, to their most preferred host whose minimum quota is
-    still unmet. Gated hosts are skipped in both phases unless an agent has
-    no ungated option, in which case the gate yields to feasibility.
+    still unmet. Both phases walk an agent's ungated hosts best first, then
+    its gated ones (ascending ``rank + N * gated``): a gated host is taken
+    only when no ungated one has room, so the gate yields to feasibility.
 
     Every agent ranks every host, so the result is feasible, stable, and
-    Pareto optimal for the agents (``verify`` checks all three). A stacked
-    instance gives an (R, M) matching, one walk per run.
+    Pareto optimal for the agents under that order (``verify`` checks all
+    three). A stacked instance gives an (R, M) matching, one walk per run.
     """
     return _master_list_pass(instance, quota_aware=True)
 
@@ -434,40 +411,33 @@ def enumerate_feasible(
     q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
     loads = [0] * instance.n_hosts
     assignment = [-1] * instance.n_agents
-    deficit = sum(q_min)
 
-    def recurse(agent: int) -> Iterator[Matching]:
-        nonlocal deficit
-        if agent == instance.n_agents:
-            if deficit == 0:
-                yield build_matching(assignment, instance.n_hosts)
-            return
-        remaining = instance.n_agents - agent
-        if deficit > remaining:
+    def recurse(agent: int, deficit: int) -> Iterator[Matching]:
+        # ``deficit``: the minimum quota still unmet once agents 0..agent-1 are placed.
+        if deficit > instance.n_agents - agent:
             return  # not enough agents left to meet the minima
+        if agent == instance.n_agents:
+            yield build_matching(assignment, instance.n_hosts)
+            return
         for host in range(instance.n_hosts):
-            if loads[host] >= q_max[host]:
-                continue
-            below_min = loads[host] < q_min[host]
-            loads[host] += 1
-            if below_min:
-                deficit -= 1
-            assignment[agent] = host
-            yield from recurse(agent + 1)
-            assignment[agent] = -1
-            loads[host] -= 1
-            if below_min:
-                deficit += 1
+            if loads[host] < q_max[host]:
+                below_min = loads[host] < q_min[host]
+                loads[host] += 1
+                assignment[agent] = host
+                yield from recurse(agent + 1, deficit - below_min)
+                loads[host] -= 1
 
-    yield from recurse(0)
+    yield from recurse(0, sum(q_min))
 
 
 def _pareto_optimal(instance: MatchingInstance, a2h: np.ndarray, budget: int) -> bool:
-    # Another feasible matching no agent ranks worse and one ranks better disproves it.
+    # Another feasible matching no agent ranks worse and one ranks better
+    # disproves it; ranks are in mmq_match's order, gated hosts last.
     agents = np.arange(instance.n_agents)
-    ranks = instance.rank[agents, a2h]
+    order = instance.rank + instance.n_hosts * instance.gated
+    ranks = order[agents, a2h]
     for other in enumerate_feasible(instance, budget=budget):
-        other_ranks = instance.rank[agents, other.agent_to_host]
+        other_ranks = order[agents, other.agent_to_host]
         if (other_ranks <= ranks).all() and (other_ranks < ranks).any():
             return False
     return True
@@ -483,7 +453,8 @@ def verify(
 
     Pairs the agent gated out are never counted as blocking; the agent
     declared the host inadmissible itself. The Pareto check runs only for
-    feasible matchings on instances within the enumeration budget.
+    feasible matchings on instances within the enumeration budget; it ranks
+    hosts in ``mmq_match``'s order, ascending ``rank + N * gated``.
 
     The matching may carry leading axes; a stacked instance's run axis must
     lead them (an (R, P, M) matching holds P assignments per run). One array
@@ -537,51 +508,55 @@ def format_instance(instance: MatchingInstance) -> str:
     """Serialize to the plain-text exchange format.
 
     Line 1: ``M N``. Line 2: the N minimum quotas. Line 3: the N maximum
-    quotas. Then M preference lines (all N host ids, best first) and one final
-    line with the master list (agent ids, best first). Gates are not part
-    of the format.
+    quotas. Then M preference lines (all N host ids, best first, a gated
+    host's id followed by ``*``) and one final line with the master list
+    (agent ids, best first). A line with no entries is written ``-``.
     """
     _require_one_run(instance)
-    lines = [
-        f"{instance.n_agents} {instance.n_hosts}",
-        " ".join(map(str, instance.q_min.tolist())),
-        " ".join(map(str, instance.q_max.tolist())),
+    gated = instance.gated.tolist()
+    prefs = [
+        [f"{h}*" if gated[a][h] else h for h in row] for a, row in enumerate(instance._pref_rows)
     ]
-    lines.extend(" ".join(map(str, row)) for row in instance._pref_rows)
-    lines.append(" ".join(map(str, instance.master_list.tolist())))
-    return "\n".join(lines) + "\n"
+    rows = [instance.q_min.tolist(), instance.q_max.tolist(), *prefs, instance.master_list.tolist()]
+    body = [" ".join(map(str, row)) or "-" for row in rows]
+    return "\n".join([f"{instance.n_agents} {instance.n_hosts}", *body]) + "\n"
 
 
 def parse_instance(text: str) -> MatchingInstance:
     """Parse the plain-text exchange format written by ``format_instance``.
 
-    Blank lines are skipped. A token that is not an integer, and a negative
-    agent or host count in the header, are rejected naming their line,
-    counted from 1 with blank lines included.
+    Blank lines are skipped; a line holding only ``-`` has no entries. A
+    token that is not an integer (with a trailing ``*`` on a preference
+    line), a ``*`` on any other line, and a negative agent or host count in
+    the header are rejected naming their line, counted from 1 with blank
+    lines included.
     """
-    lines = []  # the integers of each non-blank line
+    lines = []  # (line number, integers, which had a trailing '*') of each non-blank line
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = [] if raw.split() == ["-"] else raw.split()
         try:  # int() names the bad token
-            row = tuple(int(tok) for tok in raw.split())
+            row = [int(tok.removesuffix("*")) for tok in tokens]
         except ValueError as exc:
             raise MatchingError(f"line {lineno}: {exc}") from None
-        if row:
-            if not lines:
-                header_line = lineno
-            lines.append(row)
+        if raw.strip():
+            lines.append((lineno, row, [tok.endswith("*") for tok in tokens]))
     if not lines:
         raise MatchingError("empty instance file")
-    if len(lines[0]) != 2:
-        raise MatchingError(f"bad header line {' '.join(map(str, lines[0]))!r}")
-    m, n = lines[0]
+    header_line, header, _ = lines[0]
+    if len(header) != 2:
+        raise MatchingError(f"bad header line {' '.join(map(str, header))!r}")
+    m, n = header
     if m < 0 or n < 0:
         raise MatchingError(
             f"line {header_line}: agent and host counts must be non-negative, got {m} {n}"
         )
     if len(lines) != 4 + m:
         raise MatchingError(f"expected {4 + m} lines for M={m}, got {len(lines)}")
-    q_min, q_max, *prefs, master = lines[1:]
-    return MatchingInstance(
-        n_agents=m, n_hosts=n, agent_prefs=prefs,
-        master_list=master, q_min=q_min, q_max=q_max,
-    )
+    for lineno, _, starred in lines[:3] + lines[-1:]:
+        if any(starred):
+            raise MatchingError(f"line {lineno}: only a preference line marks gated hosts with '*'")
+    q_min, q_max, *prefs, master = (row for _, row, _ in lines[1:])
+    gated = np.zeros((m, n), dtype=bool)
+    for a, (_, row, starred) in enumerate(lines[3:-1]):  # an unknown id fails in the instance
+        gated[a, [h for h, star in zip(row, starred) if star and 0 <= h < n]] = True
+    return MatchingInstance(m, n, prefs, master, q_min, q_max, gated)

@@ -1,12 +1,14 @@
 """Shared test utilities: random instances and loop-based reference oracles.
 
 The oracles are the proposal-loop deferred acceptance, the per-agent
-verifier loops that the array-based engine replaced, the per-UE, per-slot
-rate loop that the vectorised rate code replaced, the per-bias CRE
-search, the 3-D distance matrix and the one-shot LoS slot draw that the
-link-budget code replaced, and the one-generator-per-run scenario draw that
-the batched draw replaced. They read an instance through plain per-agent
-lists only, so they stay independent of the arrays' internals.
+quota matcher that reads gates as sets (the two-pass host choice that the
+precomputed walk order replaced), the per-agent verifier loops that the
+array-based engine replaced, the per-UE, per-slot rate loop that the
+vectorised rate code replaced, the per-bias CRE search, the 3-D distance
+matrix and the one-shot LoS slot draw that the link-budget code replaced,
+and the one-generator-per-run scenario draw that the batched draw replaced.
+They read an instance through plain per-agent lists only, so they stay
+independent of the arrays' internals.
 """
 
 from collections import deque
@@ -38,8 +40,8 @@ def random_feasible_instance(
 
     By default every host takes at least one agent. The keywords widen the
     instance language: ``gates`` flags a random subset of each agent's
-    hosts, ``zero_capacity`` lets ``q_max`` be 0, and ``allow_empty`` lets M
-    be 0.
+    hosts in the (M, N) bool mask, ``zero_capacity`` lets ``q_max`` be 0,
+    and ``allow_empty`` lets M be 0.
     """
     m = int(rng.integers(0 if allow_empty else 1, max_agents + 1))
     n = int(rng.integers(1, max_hosts + 1))
@@ -55,8 +57,10 @@ def random_feasible_instance(
         if q_min.sum() <= m:
             break
     gated = None
-    if gates:
-        gated = tuple(frozenset(h for h in p if rng.random() < 0.4) for p in prefs)
+    if gates:  # one draw per agent and host, in each agent's preference order
+        gated = np.zeros((m, n), dtype=bool)
+        draws = rng.random((m, n)) < 0.4
+        np.put_along_axis(gated, np.array(prefs, dtype=int).reshape(m, n), draws, axis=-1)
     return MatchingInstance(
         n_agents=m,
         n_hosts=n,
@@ -121,6 +125,25 @@ def oracle_deferred_acceptance(instance: MatchingInstance) -> Matching:
     return build_matching(assignment, instance.n_hosts)
 
 
+def oracle_mmq_match(instance: MatchingInstance) -> Matching:
+    """mmq_match per agent, gates as sets: in master-list order each agent
+    takes its best ungated host with room, else its best host with room.
+    Room is spare capacity while more agents are left than the unmet minimum
+    quota (recounted from the loads each time), then an unmet minimum."""
+    prefs, gated = pref_lists(instance), gate_sets(instance)
+    q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
+    loads = [0] * instance.n_hosts
+    assignment = [-1] * instance.n_agents
+    for pos, agent in enumerate(instance.master_list.tolist()):
+        deficit = sum(max(low - load, 0) for low, load in zip(q_min, loads))
+        room = q_max if instance.n_agents - pos > deficit else q_min
+        open_hosts = [h for h in prefs[agent] if loads[h] < room[h]]
+        host = next((h for h in open_hosts if h not in gated[agent]), open_hosts[0])
+        loads[host] += 1
+        assignment[agent] = host
+    return build_matching(assignment, instance.n_hosts)
+
+
 def oracle_check_consistency(instance: MatchingInstance, matching: Matching) -> None:
     if len(matching.agent_to_host) != instance.n_agents:
         raise MatchingError("matching covers the wrong number of agents")
@@ -166,13 +189,18 @@ def oracle_blocking_pairs(
 
 
 def oracle_pareto_optimal(instance: MatchingInstance, matching: Matching, budget: int) -> bool:
+    # Hosts ranked in mmq_match's walk order: each agent's gated hosts after
+    # all of its ungated ones, both best first.
     prefs = pref_lists(instance)
-    pref_ranks = [{h: i for i, h in enumerate(p)} for p in prefs]
+    gated = gate_sets(instance)
+    walk_ranks = [
+        {h: i + len(p) * (h in gated[a]) for i, h in enumerate(p)} for a, p in enumerate(prefs)
+    ]
     a2h = matching.agent_to_host.tolist()
-    ranks = [pref_ranks[a].get(a2h[a], len(prefs[a])) for a in range(instance.n_agents)]
+    ranks = [walk_ranks[a][a2h[a]] for a in range(instance.n_agents)]  # called when feasible
     for other in enumerate_feasible(instance, budget=budget):
         other_a2h = other.agent_to_host.tolist()
-        other_ranks = [pref_ranks[a][other_a2h[a]] for a in range(instance.n_agents)]
+        other_ranks = [walk_ranks[a][other_a2h[a]] for a in range(instance.n_agents)]
         if all(o <= r for o, r in zip(other_ranks, ranks)) and any(
             o < r for o, r in zip(other_ranks, ranks)
         ):

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import math
 import re
 import sys
@@ -31,6 +32,7 @@ from cellassoc.matching import (
     MatchingInstance,
     build_matching,
     format_instance,
+    mmq_match,
     parse_instance,
     verify,
 )
@@ -310,6 +312,24 @@ def test_random_quota_failure_names_point_run_and_seed(tmp_path):
         run_experiment(cfg)
 
 
+def test_random_minima_above_the_microwave_cap_fail_before_any_run(tmp_path, capsys, monkeypatch):
+    # Draws reach M // N2 = 50 on a microwave BS capped at 48: once refused
+    # only by the run that drew it, after every batch before it had run.
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the grid was checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
+    cfg_file = tmp_path / "cap.cfg"
+    cfg_file.write_text(
+        "scenario.n_ue = 100\nscenario.n_muw = 2\npolicy.q_max_muw = 48\n"
+        "experiment.runs = 200\nexperiment.random_muw_quota = true\nexperiment.policies = mmq\n"
+    )
+    assert simulate_main(["--config", str(cfg_file), "--out", str(tmp_path / "cap.csv")]) == 1
+    message = "grid point {}: random microwave minima reach M // N2 = 50 > q_max_muw = 48"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "cap.csv").exists()
+
+
 def test_numpy_integer_seed_gives_the_same_bytes(tmp_path):
     # ScenarioConfig accepts numpy integer seeds; every stream must key as the
     # equal Python int (random minima use the quota stream too).
@@ -488,6 +508,90 @@ def test_verification_failure_names_run_and_seed(tmp_path, monkeypatch):
     assert f"grid point {{}}, run 2, seed {TINY.scenario.seed + 2} (feasible=False" in message
     assert message.split("Assignment: ")[1].startswith("[-1, ")
     assert not (tmp_path / "broken.csv").exists()
+
+
+def test_verification_failure_dump_replays_through_match(tmp_path, monkeypatch, capsys):
+    # Three gated (c_th = 0.5) runs with mmW BSs capped at 2, stacked in one
+    # batch; run 2 is reported infeasible. Its dump carries the gates, so
+    # `match` walks it to the experiment's assignment and gives the real verdict.
+    import cellassoc.experiments as experiments
+
+    reports = []
+
+    def fail_run_2(instance, matching, enumeration_budget=0):
+        reports.append(verify(instance, matching, enumeration_budget))
+        feasible = reports[-1].feasible.copy()
+        feasible[2] = False
+        return replace(reports[-1], feasible=feasible)
+
+    monkeypatch.setattr(experiments, "verify", fail_run_2)
+    exp = ExperimentConfig(
+        scenario=ScenarioConfig(n_ue=100), policy=PolicyConfig(q_min_muw=8, q_max_mmw=2, c_th=0.5),
+        policies_enabled=("mmq",), n_runs=3, n_slots=1, output_path=str(tmp_path / "g.csv"),
+    )
+    with pytest.raises(VerificationFailure) as failure:
+        run_experiment(exp)
+    message = str(failure.value)
+    assert len(reports) == 1 and "run 2, seed 2 (feasible=False" in message
+    dump, assignment = message.split("Instance dump:\n")[1].split("Assignment: ")
+    path = tmp_path / "dump.txt"
+    path.write_text(dump)
+    assert match_main(["--instance", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    hosts = [-1] * 100
+    for host, line in enumerate(lines[:20]):
+        for agent in line.split(": ")[1].split():
+            hosts[int(agent)] = host
+    assert hosts == json.loads(assignment)
+    assert lines[20:] == [
+        f"feasible: {reports[0].feasible[2, 0]}",
+        f"blocking pairs: {reports[0].n_blocking_pairs[2, 0]} []",
+    ]
+    # Without its gates the instance walks to another assignment.
+    inst = parse_instance(dump)
+    ungated = MatchingInstance(100, 20, inst.agent_prefs, inst.master_list, inst.q_min, inst.q_max)
+    assert mmq_match(ungated).agent_to_host.tolist() != hosts
+
+
+@pytest.mark.parametrize(
+    "figure_id, directory",
+    [("fig5", "out.csv"), ("fig5", "out_agg.csv"), ("fig4", "out.csv"), ("fig7", "out_runs.csv")],
+)
+def test_output_paths_are_checked_before_any_run(
+    tmp_path, capsys, monkeypatch, figure_id, directory
+):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the output paths were checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
+    (tmp_path / directory).mkdir()
+    argv = ["figure", figure_id, "--runs", "1", "--out", str(tmp_path / "out.csv")]
+    assert simulate_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: output path {tmp_path / directory} is a directory\n"
+
+
+def test_unwritable_output_parent_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the output paths were checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub" / "out.csv"
+    assert simulate_main(["figure", "fig5", "--runs", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: output path {out}: {tmp_path / 'file'} is not a directory\n"
+    )
+    monkeypatch.setattr("cellassoc.experiments.os.access", lambda path, mode: False)
+    out = tmp_path / "new" / "out.csv"
+    assert simulate_main(["figure", "fig5", "--runs", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: output path {out}: {tmp_path} is not writable\n"
+
+
+def test_a_path_the_writer_does_not_open_is_not_checked(tmp_path):
+    (tmp_path / "out_runs.csv").mkdir()  # only fig7 writes a _runs file
+    out = run_figure("fig5", output_path=tmp_path / "out.csv", n_runs=1)
+    assert out == tmp_path / "out.csv" and aggregate_path(out).exists()
 
 
 def test_fig7_schema(tmp_path):

@@ -22,6 +22,7 @@ from cellassoc.matching import (
 from helpers import (
     assert_reports_agree,
     oracle_deferred_acceptance,
+    oracle_mmq_match,
     oracle_verify,
     random_feasible_instance,
 )
@@ -174,6 +175,15 @@ def test_da_matches_proposal_loop_oracle():
     for i in range(600):
         inst = random_feasible_instance(rng, **(EXTENDED if i % 2 else {}))
         assert deferred_acceptance(inst) == oracle_deferred_acceptance(inst)
+
+
+def test_mmq_matches_per_agent_oracle():
+    # The walk order (ungated hosts, then gated ones) must pick what the
+    # two-pass choice picks: the best ungated host with room, else the best one.
+    rng = np.random.default_rng(31)
+    for i in range(600):
+        inst = random_feasible_instance(rng, **(EXTENDED if i % 2 else {"gates": True}))
+        assert mmq_match(inst) == oracle_mmq_match(inst)
 
 
 # --- verifier ----------------------------------------------------------------
@@ -481,11 +491,11 @@ def test_structural_validation():
         ((2, 2, ((0, 1), (1, 2)), (0, 1), (0, 0), (2, 2)), {},
          "agent 1: preference list names an unknown host"),
         ((1, 2, ((0, 1),), (0,), (0, 0), (1, 1)), {"gated": ()},
-         "gated sets must have one entry per agent"),
-        ((2, 2, ((0, 1), (0, 1)), (0, 1), (0, 0), (2, 2)), {"gated": ({0}, {2})},
-         "agent 1: gated host not on preference list"),
-        ((1, 2, ((0, 1),), (0,), (0, 0), (1, 1)), {"gated": ({7},)},
-         "agent 0: gated host not on preference list"),
+         "gated must be a (1, 2) array, got tuple"),
+        ((2, 2, ((0, 1), (0, 1)), (0, 1), (0, 0), (2, 2)), {"gated": ({0}, {1})},
+         "gated must be a (2, 2) array, got tuple"),
+        ((1, 2, ((0, 1),), (0,), (0, 0), (1, 1)), {"gated": [[True, False]]},
+         "gated must be a (1, 2) array, got list"),
         ((2, 2, ((0, 1), (0, 1)), (0, 1), (2, 2), (2, 2)), {},
          "no feasible matching: sum q_min=4, M=2, sum q_max=4"),
         ((3, 1, ((0,),) * 3, (0, 1, 2), (0,), (2,)), {},
@@ -501,7 +511,7 @@ def test_structural_validation():
         ((2, 2, ((0, 1), (1, 0)), (0, 1), (0, 0), (2, 2)), {"gated": np.zeros((2, 3), bool)},
          "gated must be a (2, 2) array, got (2, 3)"),
         ((2, 2, np.array([[[0, 1], [1, 0]]]), np.array([[0, 1]]), (0, 0), (2, 2)),
-         {"gated": ({0}, {1})}, "gated sets must have one entry per agent"),
+         {"gated": ({0}, {1})}, "gated must be a (1, 2, 2) array, got tuple"),
         ((2, 2, ((0, 1), (1, 0.0)), (0, 1), (0, 0), (2, 2)), {},
          "agent_prefs must be integers, got float64"),
         ((2, 2, ((0, 1), (1, 0)), np.array([0.0, 1.0]), (0, 0), (2, 2)), {},
@@ -522,21 +532,18 @@ def test_structural_errors_keep_their_messages(args, kwargs, message):
 
 
 def test_array_form_equals_tuple_form():
+    gated = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 1]], dtype=bool)
     tuples = MatchingInstance(
-        3, 3, ((2, 0, 1), (1, 2, 0), (0, 1, 2)), (2, 0, 1), (0, 0, 1), (2, 2, 2),
-        gated=(frozenset({0}), frozenset(), frozenset({1, 2})),
+        3, 3, ((2, 0, 1), (1, 2, 0), (0, 1, 2)), (2, 0, 1), (0, 0, 1), (2, 2, 2), gated=gated
     )
     arrays = MatchingInstance(
         3, 3, np.array([[2, 0, 1], [1, 2, 0], [0, 1, 2]]), np.array([2, 0, 1]),
-        np.array([0, 0, 1]), np.array([2, 2, 2]),
-        gated=np.array([[1, 0, 0], [0, 0, 0], [0, 1, 1]], dtype=bool),
+        np.array([0, 0, 1]), np.array([2, 2, 2]), gated=gated,
     )
     assert arrays == tuples
     assert tuples.rank.tolist() == [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
     assert tuples.ml_rank.tolist() == [1, 2, 0]
-    assert parse_instance(format_instance(tuples)) == MatchingInstance(
-        3, 3, tuples.agent_prefs, tuples.master_list, tuples.q_min, tuples.q_max
-    )
+    assert parse_instance(format_instance(tuples)) == tuples
 
 
 def test_pref_rows_are_converted_once_per_instance(monkeypatch):
@@ -574,7 +581,7 @@ def test_gated_hosts_avoided_when_possible():
         agent_prefs=((0, 1), (0, 1)),
         master_list=(0, 1),
         q_min=(0, 0), q_max=(1, 2),
-        gated=(frozenset(), frozenset({1})),
+        gated=np.array([[False, False], [False, True]]),
     )
     # Agent 1 loses host 0 to agent 0 and would go to gated host 1 only as a
     # fallback; with q_max at 2 it is indeed forced there.
@@ -590,7 +597,7 @@ def test_gating_phase_two_fallback_keeps_feasibility():
         agent_prefs=((0, 1), (0, 1)),
         master_list=(0, 1),
         q_min=(1, 1), q_max=(1, 1),
-        gated=(frozenset(), frozenset({1})),
+        gated=np.array([[False, False], [False, True]]),
     )
     m = mmq_match(inst)
     assert m.agent_to_host.tolist() == [0, 1]
@@ -603,7 +610,7 @@ def test_gated_pairs_are_not_blocking():
         agent_prefs=((0, 1), (0, 1)),
         master_list=(0, 1),
         q_min=(0, 0), q_max=(2, 2),
-        gated=(frozenset({0}), frozenset()),
+        gated=np.array([[True, False], [False, False]]),
     )
     m = build_matching([1, 0], 2)
     report = verify(inst, m)
@@ -624,6 +631,25 @@ def test_matcher_guarantees_on_random_instances():
         assert report.pareto_optimal is True
 
 
+def test_mmq_is_pareto_optimal_under_its_walk_order():
+    # Ranked by ``rank`` alone, 417 of these outputs read as not Pareto optimal:
+    # a gated top host is one mmq_match avoids while an ungated one has room.
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        inst = random_feasible_instance(rng, gates=True)
+        assert verify(inst, mmq_match(inst)).pareto_optimal is True
+
+
+def test_walk_rows_put_gated_hosts_last():
+    inst = MatchingInstance(
+        2, 3, ((2, 0, 1), (0, 1, 2)), (0, 1), (0, 0, 0), (2, 2, 2),
+        gated=np.array([[False, False, True], [True, False, True]]),
+    )
+    assert inst._walk_rows == [[0, 1, 2], [1, 0, 2]]
+    ungated = MatchingInstance(2, 3, inst.agent_prefs, inst.master_list, inst.q_min, inst.q_max)
+    assert ungated._walk_rows is ungated._pref_rows
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_mmq_partitions_agents(seed):
@@ -641,6 +667,47 @@ def test_format_parse_round_trip(counterexample):
     text = format_instance(counterexample)
     parsed = parse_instance(text)
     assert parsed == counterexample
+
+
+@pytest.mark.parametrize(
+    "variant", [{}, {"gates": True}, {"allow_empty": True}, {"zero_capacity": True}]
+)
+def test_text_format_round_trip_on_every_generator_variant(variant):
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        inst = random_feasible_instance(rng, **variant)
+        assert parse_instance(format_instance(inst)) == inst
+
+
+def test_text_format_marks_gates_and_empty_lines():
+    inst = MatchingInstance(
+        2, 2, ((1, 0), (0, 1)), (1, 0), (0, 0), (2, 2),
+        gated=np.array([[True, False], [True, True]]),
+    )
+    text = "2 2\n0 0\n2 2\n1 0*\n0* 1*\n1 0\n"
+    assert format_instance(inst) == text
+    assert parse_instance(text) == inst
+    empty = MatchingInstance(0, 2, np.zeros((0, 2), dtype=int), (), (0, 0), (0, 0))
+    assert format_instance(empty) == "0 2\n0 0\n0 0\n-\n"
+    assert parse_instance("0 2\n0 0\n0 0\n-\n") == empty
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2\n0* 0\n2 2\n0 1\n1 0\n0 1\n", "line 2: only a preference line marks"),
+        ("2 2\n0 0\n\n2 2*\n0 1\n1 0\n0 1\n", "line 4: only a preference line marks"),
+        ("2 2\n0 0\n2 2\n0 1\n1 0\n0 1*\n", "line 6: only a preference line marks"),
+        ("2 2*\n0 0\n2 2\n0 1\n1 0\n0 1\n", "line 1: only a preference line marks"),
+        ("2 2\n0 0\n2 2\n0 1\n1 0**\n0 1\n",
+         "line 5: invalid literal for int() with base 10: '0*'"),
+        ("2 2\n0 0\n2 2\n0 1\n- 1 0\n0 1\n", "line 5: invalid literal for int() with base 10: '-'"),
+    ],
+    ids=["q_min", "q_max", "master_list", "header", "double_star", "dash_among_ids"],
+)
+def test_misplaced_gate_or_empty_token_names_its_line(text, message):
+    with pytest.raises(MatchingError, match=f"^{re.escape(message)}"):
+        parse_instance(text)
 
 
 def test_parse_rejects_malformed():
