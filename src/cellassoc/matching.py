@@ -23,6 +23,7 @@ checks one run.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -63,7 +64,8 @@ class MatchingInstance:
     quota; they keep their place in ``agent_prefs``. Derived: ``rank[m, h]``,
     host h's position on agent m's list, and ``ml_rank[m]``, agent m's
     master-list position. ``agent_prefs`` may also be given as one N-host
-    tuple per agent. Every id must be an integer.
+    tuple per agent. Every id must be an integer. The arrays are stored as
+    read-only views: the caller must not write to an array it passed in.
 
     A stacked instance holds R runs that share M and N: an (R, M, N)
     ``agent_prefs`` array gives every array a leading run axis (quotas given
@@ -142,17 +144,11 @@ class MatchingInstance:
         )
 
     @cached_property
-    def _pref_rows(self) -> list:
-        """Each agent's hosts, best first, as plain lists (one list of rows
-        per run when stacked); converted once."""
-        return self.agent_prefs.tolist()
-
-    @cached_property
-    def _walk_rows(self) -> list:
-        """``_pref_rows`` in ``mmq_match``'s order: ascending ``rank + N * gated``."""
+    def _walk_order(self) -> np.ndarray:
+        """``agent_prefs`` in ``mmq_match``'s order, ascending ``rank + N * gated``."""
         if not self.gated.any():
-            return self._pref_rows
-        return np.argsort(self.rank + self.n_hosts * self.gated, axis=-1).tolist()
+            return self.agent_prefs
+        return np.argsort(self.rank + self.n_hosts * self.gated, axis=-1)
 
 
 def _integers(name: str, values) -> np.ndarray:
@@ -193,10 +189,11 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
         sums = f"sum q_min={low.max()}, M={m}, sum q_max={high.min()}"
         raise InfeasibleInstanceError(f"no feasible matching: {sums}")
     ml_rank = np.argsort(master, axis=-1)  # the inverse permutation
-    return dict(
+    arrays = dict(
         agent_prefs=prefs, master_list=master, q_min=q_min, q_max=q_max,
-        gated=gated.copy(), rank=rank, ml_rank=ml_rank,  # the caller's gates stay its own
+        gated=gated, rank=rank, ml_rank=ml_rank,
     )
+    return {name: np.broadcast_to(x, x.shape) for name, x in arrays.items()}  # read-only views
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,31 +253,35 @@ def build_matching(assignment: Sequence[int], n_hosts: int) -> Matching:
 
 
 def _master_list_pass(instance: MatchingInstance, quota_aware: bool) -> Matching:
-    # Each agent in master-list order takes the first host with room on its
-    # row. Deferred acceptance: preference rows, room is a free slot. mmq_match:
-    # walk rows (gated hosts last), and room turns into an unmet minimum once
-    # every agent left is needed for one (phase 2). Complete rows and sum q_min
-    # <= M <= sum q_max leave each phase a host. A stacked instance goes run by run.
+    # Each agent in master-list order takes the first host with room on its row
+    # of a flat view of the order array. Deferred acceptance: ``agent_prefs``, room
+    # is a free slot. mmq_match: ``_walk_order`` (gated hosts last), and room turns
+    # into an unmet minimum once every agent left is needed for one (phase 2).
+    # Complete rows and sum q_min <= M <= sum q_max leave each phase a host.
     m, n = instance.n_agents, instance.n_hosts
     stacked = instance.agent_prefs.ndim == 3
     r = len(instance.agent_prefs) if stacked else 1
-    walk = instance._walk_rows if quota_aware else instance._pref_rows
+    order = instance._walk_order if quota_aware else instance.agent_prefs
+    walk = memoryview(order.reshape(-1))  # a C-order copy only when not C-contiguous
     runs = zip(
-        walk if stacked else [walk],
+        [k * m * n for k in range(r)],  # each run's offset into ``walk``
         instance.master_list.reshape(r, m).tolist(),
         instance.q_min.reshape(r, n).tolist(),
         instance.q_max.reshape(r, n).tolist(),
     )
     hosts = []
-    for rows, master, q_min, q_max in runs:
+    for base, master, q_min, q_max in runs:
         deficit = sum(q_min) if quota_aware else 0  # unmet minimum quota; DA stays in phase 1
         loads = [0] * n
         assignment = [-1] * m
         for pos, agent in enumerate(master):
             room = q_max if m - pos > deficit else q_min  # phase 1, then phase 2 for good
-            for host in rows[agent]:
-                if loads[host] < room[host]:
-                    break
+            at = base + agent * n  # the agent's row is walk[at : at + n]
+            host = walk[at]
+            if loads[host] >= room[host]:  # most take their first choice; the rest scan on
+                for host in walk[at + 1 : at + n]:
+                    if loads[host] < room[host]:
+                        break
             if loads[host] < q_min[host]:
                 deficit -= 1
             loads[host] += 1
@@ -513,10 +514,8 @@ def format_instance(instance: MatchingInstance) -> str:
     (agent ids, best first). A line with no entries is written ``-``.
     """
     _require_one_run(instance)
-    gated = instance.gated.tolist()
-    prefs = [
-        [f"{h}*" if gated[a][h] else h for h in row] for a, row in enumerate(instance._pref_rows)
-    ]
+    gated, prefs = instance.gated.tolist(), instance.agent_prefs.tolist()
+    prefs = [[f"{h}*" if gated[a][h] else h for h in row] for a, row in enumerate(prefs)]
     rows = [instance.q_min.tolist(), instance.q_max.tolist(), *prefs, instance.master_list.tolist()]
     body = [" ".join(map(str, row)) or "-" for row in rows]
     return "\n".join([f"{instance.n_agents} {instance.n_hosts}", *body]) + "\n"
@@ -526,7 +525,7 @@ def parse_instance(text: str) -> MatchingInstance:
     """Parse the plain-text exchange format written by ``format_instance``.
 
     Blank lines are skipped; a line holding only ``-`` has no entries. A
-    token that is not an integer (with a trailing ``*`` on a preference
+    token other than ``-?[0-9]+`` (with a trailing ``*`` on a preference
     line), a ``*`` on any other line, and a negative agent or host count in
     the header are rejected naming their line, counted from 1 with blank
     lines included.
@@ -534,10 +533,10 @@ def parse_instance(text: str) -> MatchingInstance:
     lines = []  # (line number, integers, which had a trailing '*') of each non-blank line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = [] if raw.split() == ["-"] else raw.split()
-        try:  # int() names the bad token
-            row = [int(tok.removesuffix("*")) for tok in tokens]
-        except ValueError as exc:
-            raise MatchingError(f"line {lineno}: {exc}") from None
+        for tok in tokens:  # ASCII digits only: int() also takes '1_0', '+3' and other scripts
+            if not re.fullmatch(r"-?[0-9]+\*?", tok):
+                raise MatchingError(f"line {lineno}: not an integer: {tok!r}")
+        row = [int(tok.removesuffix("*")) for tok in tokens]
         if raw.strip():
             lines.append((lineno, row, [tok.endswith("*") for tok in tokens]))
     if not lines:

@@ -117,11 +117,17 @@ def build_preferences(util: UtilityTable, c_th: float = NEG_INF) -> tuple[np.nda
     """Strict per-UE BS rankings and the gated-BS mask, both (..., M, N).
 
     Row m of the first array lists BS ids by descending utility, ties broken
-    toward the lower BS index (one row-wise stable argsort). In the bool mask
+    toward the lower BS index. Distinct keys have one sorted order, so the
+    default argsort is exact on a row without a tie; a row whose sorted keys
+    hold equal neighbours or a NaN takes the stable argsort. In the bool mask
     a microwave BS other than the UE's top choice is gated when its utility
     falls below ``c_th``; mmW BSs and top choices are never gated.
     """
-    prefs = np.argsort(-util.u, axis=-1, kind="stable")
+    key = -util.u
+    prefs = np.argsort(key, axis=-1)
+    key.sort(axis=-1)  # in place: no third (..., M, N) float array
+    tied = (key[..., 1:] == key[..., :-1]).any(axis=-1) | np.isnan(key[..., -1:]).any(axis=-1)
+    prefs[tied] = np.argsort(-util.u[tied], axis=-1, kind="stable")
     gated = util.u < c_th
     gated[..., : util.n_mmw] = False
     if util.n_bs:

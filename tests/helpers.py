@@ -1,6 +1,7 @@
 """Shared test utilities: random instances and loop-based reference oracles.
 
-The oracles are the proposal-loop deferred acceptance, the per-agent
+The oracles are the row-wise stable argsort that the tie-guarded
+preference sort replaced, the proposal-loop deferred acceptance, the per-agent
 quota matcher that reads gates as sets (the two-pass host choice that the
 precomputed walk order replaced), the per-agent verifier loops that the
 array-based engine replaced, the per-UE, per-slot rate loop that the
@@ -70,6 +71,12 @@ def random_feasible_instance(
         q_max=tuple(int(q) for q in q_max),
         gated=gated,
     )
+
+
+def oracle_build_preferences(u: np.ndarray) -> np.ndarray:
+    """Each UE's BS ids by descending utility, ties toward the lower BS index:
+    one row-wise stable argsort of the negated (..., M, N) utilities."""
+    return np.argsort(-u, axis=-1, kind="stable")
 
 
 def pref_lists(instance: MatchingInstance) -> list[list[int]]:

@@ -938,7 +938,7 @@ def test_cli_match_bad_token_names_its_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("2 2\n1 1\n\n1 1\n0 x\n0\n0 1\n")
     assert match_main(["--instance", str(path)]) == 1
-    assert capsys.readouterr().err == "error: line 5: invalid literal for int() with base 10: 'x'\n"
+    assert capsys.readouterr().err == "error: line 5: not an integer: 'x'\n"
 
 
 @pytest.mark.parametrize(

@@ -370,9 +370,25 @@ def test_stacked_matchers_walk_each_run():
 def test_stacked_instance_reuses_complete_arrays():
     prefs = np.argsort(np.random.default_rng(3).random((2, 4, 3)), axis=-1)
     inst = MatchingInstance(4, 3, prefs, np.tile(np.arange(4), (2, 1)), (0, 0, 0), (4, 4, 4))
-    assert inst.agent_prefs is prefs
+    assert inst.agent_prefs.base is prefs  # a read-only view, not a copy
+    assert prefs.flags.writeable and not inst.agent_prefs.flags.writeable
     assert inst.q_min.shape == (2, 3) and np.shares_memory(inst.q_min[0], inst.q_min[1])
 
+
+def test_instance_arrays_are_read_only_views():
+    prefs, gated = np.array([[0, 1], [1, 0]]), np.zeros((2, 2), dtype=bool)
+    master, q_min, q_max = np.array([1, 0]), np.array([0, 0]), np.array([2, 2])
+    inst = MatchingInstance(2, 2, prefs, master, q_min, q_max, gated)
+    with pytest.raises(ValueError, match="read-only"):
+        inst.agent_prefs[1] = [1, 1]
+    for name in ("master_list", "q_min", "q_max", "gated", "rank", "ml_rank"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inst, name)[0] = 0
+    for given, name in ((prefs, "agent_prefs"), (gated, "gated"), (master, "master_list")):
+        assert given.flags.writeable and np.shares_memory(given, getattr(inst, name))  # no copy
+    stacked = MatchingInstance(2, 2, np.stack([prefs] * 3), np.stack([master] * 3), q_min, q_max)
+    run = stacked.run(2)
+    assert not (run.agent_prefs.flags.writeable or run.gated.flags.writeable)
 
 
 def test_one_run_functions_reject_stacks():
@@ -546,22 +562,37 @@ def test_array_form_equals_tuple_form():
     assert parse_instance(format_instance(tuples)) == tuples
 
 
-def test_pref_rows_are_converted_once_per_instance(monkeypatch):
-    inst = MatchingInstance(
-        3, 3, ((2, 0, 1), (1, 2, 0), (0, 1, 2)), (2, 0, 1), (0, 0, 0), (2, 2, 2)
-    )
-    cached = MatchingInstance.__dict__["_pref_rows"]
-    convert, calls = cached.func, []
-    monkeypatch.setattr(cached, "func", lambda instance: calls.append(1) or convert(instance))
-    assert mmq_match(inst).agent_to_host.tolist() == [2, 1, 0]
-    assert deferred_acceptance(inst).agent_to_host.tolist() == [2, 1, 0]
-    # The text format and the enumeration oracle read the same rows.
-    assert format_instance(inst).splitlines()[3:6] == ["2 0 1", "1 2 0", "0 1 2"]
-    assert len(list(enumerate_feasible(inst))) == 24  # 3^3, less 3 that put 3 on one host
-    assert calls == [1]
-    other = MatchingInstance(3, 3, inst.agent_prefs, inst.master_list, inst.q_min, inst.q_max)
-    mmq_match(other)
-    assert calls == [1, 1]  # one conversion per instance
+def _layouts(prefs):
+    # The same preference values held as intp, int32, Fortran-ordered and strided arrays.
+    strided = np.repeat(prefs, 2, axis=-1)[..., ::2]
+    return prefs, prefs.astype(np.int32), np.asfortranarray(prefs), strided
+
+
+@pytest.mark.parametrize(
+    "variant", [{}, {"gates": True}, {"zero_capacity": True}, {"allow_empty": True}]
+)
+def test_matchers_equal_the_oracles_on_every_array_layout(variant):
+    rng = np.random.default_rng(len(str(variant)))
+    cases = [_stack(_same_shape_instances(rng, 3, **variant)) for _ in range(25)]
+    cases += [  # stacks with M = 0, and with M = N = 0
+        MatchingInstance(0, n, np.zeros((3, 0, n), int), np.zeros((3, 0), int), (0,) * n, (0,) * n)
+        for n in (0, 2)
+    ]
+    for case in cases:
+        for prefs in _layouts(case.agent_prefs):
+            stacked = MatchingInstance(
+                case.n_agents, case.n_hosts, prefs, case.master_list, case.q_min, case.q_max,
+                case.gated,
+            )
+            runs = [stacked.run(k) for k in range(3)]  # one-run instances on non-contiguous rows
+            for matcher, oracle in (
+                (mmq_match, oracle_mmq_match), (deferred_acceptance, oracle_deferred_acceptance)
+            ):
+                want = [oracle(run).agent_to_host for run in runs]
+                assert matcher(stacked) == build_matching(want, case.n_hosts)
+                assert [matcher(run).agent_to_host.tolist() for run in runs] == [
+                    w.tolist() for w in want
+                ]
 
 
 def test_incomplete_preference_list_is_rejected():
@@ -640,14 +671,15 @@ def test_mmq_is_pareto_optimal_under_its_walk_order():
         assert verify(inst, mmq_match(inst)).pareto_optimal is True
 
 
-def test_walk_rows_put_gated_hosts_last():
+def test_walk_order_puts_gated_hosts_last():
     inst = MatchingInstance(
         2, 3, ((2, 0, 1), (0, 1, 2)), (0, 1), (0, 0, 0), (2, 2, 2),
         gated=np.array([[False, False, True], [True, False, True]]),
     )
-    assert inst._walk_rows == [[0, 1, 2], [1, 0, 2]]
+    assert inst._walk_order.tolist() == [[0, 1, 2], [1, 0, 2]]
+    assert inst._walk_order is inst._walk_order  # computed once per instance
     ungated = MatchingInstance(2, 3, inst.agent_prefs, inst.master_list, inst.q_min, inst.q_max)
-    assert ungated._walk_rows is ungated._pref_rows
+    assert ungated._walk_order is ungated.agent_prefs  # no gate: the preference array itself
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -700,14 +732,34 @@ def test_text_format_marks_gates_and_empty_lines():
         ("2 2\n0 0\n2 2\n0 1\n1 0\n0 1*\n", "line 6: only a preference line marks"),
         ("2 2*\n0 0\n2 2\n0 1\n1 0\n0 1\n", "line 1: only a preference line marks"),
         ("2 2\n0 0\n2 2\n0 1\n1 0**\n0 1\n",
-         "line 5: invalid literal for int() with base 10: '0*'"),
-        ("2 2\n0 0\n2 2\n0 1\n- 1 0\n0 1\n", "line 5: invalid literal for int() with base 10: '-'"),
+         "line 5: not an integer: '0**'"),
+        ("2 2\n0 0\n2 2\n0 1\n- 1 0\n0 1\n", "line 5: not an integer: '-'"),
     ],
     ids=["q_min", "q_max", "master_list", "header", "double_star", "dash_among_ids"],
 )
 def test_misplaced_gate_or_empty_token_names_its_line(text, message):
     with pytest.raises(MatchingError, match=f"^{re.escape(message)}"):
         parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "template, token, ascii_token",
+    [
+        ("2 2\n0 0\n2 {}\n0 1\n1 0\n0 1\n", "1_0", "10"),
+        ("2 2\n0 0\n2 {}\n0 1\n1 0\n0 1\n", "+2", "2"),
+        ("2 2\n0 0\n2 {}\n0 1\n1 0\n0 1\n", "\u0662", "2"),  # ARABIC-INDIC DIGIT TWO
+        ("2 2\n0 0\n2 2\n0 {}\n1 0\n0 1\n", "+1*", "1*"),
+        ("{} 2\n0 0\n2 2\n0 1\n1 0\n0 1\n", "+2", "2"),
+    ],
+    ids=["underscore", "plus", "arabic_indic", "plus_gated", "plus_header"],
+)
+def test_parse_accepts_only_ascii_digit_tokens(template, token, ascii_token):
+    # int() reads each token as the ASCII one, which the format does accept.
+    line = template.split("{}")[0].count("\n") + 1
+    message = f"^line {line}: not an integer: {re.escape(repr(token))}$"
+    with pytest.raises(MatchingError, match=message):
+        parse_instance(template.format(token))
+    parse_instance(template.format(ascii_token))
 
 
 def test_parse_rejects_malformed():

@@ -28,7 +28,7 @@ from cellassoc.scenario import (
     generate_scenario,
     rng_stream,
 )
-from helpers import oracle_best_bias
+from helpers import oracle_best_bias, oracle_build_preferences
 
 NEG_INF = float("-inf")
 
@@ -121,6 +121,50 @@ def test_tie_break_by_index():
     util = UtilityTable(u=np.array([[1.0, 1.0, 1.0]]), u_ml=np.array([1.0]), n_mmw=3)
     prefs, _ = build_preferences(util)
     assert prefs[0].tolist() == [0, 1, 2]
+
+
+def _tied_rows(rng, m, n):
+    # Rows of every kind the guarded sort must get right, shuffled together.
+    one = np.nextafter(1.0, 2.0)
+    special = np.array([0.0, -0.0, -np.inf, np.inf, np.nan, 1.0, one, np.nextafter(1.0, 0.0)])
+    ulps = 1.0 + np.finfo(float).eps * np.arange(n)  # distinct, each 1 ulp from the next
+    rows = np.concatenate([
+        rng.integers(0, 3, (m, n)).astype(float),  # equal finite values
+        rng.choice(special, (m, n)),  # +-0.0, +-inf pairs, NaN and 1-ulp neighbours
+        rng.choice(special[:4], (m, n)),  # +-0.0 and +-inf only, no NaN
+        np.where(rng.random((m, n)) < 0.3, -np.inf, rng.normal(size=(m, n))),  # -inf pairs
+        np.where(rng.random((m, n)) < 0.3, np.nan, rng.normal(size=(m, n))),  # NaN pairs
+        rng.permuted(np.tile(ulps, (m, 1)), axis=-1),  # no tie, 1 ulp apart
+        rng.normal(size=(m, n)),  # no tie
+    ])
+    return rng.permutation(rows)
+
+
+def _table(u):
+    return UtilityTable(u=u, u_ml=np.max(u, axis=-1, initial=-np.inf), n_mmw=0)
+
+
+@pytest.mark.parametrize("n", [8, 20, 64, 200])
+def test_preferences_equal_the_stable_argsort_on_ties(n):
+    # Short rows can come out of the default argsort in stable order anyway,
+    # depending on the host's sort kernel, and so may not show a missing tie
+    # guard; rows of 8 BSs or more do.
+    rng = np.random.default_rng(n)
+    u = _tied_rows(rng, 40, n)
+    before = u.copy()
+    for table in (u, u.reshape(4, 70, n)):  # one table and an (R, M, N) stack
+        prefs, _ = build_preferences(_table(table))
+        assert prefs.shape == table.shape
+        assert (prefs == oracle_build_preferences(table)).all()
+    np.testing.assert_array_equal(u, before)  # the utilities are not sorted in place
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (3, 0, 5), (3, 4, 0), (3, 0, 0)])
+def test_preferences_of_empty_tables(shape):
+    u = np.zeros(shape)
+    prefs, gated = build_preferences(_table(u), c_th=0.5)
+    assert prefs.shape == gated.shape == shape
+    assert (prefs == oracle_build_preferences(u)).all()
 
 
 def test_master_list_order():
