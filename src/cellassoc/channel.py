@@ -17,7 +17,7 @@ from .scenario import STREAM_SLOTS, PathLossParams, Scenario, pairwise_distances
 
 # Entries per working array: the Monte Carlo driver batches as many runs as
 # keep its (R, M, N) stacks within it, and a slot draw as many slots.
-_BATCH_ELEMENTS = 16384
+_BATCH_ELEMENTS = 32768
 
 
 def db_to_linear(x_db):

@@ -39,6 +39,7 @@ from .matching import (
 )
 from .metrics import (
     max_load_difference,
+    percentile,
     rate_cdf,
     run_metrics,
     slot_averaged_rates,
@@ -204,7 +205,7 @@ def _run_batch(
         "ue_mmw": mmw_loads.sum(axis=-1), "ue_muw": muw_loads.sum(axis=-1),
         "feasible": np.where(feasible, "true", "false"), "blocking_pairs": blocking,
         "mean_ue_rate_bps": rates.mean(axis=-1), "min_ue_rate_bps": rates.min(axis=-1),
-        "p5_ue_rate_bps": np.percentile(rates, 5.0, axis=-1),
+        "p5_ue_rate_bps": percentile(rates, 5.0),
     }
     point = {
         "m": first.n_ue, "n_mmw": first.n_mmw, "n_muw": first.n_muw,

@@ -135,14 +135,14 @@ def build_preferences(util: UtilityTable, c_th: float = NEG_INF) -> tuple[np.nda
     return prefs, gated
 
 
-def build_master_list(util: UtilityTable) -> tuple[int, ...] | tuple[list[int], ...]:
+def build_master_list(util: UtilityTable) -> np.ndarray:
     """UEs ranked by their best achievable utility, high to low.
 
     Every BS uses this one list. Ties break toward the lower UE index, and
     the order depends only on the ordering of utilities, not their scale.
-    A table with a leading run axis gives a tuple of one list per run.
+    A table with a leading run axis gives an (R, M) array, one list per run.
     """
-    return tuple(np.argsort(-util.u_ml, axis=-1, kind="stable").tolist())
+    return np.argsort(-util.u_ml, axis=-1, kind="stable")
 
 
 def build_matching_instance(

@@ -146,7 +146,7 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
         assert np.array_equal(util.u[r], run_util.u)
         run_prefs, run_gated = build_preferences(run_util, c_th)
         assert np.array_equal(prefs[r], run_prefs) and np.array_equal(gated[r], run_gated)
-        assert tuple(master[r]) == build_master_list(run_util)
+        assert np.array_equal(master[r], build_master_list(run_util))
         assert instance.run(r) == build_matching_instance(sc, run_links, sc.los_prob, policy)
 
 

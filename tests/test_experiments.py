@@ -2,7 +2,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cellassoc.channel import _BATCH_ELEMENTS
 from cellassoc.cli import match_main, simulate_main
 from cellassoc.experiments import (
     POLICY_ORDER,
@@ -653,6 +656,24 @@ def test_cli_simulate_config_matches_the_library_call(tmp_path, capsys):
     assert written_bytes(tmp_path / "cli") == written_bytes(tmp_path / "lib")
 
 
+def test_simulate_does_not_import_numpy_ma(tmp_path):
+    # np.percentile's first call imports numpy.ma, a fixed cost in every process.
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CLI_CONFIG)
+    argv = ["--config", str(cfg_file), "--runs", "2", "--out", str(tmp_path / "x.csv")]
+    script = (
+        "import sys\nfrom cellassoc.cli import simulate_main\n"
+        f"code = simulate_main({argv!r})\nprint(code, 'numpy.ma' in sys.modules)\n"
+    )
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_cli_simulate_figure_matches_the_library_call(tmp_path, capsys):
     (tmp_path / "cli").mkdir()
     (tmp_path / "lib").mkdir()
@@ -846,8 +867,8 @@ def test_pool_is_capped_at_the_batch_count(tmp_path, monkeypatch):
 
 
 def test_batches_depend_on_the_grid_point_alone(monkeypatch):
-    # Runs per batch = max(1, min(runs, 16384 // (M * N))) with N = 20 here:
-    # all 9 runs at M=10, 8 at M=100 and 1 at M=500, whatever --workers says.
+    # Runs per batch = max(1, min(runs, _BATCH_ELEMENTS // (M * N))) with N = 20
+    # here, whatever --workers says.
     batches = []
 
     def record(exp, overrides, runs, collect_muw_samples):
@@ -862,8 +883,11 @@ def test_batches_depend_on_the_grid_point_alone(monkeypatch):
         n_runs=9,
         sweep={"m": (10, 100, 500)},
     )
-    want = [(10, range(9)), (100, range(8)), (100, range(8, 9))]
-    want += [(500, range(run, run + 1)) for run in range(9)]
+    want = []
+    for m in exp.sweep["m"]:
+        size = max(1, min(9, _BATCH_ELEMENTS // (m * 20)))
+        want += [(m, range(start, min(start + size, 9))) for start in range(0, 9, size)]
+    assert len(want) > 3  # some grid point spans several batches
     for workers in (1, 2, 5):
         batches.clear()
         columns = _collect_rows(exp, _grid_points(exp.sweep), workers)

@@ -9,6 +9,7 @@ from cellassoc.matching import build_matching
 from cellassoc.metrics import (
     achievable_rates,
     max_load_difference,
+    percentile,
     rate_cdf,
     run_metrics,
     slot_averaged_rates,
@@ -160,6 +161,33 @@ def test_rate_cdf_against_exponential():
     d_plus = np.max(cdf - truth)
     d_minus = np.max(truth - (cdf - 1.0 / n))
     assert max(d_plus, d_minus) < 0.02
+
+
+def _percentile_samples(rng):
+    """1-D and stacked (R, P, M) samples with ties, +-inf, nan and 1e+-300 magnitudes."""
+    for n in [*range(1, 81), 5000]:
+        yield rng.normal(size=n)
+        yield rng.integers(0, 3, size=n).astype(float)  # ties
+        x = rng.normal(size=(4, 3, n)) * 10.0 ** rng.choice([-300, 0, 300], size=(4, 3, n))
+        x[0, 0, rng.integers(n)] = np.inf
+        x[0, 1, rng.integers(n)] = -np.inf
+        x[0, 2] = np.inf
+        x[1, 0, rng.integers(n)] = np.nan
+        x[1, 1] = np.nan
+        x[1, 2] = -np.inf
+        x[2, :, :2] = [-np.inf, np.inf][:n]
+        x[3] = rng.integers(-2, 3, size=(3, n)) * 1e300  # ties among huge values
+        yield x
+
+
+@pytest.mark.parametrize("q", [0, 5, 33.3, 50, 95, 100])
+def test_percentile_matches_numpy(q):
+    for x in _percentile_samples(np.random.default_rng(int(q * 10))):
+        with np.errstate(invalid="ignore"):  # numpy warns at inf - inf; the helper does not
+            want = np.percentile(x, q, axis=-1)
+        got = percentile(x, q)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True), (q, x.shape)
 
 
 def test_quota_sweep_zero_candidates():

@@ -171,14 +171,14 @@ def test_master_list_order():
     util = UtilityTable(
         u=np.array([[5.0], [7.0], [6.0]]), u_ml=np.array([5.0, 7.0, 6.0]), n_mmw=1
     )
-    assert build_master_list(util) == (1, 2, 0)
+    assert build_master_list(util).tolist() == [1, 2, 0]
 
 
 def test_master_list_ties_break_by_ue_index():
     util = UtilityTable(
         u=np.array([[1.0], [1.0], [1.0]]), u_ml=np.array([1.0, 1.0, 1.0]), n_mmw=1
     )
-    assert build_master_list(util) == (0, 1, 2)
+    assert build_master_list(util).tolist() == [0, 1, 2]
 
 
 @given(
@@ -192,7 +192,7 @@ def test_rankings_invariant_under_monotone_transform(scale, shift):
     base = UtilityTable(u=u, u_ml=u.max(axis=1), n_mmw=2)
     mapped_u = scale * u + shift
     mapped = UtilityTable(u=mapped_u, u_ml=mapped_u.max(axis=1), n_mmw=2)
-    assert build_master_list(base) == build_master_list(mapped)
+    assert np.array_equal(build_master_list(base), build_master_list(mapped))
     assert np.array_equal(build_preferences(base)[0], build_preferences(mapped)[0])
 
 
