@@ -4,7 +4,9 @@ One experiment is a grid of parameter points times ``n_runs`` independent
 seeded runs. Each run draws a scenario and LoS slots from ``base_seed + run``,
 executes every enabled policy on the same spectral efficiencies, checks the
 quota-aware policy's output (a failed check aborts the experiment; it would
-mean an engine bug), and emits one CSV row per policy. Runs go in batches:
+mean an engine bug), and emits one CSV row per policy. Each batch also hands
+back its microwave UEs' rates as one flat array in row order, which the rate
+CDF writer pools. Runs go in batches:
 re-keyed generators make each run's raw draws, and all else but each run's
 matcher walk, the instance and its check included, runs once per batch on
 arrays with a leading run axis. A second file with suffix ``_agg`` holds
@@ -32,6 +34,7 @@ import numpy as np
 from .channel import _BATCH_ELEMENTS, draw_los_slots, link_budget, realize_links
 from .matching import (
     InfeasibleInstanceError,
+    build_matching,
     deferred_acceptance,
     format_instance,
     mmq_match,
@@ -84,10 +87,12 @@ class ExperimentConfig:
     output_path: str = "results.csv"
 
     def __post_init__(self) -> None:
-        if self.n_runs < 1:
-            raise ConfigurationError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.n_slots < 1:
-            raise ConfigurationError(f"n_slots must be >= 1, got {self.n_slots}")
+        for name in ("n_runs", "n_slots"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
         if not self.policies_enabled:
             raise ConfigurationError("policies_enabled must name at least one policy")
         unknown = set(self.policies_enabled) - set(POLICY_ORDER)
@@ -112,29 +117,21 @@ def _point_configs(
     exp: ExperimentConfig, overrides: dict, run: int
 ) -> tuple[ScenarioConfig, PolicyConfig]:
     scen = exp.scenario
-    scen = replace(scen, n_ue=int(overrides.get("m", scen.n_ue)), seed=int(scen.seed) + run)
+    scen = replace(scen, n_ue=overrides.get("m", scen.n_ue), seed=int(scen.seed) + run)
     pol = replace(exp.policy, **{k: v for k, v in overrides.items() if k != "m"})
     return scen, pol
 
 
-def _run_batch(
-    exp: ExperimentConfig,
-    overrides: dict,
-    runs: range,
-    collect_muw_samples: bool = False,
-) -> dict[str, list]:
+def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str, list]:
     """The rows of runs ``runs`` of one grid point as ``ROW_COLUMNS`` columns,
-    run-major with policies in ``POLICY_ORDER``, plus each row's microwave UE
-    rates as ``muw_rates_bps`` with ``collect_muw_samples``. Each run has its own seeds
+    run-major with policies in ``POLICY_ORDER``, plus ``muw_rates_bps``: one
+    flat array of every row's microwave UE rates in row order, row i holding
+    ``ue_muw[i]`` of them. Each run has its own seeds
     (re-keyed streams, see ``rekey``) and matcher walk. Everything else runs
     once for the batch, on arrays with a leading run axis, and gives each run
     what it gets alone: one validated instance, one (R, P, M) matching of
     every enabled policy, one ``verify`` call. An error names the grid point,
     the run and its seed."""
-    # Looked up at call time, not imported at the top: a span tracer that wraps
-    # cellassoc.matching.build_matching then sees the driver's call too.
-    from .matching import build_matching
-
     first, pol = _point_configs(exp, overrides, runs[0])
     seeds = [first.seed + k for k in range(len(runs))]
     batch = generate_scenario(first, seeds)
@@ -218,8 +215,7 @@ def _run_batch(
     columns.update({key: [v for v in values for _ in enabled] for key, values in per_run.items()})
     columns.update({key: value.ravel().tolist() for key, value in stats.items()})
     columns["policy"] = enabled * len(runs)
-    if collect_muw_samples:  # only the rate CDF reads them; other batches stay small
-        columns["muw_rates_bps"] = rm.muw_rate_samples
+    columns["muw_rates_bps"] = rm.muw_rate_samples
     return columns
 
 
@@ -279,16 +275,14 @@ def _aggregate_records(exp: ExperimentConfig, columns: dict[str, list]):
             ]
 
 
-def _collect_rows(
-    exp: ExperimentConfig, grid: list[dict], workers: int, collect_muw_samples: bool = False
-) -> dict[str, list]:
+def _collect_rows(exp: ExperimentConfig, grid: list[dict], workers: int) -> dict[str, list]:
     """Run every (grid point, run) pair of ``grid`` and return the rows' columns.
 
     ``grid`` is a list of override dicts (``SWEEP_KEYS`` to values); it need
-    not be a product, so one call can cover a ragged sweep. With
-    ``collect_muw_samples`` a ``muw_rates_bps`` column holds each row's
-    microwave UE rates. A grid point's runs go to ``_run_batch`` in batches,
-    the pool's tasks; rows arrive in task order (grid point, run, policy).
+    not be a product, so one call can cover a ragged sweep. A grid point's
+    runs go to ``_run_batch`` in batches, the pool's tasks; rows arrive in
+    task order (grid point, run, policy). ``muw_rates_bps`` lists each
+    batch's flat array of microwave UE rates, unjoined.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -314,7 +308,7 @@ def _collect_rows(
         # Runs per batch depend on the grid point alone, never on ``workers``.
         size = max(1, min(exp.n_runs, _BATCH_ELEMENTS // (scen.n_ue * scen.n_bs)))
         tasks += [
-            (exp, overrides, range(start, min(start + size, exp.n_runs)), collect_muw_samples)
+            (exp, overrides, range(start, min(start + size, exp.n_runs)))
             for start in range(0, exp.n_runs, size)
         ]
     workers = min(workers, len(tasks))  # a worker without a batch would sit idle
@@ -323,8 +317,9 @@ def _collect_rows(
             results = list(pool.map(_run_batch, *zip(*tasks)))
     else:
         results = list(itertools.starmap(_run_batch, tasks))
-    keys = ROW_COLUMNS + ("muw_rates_bps",) * collect_muw_samples
-    return {key: [value for batch in results for value in batch[key]] for key in keys}
+    columns = {key: [value for batch in results for value in batch[key]] for key in ROW_COLUMNS}
+    columns["muw_rates_bps"] = [batch["muw_rates_bps"] for batch in results]
+    return columns
 
 
 def _run_and_write(exp: ExperimentConfig, grid, write, workers: int) -> Path:
@@ -339,8 +334,7 @@ def _run_and_write(exp: ExperimentConfig, grid, write, workers: int) -> Path:
             raise NotADirectoryError(f"output path {path}: {base} is not a directory")
         if not os.access(base, os.W_OK):
             raise PermissionError(f"output path {path}: {base} is not writable")
-    muw_samples = write is _write_rate_cdf  # the one writer that reads them
-    write(exp, grid, _collect_rows(exp, grid, workers, muw_samples), *paths)
+    write(exp, grid, _collect_rows(exp, grid, workers), *paths)
     return paths[0]
 
 
@@ -388,13 +382,15 @@ def _write_quota_table(exp: ExperimentConfig, grid, columns, out: Path) -> None:
 def _write_rate_cdf(exp: ExperimentConfig, grid, columns, out: Path, runs: Path) -> None:
     """Pooled microwave rate CDF per policy, plus the per-run rows in ``_runs.csv``."""
     n_policies = len(exp.policies_enabled)  # rows are run-major: a policy's are every P-th
+    samples = np.concatenate(columns["muw_rates_bps"])  # row i holds ue_muw[i] of them
+    row_policy = np.repeat(np.arange(len(columns["policy"])) % n_policies, columns["ue_muw"])
     _write_csv(
         out,
         ("policy", "muw_rate_bps", "cdf"),
         (
             [name, float(x), float(f)]
             for p, name in enumerate(columns["policy"][:n_policies])
-            for x, f in zip(*rate_cdf(np.concatenate(columns["muw_rates_bps"][p::n_policies])))
+            for x, f in zip(*rate_cdf(samples[row_policy == p]))
         ),
     )
     _write_rows(columns, runs)
@@ -446,7 +442,6 @@ def optimal_min_quota_sweep(
     grid = []
     for m in m_values:
         for q in quota_candidates:
-            q = int(q)
             if config.n_muw * q > m:
                 warnings.warn(
                     f"skipping q_min={q} at M={m}: microwave minima alone "
@@ -454,7 +449,7 @@ def optimal_min_quota_sweep(
                     stacklevel=2,
                 )
                 continue
-            grid.append({"m": int(m), "q_min_muw": q})
+            grid.append({"m": m, "q_min_muw": q})
     exp = ExperimentConfig(
         scenario=config, policies_enabled=("mmq",), n_runs=n_runs, n_slots=n_slots
     )

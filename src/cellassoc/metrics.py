@@ -19,7 +19,7 @@ class RunMetrics:
     delta_kappa: int  # max load minus min load, both tiers pooled
     per_ue_rate_bps: np.ndarray = field(repr=False)  # (M,)
     sum_rate_bps: float = 0.0
-    muw_rate_samples: np.ndarray = field(repr=False, default=None)  # rates of microwave UEs
+    muw_rate_samples: np.ndarray = field(repr=False, default=None)  # microwave UEs' rates, flat
 
 
 def max_load_difference(loads):
@@ -107,17 +107,15 @@ def run_metrics(
     per_ue_rate_bps: np.ndarray | None = None,
 ) -> RunMetrics:
     """Assemble the per-run metric bundle; rates default to the single-slot ones. An
-    (..., M) matching gives its leading axes to every array field and one sample array
-    per leading index, in C order."""
+    (..., M) matching gives its leading axes to every array field except the microwave
+    UEs' rates, which are one flat array in C order (leading indices, then UE)."""
     if per_ue_rate_bps is None:
         per_ue_rate_bps = achievable_rates(matching, links, config)
-    host, loads = matching.agent_to_host, matching.loads
-    on_muw = host >= links.n_mmw
-    samples = [per_ue_rate_bps[i][on_muw[i]] for i in np.ndindex(host.shape[:-1])]
+    loads = matching.loads
     return RunMetrics(
         loads=loads,
         delta_kappa=max_load_difference(loads),
         per_ue_rate_bps=per_ue_rate_bps,
         sum_rate_bps=per_ue_rate_bps.sum(axis=-1),
-        muw_rate_samples=samples if host.ndim > 1 else samples[0],
+        muw_rate_samples=per_ue_rate_bps[matching.agent_to_host >= links.n_mmw],
     )

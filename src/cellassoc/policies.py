@@ -11,7 +11,7 @@ BS indexing follows the scenario convention: mmW BSs first, then microwave.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,29 +71,8 @@ class PolicyConfig:
         return q_min, q_max
 
 
-@dataclass(frozen=True, eq=False)
-class UtilityTable:
-    """Per-pair utilities and each UE's best achievable utility.
-
-    ``u[m, n]`` is the log of UE m's expected spectral efficiency at BS n;
-    ``u_ml[m]`` is the row maximum and drives the master list.
-    """
-
-    u: np.ndarray = field(repr=False)  # (M, N)
-    u_ml: np.ndarray = field(repr=False)  # (M,)
-    n_mmw: int = 0
-
-    @property
-    def n_ue(self) -> int:
-        return self.u.shape[-2]
-
-    @property
-    def n_bs(self) -> int:
-        return self.u.shape[-1]
-
-
-def compute_utilities(links: channel.LinkRealization, f) -> UtilityTable:
-    """UE utilities from expected spectral efficiencies.
+def compute_utilities(links: channel.LinkRealization, f) -> np.ndarray:
+    """(..., M, N) UE utilities from expected spectral efficiencies, mmW columns first.
 
     For a mmW BS the expected SE mixes the LoS and NLoS rates with the LoS
     estimate ``f`` (an (M, N1) array of values in [0, 1]); for a microwave BS
@@ -109,40 +88,43 @@ def compute_utilities(links: channel.LinkRealization, f) -> UtilityTable:
         raise ValueError("LoS estimates must lie in [0, 1]")
     expected_mmw = f * links.se_mmw_los + (1.0 - f) * links.se_mmw_nlos
     with np.errstate(divide="ignore"):
-        u = np.concatenate([np.log(expected_mmw), np.log(links.se_muw)], axis=-1)
-    return UtilityTable(u=u, u_ml=u.max(axis=-1), n_mmw=links.n_mmw)
+        return np.concatenate([np.log(expected_mmw), np.log(links.se_muw)], axis=-1)
 
 
-def build_preferences(util: UtilityTable, c_th: float = NEG_INF) -> tuple[np.ndarray, np.ndarray]:
-    """Strict per-UE BS rankings and the gated-BS mask, both (..., M, N).
+def build_preferences(
+    u: np.ndarray, n_mmw: int, c_th: float = NEG_INF
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strict per-UE BS rankings and the gated-BS mask of utilities ``u``, both (..., M, N).
 
     Row m of the first array lists BS ids by descending utility, ties broken
     toward the lower BS index. Distinct keys have one sorted order, so the
     default argsort is exact on a row without a tie; a row whose sorted keys
     hold equal neighbours or a NaN takes the stable argsort. In the bool mask
     a microwave BS other than the UE's top choice is gated when its utility
-    falls below ``c_th``; mmW BSs and top choices are never gated.
+    falls below ``c_th``; mmW BSs (the first ``n_mmw`` columns) and top
+    choices are never gated.
     """
-    key = -util.u
+    key = -u
     prefs = np.argsort(key, axis=-1)
     key.sort(axis=-1)  # in place: no third (..., M, N) float array
     tied = (key[..., 1:] == key[..., :-1]).any(axis=-1) | np.isnan(key[..., -1:]).any(axis=-1)
-    prefs[tied] = np.argsort(-util.u[tied], axis=-1, kind="stable")
-    gated = util.u < c_th
-    gated[..., : util.n_mmw] = False
-    if util.n_bs:
+    prefs[tied] = np.argsort(-u[tied], axis=-1, kind="stable")
+    gated = u < c_th
+    gated[..., :n_mmw] = False
+    if u.shape[-1]:
         np.put_along_axis(gated, prefs[..., :1], False, axis=-1)
     return prefs, gated
 
 
-def build_master_list(util: UtilityTable) -> np.ndarray:
-    """UEs ranked by their best achievable utility, high to low.
+def build_master_list(u: np.ndarray) -> np.ndarray:
+    """UEs ranked by their best achievable utility (the row maximum of ``u``), high to low.
 
     Every BS uses this one list. Ties break toward the lower UE index, and
     the order depends only on the ordering of utilities, not their scale.
-    A table with a leading run axis gives an (R, M) array, one list per run.
+    Utilities with a leading run axis give an (R, M) array, one list per run;
+    a UE without a BS has best utility -inf.
     """
-    return np.argsort(-util.u_ml, axis=-1, kind="stable")
+    return np.argsort(-u.max(axis=-1, initial=NEG_INF), axis=-1, kind="stable")
 
 
 def build_matching_instance(
@@ -159,10 +141,10 @@ def build_matching_instance(
     override row per run) gives one stacked instance, validated as a whole;
     an invalid run raises naming the lowest such run.
     """
-    util = compute_utilities(links, f)
-    prefs, gated = build_preferences(util, policy.c_th)
-    master = build_master_list(util)
-    del util  # the (..., M, N) utilities are not alive while the instance is checked
+    u = compute_utilities(links, f)
+    prefs, gated = build_preferences(u, scenario.n_mmw, policy.c_th)
+    master = build_master_list(u)
+    del u  # the (..., M, N) utilities are not alive while the instance is checked
     q_min, q_max = policy.quota_vectors(scenario.n_mmw, scenario.n_muw, scenario.n_ue)
     q_min = q_min if q_min_override is None else q_min_override
     n_bs = scenario.n_mmw + scenario.n_muw

@@ -51,28 +51,19 @@ BASE = ExperimentConfig(scenario=ScenarioConfig(n_mmw=3, n_muw=4, n_ue=20, seed=
 
 # Each case covers a per-run branch of the driver: random microwave minima with
 # the load-optimal biases, the utility gate with deferred acceptance and fixed
-# biases, and the microwave rate samples of the rate CDF.
+# biases, and fixed microwave minima with every policy at its load-optimal bias.
 CASES = {
-    "random_minima_auto_bias": (
-        replace(
-            BASE,
-            policies_enabled=("mmq", "max_rssi", "max_sinr"),
-            random_muw_quota=True,
-            auto_bias=True,
-        ),
-        False,
+    "random_minima_auto_bias": replace(
+        BASE,
+        policies_enabled=("mmq", "max_rssi", "max_sinr"),
+        random_muw_quota=True,
+        auto_bias=True,
     ),
-    "gate_da_fixed_bias": (
-        replace(
-            BASE,
-            policy=PolicyConfig(q_min_muw=2, c_th=0.5, bias_rssi_db=10.0, bias_sinr_db=4.0),
-        ),
-        False,
+    "gate_da_fixed_bias": replace(
+        BASE,
+        policy=PolicyConfig(q_min_muw=2, c_th=0.5, bias_rssi_db=10.0, bias_sinr_db=4.0),
     ),
-    "muw_samples": (
-        replace(BASE, policy=PolicyConfig(q_min_muw=1), auto_bias=True),
-        True,
-    ),
+    "muw_samples": replace(BASE, policy=PolicyConfig(q_min_muw=1), auto_bias=True),
 }
 
 
@@ -80,19 +71,20 @@ CASES = {
 @pytest.mark.parametrize("overrides", [{}, {"m": 13}])
 def test_batch_rows_equal_one_run_batches(tmp_path, case, overrides):
     # A batch's columns are its one-run batches' columns end to end: rows run-major,
-    # policies in POLICY_ORDER, and the rate samples only when asked for.
-    exp, samples = CASES[case]
+    # policies in POLICY_ORDER, and one flat array of microwave rates in row order.
+    exp = CASES[case]
     runs = range(2, 7)
-    batch = _run_batch(exp, overrides, runs, samples)
-    singles = [_run_batch(exp, overrides, range(run, run + 1), samples) for run in runs]
-    assert batch.keys() == set(ROW_COLUMNS + ("muw_rates_bps",) * samples)
+    batch = _run_batch(exp, overrides, runs)
+    singles = [_run_batch(exp, overrides, range(run, run + 1)) for run in runs]
+    assert batch.keys() == set(ROW_COLUMNS + ("muw_rates_bps",))
+    samples = batch.pop("muw_rates_bps")
+    assert isinstance(samples, np.ndarray) and samples.ndim == 1
+    assert np.array_equal(samples, np.concatenate([one.pop("muw_rates_bps") for one in singles]))
+    assert len(samples) == sum(batch["ue_muw"]) > 0
     single = {key: [value for one in singles for value in one[key]] for key in batch}
     n_policies = len(exp.policies_enabled)
     assert {len(column) for column in batch.values()} == {len(runs) * n_policies}
     assert batch["run"] == [run for run in runs for _ in range(n_policies)]
-    if samples:
-        got, want = batch.pop("muw_rates_bps"), single.pop("muw_rates_bps")
-        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
     assert batch == single
     _write_rows(batch, tmp_path / "batch.csv")
     _write_rows(single, tmp_path / "single.csv")
@@ -124,9 +116,9 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
     budget = link_budget(batch)
     slots = draw_los_slots(batch, rng_stream(0), 5, [c.seed for c in configs])
     links = realize_links(batch, slots[0], budget)
-    util = compute_utilities(links, batch.los_prob)
-    prefs, gated = build_preferences(util, c_th)
-    master = build_master_list(util)
+    u = compute_utilities(links, batch.los_prob)
+    prefs, gated = build_preferences(u, batch.n_mmw, c_th)
+    master = build_master_list(u)
     policy = PolicyConfig(q_min_muw=1, c_th=c_th)
     instance = build_matching_instance(batch, links, batch.los_prob, policy)
     assert instance.agent_prefs.shape == (n_runs, 11, 7)
@@ -142,11 +134,11 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
         assert np.array_equal(slots[:, r], run_slots)
         assert np.array_equal(rssi_matrix_dbm(batch, budget)[r], rssi_matrix_dbm(sc))
         assert np.array_equal(sinr_matrix_db(batch, budget)[r], sinr_matrix_db(sc))
-        run_util = compute_utilities(run_links, sc.los_prob)
-        assert np.array_equal(util.u[r], run_util.u)
-        run_prefs, run_gated = build_preferences(run_util, c_th)
+        run_u = compute_utilities(run_links, sc.los_prob)
+        assert np.array_equal(u[r], run_u)
+        run_prefs, run_gated = build_preferences(run_u, sc.n_mmw, c_th)
         assert np.array_equal(prefs[r], run_prefs) and np.array_equal(gated[r], run_gated)
-        assert np.array_equal(master[r], build_master_list(run_util))
+        assert np.array_equal(master[r], build_master_list(run_u))
         assert instance.run(r) == build_matching_instance(sc, run_links, sc.los_prob, policy)
 
 
@@ -189,6 +181,10 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     rates = slot_averaged_rates(matchings, per_policy, slots[:, :, None], configs[0])
     rm = run_metrics(matchings, links, configs[0], rates)
     assert rates.shape == (3, 2, n_ue) and rm.loads.shape == (3, 2, 5)
+    # The samples are flat in row order (run, policy, UE): row (r, p) holds one per microwave UE.
+    per_row = (hosts >= 3).sum(axis=-1).ravel()
+    assert rm.muw_rate_samples.shape == (per_row.sum(),)
+    row_samples = np.split(rm.muw_rate_samples, np.cumsum(per_row)[:-1])
     for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
         run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_SLOTS))
         run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), n_slots)
@@ -201,7 +197,7 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
             one = run_metrics(matching, run_links, cfg, want)
             assert rm.delta_kappa[r, p] == one.delta_kappa
             assert rm.sum_rate_bps[r, p] == one.sum_rate_bps
-            assert np.array_equal(rm.muw_rate_samples[2 * r + p], one.muw_rate_samples)
+            assert np.array_equal(row_samples[2 * r + p], one.muw_rate_samples)
 
 
 # sha256 of every file that run_figure writes at n_runs=3, seed=5, recorded

@@ -178,6 +178,10 @@ def test_experiment_config_validation():
         ExperimentConfig(policies_enabled=("mmq", "oracle"))
     with pytest.raises(ConfigurationError):
         ExperimentConfig(sweep={"tilt": (1, 2)})
+    for name in ("n_runs", "n_slots"):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got 2.5$"):
+            ExperimentConfig(**{name: 2.5})
+        assert getattr(ExperimentConfig(**{name: np.int64(2)}), name) == 2
 
 
 # --- running experiments ------------------------------------------------------
@@ -274,6 +278,15 @@ def test_bad_grid_point_fails_before_any_run(tmp_path, monkeypatch):
     assert not (tmp_path / "bad.csv").exists()
 
 
+def test_sweep_accepts_numpy_integer_ue_counts(tmp_path):
+    plain = run_experiment(replace(TINY, sweep={"m": (8,)}, output_path=str(tmp_path / "a.csv")))
+    numpy = run_experiment(
+        replace(TINY, sweep={"m": (np.int64(8),)}, output_path=str(tmp_path / "b.csv"))
+    )
+    assert numpy.read_bytes() == plain.read_bytes()
+    assert {row["m"] for row in read_rows(numpy)} == {"8"}
+
+
 @pytest.mark.parametrize(
     "key, values",
     [
@@ -283,6 +296,7 @@ def test_bad_grid_point_fails_before_any_run(tmp_path, monkeypatch):
         ("m", (20, 0)),
         ("bias_rssi_db", (0.0, math.inf)),
         ("q_min_muw", (1, 0.5)),
+        ("m", (20, 10.7)),  # refused, not truncated to 10
     ],
 )
 def test_bad_sweep_value_names_grid_point_before_any_run(tmp_path, monkeypatch, key, values):
@@ -446,6 +460,30 @@ def test_quota_sweep_over_many_m_equals_per_m_calls():
     apart += optimal_min_quota_sweep(cfg, [10], candidates, n_runs=3, n_slots=2)
     assert together == apart
     assert [sorted(row["mean_sum_rate_bps"]) for row in together] == [[0, 3], [0, 3, 5]]
+
+
+def test_quota_sweep_refuses_fractional_values_before_any_run(monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the grid was checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
+    with pytest.raises(
+        ConfigurationError,
+        match=re.escape("grid point {'m': 20.9, 'q_min_muw': 0.5}: n_ue must be an integer"),
+    ):
+        optimal_min_quota_sweep(ScenarioConfig(seed=1), [20.9], [0.5, 1.7])
+    with pytest.raises(
+        ConfigurationError,
+        match=re.escape("grid point {'m': 20, 'q_min_muw': 1.7}: q_min_muw must be an integer"),
+    ):
+        optimal_min_quota_sweep(ScenarioConfig(seed=1), [20], [1, 1.7])
+
+
+def test_quota_sweep_accepts_numpy_integers():
+    cfg = ScenarioConfig(n_mmw=2, n_muw=2, n_ue=8, seed=77)
+    plain = optimal_min_quota_sweep(cfg, [6, 10], [0, 3], n_runs=2, n_slots=2)
+    numpy = optimal_min_quota_sweep(cfg, np.array([6, 10]), np.array([0, 3]), n_runs=2, n_slots=2)
+    assert numpy == plain
 
 
 def test_quota_sweep_with_every_candidate_skipped_is_empty():
@@ -871,9 +909,9 @@ def test_batches_depend_on_the_grid_point_alone(monkeypatch):
     # here, whatever --workers says.
     batches = []
 
-    def record(exp, overrides, runs, collect_muw_samples):
+    def record(exp, overrides, runs):
         batches.append((overrides["m"], runs))
-        return dict.fromkeys(ROW_COLUMNS, ())
+        return {**dict.fromkeys(ROW_COLUMNS, ()), "muw_rates_bps": runs}
 
     monkeypatch.setattr("cellassoc.experiments.ProcessPoolExecutor", recording_pool([]))
     monkeypatch.setattr("cellassoc.experiments._run_batch", record)
@@ -891,7 +929,8 @@ def test_batches_depend_on_the_grid_point_alone(monkeypatch):
     for workers in (1, 2, 5):
         batches.clear()
         columns = _collect_rows(exp, _grid_points(exp.sweep), workers)
-        assert columns == dict.fromkeys(ROW_COLUMNS, [])
+        # Each batch's microwave rates stay one entry, in task order, not joined.
+        assert columns == {**dict.fromkeys(ROW_COLUMNS, []), "muw_rates_bps": [r for _, r in want]}
         assert batches == want
 
 

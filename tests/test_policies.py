@@ -9,7 +9,6 @@ from cellassoc.channel import LinkRealization, realize_links
 from cellassoc.matching import verify
 from cellassoc.policies import (
     PolicyConfig,
-    UtilityTable,
     build_master_list,
     build_matching_instance,
     build_preferences,
@@ -47,37 +46,39 @@ def make_links(se_los, se_nlos, se_muw):
 
 def test_utility_pure_los():
     links = make_links([[8.0]], [[2.0]], [[1.0]])
-    util = compute_utilities(links, [[1.0]])
-    assert util.u[0, 0] == pytest.approx(math.log(8.0), rel=1e-12)
+    u = compute_utilities(links, [[1.0]])
+    assert u[0, 0] == pytest.approx(math.log(8.0), rel=1e-12)
 
 
 def test_utility_mixture():
     links = make_links([[8.0]], [[2.0]], [[1.0]])
-    util = compute_utilities(links, [[0.5]])
+    u = compute_utilities(links, [[0.5]])
     # 0.5*8 + 0.5*2 = 5; frozen natural log.
-    assert util.u[0, 0] == pytest.approx(1.6094379124341003, rel=1e-6)
+    assert u[0, 0] == pytest.approx(1.6094379124341003, rel=1e-6)
 
 
 def test_utility_muw_unit_se_is_zero():
     links = make_links([[8.0]], [[2.0]], [[1.0]])
-    util = compute_utilities(links, [[0.5]])
-    assert util.u[0, 1] == 0.0
+    u = compute_utilities(links, [[0.5]])
+    assert u[0, 1] == 0.0
 
 
 def test_zero_se_gives_minus_inf_not_crash():
     links = make_links([[0.0]], [[0.0]], [[1.0]])
-    util = compute_utilities(links, [[0.3]])
-    assert util.u[0, 0] == NEG_INF
-    prefs, _ = build_preferences(util)
+    u = compute_utilities(links, [[0.3]])
+    assert u[0, 0] == NEG_INF
+    prefs, _ = build_preferences(u, links.n_mmw)
     assert prefs[0].tolist() == [1, 0]  # the dead mmW link ranks last
 
 
 def test_utility_ml_is_row_max():
+    # The master list ranks UEs by their best utility, whichever tier holds it.
     links = make_links(
-        [[8.0, 4.0]], [[2.0, 1.0]], [[1.5]]
+        [[3.0, 1.0], [1.0, 2.0], [4.0, 1.0]], [[1.0, 1.0]] * 3, [[1.5], [8.0], [2.5]]
     )
-    util = compute_utilities(links, [[1.0, 1.0]])
-    assert util.u_ml[0] == pytest.approx(util.u[0].max())
+    u = compute_utilities(links, [[1.0, 1.0]] * 3)
+    assert isinstance(u, np.ndarray) and u.shape == (3, 3)
+    assert build_master_list(u).tolist() == [1, 2, 0]  # best SEs 3, 8 (microwave), 4
 
 
 def test_utilities_validate_f():
@@ -91,35 +92,28 @@ def test_utilities_validate_f():
 # --- preferences and master list ----------------------------------------------
 
 def test_preferences_sorting():
-    util = UtilityTable(u=np.array([[3.0, 1.0, 2.0]]), u_ml=np.array([3.0]), n_mmw=3)
-    prefs, gated = build_preferences(util, NEG_INF)
+    prefs, gated = build_preferences(np.array([[3.0, 1.0, 2.0]]), 3, NEG_INF)
     assert prefs[0].tolist() == [0, 2, 1]
     assert np.flatnonzero(gated[0]).tolist() == []
 
 
 def test_gate_marks_weak_unpreferred_microwave():
     # All-microwave row: top choice immune, entries below 0.5 gated.
-    util = UtilityTable(u=np.array([[3.0, 0.4, 0.6]]), u_ml=np.array([3.0]), n_mmw=0)
-    prefs, gated = build_preferences(util, c_th=0.5)
+    prefs, gated = build_preferences(np.array([[3.0, 0.4, 0.6]]), 0, c_th=0.5)
     assert prefs[0].tolist() == [0, 2, 1]
     assert np.flatnonzero(gated[0]).tolist() == [1]
 
 
 def test_gate_never_touches_mmw_or_top_choice():
     # Column 0 is mmW; column 1 is the microwave top choice.
-    util = UtilityTable(
-        u=np.array([[0.1, 0.3, 0.2], [0.3, 0.1, 0.2]]),
-        u_ml=np.array([0.3, 0.3]),
-        n_mmw=1,
-    )
-    _, gated = build_preferences(util, c_th=1.0)
+    u = np.array([[0.1, 0.3, 0.2], [0.3, 0.1, 0.2]])
+    _, gated = build_preferences(u, 1, c_th=1.0)
     assert np.flatnonzero(gated[0]).tolist() == [2]  # not the mmW BS, not the top microwave
     assert np.flatnonzero(gated[1]).tolist() == [1, 2]
 
 
 def test_tie_break_by_index():
-    util = UtilityTable(u=np.array([[1.0, 1.0, 1.0]]), u_ml=np.array([1.0]), n_mmw=3)
-    prefs, _ = build_preferences(util)
+    prefs, _ = build_preferences(np.array([[1.0, 1.0, 1.0]]), 3)
     assert prefs[0].tolist() == [0, 1, 2]
 
 
@@ -140,10 +134,6 @@ def _tied_rows(rng, m, n):
     return rng.permutation(rows)
 
 
-def _table(u):
-    return UtilityTable(u=u, u_ml=np.max(u, axis=-1, initial=-np.inf), n_mmw=0)
-
-
 @pytest.mark.parametrize("n", [8, 20, 64, 200])
 def test_preferences_equal_the_stable_argsort_on_ties(n):
     # Short rows can come out of the default argsort in stable order anyway,
@@ -153,7 +143,7 @@ def test_preferences_equal_the_stable_argsort_on_ties(n):
     u = _tied_rows(rng, 40, n)
     before = u.copy()
     for table in (u, u.reshape(4, 70, n)):  # one table and an (R, M, N) stack
-        prefs, _ = build_preferences(_table(table))
+        prefs, _ = build_preferences(table, 0)
         assert prefs.shape == table.shape
         assert (prefs == oracle_build_preferences(table)).all()
     np.testing.assert_array_equal(u, before)  # the utilities are not sorted in place
@@ -162,23 +152,20 @@ def test_preferences_equal_the_stable_argsort_on_ties(n):
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (3, 0, 5), (3, 4, 0), (3, 0, 0)])
 def test_preferences_of_empty_tables(shape):
     u = np.zeros(shape)
-    prefs, gated = build_preferences(_table(u), c_th=0.5)
+    prefs, gated = build_preferences(u, 0, c_th=0.5)
     assert prefs.shape == gated.shape == shape
     assert (prefs == oracle_build_preferences(u)).all()
 
 
 def test_master_list_order():
-    util = UtilityTable(
-        u=np.array([[5.0], [7.0], [6.0]]), u_ml=np.array([5.0, 7.0, 6.0]), n_mmw=1
-    )
-    assert build_master_list(util).tolist() == [1, 2, 0]
+    assert build_master_list(np.array([[5.0], [7.0], [6.0]])).tolist() == [1, 2, 0]
+    # A UE without a BS has best utility -inf and ranks last, ties toward the lower index.
+    assert build_master_list(np.zeros((3, 0))).tolist() == [0, 1, 2]
+    assert build_master_list(np.zeros((2, 3, 0))).tolist() == [[0, 1, 2]] * 2
 
 
 def test_master_list_ties_break_by_ue_index():
-    util = UtilityTable(
-        u=np.array([[1.0], [1.0], [1.0]]), u_ml=np.array([1.0, 1.0, 1.0]), n_mmw=1
-    )
-    assert build_master_list(util).tolist() == [0, 1, 2]
+    assert build_master_list(np.array([[1.0], [1.0], [1.0]])).tolist() == [0, 1, 2]
 
 
 @given(
@@ -189,11 +176,9 @@ def test_master_list_ties_break_by_ue_index():
 def test_rankings_invariant_under_monotone_transform(scale, shift):
     rng = np.random.default_rng(31)
     u = rng.normal(size=(5, 4))
-    base = UtilityTable(u=u, u_ml=u.max(axis=1), n_mmw=2)
-    mapped_u = scale * u + shift
-    mapped = UtilityTable(u=mapped_u, u_ml=mapped_u.max(axis=1), n_mmw=2)
-    assert np.array_equal(build_master_list(base), build_master_list(mapped))
-    assert np.array_equal(build_preferences(base)[0], build_preferences(mapped)[0])
+    mapped = scale * u + shift
+    assert np.array_equal(build_master_list(u), build_master_list(mapped))
+    assert np.array_equal(build_preferences(u, 2)[0], build_preferences(mapped, 2)[0])
 
 
 # --- the quota-aware policy end to end ------------------------------------------
@@ -202,8 +187,8 @@ def test_mmq_policy_unconstrained_is_argmax():
     sc = generate_scenario(ScenarioConfig(n_ue=12, seed=3))
     links = realize_links(sc, rng_stream(3, 1))
     matching = mmq_policy(sc, links, sc.los_prob, PolicyConfig())
-    util = compute_utilities(links, sc.los_prob)
-    expected = [int(n) for n in np.argmax(util.u, axis=1)]
+    u = compute_utilities(links, sc.los_prob)
+    expected = [int(n) for n in np.argmax(u, axis=1)]
     assert list(matching.agent_to_host) == expected
 
 
@@ -211,9 +196,8 @@ def test_mmq_policy_counterexample_utilities():
     # Utilities picked so every UE ranks BS0 > BS1 > BS2 and the master list
     # is UE0 > UE1 > UE2; with minima of 1 the matcher must spread them out.
     u = np.array([[3.0, 2.0, 1.0], [2.9, 1.9, 0.9], [2.8, 1.8, 0.8]])
-    util = UtilityTable(u=u, u_ml=u.max(axis=1), n_mmw=3)
-    prefs, gated = build_preferences(util)
-    master = build_master_list(util)
+    prefs, gated = build_preferences(u, 3)
+    master = build_master_list(u)
     from cellassoc.matching import MatchingInstance, mmq_match
 
     inst = MatchingInstance(
