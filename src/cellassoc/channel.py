@@ -3,7 +3,8 @@
 All dB bookkeeping happens here. Powers are carried in dBm, losses and gains
 in dB, and every accumulation (interference, LoS averaging) is done in the
 linear domain. Spectral efficiencies are Shannon rates per unit bandwidth,
-in bit/s/Hz.
+in bit/s/Hz. Each function returns a new array and never writes its inputs;
+its later steps work in place on that array, in the order of the formula.
 """
 
 from __future__ import annotations
@@ -22,12 +23,16 @@ _BATCH_ELEMENTS = 32768
 
 def db_to_linear(x_db):
     """10^(x/10). Works elementwise on arrays."""
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    x = np.divide(x_db, 10.0, dtype=float)  # a new array, or a numpy scalar
+    # A scalar keeps Python's power: numpy's vectorised one may differ by an ulp.
+    return np.power(10.0, x, out=x) if np.ndim(x) else 10.0 ** x
 
 
 def linear_to_db(x):
     """10 log10(x). Works elementwise on arrays."""
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
+    out = np.log10(x, dtype=float)  # a new array, or a numpy scalar
+    out *= 10.0
+    return out
 
 
 def noise_power_dbm(noise_psd_dbm_hz: float, bandwidth_hz: float) -> float:
@@ -44,11 +49,13 @@ def path_loss_db(params: PathLossParams, d, shadow_db=0.0):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    out = (
-        params.intercept_db
-        + params.slope * 10.0 * np.log10(np.maximum(d, 1.0))
-        + np.asarray(shadow_db, dtype=float)
-    )
+    shadow_db = np.asarray(shadow_db, dtype=float)
+    out = np.empty(np.broadcast_shapes(d.shape, shadow_db.shape))
+    np.maximum(d, 1.0, out=out)
+    np.log10(out, out=out)
+    out *= params.slope * 10.0
+    out += params.intercept_db
+    out += shadow_db
     return float(out) if out.ndim == 0 else out
 
 
@@ -61,11 +68,11 @@ def mmw_spectral_efficiency(p_dbm, psi_dbi, pathloss_db, w1_hz, n0_dbm_hz):
     """
     if w1_hz <= 0:
         raise ValueError("bandwidth must be positive")
-    snr_db = p_dbm + psi_dbi - np.asarray(pathloss_db, dtype=float) - noise_power_dbm(
-        n0_dbm_hz, w1_hz
-    )
-    out = np.log2(1.0 + db_to_linear(snr_db))
-    return float(out) if out.ndim == 0 else out
+    snr_db = np.subtract(p_dbm + psi_dbi, pathloss_db, dtype=float)
+    snr_db -= noise_power_dbm(n0_dbm_hz, w1_hz)
+    out = db_to_linear(snr_db)
+    out += 1.0
+    return np.log2(out, out=out) if np.ndim(out) else float(np.log2(out))
 
 
 def muw_spectral_efficiency(p_dbm, pathloss_db, interferer_pathlosses_db, w2_hz, n0_dbm_hz):
@@ -124,21 +131,34 @@ class LinkBudget:
 
 
 def link_budget(scenario: Scenario) -> LinkBudget:
-    """Distances, the path loss matrices and the microwave SINR; (R, M, N) when stacked."""
+    """Distances, the path loss matrices and the microwave SINR; (R, M, N) when stacked.
+
+    The scenario's shadowing is read here and nowhere else. Each distance
+    matrix dies once its tier's path losses are taken, the received powers
+    and the interference once the SINR is; the budget holds only its four
+    matrices.
+    """
     cfg = scenario.config
-    d = np.maximum(pairwise_distances(scenario.ue_positions, scenario.mmw_positions), 1.0)
+    if scenario.shadow_muw is None:
+        raise ValueError("the scenario's shadowing was released after its link budget")
+    d = pairwise_distances(scenario.ue_positions, scenario.mmw_positions)
+    np.maximum(d, 1.0, out=d)
     loss_los = path_loss_db(cfg.pathloss_mmw_los, d, scenario.shadow_mmw_los)
     loss_nlos = path_loss_db(cfg.pathloss_mmw_nlos, d, scenario.shadow_mmw_nlos)
-    d = np.maximum(pairwise_distances(scenario.ue_positions, scenario.muw_positions), 1.0)
+    d = pairwise_distances(scenario.ue_positions, scenario.muw_positions)
+    np.maximum(d, 1.0, out=d)
     loss_muw = path_loss_db(cfg.pathloss_muw, d, scenario.shadow_muw)
+    del d
     rx_mw = db_to_linear(cfg.tx_power_dbm - loss_muw)
     interference_mw = rx_mw.sum(axis=-1, keepdims=True) - rx_mw
-    noise_mw = db_to_linear(noise_power_dbm(cfg.noise_psd_dbm_hz, cfg.bandwidth_muw_hz))
+    interference_mw += db_to_linear(noise_power_dbm(cfg.noise_psd_dbm_hz, cfg.bandwidth_muw_hz))
+    rx_mw /= interference_mw  # the linear SINR
+    del interference_mw
     return LinkBudget(
         loss_mmw_los=loss_los,
         loss_mmw_nlos=loss_nlos,
         loss_muw=loss_muw,
-        sinr_muw_db=linear_to_db(rx_mw / (interference_mw + noise_mw)),
+        sinr_muw_db=linear_to_db(rx_mw),
     )
 
 
@@ -158,17 +178,19 @@ def realize_links(
     cfg = scenario.config
     if budget is None:
         budget = link_budget(scenario)
+    se_los, se_nlos = (
+        mmw_spectral_efficiency(
+            cfg.tx_power_dbm, cfg.antenna_gain_dbi, loss, cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz
+        )
+        for loss in (budget.loss_mmw_los, budget.loss_mmw_nlos)
+    )
+    se_muw = db_to_linear(budget.sinr_muw_db)  # last: no mmW temporary is alive beside it
+    se_muw += 1.0
     return LinkRealization(
         los_state=rng if isinstance(rng, np.ndarray) else draw_los_slots(scenario, rng, 1)[0],
-        se_mmw_los=mmw_spectral_efficiency(
-            cfg.tx_power_dbm, cfg.antenna_gain_dbi, budget.loss_mmw_los,
-            cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
-        ),
-        se_mmw_nlos=mmw_spectral_efficiency(
-            cfg.tx_power_dbm, cfg.antenna_gain_dbi, budget.loss_mmw_nlos,
-            cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
-        ),
-        se_muw=np.log2(1.0 + db_to_linear(budget.sinr_muw_db)),
+        se_mmw_los=se_los,
+        se_mmw_nlos=se_nlos,
+        se_muw=np.log2(se_muw, out=se_muw),
     )
 
 

@@ -116,9 +116,14 @@ def _grid_points(sweep: Optional[dict[str, tuple]]) -> list[dict]:
 def _point_configs(
     exp: ExperimentConfig, overrides: dict, run: int
 ) -> tuple[ScenarioConfig, PolicyConfig]:
+    """Run ``run``'s configs at grid point ``overrides``; a refused value raises
+    ``ConfigurationError`` naming the point."""
     scen = exp.scenario
-    scen = replace(scen, n_ue=overrides.get("m", scen.n_ue), seed=int(scen.seed) + run)
-    pol = replace(exp.policy, **{k: v for k, v in overrides.items() if k != "m"})
+    try:
+        scen = replace(scen, n_ue=overrides.get("m", scen.n_ue), seed=int(scen.seed) + run)
+        pol = replace(exp.policy, **{k: v for k, v in overrides.items() if k != "m"})
+    except ValueError as exc:
+        raise ConfigurationError(f"grid point {overrides}: {exc}") from exc
     return scen, pol
 
 
@@ -131,13 +136,19 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     once for the batch, on arrays with a leading run axis, and gives each run
     what it gets alone: one validated instance, one (R, P, M) matching of
     every enabled policy, one ``verify`` call. An error names the grid point,
-    the run and its seed."""
+    the run and its seed.
+
+    Each (R, M, N) array dies after its last reader: the drop's shadowing as
+    soon as the link budget is taken (the LoS slots are drawn after that),
+    the budget once the links and the baselines' metrics are, the utilities
+    inside the instance build, and ``verify``'s masks once counted."""
     first, pol = _point_configs(exp, overrides, runs[0])
     seeds = [first.seed + k for k in range(len(runs))]
     batch = generate_scenario(first, seeds)
+    budget = link_budget(batch)
+    batch = replace(batch, shadow_mmw_los=None, shadow_mmw_nlos=None, shadow_muw=None)
     rng = rng_stream(first.seed, STREAM_SLOTS)  # re-keyed to each run's slot and quota streams
     los_slots = draw_los_slots(batch, rng, exp.n_slots, seeds)
-    budget = link_budget(batch)
     links = realize_links(batch, los_slots[0], budget)  # rates read the slots, not los_state
     # The baselines' metrics come from the same budget, which is then dropped
     # so that it is not alive through the matching.
@@ -288,10 +299,7 @@ def _collect_rows(exp: ExperimentConfig, grid: list[dict], workers: int) -> dict
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     tasks = []
     for overrides in grid:  # fail a point no run can meet before any work
-        try:
-            scen, pol = _point_configs(exp, overrides, 0)
-        except ValueError as exc:
-            raise ConfigurationError(f"grid point {overrides}: {exc}") from exc
+        scen, pol = _point_configs(exp, overrides, 0)
         q_min, q_max = pol.quota_vectors(scen.n_mmw, scen.n_muw, scen.n_ue)
         cap = scen.n_ue // scen.n_muw  # random microwave minima are drawn in [0, cap]
         if exp.random_muw_quota and cap > q_max[-1]:
@@ -388,9 +396,9 @@ def _write_rate_cdf(exp: ExperimentConfig, grid, columns, out: Path, runs: Path)
         out,
         ("policy", "muw_rate_bps", "cdf"),
         (
-            [name, float(x), float(f)]
+            [name, x, f]  # floats from tolist(): no numpy scalar per sample
             for p, name in enumerate(columns["policy"][:n_policies])
-            for x, f in zip(*rate_cdf(samples[row_policy == p]))
+            for x, f in zip(*(a.tolist() for a in rate_cdf(samples[row_policy == p])))
         ),
     )
     _write_rows(columns, runs)
@@ -435,13 +443,19 @@ def optimal_min_quota_sweep(
 
     Runs the quota-aware policy with every candidate applied uniformly to the
     microwave BSs (mmW minima stay zero) and reports the argmax. Candidates
-    that cannot be met (N2 * q > M) are skipped with a warning. All (M, q)
+    that cannot be met (N2 * q > M) are skipped with a warning; a fractional
+    M or candidate raises ``ConfigurationError`` naming its pair. All (M, q)
     points are one ragged grid through the verified Monte Carlo driver.
     Returns one row per M: {"m", "q_star", "mean_sum_rate_bps": {q: value}}.
     """
+    exp = ExperimentConfig(
+        scenario=config, policies_enabled=("mmq",), n_runs=n_runs, n_slots=n_slots
+    )
     grid = []
     for m in m_values:
         for q in quota_candidates:
+            point = {"m": m, "q_min_muw": q}
+            _point_configs(exp, point, 0)  # a fractional pair is refused, not skipped
             if config.n_muw * q > m:
                 warnings.warn(
                     f"skipping q_min={q} at M={m}: microwave minima alone "
@@ -449,10 +463,7 @@ def optimal_min_quota_sweep(
                     stacklevel=2,
                 )
                 continue
-            grid.append({"m": m, "q_min_muw": q})
-    exp = ExperimentConfig(
-        scenario=config, policies_enabled=("mmq",), n_runs=n_runs, n_slots=n_slots
-    )
+            grid.append(point)
     return _optimal_quotas(grid, _collect_rows(exp, grid, workers), n_runs)
 
 

@@ -86,9 +86,16 @@ def compute_utilities(links: channel.LinkRealization, f) -> np.ndarray:
         )
     if f.size and (f.min() < 0.0 or f.max() > 1.0):
         raise ValueError("LoS estimates must lie in [0, 1]")
-    expected_mmw = f * links.se_mmw_los + (1.0 - f) * links.se_mmw_nlos
-    with np.errstate(divide="ignore"):
-        return np.concatenate([np.log(expected_mmw), np.log(links.se_muw)], axis=-1)
+    u = np.empty(f.shape[:-1] + (links.n_mmw + links.n_muw,))
+    expected_mmw = np.multiply(f, links.se_mmw_los, out=u[..., : links.n_mmw])
+    nlos = np.subtract(1.0, f)
+    nlos *= links.se_mmw_nlos
+    expected_mmw += nlos
+    del nlos
+    with np.errstate(divide="ignore"):  # both logs go straight into their columns of u
+        np.log(expected_mmw, out=expected_mmw)
+        np.log(links.se_muw, out=u[..., links.n_mmw :])
+    return u
 
 
 def build_preferences(

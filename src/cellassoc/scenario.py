@@ -10,6 +10,7 @@ channel module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
@@ -127,6 +128,9 @@ class Scenario:
     the mmW BSs, n_mmw..n_bs-1 the microwave BSs. Arrays are write-protected;
     a scenario may be shared read-only across workers. A stacked scenario
     puts a leading run axis on every array (runs that differ only in seed).
+    Only ``channel.link_budget`` reads the shadowing. The Monte Carlo driver
+    replaces it by None once a batch's budget is taken, so that the rest of
+    the batch runs without it.
     """
 
     config: ScenarioConfig
@@ -134,9 +138,9 @@ class Scenario:
     muw_positions: np.ndarray = field(repr=False)  # (N2, 2)
     ue_positions: np.ndarray = field(repr=False)  # (M, 2)
     los_prob: np.ndarray = field(repr=False)  # (M, N1)
-    shadow_mmw_los: np.ndarray = field(repr=False)  # (M, N1)
-    shadow_mmw_nlos: np.ndarray = field(repr=False)  # (M, N1)
-    shadow_muw: np.ndarray = field(repr=False)  # (M, N2)
+    shadow_mmw_los: Optional[np.ndarray] = field(repr=False)  # (M, N1)
+    shadow_mmw_nlos: Optional[np.ndarray] = field(repr=False)  # (M, N1)
+    shadow_muw: Optional[np.ndarray] = field(repr=False)  # (M, N2)
 
     def __post_init__(self) -> None:
         for name in (
@@ -148,7 +152,8 @@ class Scenario:
             "shadow_mmw_nlos",
             "shadow_muw",
         ):
-            getattr(self, name).setflags(write=False)
+            if getattr(self, name) is not None:
+                getattr(self, name).setflags(write=False)
 
     @property
     def n_mmw(self) -> int:
@@ -215,4 +220,7 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
     a, b = (p.reshape(p.shape[:-2] + (-1, 2)) for p in (a, b))  # a lone point may come flat
     dx = a[..., :, None, 0] - b[..., None, :, 0]
     dy = a[..., :, None, 1] - b[..., None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    dx *= dx  # dx * dx + dy * dy and its root, in place on the two fresh differences
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)

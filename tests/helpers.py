@@ -7,7 +7,8 @@ precomputed walk order replaced), the per-agent verifier loops that the
 array-based engine replaced, the per-UE, per-slot rate loop that the
 vectorised rate code replaced, the per-bias CRE search, the 3-D distance
 matrix and the one-shot LoS slot draw that the link-budget code replaced,
-and the one-generator-per-run scenario draw that the batched draw replaced.
+the one-generator-per-run scenario draw that the batched draw replaced, and
+the radio chain as it was before it worked in place on its own temporaries.
 They read an instance through plain per-agent lists only, so they stay
 independent of the arrays' internals.
 """
@@ -18,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from cellassoc.channel import LinkBudget, LinkRealization, draw_los_slots, noise_power_dbm
 from cellassoc.matching import (
     Matching,
     MatchingError,
@@ -334,3 +336,85 @@ def oracle_generate_scenario(config: ScenarioConfig) -> Scenario:
         0.0, config.pathloss_muw.shadow_sigma_db, (config.n_ue, config.n_muw)
     )
     return Scenario(config, mmw, muw, ue, rho, shadow_los, shadow_nlos, shadow_muw)
+
+
+# The radio chain before it worked in place: every step a new array.
+
+
+def oracle_stacked_distances(points_a, points_b) -> np.ndarray:
+    a, b = (np.asarray(p, dtype=float) for p in (points_a, points_b))
+    a, b = (p.reshape(p.shape[:-2] + (-1, 2)) for p in (a, b))
+    dx = a[..., :, None, 0] - b[..., None, :, 0]
+    dy = a[..., :, None, 1] - b[..., None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def oracle_db_to_linear(x_db):
+    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+
+
+def oracle_linear_to_db(x):
+    return 10.0 * np.log10(np.asarray(x, dtype=float))
+
+
+def oracle_path_loss_db(params, d, shadow_db=0.0):
+    d = np.asarray(d, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError("distance must be positive")
+    out = (
+        params.intercept_db
+        + params.slope * 10.0 * np.log10(np.maximum(d, 1.0))
+        + np.asarray(shadow_db, dtype=float)
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def oracle_mmw_spectral_efficiency(p_dbm, psi_dbi, pathloss_db, w1_hz, n0_dbm_hz):
+    snr_db = p_dbm + psi_dbi - np.asarray(pathloss_db, dtype=float) - noise_power_dbm(
+        n0_dbm_hz, w1_hz
+    )
+    out = np.log2(1.0 + oracle_db_to_linear(snr_db))
+    return float(out) if out.ndim == 0 else out
+
+
+def oracle_link_budget(scenario) -> LinkBudget:
+    cfg = scenario.config
+    d = np.maximum(oracle_stacked_distances(scenario.ue_positions, scenario.mmw_positions), 1.0)
+    loss_los = oracle_path_loss_db(cfg.pathloss_mmw_los, d, scenario.shadow_mmw_los)
+    loss_nlos = oracle_path_loss_db(cfg.pathloss_mmw_nlos, d, scenario.shadow_mmw_nlos)
+    d = np.maximum(oracle_stacked_distances(scenario.ue_positions, scenario.muw_positions), 1.0)
+    loss_muw = oracle_path_loss_db(cfg.pathloss_muw, d, scenario.shadow_muw)
+    rx_mw = oracle_db_to_linear(cfg.tx_power_dbm - loss_muw)
+    interference_mw = rx_mw.sum(axis=-1, keepdims=True) - rx_mw
+    noise_mw = oracle_db_to_linear(noise_power_dbm(cfg.noise_psd_dbm_hz, cfg.bandwidth_muw_hz))
+    return LinkBudget(
+        loss_mmw_los=loss_los,
+        loss_mmw_nlos=loss_nlos,
+        loss_muw=loss_muw,
+        sinr_muw_db=oracle_linear_to_db(rx_mw / (interference_mw + noise_mw)),
+    )
+
+
+def oracle_realize_links(scenario, rng, budget=None) -> LinkRealization:
+    cfg = scenario.config
+    if budget is None:
+        budget = oracle_link_budget(scenario)
+    return LinkRealization(
+        los_state=rng if isinstance(rng, np.ndarray) else draw_los_slots(scenario, rng, 1)[0],
+        se_mmw_los=oracle_mmw_spectral_efficiency(
+            cfg.tx_power_dbm, cfg.antenna_gain_dbi, budget.loss_mmw_los,
+            cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
+        ),
+        se_mmw_nlos=oracle_mmw_spectral_efficiency(
+            cfg.tx_power_dbm, cfg.antenna_gain_dbi, budget.loss_mmw_nlos,
+            cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,
+        ),
+        se_muw=np.log2(1.0 + oracle_db_to_linear(budget.sinr_muw_db)),
+    )
+
+
+def oracle_compute_utilities(links, f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    expected_mmw = f * links.se_mmw_los + (1.0 - f) * links.se_mmw_nlos
+    with np.errstate(divide="ignore"):
+        return np.concatenate([np.log(expected_mmw), np.log(links.se_muw)], axis=-1)

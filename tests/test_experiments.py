@@ -479,6 +479,19 @@ def test_quota_sweep_refuses_fractional_values_before_any_run(monkeypatch):
         optimal_min_quota_sweep(ScenarioConfig(seed=1), [20], [1, 1.7])
 
 
+@pytest.mark.parametrize(
+    "m, q, refused",
+    [(5.5, 3, "n_ue must be an integer >= 1, got 5.5"), (5, 0.7, "q_min_muw must be an integer")],
+)
+def test_quota_sweep_refuses_a_fractional_pair_it_would_skip(m, q, refused):
+    # N2 * q > M for both pairs (N2 = 10): the refusal must come before the
+    # skip test, or the pair is skipped with a warning (an error under pytest).
+    with pytest.raises(
+        ConfigurationError, match=re.escape(f"grid point {{'m': {m}, 'q_min_muw': {q}}}: {refused}")
+    ):
+        optimal_min_quota_sweep(ScenarioConfig(), [m], [q])
+
+
 def test_quota_sweep_accepts_numpy_integers():
     cfg = ScenarioConfig(n_mmw=2, n_muw=2, n_ue=8, seed=77)
     plain = optimal_min_quota_sweep(cfg, [6, 10], [0, 3], n_runs=2, n_slots=2)
