@@ -9,8 +9,8 @@ instance with a shorter or longer preference list is rejected). Provided here:
                         feasible matching whenever the quota sums admit one.
 * ``deferred_acceptance`` -- classical agent-proposing DA against the maximum
                         quotas only; may violate minimum quotas.
-* ``verify``         -- feasibility, blocking pairs (two readings), and an
-                        exhaustive Pareto-optimality check on small instances.
+* ``verify``         -- feasibility, blocking pairs (two readings), and Pareto
+                        optimality by closure of the host-improvement digraph.
 * ``enumerate_feasible`` -- brute-force oracle over all feasible matchings.
 
 Agents and hosts are integer ids 0..M-1 and 0..N-1. An instance may stack R
@@ -333,8 +333,12 @@ class VerifierReport:
     master-list-worse agent. ``blocking_pairs`` and ``blocking_pairs_literal``
     list the two masks' pairs by agent, then in the agent's preference order
     (``rank``), built when first read; ``n_blocking_pairs`` counts the
-    capacity-aware ones. ``pareto_optimal`` is None when the matching is
-    infeasible or the instance exceeds the enumeration budget.
+    capacity-aware ones. ``pareto_optimal`` is None for an infeasible
+    matching; else it is built when first read from the ``instance`` and
+    ``matching`` the report refers to. A feasible matching is Pareto optimal
+    in ``mmq_match``'s walk order iff the host-improvement digraph (h -> g
+    when an agent at h ranks g before h) has no cycle and no path from a host
+    with load > q_min to one with load < q_max (Abraham et al., ISAAC 2004).
 
     A report on an (..., M) matching gives every field its leading axes:
     ``feasible`` and ``n_blocking_pairs`` as arrays, the pair tuples and
@@ -346,7 +350,8 @@ class VerifierReport:
     capacity_aware: np.ndarray = field(repr=False)
     envy: np.ndarray = field(repr=False)
     rank: np.ndarray = field(repr=False)
-    pareto_optimal: Optional[bool] = None
+    instance: MatchingInstance = field(repr=False)
+    matching: Matching = field(repr=False)
 
     @property
     def n_blocking_pairs(self):
@@ -359,6 +364,23 @@ class VerifierReport:
     @cached_property
     def blocking_pairs_literal(self) -> tuple[tuple[int, int], ...]:
         return _pairs(self.envy, self.rank)
+
+    @cached_property
+    def pareto_optimal(self) -> Optional[bool]:
+        a2h, loads, n = self.matching.agent_to_host, self.matching.loads, self.matching.n_hosts
+        _, gated, _, q_min, q_max = _aligned(self.instance, a2h.ndim)
+        key = self.rank + n * gated  # mmq_match's walk order, gated hosts last
+        host = np.maximum(a2h, 0)  # an unassigned agent: infeasible, answered None below
+        better = key < np.take_along_axis(key, host[..., None], -1)
+        # reach[..., h, g]: the edge h -> g, then (boolean Warshall, no BLAS) a path.
+        at = np.flatnonzero(better)  # (assignment, agent) * n + g, in C order
+        reach = np.zeros(loads.shape + (n,), dtype=bool)
+        reach.reshape(-1)[_flat_hosts(host, n).reshape(-1)[at // n] * n + at % n] = True
+        for k in range(n):
+            reach |= reach[..., :, k, None] & reach[..., None, k, :]
+        cycle = reach.diagonal(axis1=-2, axis2=-1).any(axis=-1)
+        reach &= (loads > q_min)[..., :, None] & (loads < q_max)[..., None, :]
+        return _scalar(np.where(self.feasible, ~(cycle | reach.any(axis=(-2, -1))), None))
 
 
 def _scalar(values: np.ndarray):
@@ -431,31 +453,15 @@ def enumerate_feasible(
     yield from recurse(0, sum(q_min))
 
 
-def _pareto_optimal(instance: MatchingInstance, a2h: np.ndarray, budget: int) -> bool:
-    # Another feasible matching no agent ranks worse and one ranks better
-    # disproves it; ranks are in mmq_match's order, gated hosts last.
-    agents = np.arange(instance.n_agents)
-    order = instance.rank + instance.n_hosts * instance.gated
-    ranks = order[agents, a2h]
-    for other in enumerate_feasible(instance, budget=budget):
-        other_ranks = order[agents, other.agent_to_host]
-        if (other_ranks <= ranks).all() and (other_ranks < ranks).any():
-            return False
-    return True
-
-
 def verify(
-    instance: MatchingInstance,
-    matching: Matching,
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
+    instance: MatchingInstance, matching: Matching, enumeration_budget: Optional[int] = None
 ) -> VerifierReport:
-    """Check feasibility, find blocking pairs, and (when the instance is
-    small enough) decide Pareto optimality by exhaustive comparison.
+    """Check feasibility and find blocking pairs; the report decides Pareto
+    optimality when its ``pareto_optimal`` is first read.
 
     Pairs the agent gated out are never counted as blocking; the agent
-    declared the host inadmissible itself. The Pareto check runs only for
-    feasible matchings on instances within the enumeration budget; it ranks
-    hosts in ``mmq_match``'s order, ascending ``rank + N * gated``.
+    declared the host inadmissible itself. ``enumeration_budget`` is
+    accepted and ignored: it has no effect.
 
     The matching may carry leading axes; a stacked instance's run axis must
     lead them (an (R, P, M) matching holds P assignments per run). One array
@@ -463,12 +469,7 @@ def verify(
     """
     _check_consistency(instance, matching)
     a2h, loads, n = matching.agent_to_host, matching.loads, instance.n_hosts
-    runs = instance.agent_prefs.ndim - 2  # 1 for a stacked instance
-    extra = (1,) * (a2h.ndim - 1 - runs)  # the matching's axes after the run axis
-    rank, gated, ml_rank, q_min, q_max = (
-        x.reshape(x.shape[:runs] + extra + x.shape[runs:])  # views
-        for x in (instance.rank, instance.gated, instance.ml_rank, instance.q_min, instance.q_max)
-    )
+    rank, gated, ml_rank, q_min, q_max = _aligned(instance, a2h.ndim)
     assigned = a2h >= 0
     feasible = assigned.all(axis=-1) & ((q_min <= loads) & (loads <= q_max)).all(axis=-1)
     host = np.maximum(a2h, 0)  # the unassigned read host 0, masked out below
@@ -490,19 +491,23 @@ def verify(
     capacity_aware &= (loads < q_max)[..., None, :]
     capacity_aware &= leaves_feasible[..., None]
     capacity_aware |= envy
-    pareto = np.full(feasible.shape, None, dtype=object)
-    if n**instance.n_agents <= enumeration_budget:
-        for i in np.ndindex(feasible.shape):
-            if feasible[i]:
-                run = instance.run(i[0]) if runs else instance
-                pareto[i] = _pareto_optimal(run, a2h[i], enumeration_budget)
     return VerifierReport(
         feasible=_scalar(feasible),
         capacity_aware=capacity_aware,
         envy=envy,
         rank=np.broadcast_to(rank, capacity_aware.shape),
-        pareto_optimal=_scalar(pareto),
+        instance=instance,
+        matching=matching,
     )
+
+
+def _aligned(instance: MatchingInstance, ndim: int) -> list[np.ndarray]:
+    # rank, gated, ml_rank, q_min and q_max as views with a unit axis for each
+    # of an ndim-axis matching's leading axes after the run axis.
+    runs = instance.agent_prefs.ndim - 2  # 1 for a stacked instance
+    at = (slice(None),) * runs + (None,) * (ndim - 1 - runs)
+    names = ("rank", "gated", "ml_rank", "q_min", "q_max")
+    return [getattr(instance, name)[at] for name in names]
 
 
 def format_instance(instance: MatchingInstance) -> str:

@@ -512,8 +512,8 @@ def test_fig4_parallel_matches_serial(tmp_path):
 
 
 def test_fig4_runs_pass_through_the_verifier(tmp_path, monkeypatch):
-    def report_infeasible(instance, matching, enumeration_budget=0):
-        report = verify(instance, matching, enumeration_budget)
+    def report_infeasible(instance, matching):
+        report = verify(instance, matching)
         return replace(report, feasible=np.zeros_like(report.feasible))
 
     monkeypatch.setattr("cellassoc.experiments.verify", report_infeasible)
@@ -523,8 +523,8 @@ def test_fig4_runs_pass_through_the_verifier(tmp_path, monkeypatch):
 
 
 def test_verification_failure_lists_every_host(tmp_path, monkeypatch):
-    def report_infeasible(instance, matching, enumeration_budget=0):
-        report = verify(instance, matching, enumeration_budget)
+    def report_infeasible(instance, matching):
+        report = verify(instance, matching)
         return replace(report, feasible=np.zeros_like(report.feasible))
 
     monkeypatch.setattr("cellassoc.experiments.verify", report_infeasible)
@@ -572,8 +572,8 @@ def test_verification_failure_dump_replays_through_match(tmp_path, monkeypatch, 
 
     reports = []
 
-    def fail_run_2(instance, matching, enumeration_budget=0):
-        reports.append(verify(instance, matching, enumeration_budget))
+    def fail_run_2(instance, matching):
+        reports.append(verify(instance, matching))
         feasible = reports[-1].feasible.copy()
         feasible[2] = False
         return replace(reports[-1], feasible=feasible)
@@ -600,6 +600,7 @@ def test_verification_failure_dump_replays_through_match(tmp_path, monkeypatch, 
     assert lines[20:] == [
         f"feasible: {reports[0].feasible[2, 0]}",
         f"blocking pairs: {reports[0].n_blocking_pairs[2, 0]} []",
+        "pareto optimal: True",
     ]
     # Without its gates the instance walks to another assignment.
     inst = parse_instance(dump)
@@ -996,6 +997,24 @@ def test_cli_match_roundtrip(tmp_path, capsys):
     assert match_main(["--instance", str(path), "--algorithm", "da"]) == 1
     out = capsys.readouterr().out
     assert "feasible: False" in out
+
+
+def test_cli_match_decides_pareto_optimality_beyond_enumeration(tmp_path, capsys, monkeypatch):
+    # 3^12 = 531,441 assignments, every one of them feasible: none is enumerated.
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("verify enumerated the feasible matchings")
+
+    monkeypatch.setattr("cellassoc.matching.enumerate_feasible", no_enumeration)
+    inst = MatchingInstance(
+        n_agents=12, n_hosts=3,
+        agent_prefs=tuple(tuple(np.roll([0, 1, 2], a)) for a in range(12)),
+        master_list=tuple(range(12)),
+        q_min=(0, 0, 0), q_max=(12, 12, 12),
+    )
+    path = tmp_path / "inst.txt"
+    path.write_text(format_instance(inst))
+    assert match_main(["--instance", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "pareto optimal: True"
 
 
 def test_cli_match_rejects_short_preference_lists(tmp_path, capsys):

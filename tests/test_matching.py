@@ -23,6 +23,7 @@ from helpers import (
     assert_reports_agree,
     oracle_deferred_acceptance,
     oracle_mmq_match,
+    oracle_pareto_optimal,
     oracle_verify,
     random_feasible_instance,
 )
@@ -39,6 +40,17 @@ def counterexample():
         master_list=(0, 1, 2),
         q_min=(1, 1, 1),
         q_max=(2, 2, 2),
+    )
+
+
+@pytest.fixture
+def thirty_on_three():
+    # 30 agents who all rank 0 > 1 > 2, and no quota that binds.
+    return MatchingInstance(
+        n_agents=30, n_hosts=3,
+        agent_prefs=((0, 1, 2),) * 30,
+        master_list=tuple(range(30)),
+        q_min=(0, 0, 0), q_max=(30, 30, 30),
     )
 
 
@@ -276,19 +288,35 @@ def test_verify_pareto_flag():
     assert verify(inst, bad).pareto_optimal is False
 
 
-def test_verify_skips_pareto_beyond_budget(counterexample):
-    report = verify(counterexample, mmq_match(counterexample), enumeration_budget=0)
-    assert report.pareto_optimal is None
+def test_verify_decides_pareto_beyond_the_enumeration_budget(thirty_on_three):
+    # 3^30 assignments: far beyond any enumeration, decided by the closure.
+    assert verify(thirty_on_three, mmq_match(thirty_on_three)).pareto_optimal is True
+    dominated = build_matching([1] + [0] * 29, 3)  # agent 0 would rather join the others
+    report = verify(thirty_on_three, dominated)
+    assert report.feasible and report.pareto_optimal is False
+
+
+def test_mmq_is_pareto_optimal_on_the_acceptance_draws():
+    # Criterion 1's 1,000 draws, with the Pareto answer checked by enumeration.
+    rng = np.random.default_rng(20240)
+    for _ in range(1000):
+        inst = random_feasible_instance(rng, max_agents=6, max_hosts=3)
+        matching = mmq_match(inst)
+        assert oracle_pareto_optimal(inst, matching, 10**6) is True
+        assert verify(inst, matching).pareto_optimal is True
 
 
 def _sample_matchings(rng, inst):
-    # The two engines' outputs plus random assignments that leave agents
-    # unmatched and break quotas.
-    yield deferred_acceptance(inst)
-    yield mmq_match(inst)
-    for _ in range(3):
-        hosts = rng.integers(-1, inst.n_hosts, size=inst.n_agents).tolist()
-        yield build_matching(hosts, inst.n_hosts)
+    # The two engines' outputs, random assignments (which leave agents
+    # unmatched and break quotas) and feasible ones from the enumerator (many
+    # not Pareto optimal). The stacked test takes the last one or three.
+    feasible = list(enumerate_feasible(inst))
+    random = [
+        build_matching(rng.integers(-1, inst.n_hosts, size=inst.n_agents).tolist(), inst.n_hosts)
+        for _ in range(3)
+    ]
+    picked = [feasible[i] for i in rng.integers(len(feasible), size=2)]
+    return [deferred_acceptance(inst), mmq_match(inst), *random[:2], picked[0], random[2], picked[1]]
 
 
 def test_verify_matches_loop_oracle():
@@ -297,10 +325,6 @@ def test_verify_matches_loop_oracle():
         inst = random_feasible_instance(rng, **(EXTENDED if i % 2 else {}))
         for matching in _sample_matchings(rng, inst):
             assert_reports_agree(verify(inst, matching), oracle_verify(inst, matching))
-            assert_reports_agree(
-                verify(inst, matching, enumeration_budget=0),
-                oracle_verify(inst, matching, enumeration_budget=0),
-            )
 
 
 def _same_shape_instances(rng, n_runs, **kwargs):
@@ -334,21 +358,19 @@ def test_stacked_verify_matches_single_run_calls(variant, n_runs, n_policies):
         stacked = _stack(runs)
         for k, inst in enumerate(runs):
             assert stacked.run(k) == inst
-        # Each run's P assignments: the engines' outputs and random ones, which
-        # leave agents unmatched and break quotas.
+        # Each run's P assignments: random ones, which leave agents unmatched
+        # and break quotas, and feasible ones from the enumerator.
         hosts = np.stack([
             [m.agent_to_host for m in list(_sample_matchings(rng, inst))[-n_policies:]]
             for inst in runs
         ])
         assert hosts.shape == (n_runs, n_policies, stacked.n_agents)
-        for budget in (10**6, 0):
-            report = verify(stacked, build_matching(hosts, stacked.n_hosts), budget)
-            assert report.feasible.shape == (n_runs, n_policies)
-            for k, p in np.ndindex(n_runs, n_policies):
-                matching = build_matching(hosts[k, p], stacked.n_hosts)
-                single = verify(runs[k], matching, budget)
-                assert_reports_agree(report, single, (k, p))
-                assert_reports_agree(report, oracle_verify(runs[k], matching, budget), (k, p))
+        report = verify(stacked, build_matching(hosts, stacked.n_hosts))
+        assert report.feasible.shape == (n_runs, n_policies)
+        for k, p in np.ndindex(n_runs, n_policies):
+            matching = build_matching(hosts[k, p], stacked.n_hosts)
+            assert_reports_agree(report, verify(runs[k], matching), (k, p))
+            assert_reports_agree(report, oracle_verify(runs[k], matching), (k, p))
         if n_policies == 1:  # an (R, M) matching: one assignment per run
             report = verify(stacked, build_matching(hosts[:, 0], stacked.n_hosts))
             for k in range(n_runs):
@@ -445,18 +467,12 @@ def test_enumeration_counts(counterexample):
 
 def test_enumeration_yields_only_feasible(counterexample):
     for m in enumerate_feasible(counterexample):
-        assert verify(counterexample, m, enumeration_budget=0).feasible
+        assert verify(counterexample, m).feasible
 
 
-def test_enumeration_budget_guard():
-    inst = MatchingInstance(
-        n_agents=30, n_hosts=3,
-        agent_prefs=((0, 1, 2),) * 30,
-        master_list=tuple(range(30)),
-        q_min=(0, 0, 0), q_max=(30, 30, 30),
-    )
+def test_enumeration_budget_guard(thirty_on_three):
     with pytest.raises(EnumerationBudgetError):
-        next(enumerate_feasible(inst))
+        next(enumerate_feasible(thirty_on_three))
 
 
 # --- instance validation -------------------------------------------------------

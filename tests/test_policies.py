@@ -215,7 +215,7 @@ def test_mmq_policy_feasible_and_stable_on_random_scenarios():
         pol = PolicyConfig(q_min_mmw=1, q_min_muw=1)
         matching = mmq_policy(sc, links, sc.los_prob, pol)
         inst = build_matching_instance(sc, links, sc.los_prob, pol)
-        report = verify(inst, matching, enumeration_budget=0)
+        report = verify(inst, matching)
         assert report.feasible
         assert report.blocking_pairs == ()
 
