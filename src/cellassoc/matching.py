@@ -349,7 +349,6 @@ class VerifierReport:
     feasible: bool
     capacity_aware: np.ndarray = field(repr=False)
     envy: np.ndarray = field(repr=False)
-    rank: np.ndarray = field(repr=False)
     instance: MatchingInstance = field(repr=False)
     matching: Matching = field(repr=False)
 
@@ -359,43 +358,43 @@ class VerifierReport:
 
     @cached_property
     def blocking_pairs(self) -> tuple[tuple[int, int], ...]:
-        return _pairs(self.capacity_aware, self.rank)
+        return self._pairs(self.capacity_aware)
 
     @cached_property
     def blocking_pairs_literal(self) -> tuple[tuple[int, int], ...]:
-        return _pairs(self.envy, self.rank)
+        return self._pairs(self.envy)
 
     @cached_property
     def pareto_optimal(self) -> Optional[bool]:
         a2h, loads, n = self.matching.agent_to_host, self.matching.loads, self.matching.n_hosts
-        _, gated, _, q_min, q_max = _aligned(self.instance, a2h.ndim)
-        key = self.rank + n * gated  # mmq_match's walk order, gated hosts last
+        rank, gated, _, q_min, q_max = _aligned(self.instance, a2h.ndim)
+        key = rank + n * gated  # mmq_match's walk order, gated hosts last
         host = np.maximum(a2h, 0)  # an unassigned agent: infeasible, answered None below
         better = key < np.take_along_axis(key, host[..., None], -1)
         # reach[..., h, g]: the edge h -> g, then (boolean Warshall, no BLAS) a path.
-        at = np.flatnonzero(better)  # (assignment, agent) * n + g, in C order
+        *lead, agent, g = np.nonzero(better)
         reach = np.zeros(loads.shape + (n,), dtype=bool)
-        reach.reshape(-1)[_flat_hosts(host, n).reshape(-1)[at // n] * n + at % n] = True
+        reach[(*lead, host[(*lead, agent)], g)] = True
         for k in range(n):
             reach |= reach[..., :, k, None] & reach[..., None, k, :]
         cycle = reach.diagonal(axis1=-2, axis2=-1).any(axis=-1)
         reach &= (loads > q_min)[..., :, None] & (loads < q_max)[..., None, :]
         return _scalar(np.where(self.feasible, ~(cycle | reach.any(axis=(-2, -1))), None))
 
+    def _pairs(self, mask: np.ndarray):
+        # The (agent, host) pairs of each (M, N) mask, by agent and then preference order.
+        rank = np.broadcast_to(_aligned(self.instance, mask.ndim - 1)[0], mask.shape)
+        pairs = np.empty(mask.shape[:-2], dtype=object)
+        for i in np.ndindex(pairs.shape):
+            agents, hosts = np.nonzero(mask[i])
+            order = np.lexsort((rank[i][agents, hosts], agents))
+            pairs[i] = tuple(zip(agents[order].tolist(), hosts[order].tolist()))
+        return _scalar(pairs)
+
 
 def _scalar(values: np.ndarray):
     # A value with no leading axes as a plain Python value; arrays stay arrays.
     return values.item() if values.ndim == 0 else values
-
-
-def _pairs(mask: np.ndarray, rank: np.ndarray):
-    # The (agent, host) pairs of each (M, N) mask, by agent and then preference order.
-    pairs = np.empty(mask.shape[:-2], dtype=object)
-    for i in np.ndindex(pairs.shape):
-        agents, hosts = np.nonzero(mask[i])
-        order = np.lexsort((rank[i][agents, hosts], agents))
-        pairs[i] = tuple(zip(agents[order].tolist(), hosts[order].tolist()))
-    return _scalar(pairs)
 
 
 def _check_consistency(instance: MatchingInstance, matching: Matching) -> None:
@@ -495,7 +494,6 @@ def verify(
         feasible=_scalar(feasible),
         capacity_aware=capacity_aware,
         envy=envy,
-        rank=np.broadcast_to(rank, capacity_aware.shape),
         instance=instance,
         matching=matching,
     )

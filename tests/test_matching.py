@@ -307,23 +307,27 @@ def test_mmq_is_pareto_optimal_on_the_acceptance_draws():
 
 
 def _sample_matchings(rng, inst):
-    # The two engines' outputs, random assignments (which leave agents
-    # unmatched and break quotas) and feasible ones from the enumerator (many
-    # not Pareto optimal). The stacked test takes the last one or three.
+    # The two engines' outputs plus random assignments that leave agents
+    # unmatched and break quotas.
+    yield deferred_acceptance(inst)
+    yield mmq_match(inst)
+    for _ in range(3):
+        hosts = rng.integers(-1, inst.n_hosts, size=inst.n_agents).tolist()
+        yield build_matching(hosts, inst.n_hosts)
+
+
+def _enumerated_matchings(rng, inst, count):
+    # ``count`` feasible matchings drawn from the enumerator, many of them not
+    # Pareto optimal.
     feasible = list(enumerate_feasible(inst))
-    random = [
-        build_matching(rng.integers(-1, inst.n_hosts, size=inst.n_agents).tolist(), inst.n_hosts)
-        for _ in range(3)
-    ]
-    picked = [feasible[i] for i in rng.integers(len(feasible), size=2)]
-    return [deferred_acceptance(inst), mmq_match(inst), *random[:2], picked[0], random[2], picked[1]]
+    return [feasible[i] for i in rng.integers(len(feasible), size=count)]
 
 
 def test_verify_matches_loop_oracle():
-    rng = np.random.default_rng(99)
+    rng, picks = np.random.default_rng(99), np.random.default_rng(98)
     for i in range(400):
         inst = random_feasible_instance(rng, **(EXTENDED if i % 2 else {}))
-        for matching in _sample_matchings(rng, inst):
+        for matching in [*_sample_matchings(rng, inst), *_enumerated_matchings(picks, inst, 2)]:
             assert_reports_agree(verify(inst, matching), oracle_verify(inst, matching))
 
 
@@ -353,29 +357,32 @@ def _stack(runs):
 )
 def test_stacked_verify_matches_single_run_calls(variant, n_runs, n_policies):
     rng = np.random.default_rng([n_runs, n_policies, len(str(variant))])
+    picks = np.random.default_rng([n_runs, n_policies, len(str(variant)), 1])
     for _ in range(40):
         runs = _same_shape_instances(rng, n_runs, **variant)
         stacked = _stack(runs)
         for k, inst in enumerate(runs):
             assert stacked.run(k) == inst
-        # Each run's P assignments: random ones, which leave agents unmatched
-        # and break quotas, and feasible ones from the enumerator.
-        hosts = np.stack([
-            [m.agent_to_host for m in list(_sample_matchings(rng, inst))[-n_policies:]]
-            for inst in runs
-        ])
-        assert hosts.shape == (n_runs, n_policies, stacked.n_agents)
-        report = verify(stacked, build_matching(hosts, stacked.n_hosts))
-        assert report.feasible.shape == (n_runs, n_policies)
-        for k, p in np.ndindex(n_runs, n_policies):
-            matching = build_matching(hosts[k, p], stacked.n_hosts)
-            assert_reports_agree(report, verify(runs[k], matching), (k, p))
-            assert_reports_agree(report, oracle_verify(runs[k], matching), (k, p))
-        if n_policies == 1:  # an (R, M) matching: one assignment per run
-            report = verify(stacked, build_matching(hosts[:, 0], stacked.n_hosts))
-            for k in range(n_runs):
-                single = verify(runs[k], build_matching(hosts[k, 0], stacked.n_hosts))
-                assert_reports_agree(report, single, (k,))
+        # Each run's P assignments, once from the engines' outputs and random
+        # ones, which leave agents unmatched and break quotas, and once from
+        # the enumerator's feasible ones.
+        for sample in (
+            lambda inst: list(_sample_matchings(rng, inst))[-n_policies:],
+            lambda inst: _enumerated_matchings(picks, inst, n_policies),
+        ):
+            hosts = np.stack([[m.agent_to_host for m in sample(inst)] for inst in runs])
+            assert hosts.shape == (n_runs, n_policies, stacked.n_agents)
+            report = verify(stacked, build_matching(hosts, stacked.n_hosts))
+            assert report.feasible.shape == (n_runs, n_policies)
+            for k, p in np.ndindex(n_runs, n_policies):
+                matching = build_matching(hosts[k, p], stacked.n_hosts)
+                assert_reports_agree(report, verify(runs[k], matching), (k, p))
+                assert_reports_agree(report, oracle_verify(runs[k], matching), (k, p))
+            if n_policies == 1:  # an (R, M) matching: one assignment per run
+                report = verify(stacked, build_matching(hosts[:, 0], stacked.n_hosts))
+                for k in range(n_runs):
+                    single = verify(runs[k], build_matching(hosts[k, 0], stacked.n_hosts))
+                    assert_reports_agree(report, single, (k,))
 
 
 def test_stacked_matchers_walk_each_run():
