@@ -33,7 +33,7 @@ SEED = 2
 
 def describe(name, matching, scenario, links, slots, instance=None):
     rates = slot_averaged_rates(matching, links, slots, scenario.config)
-    rm = run_metrics(matching, links, scenario.config, rates)
+    rm = run_metrics(matching, links, rates)
     n1 = scenario.n_mmw
     loads = np.asarray(matching.loads)
     line = (f"{name:<22} mmW/microwave UEs {int(loads[:n1].sum()):>2}/"

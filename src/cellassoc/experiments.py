@@ -60,6 +60,7 @@ from .scenario import (
     STREAM_SLOTS,
     ConfigurationError,
     ScenarioConfig,
+    _is_integer,
     generate_scenario,
     rekey,
     rng_stream,
@@ -89,7 +90,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("n_runs", "n_slots"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
@@ -113,14 +114,12 @@ def _grid_points(sweep: Optional[dict[str, tuple]]) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*(sweep[k] for k in keys))]
 
 
-def _point_configs(
-    exp: ExperimentConfig, overrides: dict, run: int
-) -> tuple[ScenarioConfig, PolicyConfig]:
-    """Run ``run``'s configs at grid point ``overrides``; a refused value raises
+def _point_configs(exp: ExperimentConfig, overrides: dict) -> tuple[ScenarioConfig, PolicyConfig]:
+    """The configs at grid point ``overrides``, base seed kept; a refused value raises
     ``ConfigurationError`` naming the point."""
     scen = exp.scenario
     try:
-        scen = replace(scen, n_ue=overrides.get("m", scen.n_ue), seed=int(scen.seed) + run)
+        scen = replace(scen, n_ue=overrides.get("m", scen.n_ue))
         pol = replace(exp.policy, **{k: v for k, v in overrides.items() if k != "m"})
     except ValueError as exc:
         raise ConfigurationError(f"grid point {overrides}: {exc}") from exc
@@ -131,8 +130,8 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     """The rows of runs ``runs`` of one grid point as ``ROW_COLUMNS`` columns,
     run-major with policies in ``POLICY_ORDER``, plus ``muw_rates_bps``: one
     flat array of every row's microwave UE rates in row order, row i holding
-    ``ue_muw[i]`` of them. Each run has its own seeds
-    (re-keyed streams, see ``rekey``) and matcher walk. Everything else runs
+    ``ue_muw[i]`` of them. Run r's seed is the base seed plus r (its streams
+    re-keyed, see ``rekey``), and each run has its own matcher walk. Everything else runs
     once for the batch, on arrays with a leading run axis, and gives each run
     what it gets alone: one validated instance, one (R, P, M) matching of
     every enabled policy, one ``verify`` call. An error names the grid point,
@@ -142,12 +141,12 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     soon as the link budget is taken (the LoS slots are drawn after that),
     the budget once the links and the baselines' metrics are, the utilities
     inside the instance build, and ``verify``'s masks once counted."""
-    first, pol = _point_configs(exp, overrides, runs[0])
-    seeds = [first.seed + k for k in range(len(runs))]
-    batch = generate_scenario(first, seeds)
+    scen, pol = _point_configs(exp, overrides)
+    seeds = [int(scen.seed) + r for r in runs]
+    batch = generate_scenario(scen, seeds)
     budget = link_budget(batch)
     batch = replace(batch, shadow_mmw_los=None, shadow_mmw_nlos=None, shadow_muw=None)
-    rng = rng_stream(first.seed, STREAM_SLOTS)  # re-keyed to each run's slot and quota streams
+    rng = rng_stream(seeds[0], STREAM_SLOTS)  # re-keyed to each run's slot and quota streams
     los_slots = draw_los_slots(batch, rng, exp.n_slots, seeds)
     links = realize_links(batch, los_slots[0], budget)  # rates read the slots, not los_state
     # The baselines' metrics come from the same budget, which is then dropped
@@ -159,14 +158,14 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     ):
         if name in exp.policies_enabled:
             grid = CRE_BIAS_GRIDS[name] if exp.auto_bias else (bias,)
-            choices[name] = cre_association(name, metric(batch, budget), first.n_mmw, grid)
+            choices[name] = cre_association(name, metric(batch, budget), scen.n_mmw, grid)
     del budget
 
     q_min = None
     if exp.random_muw_quota:
-        cap = first.n_ue // first.n_muw
-        draws = [rekey(rng, s, STREAM_QUOTAS).integers(0, cap + 1, first.n_muw) for s in seeds]
-        q_min = [(pol.q_min_mmw,) * first.n_mmw + tuple(d.tolist()) for d in draws]
+        cap = scen.n_ue // scen.n_muw
+        draws = [rekey(rng, s, STREAM_QUOTAS).integers(0, cap + 1, scen.n_muw) for s in seeds]
+        q_min = [(pol.q_min_mmw,) * scen.n_mmw + tuple(d.tolist()) for d in draws]
 
     enabled = [name for name in POLICY_ORDER if name in exp.policies_enabled]
     try:
@@ -182,7 +181,7 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
              for name in enabled],
             axis=1,
         ),
-        first.n_bs,
+        scen.n_bs,
     )
     report = verify(instance, matchings)
     feasible, blocking = report.feasible, report.n_blocking_pairs
@@ -202,9 +201,9 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
 
     # A policy axis after the run axis: rates are (R, P, M), statistics (R, P).
     per_policy = replace(links, **{f.name: getattr(links, f.name)[:, None] for f in fields(links)})
-    rates = slot_averaged_rates(matchings, per_policy, los_slots[:, :, None], first)
-    rm = run_metrics(matchings, links, first, rates)
-    mmw_loads, muw_loads = rm.loads[..., : first.n_mmw], rm.loads[..., first.n_mmw :]
+    rates = slot_averaged_rates(matchings, per_policy, los_slots[:, :, None], scen)
+    rm = run_metrics(matchings, links, rates)
+    mmw_loads, muw_loads = np.split(matchings.loads, [scen.n_mmw], axis=-1)
     stats = {  # (R, P) each
         "bias_db": np.stack([choices.get(name, [np.zeros(len(runs))])[0] for name in enabled], 1),
         "sum_rate_bps": rm.sum_rate_bps, "delta_kappa": rm.delta_kappa,
@@ -216,11 +215,11 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
         "p5_ue_rate_bps": percentile(rates, 5.0),
     }
     point = {
-        "m": first.n_ue, "n_mmw": first.n_mmw, "n_muw": first.n_muw,
+        "m": scen.n_ue, "n_mmw": scen.n_mmw, "n_muw": scen.n_muw,
         "q_min_mmw": pol.q_min_mmw, "q_min_muw": pol.q_min_muw, "c_th": pol.c_th,
         "bias_rssi_db": pol.bias_rssi_db, "bias_sinr_db": pol.bias_sinr_db,
     }
-    totals = instance.q_min[:, first.n_mmw :].sum(axis=-1).tolist()
+    totals = instance.q_min[:, scen.n_mmw :].sum(axis=-1).tolist()
     per_run = {"q_min_muw_total": totals, "seed": seeds, "run": runs}
     columns = {key: [value] * (len(runs) * len(enabled)) for key, value in point.items()}
     columns.update({key: [v for v in values for _ in enabled] for key, values in per_run.items()})
@@ -299,7 +298,7 @@ def _collect_rows(exp: ExperimentConfig, grid: list[dict], workers: int) -> dict
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     tasks = []
     for overrides in grid:  # fail a point no run can meet before any work
-        scen, pol = _point_configs(exp, overrides, 0)
+        scen, pol = _point_configs(exp, overrides)
         q_min, q_max = pol.quota_vectors(scen.n_mmw, scen.n_muw, scen.n_ue)
         cap = scen.n_ue // scen.n_muw  # random microwave minima are drawn in [0, cap]
         if exp.random_muw_quota and cap > q_max[-1]:
@@ -455,7 +454,7 @@ def optimal_min_quota_sweep(
     for m in m_values:
         for q in quota_candidates:
             point = {"m": m, "q_min_muw": q}
-            _point_configs(exp, point, 0)  # a fractional pair is refused, not skipped
+            _point_configs(exp, point)  # a fractional pair is refused, not skipped
             if config.n_muw * q > m:
                 warnings.warn(
                     f"skipping q_min={q} at M={m}: microwave minima alone "

@@ -13,13 +13,12 @@ from .scenario import ScenarioConfig
 
 @dataclass(frozen=True, eq=False)
 class RunMetrics:
-    """Per-run outcome of one policy on one realized network (see ``run_metrics``)."""
+    """Load spread, sum rate and microwave UE rates of one policy's run or runs
+    (see ``run_metrics``); the matching's loads stay in ``Matching.loads``."""
 
-    loads: np.ndarray  # (N,) UEs per BS
     delta_kappa: int  # max load minus min load, both tiers pooled
-    per_ue_rate_bps: np.ndarray = field(repr=False)  # (M,)
-    sum_rate_bps: float = 0.0
-    muw_rate_samples: np.ndarray = field(repr=False, default=None)  # microwave UEs' rates, flat
+    sum_rate_bps: float  # sum of the per-UE rates the caller handed in
+    muw_rate_samples: np.ndarray = field(repr=False)  # microwave UEs' rates, flat
 
 
 def max_load_difference(loads):
@@ -100,22 +99,14 @@ def percentile(samples, q: float):
     return np.where(np.isnan(xs[..., -1]), xs[..., -1], value)  # a nan sorts last
 
 
-def run_metrics(
-    matching: Matching,
-    links: LinkRealization,
-    config: ScenarioConfig,
-    per_ue_rate_bps: np.ndarray | None = None,
-) -> RunMetrics:
-    """Assemble the per-run metric bundle; rates default to the single-slot ones. An
-    (..., M) matching gives its leading axes to every array field except the microwave
-    UEs' rates, which are one flat array in C order (leading indices, then UE)."""
-    if per_ue_rate_bps is None:
-        per_ue_rate_bps = achievable_rates(matching, links, config)
-    loads = matching.loads
+def run_metrics(matching: Matching, links: LinkRealization, rates: np.ndarray) -> RunMetrics:
+    """Bundle the load spread of ``matching`` with the sum and the microwave UEs' share
+    of ``rates``, its per-UE rates as the caller computed them (the driver passes
+    ``slot_averaged_rates``). An (..., M) matching and its (..., M) rates give their
+    leading axes to the spread and the sum; the microwave UEs' rates are one flat
+    array in C order (leading indices, then UE)."""
     return RunMetrics(
-        loads=loads,
-        delta_kappa=max_load_difference(loads),
-        per_ue_rate_bps=per_ue_rate_bps,
-        sum_rate_bps=per_ue_rate_bps.sum(axis=-1),
-        muw_rate_samples=per_ue_rate_bps[matching.agent_to_host >= links.n_mmw],
+        delta_kappa=max_load_difference(matching.loads),
+        sum_rate_bps=rates.sum(axis=-1),
+        muw_rate_samples=rates[matching.agent_to_host >= links.n_mmw],
     )

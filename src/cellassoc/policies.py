@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel
 from .matching import Matching, MatchingInstance, build_matching, mmq_match
-from .scenario import Scenario
+from .scenario import Scenario, _is_integer
 
 NEG_INF = float("-inf")
 
@@ -44,7 +44,7 @@ class PolicyConfig:
         for name in ("q_min_mmw", "q_min_muw", "q_max_mmw", "q_max_muw"):
             value = getattr(self, name)
             uncapped = value is None and name.startswith("q_max")
-            if not (uncapped or isinstance(value, (int, np.integer))):
+            if not (uncapped or _is_integer(value)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("q_min_mmw", "q_min_muw"):
             if getattr(self, name) < 0:
@@ -53,6 +53,9 @@ class PolicyConfig:
             hi = getattr(self, hi_name)
             if hi is not None and hi < getattr(self, lo_name):
                 raise ValueError(f"{hi_name} must be >= {lo_name}")
+        for name in ("c_th", "bias_rssi_db", "bias_sinr_db"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in ("bias_rssi_db", "bias_sinr_db"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # NaN fails too
@@ -159,14 +162,10 @@ def build_matching_instance(
 
 
 def mmq_policy(
-    scenario: Scenario,
-    links: channel.LinkRealization,
-    f,
-    policy: PolicyConfig,
-    q_min_override: Optional[Sequence[int]] = None,
+    scenario: Scenario, links: channel.LinkRealization, f, policy: PolicyConfig
 ) -> Matching:
     """Quota-aware association: build the instance and run the matcher."""
-    return mmq_match(build_matching_instance(scenario, links, f, policy, q_min_override))
+    return mmq_match(build_matching_instance(scenario, links, f, policy))
 
 
 def rssi_matrix_dbm(

@@ -52,10 +52,18 @@ def rekey(rng: np.random.Generator, seed: int, stream: int) -> np.random.Generat
     return rng
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but no bool: Python's bool is an int, numpy's is neither."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_finite(config) -> None:
-    # NaN passes every <, <= range check, so finiteness is tested first.
+    # NaN passes every <, <= range check, so finiteness is tested first; a bool
+    # is finite to numpy, so it is refused by type.
     for f in fields(config):
         value = getattr(config, f.name)
+        if f.type == "float" and isinstance(value, (bool, np.bool_)):
+            raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
         if f.type == "float" and not np.isfinite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value}")
 
@@ -105,14 +113,14 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("n_mmw", "n_muw", "n_ue"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         _require_finite(self)
         for name in ("area_radius", "bandwidth_mmw_hz", "bandwidth_muw_hz"):
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not _is_integer(self.seed):
             raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
 
     @property

@@ -179,8 +179,8 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     matchings = build_matching(hosts, 5)
     per_policy = replace(links, **{f.name: getattr(links, f.name)[:, None] for f in fields(links)})
     rates = slot_averaged_rates(matchings, per_policy, slots[:, :, None], configs[0])
-    rm = run_metrics(matchings, links, configs[0], rates)
-    assert rates.shape == (3, 2, n_ue) and rm.loads.shape == (3, 2, 5)
+    rm = run_metrics(matchings, links, rates)
+    assert rates.shape == (3, 2, n_ue) and rm.delta_kappa.shape == rm.sum_rate_bps.shape == (3, 2)
     # The samples are flat in row order (run, policy, UE): row (r, p) holds one per microwave UE.
     per_row = (hosts >= 3).sum(axis=-1).ravel()
     assert rm.muw_rate_samples.shape == (per_row.sum(),)
@@ -194,7 +194,7 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
             assert np.array_equal(rates[r, p], want)
             one_run = slot_averaged_rates(matching, run_links, run_slots, cfg)
             assert np.array_equal(rates[r, p], one_run)
-            one = run_metrics(matching, run_links, cfg, want)
+            one = run_metrics(matching, run_links, want)
             assert rm.delta_kappa[r, p] == one.delta_kappa
             assert rm.sum_rate_bps[r, p] == one.sum_rate_bps
             assert np.array_equal(row_samples[2 * r + p], one.muw_rate_samples)

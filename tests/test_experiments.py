@@ -184,6 +184,12 @@ def test_experiment_config_validation():
         assert getattr(ExperimentConfig(**{name: np.int64(2)}), name) == 2
 
 
+@pytest.mark.parametrize("name", ["n_runs", "n_slots"])
+def test_experiment_config_rejects_bool_counts(name):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got True$"):
+        ExperimentConfig(**{name: True})
+
+
 # --- running experiments ------------------------------------------------------
 
 def test_run_experiment_writes_rows_and_aggregate(tmp_path):
@@ -477,6 +483,27 @@ def test_quota_sweep_refuses_fractional_values_before_any_run(monkeypatch):
         match=re.escape("grid point {'m': 20, 'q_min_muw': 1.7}: q_min_muw must be an integer"),
     ):
         optimal_min_quota_sweep(ScenarioConfig(seed=1), [20], [1, 1.7])
+
+
+@pytest.mark.parametrize(
+    "sweep, refused",
+    [
+        ({"m": (10, True)}, "grid point {'m': True}: n_ue must be an integer >= 1, got True"),
+        ({"q_min_muw": (True,)}, "grid point {'q_min_muw': True}: q_min_muw must be an integer"),
+        ({"c_th": (0.5, True)}, "grid point {'c_th': True}: c_th must be a number, got True"),
+    ],
+    ids=["m", "q_min_muw", "c_th"],
+)
+def test_sweep_refuses_a_bool_value_before_any_run(monkeypatch, tmp_path, sweep, refused):
+    # Unrefused, a bool M dies inside the scenario draw without naming its
+    # point, and a bool quota runs as 1.
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the grid was checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
+    exp = ExperimentConfig(n_runs=2, sweep=sweep, output_path=str(tmp_path / "out.csv"))
+    with pytest.raises(ConfigurationError, match=re.escape(refused)):
+        run_experiment(exp)
 
 
 @pytest.mark.parametrize(

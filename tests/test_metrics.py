@@ -134,8 +134,7 @@ def test_run_metrics_bundle():
     links = make_links([[8.0], [8.0]], [[2.0], [2.0]], [[1.0], [1.0]],
                        los_state=[[True], [True]])
     m = build_matching([0, 1], 2)
-    rm = run_metrics(m, links, ScenarioConfig())
-    assert list(rm.loads) == [1, 1]
+    rm = run_metrics(m, links, achievable_rates(m, links, ScenarioConfig()))
     assert rm.delta_kappa == 0
     assert rm.sum_rate_bps == pytest.approx(8.0e9 + 10e6)
     assert rm.muw_rate_samples.tolist() == [10e6]

@@ -261,6 +261,20 @@ def test_policy_config_rejects_fractional_quotas(name):
             PolicyConfig(**{name: None})
 
 
+@pytest.mark.parametrize("name", ["q_min_mmw", "q_min_muw", "q_max_mmw", "q_max_muw"])
+def test_policy_config_rejects_bool_quotas(name):
+    # A bool quota would run as 0 or 1 while the CSV's quota column said True.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+        PolicyConfig(**{name: True})
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+@pytest.mark.parametrize("name", ["c_th", "bias_rssi_db", "bias_sinr_db"])
+def test_policy_config_rejects_bool_gate_and_biases(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+        PolicyConfig(**{name: value})
+
+
 @pytest.mark.parametrize("name", ["c_th", "bias_rssi_db", "bias_sinr_db"])
 def test_policy_config_rejects_nan(name):
     # A NaN bias sent every UE to one BS and a NaN gate silently gated nothing.

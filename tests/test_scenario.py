@@ -67,6 +67,28 @@ def test_pathloss_params_reject_non_finite(name, value):
         replace(base, **{name: value})
 
 
+@pytest.mark.parametrize("name", ["n_mmw", "n_muw", "n_ue", "seed"])
+def test_scenario_config_rejects_bool_counts_and_seed(name):
+    # Python's bool is an int, so an isinstance check alone takes True as 1.
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer.*, got True$"):
+        ScenarioConfig(**{name: True})
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+@pytest.mark.parametrize("name", _float_fields(ScenarioConfig))
+def test_scenario_config_rejects_bool_floats(name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be a number, got {value!r}$"):
+        ScenarioConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+@pytest.mark.parametrize("name", _float_fields(PathLossParams))
+def test_pathloss_params_reject_bools(name, value):
+    base = PathLossParams(slope=3.0, intercept_db=38.0, shadow_sigma_db=10.0)
+    with pytest.raises(ConfigurationError, match=f"^{name} must be a number"):
+        replace(base, **{name: value})
+
+
 def test_same_seed_bit_identical():
     cfg = ScenarioConfig(n_ue=30, seed=123)
     a = generate_scenario(cfg)
