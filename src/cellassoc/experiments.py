@@ -40,13 +40,7 @@ from .matching import (
     mmq_match,
     verify,
 )
-from .metrics import (
-    max_load_difference,
-    percentile,
-    rate_cdf,
-    run_metrics,
-    slot_averaged_rates,
-)
+from .metrics import max_load_difference, percentile, rate_cdf, run_metrics, slot_averaged_rates
 from .policies import (
     CRE_BIAS_GRIDS,
     PolicyConfig,
@@ -60,7 +54,8 @@ from .scenario import (
     STREAM_SLOTS,
     ConfigurationError,
     ScenarioConfig,
-    _is_integer,
+    _check_fields,
+    _require,
     generate_scenario,
     rekey,
     rng_stream,
@@ -88,12 +83,8 @@ class ExperimentConfig:
     output_path: str = "results.csv"
 
     def __post_init__(self) -> None:
-        for name in ("n_runs", "n_slots"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        _check_fields(self)
+        _require(self, ("n_runs", "n_slots"), lambda v: v >= 1, ">= 1")
         if not self.policies_enabled:
             raise ConfigurationError("policies_enabled must name at least one policy")
         unknown = set(self.policies_enabled) - set(POLICY_ORDER)
@@ -104,7 +95,7 @@ class ExperimentConfig:
         for key, values in (self.sweep or {}).items():
             if key not in SWEEP_KEYS:
                 raise ConfigurationError(f"unknown sweep parameter {key!r}")
-            if len(tuple(values)) == 0:
+            if len(values) == 0:
                 raise ConfigurationError(f"sweep.{key} has no values")
 
 
@@ -199,9 +190,9 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
                 f"Assignment: {matchings.agent_to_host[k, p].tolist()}"
             )
 
-    # A policy axis after the run axis: rates are (R, P, M), statistics (R, P).
-    per_policy = replace(links, **{f.name: getattr(links, f.name)[:, None] for f in fields(links)})
-    rates = slot_averaged_rates(matchings, per_policy, los_slots[:, :, None], scen)
+    # The links' and slots' run axis is the matching's first: rates are (R, P, M),
+    # statistics (R, P).
+    rates = slot_averaged_rates(matchings, links, los_slots, scen)
     rm = run_metrics(matchings, links, rates)
     mmw_loads, muw_loads = np.split(matchings.loads, [scen.n_mmw], axis=-1)
     stats = {  # (R, P) each
@@ -425,7 +416,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Path:
     ``_agg`` suffix. Raises ``VerificationFailure`` if any run's quota-aware
     matching is infeasible or unstable, ``ConfigurationError`` naming the grid
     point (and run and seed, for random minima) whose quotas M cannot meet,
-    and, before any run, ``OSError`` for an output path it could not write.
+    and, before any run, ``ConfigurationError`` naming the grid point and field
+    of a sweep value of the wrong kind and ``OSError`` for an output path it
+    could not write.
     """
     return _run_and_write(config, _grid_points(config.sweep), _write_experiment, workers)
 
@@ -541,9 +534,7 @@ def _parse_bool(value: str) -> bool:
 
 
 def _parse_list(item_type):
-    return lambda value: tuple(
-        item_type(tok.strip()) for tok in value.split(",") if tok.strip()
-    )
+    return lambda value: tuple(item_type(tok.strip()) for tok in value.split(",") if tok.strip())
 
 
 def _field_keys(path: tuple[str, ...], obj) -> dict[str, tuple]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .scenario import _check_fields, _require
+
 # Starting value when nothing has been observed yet (maximum-entropy prior).
 DEFAULT_INITIAL_ESTIMATE = 0.5
 
@@ -23,17 +25,12 @@ class LosEstimate:
     window_slots: int = 100
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"estimate must be in [0, 1], got {self.value}")
-        if not 0.0 <= self.smoothing <= 1.0:
-            raise ValueError(f"smoothing must be in [0, 1], got {self.smoothing}")
-        if self.window_slots < 1:
-            raise ValueError(f"window_slots must be >= 1, got {self.window_slots}")
+        _check_fields(self)
+        _require(self, ("value", "smoothing"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        _require(self, ("window_slots",), lambda v: v >= 1, ">= 1")
 
 
-def update_f(
-    prev: LosEstimate, k_t: int, x: int, freeze_unobserved: bool = False
-) -> LosEstimate:
+def update_f(prev: LosEstimate, k_t: int, x: int, freeze_unobserved: bool = False) -> LosEstimate:
     """Fold one frame's LoS count into the moving average.
 
     ``k_t`` is the number of LoS slots observed this frame and ``x`` the
@@ -43,9 +40,7 @@ def update_f(
     estimates untouched instead.
     """
     if not 0 <= k_t <= prev.window_slots:
-        raise ValueError(
-            f"LoS slot count must be in [0, {prev.window_slots}], got {k_t}"
-        )
+        raise ValueError(f"LoS slot count must be in [0, {prev.window_slots}], got {k_t}")
     if x not in (0, 1):
         raise ValueError(f"association indicator must be 0 or 1, got {x}")
     if freeze_unobserved and x == 0:

@@ -171,7 +171,8 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
         at = tuple(bad[0])
         got = f"({q_min[at]}, {q_max[at]})"
         raise MatchingError(f"host {at[-1]}: need 0 <= q_min <= q_max, got {got}")
-    if not (np.sort(master, axis=-1) == np.arange(m)).all():
+    ml_rank = np.argsort(master, axis=-1)  # for a permutation, the inverse one
+    if not (np.take_along_axis(master, ml_rank, -1) == np.arange(m)).all():
         raise MatchingError("master list must be a permutation of all agents")
     known = prefs.view(np.uintp) < n  # a slot holding a host id in 0..n-1
     rank = np.full(prefs.shape[:-1] + (n + 1,), n, dtype=np.int32)  # column n: unknown ids
@@ -188,7 +189,6 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
     if (low > m).any() or (m > high).any():
         sums = f"sum q_min={low.max()}, M={m}, sum q_max={high.min()}"
         raise InfeasibleInstanceError(f"no feasible matching: {sums}")
-    ml_rank = np.argsort(master, axis=-1)  # the inverse permutation
     arrays = dict(
         agent_prefs=prefs, master_list=master, q_min=q_min, q_max=q_max,
         gated=gated, rank=rank, ml_rank=ml_rank,

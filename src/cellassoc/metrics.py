@@ -49,12 +49,19 @@ def slot_averaged_rates(
     (w1 / load_n) times its LoS or NLoS spectral efficiency, whichever the
     slot's state says; a microwave UE gets (w2 / load_n) times its
     interference-limited SE. Unmatched UEs get zero. An (..., M) matching
-    gives (..., M) rates; the links' (..., M, N) and ``los_slots`` (S, ..., M, N1)
-    arrays broadcast against its shape.
+    gives (..., M) rates. The links' (K..., M, N) and ``los_slots`` (S, K..., M, N1)
+    arrays align their K leading axes with the matching's first K (a stacked
+    run axis meets the matching's, as in ``verify``), and size-1 axes broadcast.
     """
     n_mmw = links.n_mmw
     host, loads = matching.agent_to_host, matching.loads
     lead = host.shape[:-1]
+
+    def aligned(a, skip):  # a's K leading axes after its first ``skip`` go over lead's first K
+        k = a.ndim - 2 - skip
+        a = a.reshape(a.shape[: skip + k] + (1,) * (len(lead) - k) + a.shape[-2:])
+        return np.broadcast_to(a, a.shape[:skip] + lead + a.shape[-2:])
+
     matched = host >= 0
     share = np.zeros(host.shape)
     share[matched] = 1.0 / np.take_along_axis(loads, np.maximum(host, 0), axis=-1)[matched]
@@ -64,10 +71,9 @@ def slot_averaged_rates(
     bandwidth[mmw] = config.bandwidth_mmw_hz
     bandwidth[muw] = config.bandwidth_muw_hz
     se_los, se_nlos, se_muw = (
-        np.broadcast_to(a, lead + a.shape[-2:])
-        for a in (links.se_mmw_los, links.se_mmw_nlos, links.se_muw)
+        aligned(a, 0) for a in (links.se_mmw_los, links.se_mmw_nlos, links.se_muw)
     )
-    slots = np.broadcast_to(los_slots, los_slots.shape[:1] + lead + los_slots.shape[-2:])
+    slots = aligned(los_slots, 1)
     se = np.zeros((len(los_slots),) + host.shape)
     at_mmw = mmw + (host[mmw],)
     se[(slice(None),) + mmw] = np.where(

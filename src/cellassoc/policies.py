@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel
 from .matching import Matching, MatchingInstance, build_matching, mmq_match
-from .scenario import Scenario, _is_integer
+from .scenario import ConfigurationError, Scenario, _check_fields, _require
 
 NEG_INF = float("-inf")
 
@@ -41,27 +41,16 @@ class PolicyConfig:
     bias_sinr_db: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("q_min_mmw", "q_min_muw", "q_max_mmw", "q_max_muw"):
-            value = getattr(self, name)
-            uncapped = value is None and name.startswith("q_max")
-            if not (uncapped or _is_integer(value)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("q_min_mmw", "q_min_muw"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _check_fields(self)
+        _require(self, ("q_min_mmw", "q_min_muw"), lambda v: v >= 0, ">= 0")
         for lo_name, hi_name in (("q_min_mmw", "q_max_mmw"), ("q_min_muw", "q_max_muw")):
             hi = getattr(self, hi_name)
             if hi is not None and hi < getattr(self, lo_name):
-                raise ValueError(f"{hi_name} must be >= {lo_name}")
-        for name in ("c_th", "bias_rssi_db", "bias_sinr_db"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in ("bias_rssi_db", "bias_sinr_db"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be a finite non-negative dB offset, got {value}")
+                raise ConfigurationError(f"{hi_name} must be >= {lo_name}")
+        offset = "a finite non-negative dB offset"  # NaN fails too
+        _require(self, ("bias_rssi_db", "bias_sinr_db"), lambda v: 0 <= v < math.inf, offset)
         if np.isnan(self.c_th):  # every comparison with NaN is false: the gate would be off
-            raise ValueError("c_th must not be NaN")
+            raise ConfigurationError("c_th must not be NaN")
 
     def quota_vectors(
         self, n_mmw: int, n_muw: int, n_ue: int
@@ -84,9 +73,7 @@ def compute_utilities(links: channel.LinkRealization, f) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     if f.shape != links.se_mmw_los.shape:
-        raise ValueError(
-            f"LoS estimates must have shape {links.se_mmw_los.shape}, got {f.shape}"
-        )
+        raise ValueError(f"LoS estimates must have shape {links.se_mmw_los.shape}, got {f.shape}")
     if f.size and (f.min() < 0.0 or f.max() > 1.0):
         raise ValueError("LoS estimates must lie in [0, 1]")
     u = np.empty(f.shape[:-1] + (links.n_mmw + links.n_muw,))
@@ -168,9 +155,12 @@ def mmq_policy(
     return mmq_match(build_matching_instance(scenario, links, f, policy))
 
 
-def rssi_matrix_dbm(
-    scenario: Scenario, budget: Optional[channel.LinkBudget] = None
-) -> np.ndarray:
+def _los_average(rho: np.ndarray, x_los_db: np.ndarray, x_nlos_db: np.ndarray) -> np.ndarray:
+    """rho * 10^(x_los/10) + (1 - rho) * 10^(x_nlos/10): a mmW dB quantity's linear LoS mean."""
+    return rho * channel.db_to_linear(x_los_db) + (1.0 - rho) * channel.db_to_linear(x_nlos_db)
+
+
+def rssi_matrix_dbm(scenario: Scenario, budget: Optional[channel.LinkBudget] = None) -> np.ndarray:
     """(..., M, N) averaged received signal strength in dBm, mmW columns first.
 
     A mmW entry is transmit power plus antenna gain minus the attenuation
@@ -184,16 +174,13 @@ def rssi_matrix_dbm(
     if budget is None:
         budget = channel.link_budget(scenario)
     mean_loss_db = channel.linear_to_db(
-        scenario.los_prob * channel.db_to_linear(budget.loss_mmw_los)
-        + (1.0 - scenario.los_prob) * channel.db_to_linear(budget.loss_mmw_nlos)
+        _los_average(scenario.los_prob, budget.loss_mmw_los, budget.loss_mmw_nlos)
     )
     rssi_mmw_dbm = cfg.tx_power_dbm + cfg.antenna_gain_dbi - mean_loss_db
     return np.concatenate([rssi_mmw_dbm, cfg.tx_power_dbm - budget.loss_muw], axis=-1)
 
 
-def sinr_matrix_db(
-    scenario: Scenario, budget: Optional[channel.LinkBudget] = None
-) -> np.ndarray:
+def sinr_matrix_db(scenario: Scenario, budget: Optional[channel.LinkBudget] = None) -> np.ndarray:
     """(..., M, N) average SINR in dB, mmW columns first.
 
     mmW entries are the noise-limited SNR with the linear SNR (equivalently
@@ -205,9 +192,7 @@ def sinr_matrix_db(
     cfg = scenario.config
     if budget is None:
         budget = channel.link_budget(scenario)
-    mean_gain = scenario.los_prob * channel.db_to_linear(-budget.loss_mmw_los) + (
-        1.0 - scenario.los_prob
-    ) * channel.db_to_linear(-budget.loss_mmw_nlos)
+    mean_gain = _los_average(scenario.los_prob, -budget.loss_mmw_los, -budget.loss_mmw_nlos)
     noise_db = channel.noise_power_dbm(cfg.noise_psd_dbm_hz, cfg.bandwidth_mmw_hz)
     snr_mmw_db = (
         cfg.tx_power_dbm + cfg.antenna_gain_dbi + channel.linear_to_db(mean_gain) - noise_db

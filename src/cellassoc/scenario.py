@@ -9,7 +9,7 @@ channel module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ STREAM_SLOTS = 3
 
 
 class ConfigurationError(ValueError):
-    """A configuration value is out of range; the message names the field."""
+    """A configuration value is of the wrong kind or out of range; the message names it."""
 
 
 def _stream_key(seed: int, stream: int) -> np.ndarray:
@@ -57,15 +57,53 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _require_finite(config) -> None:
-    # NaN passes every <, <= range check, so finiteness is tested first; a bool
-    # is finite to numpy, so it is refused by type.
+def _holds(value, container, item) -> bool:
+    """Whether ``value`` is a ``container`` whose items (a dict's values) are all ``item``."""
+    items = value.values() if isinstance(value, dict) else value
+    return isinstance(value, container) and all(isinstance(x, item) for x in items)
+
+
+# A field annotation -> (the test its values pass, the wording of a refusal).
+_KINDS = {
+    "int": (_is_integer, "an integer"),
+    "float": (lambda v: isinstance(v, (float, np.floating)) or _is_integer(v), "a number"),
+    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[str, ...]": (lambda v: _holds(v, (tuple, list), str), "a tuple of strings"),
+    "dict[str, tuple]": (
+        lambda v: _holds(v, dict, (tuple, list, range)), "a dict of tuples, lists or ranges"
+    ),
+}
+
+
+def _field_kind(f) -> tuple:
+    """(test, wording) of dataclass field ``f``: an instance of the default's class for a
+    nested config, else its annotation's ``_KINDS`` entry; ``Optional[...]`` takes None too."""
+    if is_dataclass(f.default):
+        return (lambda v: isinstance(v, type(f.default))), f"a {type(f.default).__name__}"
+    optional = f.type.startswith("Optional[")
+    test, wording = _KINDS[f.type[len("Optional[") : -1] if optional else f.type]
+    return (lambda v: v is None or test(v)) if optional else test, wording
+
+
+def _check_fields(config) -> None:
+    """Refuse, naming the field, any value of ``config`` its annotation does not allow."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "float" and isinstance(value, (bool, np.bool_)):
-            raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
-        if f.type == "float" and not np.isfinite(value):
-            raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        test, wording = _field_kind(f)
+        if not test(getattr(config, f.name)):
+            raise ConfigurationError(f"{f.name} must be {wording}, got {getattr(config, f.name)!r}")
+
+
+def _require(config, names, ok, rule: str) -> None:
+    """Refuse, naming the field, a value of field ``names`` that fails ``ok``."""
+    for name in names:
+        if not ok(getattr(config, name)):
+            raise ConfigurationError(f"{name} must be {rule}, got {getattr(config, name)}")
+
+
+def _require_finite(config) -> None:
+    # NaN passes every <, <= range check, so finiteness is tested first.
+    _require(config, [f.name for f in fields(config) if f.type == "float"], np.isfinite, "finite")
 
 
 @dataclass(frozen=True)
@@ -77,13 +115,10 @@ class PathLossParams:
     shadow_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         _require_finite(self)
-        if self.slope <= 0:
-            raise ConfigurationError(f"slope must be > 0, got {self.slope}")
-        if self.shadow_sigma_db < 0:
-            raise ConfigurationError(
-                f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}"
-            )
+        _require(self, ("slope",), lambda v: v > 0, "> 0")
+        _require(self, ("shadow_sigma_db",), lambda v: v >= 0, ">= 0")
 
 
 # Measured-fit defaults for the three link classes (28 GHz LoS/NLoS, sub-6 GHz).
@@ -111,17 +146,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_mmw", "n_muw", "n_ue"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        _check_fields(self)
+        _require(self, ("n_mmw", "n_muw", "n_ue"), lambda v: v >= 1, ">= 1")
         _require_finite(self)
-        for name in ("area_radius", "bandwidth_mmw_hz", "bandwidth_muw_hz"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be > 0, got {value}")
-        if not _is_integer(self.seed):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        positive = ("area_radius", "bandwidth_mmw_hz", "bandwidth_muw_hz")
+        _require(self, positive, lambda v: v > 0, "> 0")
 
     @property
     def n_bs(self) -> int:
@@ -151,17 +180,9 @@ class Scenario:
     shadow_muw: Optional[np.ndarray] = field(repr=False)  # (M, N2)
 
     def __post_init__(self) -> None:
-        for name in (
-            "mmw_positions",
-            "muw_positions",
-            "ue_positions",
-            "los_prob",
-            "shadow_mmw_los",
-            "shadow_mmw_nlos",
-            "shadow_muw",
-        ):
-            if getattr(self, name) is not None:
-                getattr(self, name).setflags(write=False)
+        for f in fields(self)[1:]:  # every array after the config; released shadowing is None
+            if getattr(self, f.name) is not None:
+                getattr(self, f.name).setflags(write=False)
 
     @property
     def n_mmw(self) -> int:

@@ -177,8 +177,7 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
         [mmq_match(instance).agent_to_host, rng.integers(-1, 5, (3, n_ue))], axis=1
     )
     matchings = build_matching(hosts, 5)
-    per_policy = replace(links, **{f.name: getattr(links, f.name)[:, None] for f in fields(links)})
-    rates = slot_averaged_rates(matchings, per_policy, slots[:, :, None], configs[0])
+    rates = slot_averaged_rates(matchings, links, slots, configs[0])  # run axes align
     rm = run_metrics(matchings, links, rates)
     assert rates.shape == (3, 2, n_ue) and rm.delta_kappa.shape == rm.sum_rate_bps.shape == (3, 2)
     # The samples are flat in row order (run, policy, UE): row (r, p) holds one per microwave UE.
@@ -198,6 +197,23 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
             assert rm.delta_kappa[r, p] == one.delta_kappa
             assert rm.sum_rate_bps[r, p] == one.sum_rate_bps
             assert np.array_equal(row_samples[2 * r + p], one.muw_rate_samples)
+
+
+def test_stacked_rates_align_on_the_run_axis():
+    # R == P == S == 2: broadcast from the trailing axes, run r's links would
+    # meet policy r's assignments of every run, and no shape would object.
+    configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=2, n_ue=8, seed=9), 2)
+    slots = draw_los_slots(batch, rng_stream(0), 2, [c.seed for c in configs])
+    hosts = np.random.default_rng(4).integers(-1, 5, (2, 2, 8))  # (run, policy, UE)
+    rates = slot_averaged_rates(
+        build_matching(hosts, 5), realize_links(batch, slots[0]), slots, configs[0]
+    )
+    for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
+        run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_SLOTS))
+        run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), 2)
+        for p in range(2):
+            want = slot_averaged_rates(build_matching(hosts[r, p], 5), run_links, run_slots, cfg)
+            assert np.array_equal(rates[r, p], want)
 
 
 # sha256 of every file that run_figure writes at n_runs=3, seed=5, recorded

@@ -190,6 +190,20 @@ def test_experiment_config_rejects_bool_counts(name):
         ExperimentConfig(**{name: True})
 
 
+@pytest.mark.parametrize(
+    "kwargs, refused",
+    [
+        ({"auto_bias": "false"}, "auto_bias must be a bool, got 'false'"),  # ran as True
+        ({"sweep": {"m": 10}}, "sweep must be a dict of tuples, lists or ranges, got {'m': 10}"),
+        ({"policies_enabled": "mmq"}, "policies_enabled must be a tuple of strings, got 'mmq'"),
+    ],
+    ids=["auto_bias", "sweep", "policies_enabled"],
+)
+def test_experiment_config_refuses_wrong_kinds(kwargs, refused):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(refused)}$"):
+        ExperimentConfig(**kwargs)
+
+
 # --- running experiments ------------------------------------------------------
 
 def test_run_experiment_writes_rows_and_aggregate(tmp_path):
@@ -488,7 +502,7 @@ def test_quota_sweep_refuses_fractional_values_before_any_run(monkeypatch):
 @pytest.mark.parametrize(
     "sweep, refused",
     [
-        ({"m": (10, True)}, "grid point {'m': True}: n_ue must be an integer >= 1, got True"),
+        ({"m": (10, True)}, "grid point {'m': True}: n_ue must be an integer, got True"),
         ({"q_min_muw": (True,)}, "grid point {'q_min_muw': True}: q_min_muw must be an integer"),
         ({"c_th": (0.5, True)}, "grid point {'c_th': True}: c_th must be a number, got True"),
     ],
@@ -507,8 +521,27 @@ def test_sweep_refuses_a_bool_value_before_any_run(monkeypatch, tmp_path, sweep,
 
 
 @pytest.mark.parametrize(
+    "sweep, refused",
+    [
+        ({"c_th": ("0.5",)}, "grid point {'c_th': '0.5'}: c_th must be a number, got '0.5'"),
+        ({"bias_rssi_db": (None,)}, "grid point {'bias_rssi_db': None}: bias_rssi_db must be a"),
+    ],
+    ids=["c_th", "bias_rssi_db"],
+)
+def test_sweep_refuses_a_wrong_kind_value_before_any_run(monkeypatch, tmp_path, sweep, refused):
+    # Unrefused, a string gate or a None bias raised a bare TypeError naming no point.
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the grid was checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
+    exp = ExperimentConfig(n_runs=2, sweep=sweep, output_path=str(tmp_path / "out.csv"))
+    with pytest.raises(ConfigurationError, match=re.escape(refused)):
+        run_experiment(exp)
+
+
+@pytest.mark.parametrize(
     "m, q, refused",
-    [(5.5, 3, "n_ue must be an integer >= 1, got 5.5"), (5, 0.7, "q_min_muw must be an integer")],
+    [(5.5, 3, "n_ue must be an integer, got 5.5"), (5, 0.7, "q_min_muw must be an integer")],
 )
 def test_quota_sweep_refuses_a_fractional_pair_it_would_skip(m, q, refused):
     # N2 * q > M for both pairs (N2 = 10): the refusal must come before the

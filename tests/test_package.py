@@ -1,15 +1,18 @@
 """The package's surface: ``cellassoc.__all__`` lists exactly what it exports,
-every name the span tracer wraps exists, and ``src/`` makes no BLAS call."""
+every name the span tracer wraps exists, ``src/`` makes no BLAS call, and the
+field check reads every config annotation."""
 
 import ast
 import importlib
 import types
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import cellassoc
+from cellassoc.scenario import _field_kind
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "cellassoc").glob("*.py"))
@@ -79,3 +82,23 @@ def test_blas_guard_sees_each_spelling():
     code = "a @ b\na @= b\nnp.dot(a, b)\nnp.linalg.multi_dot(x)\nfrom numpy import einsum\n"
     found = [what for _, what in _matrix_products(ast.parse(code))]
     assert sorted(found) == ["@", "@", "dot", "einsum", "multi_dot"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        cellassoc.PathLossParams, cellassoc.ScenarioConfig, cellassoc.PolicyConfig,
+        cellassoc.ExperimentConfig, cellassoc.LosEstimate,
+    ],
+    ids=lambda c: c.__name__,
+)
+def test_field_check_knows_every_config_annotation(config):
+    # A field whose annotation has no kind would pass unchecked, so a new
+    # field must come with its kind in ``scenario._KINDS`` (or be a nested config).
+    unknown = []
+    for f in fields(config):
+        try:
+            _field_kind(f)
+        except (KeyError, AttributeError):  # no entry, or an annotation that is no string
+            unknown.append(f"{f.name}: {f.type}")
+    assert unknown == []

@@ -1,10 +1,13 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from cellassoc.experiments import ExperimentConfig
+from cellassoc.los import LosEstimate
+from cellassoc.policies import PolicyConfig
 from cellassoc.scenario import (
     STREAM_QUOTAS,
     STREAM_SCENARIO,
@@ -39,6 +42,45 @@ def test_zero_ue_count_rejected():
 def test_invalid_config_names_field(kwargs, field):
     with pytest.raises(ConfigurationError, match=field):
         ScenarioConfig(**kwargs)
+
+
+CONFIGS = (  # a valid instance of every config class
+    PathLossParams(slope=3.0, intercept_db=38.0),
+    ScenarioConfig(),
+    PolicyConfig(),
+    ExperimentConfig(),
+    LosEstimate(),
+)
+
+
+def _wrong_kinds(f):
+    """Values that field ``f``'s annotation does not allow."""
+    if is_dataclass(f.default):
+        return [{}, None]
+    wrong = [7 if f.type == "str" else "1"]  # a bare string is no tuple of strings either
+    if not f.type.startswith("Optional["):
+        wrong.append(None)
+    if f.type in ("int", "Optional[int]", "float"):
+        wrong.append(True)
+    if f.type in ("int", "Optional[int]"):
+        wrong += [2.5, np.float64(2.0)]
+    if f.type == "bool":
+        wrong += [1, "false"]
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "config, name, value",
+    [
+        pytest.param(c, f.name, v, id=f"{type(c).__name__}.{f.name}={v!r}")
+        for c in CONFIGS
+        for f in fields(c)
+        for v in _wrong_kinds(f)
+    ],
+)
+def test_every_config_field_refuses_a_wrong_kind_by_name(config, name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be "):
+        replace(config, **{name: value})
 
 
 def test_bad_pathloss_params():
