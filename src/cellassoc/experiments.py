@@ -55,6 +55,8 @@ from .scenario import (
     ConfigurationError,
     ScenarioConfig,
     _check_fields,
+    _field_kind,
+    _parse_list,
     _require,
     generate_scenario,
     rekey,
@@ -64,6 +66,8 @@ from .scenario import (
 POLICY_ORDER = ("mmq", "da", "max_rssi", "max_sinr")
 
 SWEEP_KEYS = ("m", "q_min_mmw", "q_min_muw", "c_th", "bias_rssi_db", "bias_sinr_db")
+# The (config, field) a sweep key sets: m is the scenario's UE count, the rest policy fields.
+_SWEPT = {k: ("scenario", "n_ue") if k == "m" else ("policy", k) for k in SWEEP_KEYS}
 
 
 class VerificationFailure(RuntimeError):
@@ -85,6 +89,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _check_fields(self)
         _require(self, ("n_runs", "n_slots"), lambda v: v >= 1, ">= 1")
+        seed = int(self.scenario.seed)  # run seeds are 64-bit keys; numpy's uint64 would wrap
+        if not 0 <= seed <= 2**64 - int(self.n_runs):
+            raise ConfigurationError(f"seed must be in [0, 2**64 - n_runs], got {seed}")
         if not self.policies_enabled:
             raise ConfigurationError("policies_enabled must name at least one policy")
         unknown = set(self.policies_enabled) - set(POLICY_ORDER)
@@ -108,13 +115,13 @@ def _grid_points(sweep: Optional[dict[str, tuple]]) -> list[dict]:
 def _point_configs(exp: ExperimentConfig, overrides: dict) -> tuple[ScenarioConfig, PolicyConfig]:
     """The configs at grid point ``overrides``, base seed kept; a refused value raises
     ``ConfigurationError`` naming the point."""
-    scen = exp.scenario
+    changes = {"scenario": {}, "policy": {}}
+    for key, value in overrides.items():
+        changes[_SWEPT[key][0]][_SWEPT[key][1]] = value
     try:
-        scen = replace(scen, n_ue=overrides.get("m", scen.n_ue))
-        pol = replace(exp.policy, **{k: v for k, v in overrides.items() if k != "m"})
+        return tuple(replace(getattr(exp, name), **values) for name, values in changes.items())
     except ValueError as exc:
         raise ConfigurationError(f"grid point {overrides}: {exc}") from exc
-    return scen, pol
 
 
 def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str, list]:
@@ -461,14 +468,16 @@ def optimal_min_quota_sweep(
 
 # Canned figures: id -> (config at seed 0 and 200 runs, grid, writer). Each
 # writes <id>.csv unless told otherwise. fig4 tries every microwave minimum q
-# with N2 * q <= M (N2 = 10); fig5/fig6 set every minimum to M // N = 70 // 20.
+# with N2 * q <= M; fig5/fig6 set every minimum to M // N = 70 // 20.
 _FIG3 = ExperimentConfig(
     policies_enabled=("mmq", "max_rssi", "max_sinr"),
     sweep={"m": tuple(range(10, 101, 10))},
     random_muw_quota=True,
     auto_bias=True,
 )
-_FIG4_GRID = [{"m": m, "q_min_muw": q} for m in range(20, 101, 20) for q in range(m // 10 + 1)]
+_FIG4 = ExperimentConfig(policies_enabled=("mmq",))
+_FIG4_GRID = [{"m": m, "q_min_muw": q} for m in range(20, 101, 20)
+              for q in range(m // _FIG4.scenario.n_muw + 1)]
 _FIG5 = ExperimentConfig(
     scenario=ScenarioConfig(n_ue=70),
     policy=PolicyConfig(q_min_mmw=3, q_min_muw=3),
@@ -486,7 +495,7 @@ _FIG7 = ExperimentConfig(
 )
 _FIGURE_TABLE = {
     "fig3": (_FIG3, _grid_points(_FIG3.sweep), _write_experiment),
-    "fig4": (ExperimentConfig(policies_enabled=("mmq",)), _FIG4_GRID, _write_quota_table),
+    "fig4": (_FIG4, _FIG4_GRID, _write_quota_table),
     "fig5": (_FIG5, _grid_points(_FIG5.sweep), _write_experiment),
     "fig6": (_FIG6, _grid_points(_FIG6.sweep), _write_experiment),
     "fig7": (_FIG7, [{}], _write_rate_cdf),
@@ -526,49 +535,30 @@ def run_figure(
 # Flat key=value config files
 
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered not in ("true", "yes", "1", "on", "false", "no", "0", "off"):
-        raise ValueError(f"expected a boolean, got {value!r}")
-    return lowered in ("true", "yes", "1", "on")
+# ExperimentConfig's own fields are experiment.* keys, these four under shorter names.
+_RENAMED = {"n_runs": "runs", "n_slots": "slots", "output_path": "out",
+            "policies_enabled": "policies"}
 
 
-def _parse_list(item_type):
-    return lambda value: tuple(item_type(tok.strip()) for tok in value.split(",") if tok.strip())
-
-
-def _field_keys(path: tuple[str, ...], obj) -> dict[str, tuple]:
-    """Key table entries for every scalar field of a config dataclass, nested ones dotted."""
+def _field_keys(config, path: tuple[str, ...] = ()) -> dict[str, tuple]:
+    """Dotted key -> (field path inside ExperimentConfig, parser of its text) of every
+    leaf field of dataclass ``config`` at ``path``, each parsed as its annotation's kind."""
     keys = {}
-    for f in fields(obj):
+    for f in fields(config):
         field_path = path + (f.name,)
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            keys.update(_field_keys(field_path, value))
-        else:  # typed by the default; None (the q_max caps) parses as int
-            keys[".".join(field_path)] = (field_path, int if value is None else type(value))
+        if is_dataclass(f.default):
+            keys.update(_field_keys(f.default, field_path))
+        elif path or f.name != "sweep":  # each sweep.<k> key parses as its swept field
+            key = ".".join(field_path) if path else f"experiment.{_RENAMED.get(f.name, f.name)}"
+            keys[key] = (field_path, _field_kind(f)[2])
     return keys
 
 
-# Dotted key -> (field path inside ExperimentConfig, value parser).
-_CONFIG_KEYS = {
-    **_field_keys(("scenario",), ScenarioConfig()),
-    **_field_keys(("policy",), PolicyConfig()),
-    # A sweep over m sets the scenario's n_ue; the other sweep keys are policy fields.
-    **{
-        f"sweep.{k}": (
-            ("sweep", k),
-            _parse_list(int if k == "m" else type(getattr(PolicyConfig(), k))),
-        )
-        for k in SWEEP_KEYS
-    },
-    "experiment.runs": (("n_runs",), int),
-    "experiment.slots": (("n_slots",), int),
-    "experiment.out": (("output_path",), str),
-    "experiment.random_muw_quota": (("random_muw_quota",), _parse_bool),
-    "experiment.auto_bias": (("auto_bias",), _parse_bool),
-    "experiment.policies": (("policies_enabled",), _parse_list(str)),
-}
+_CONFIG_KEYS = _field_keys(ExperimentConfig)
+_CONFIG_KEYS.update(
+    (f"sweep.{k}", (("sweep", k), _parse_list(_CONFIG_KEYS[".".join(_SWEPT[k])][1])))
+    for k in SWEEP_KEYS
+)
 
 
 def _with_fields(obj, values: dict, lines: dict[str, int], path: tuple[str, ...] = ()):
@@ -596,11 +586,11 @@ def _with_fields(obj, values: dict, lines: dict[str, int], path: tuple[str, ...]
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat ``key = value`` experiment format.
 
-    Keys are dotted: ``scenario.*`` (including the three ``pathloss_*``
-    groups), ``policy.*``, ``experiment.*`` (runs, slots, out,
-    random_muw_quota, auto_bias, policies), and ``sweep.*`` with
-    comma-separated value lists. Lines starting with ``#`` and blank lines
-    are ignored. Unknown and repeated keys are errors.
+    Keys are dotted: ``scenario.*`` (and ``scenario.pathloss_*.*``), ``policy.*``,
+    ``experiment.*`` (runs, slots, out, random_muw_quota, auto_bias, policies) and
+    ``sweep.*`` (comma lists of the swept field's kind); every key and its parser
+    derive from the config annotations. Text after ``#`` and blank lines are
+    ignored; unknown and repeated keys are errors.
     """
     values: dict = {"scenario": {}, "policy": {}}  # built in this order, then the rest
     seen: dict[str, int] = {}
@@ -622,7 +612,7 @@ def parse_config(text: str) -> ExperimentConfig:
             target = target.setdefault(name, {})
         try:
             target[path[-1]] = parse(value)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:  # a bool word missing from the table: KeyError
             raise ConfigurationError(f"line {lineno}: bad value {value!r} for {key!r}") from exc
     return _with_fields(ExperimentConfig(), values, seen)
 

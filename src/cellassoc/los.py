@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .scenario import _check_fields, _require
+from .scenario import _check_fields, _is_integer, _require
 
 # Starting value when nothing has been observed yet (maximum-entropy prior).
 DEFAULT_INITIAL_ESTIMATE = 0.5
@@ -37,12 +37,12 @@ def update_f(prev: LosEstimate, k_t: int, x: int, freeze_unobserved: bool = Fals
     association indicator (1 when the UE was served by this BS). The literal
     update multiplies the observation by ``x``, which decays the estimate of
     BSs the UE is not connected to; ``freeze_unobserved`` keeps those
-    estimates untouched instead.
+    estimates untouched instead. Both must be integers; a bool is refused.
     """
-    if not 0 <= k_t <= prev.window_slots:
-        raise ValueError(f"LoS slot count must be in [0, {prev.window_slots}], got {k_t}")
-    if x not in (0, 1):
-        raise ValueError(f"association indicator must be 0 or 1, got {x}")
+    if not (_is_integer(k_t) and 0 <= k_t <= prev.window_slots):
+        raise ValueError(f"k_t must be an integer in [0, {prev.window_slots}], got {k_t!r}")
+    if not (_is_integer(x) and x in (0, 1)):
+        raise ValueError(f"x must be the integer 0 or 1, got {x!r}")
     if freeze_unobserved and x == 0:
         return prev
     new_value = (

@@ -209,9 +209,9 @@ class Matching:
 
     def __post_init__(self) -> None:
         a2h = _integers("host ids", self.agent_to_host).copy()  # the caller's array stays its own
-        bad = np.argwhere((a2h < -1) | (a2h >= self.n_hosts))
-        if bad.size:
-            at = tuple(bad[0])
+        bad = (a2h < -1) | (a2h >= self.n_hosts)
+        if bad.any():  # argwhere only on failure: it costs more than the check
+            at = tuple(np.argwhere(bad)[0])
             where = f"matching {list(at[:-1])}: " if len(at) > 1 else ""
             raise MatchingError(f"{where}agent {at[-1]} assigned to unknown host {a2h[at]}")
         lead = a2h.shape[:-1]

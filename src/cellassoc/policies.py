@@ -18,6 +18,7 @@ import numpy as np
 
 from . import channel
 from .matching import Matching, MatchingInstance, build_matching, mmq_match
+from .metrics import max_load_difference
 from .scenario import ConfigurationError, Scenario, _check_fields, _require
 
 NEG_INF = float("-inf")
@@ -255,9 +256,7 @@ def cre_association(
         shifted = np.repeat(metric[guard][None], len(grid), axis=0)  # (G, flagged UEs, N)
         shifted[..., cols] += grid[:, None, None]
         choice[:, guard] = shifted.argmax(-1)
-    flat = choice + n_bs * np.arange(len(grid) * n_runs).reshape(len(grid), n_runs, 1)
-    loads = np.bincount(flat.ravel(), minlength=len(grid) * n_runs * n_bs)
-    best = np.argmin(np.ptp(loads.reshape(len(grid), n_runs, n_bs), axis=-1), axis=0)
+    best = np.argmin(max_load_difference(Matching(choice, n_bs).loads), axis=0)
     return grid[best].reshape(lead), choice[best, np.arange(n_runs)].reshape(*lead, n_ue)
 
 

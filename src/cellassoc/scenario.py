@@ -63,33 +63,43 @@ def _holds(value, container, item) -> bool:
     return isinstance(value, container) and all(isinstance(x, item) for x in items)
 
 
-# A field annotation -> (the test its values pass, the wording of a refusal).
+def _parse_list(item):
+    return lambda text: tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
+
+
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,  # the bool kind's words
+               "false": False, "no": False, "0": False, "off": False}
+# A field annotation -> (the test its values pass, the wording of a refusal, its text parser).
 _KINDS = {
-    "int": (_is_integer, "an integer"),
-    "float": (lambda v: isinstance(v, (float, np.floating)) or _is_integer(v), "a number"),
-    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[str, ...]": (lambda v: _holds(v, (tuple, list), str), "a tuple of strings"),
+    "int": (_is_integer, "an integer", int),
+    "float": (
+        lambda v: isinstance(v, (float, np.floating)) or _is_integer(v), "a number", float
+    ),
+    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a bool", lambda t: _BOOL_WORDS[t.lower()]),
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "tuple[str, ...]": (
+        lambda v: _holds(v, (tuple, list), str), "a tuple of strings", _parse_list(str)
+    ),
     "dict[str, tuple]": (
-        lambda v: _holds(v, dict, (tuple, list, range)), "a dict of tuples, lists or ranges"
+        lambda v: _holds(v, dict, (tuple, list, range)), "a dict of tuples, lists or ranges", None
     ),
 }
 
 
 def _field_kind(f) -> tuple:
-    """(test, wording) of dataclass field ``f``: an instance of the default's class for a
-    nested config, else its annotation's ``_KINDS`` entry; ``Optional[...]`` takes None too."""
+    """(test, wording, parser) of dataclass field ``f``: a nested config's class and no parser,
+    else its annotation's ``_KINDS`` entry; ``Optional[...]`` takes None too."""
     if is_dataclass(f.default):
-        return (lambda v: isinstance(v, type(f.default))), f"a {type(f.default).__name__}"
+        return (lambda v: isinstance(v, type(f.default))), f"a {type(f.default).__name__}", None
     optional = f.type.startswith("Optional[")
-    test, wording = _KINDS[f.type[len("Optional[") : -1] if optional else f.type]
-    return (lambda v: v is None or test(v)) if optional else test, wording
+    test, wording, parse = _KINDS[f.type[len("Optional[") : -1] if optional else f.type]
+    return (lambda v: v is None or test(v)) if optional else test, wording, parse
 
 
 def _check_fields(config) -> None:
     """Refuse, naming the field, any value of ``config`` its annotation does not allow."""
     for f in fields(config):
-        test, wording = _field_kind(f)
+        test, wording, _ = _field_kind(f)
         if not test(getattr(config, f.name)):
             raise ConfigurationError(f"{f.name} must be {wording}, got {getattr(config, f.name)!r}")
 

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,8 @@ from cellassoc.cli import match_main, simulate_main
 from cellassoc.experiments import (
     POLICY_ORDER,
     ROW_COLUMNS,
+    SWEEP_KEYS,
+    _CONFIG_KEYS,
     ExperimentConfig,
     VerificationFailure,
     _collect_rows,
@@ -42,7 +44,6 @@ from cellassoc.matching import (
 from cellassoc.policies import PolicyConfig, max_rssi_policy, max_sinr_policy
 from cellassoc.scenario import (
     ConfigurationError,
-    PathLossParams,
     ScenarioConfig,
     generate_scenario,
 )
@@ -115,25 +116,53 @@ def test_missing_equals_rejected():
         parse_config("scenario.n_ue 5\n")
 
 
-def _scalar_config_keys():
-    scenario = ScenarioConfig()
-    keys = [f"policy.{f.name}" for f in fields(PolicyConfig)]
-    for f in fields(ScenarioConfig):
-        value = getattr(scenario, f.name)
-        if isinstance(value, PathLossParams):
-            keys += [f"scenario.{f.name}.{g.name}" for g in fields(PathLossParams)]
+# One config-file text per field kind and the value it parses to.
+KIND_SAMPLES = {
+    "int": ("7", 7), "float": ("7.5", 7.5), "bool": ("yes", True), "str": ("x.csv", "x.csv"),
+    "tuple[str, ...]": ("da, mmq", ("da", "mmq")),
+}
+RENAMED = {  # ExperimentConfig fields whose experiment.* key is shorter
+    "n_runs": "runs", "n_slots": "slots", "output_path": "out", "policies_enabled": "policies"
+}
+
+
+def _leaf_fields(config=ExperimentConfig(), path=()):
+    """(field path, kind) of every leaf field of ``config``; ``Optional[...]`` is unwrapped."""
+    for f in fields(config):
+        if is_dataclass(f.default):
+            yield from _leaf_fields(f.default, path + (f.name,))
         else:
-            keys.append(f"scenario.{f.name}")
-    return keys
+            optional = f.type.startswith("Optional[")
+            yield path + (f.name,), f.type[len("Optional[") : -1] if optional else f.type
 
 
-@pytest.mark.parametrize("key", _scalar_config_keys())
-def test_every_config_field_has_a_key(key):
-    cfg = parse_config(f"{key} = 7\n")
-    value = cfg
-    for part in key.split("."):
-        value = getattr(value, part)
-    assert value == 7
+def _file_keys():
+    """(key, field path, text, value) for every leaf field of ExperimentConfig, the
+    sweep dict replaced by one list key per sweep parameter of its swept field's kind."""
+    kinds = dict(_leaf_fields())
+    cases = []
+    for path, kind in kinds.items():
+        if path != ("sweep",):
+            key = ".".join(path) if len(path) > 1 else f"experiment.{RENAMED.get(path[0], path[0])}"
+            cases.append((key, path, *KIND_SAMPLES[kind]))
+    for k in SWEEP_KEYS:
+        text, value = KIND_SAMPLES[kinds[("scenario", "n_ue") if k == "m" else ("policy", k)]]
+        cases.append((f"sweep.{k}", ("sweep", k), f"{text}, {text}", (value, value)))
+    return cases
+
+
+def test_config_keys_are_the_leaf_fields():
+    assert sorted(case[0] for case in _file_keys()) == sorted(_CONFIG_KEYS)
+
+
+@pytest.mark.parametrize(
+    "key, path, text, value", [pytest.param(*case, id=case[0]) for case in _file_keys()]
+)
+def test_every_config_field_has_a_key(key, path, text, value):
+    parsed = parse_config(f"{key} = {text}\n")
+    for part in path:
+        parsed = parsed[part] if isinstance(parsed, dict) else getattr(parsed, part)
+    assert repr(parsed) == repr(value)
 
 
 def test_repeated_key_names_both_lines():
@@ -379,6 +408,31 @@ def test_numpy_integer_seed_gives_the_same_bytes(tmp_path):
         out = run_experiment(cfg)
         outs.append((out.read_bytes(), aggregate_path(out).read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "seed, n_runs", [(2**64, 2), (2**64 - 1, 2), (np.uint64(2**64 - 1), 2), (-1, 1)]
+)
+def test_run_seeds_outside_64_bits_are_refused_before_any_run(
+    tmp_path, capsys, monkeypatch, seed, n_runs
+):
+    # Stream keys take a seed mod 2**64, so run seed 2**64 repeated every draw of
+    # run seed 0 under another seed column. numpy's uint64 would wrap the sum.
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the seed was checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
+    refused = rf"^seed must be in \[0, 2\*\*64 - n_runs\], got {int(seed)}$"
+    with pytest.raises(ConfigurationError, match=refused):
+        run_experiment(with_overrides(TINY, n_runs, seed, tmp_path / "seed.csv"))
+    with pytest.raises(ConfigurationError, match=refused):
+        run_figure("fig7", tmp_path / "fig7.csv", n_runs, seed)
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text(f"scenario.seed = {int(seed)}\nexperiment.runs = {n_runs}\n")
+    assert simulate_main(["--config", str(cfg_file)]) == 1
+    named = "error: line 1: scenario.seed, line 2: experiment.runs: seed must be"
+    assert capsys.readouterr().err.startswith(named)
+    assert with_overrides(TINY, n_runs, 2**64 - n_runs).scenario.seed == 2**64 - n_runs
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])

@@ -36,6 +36,20 @@ def test_indicator_must_be_binary():
         update_f(prev, 5, 2)
 
 
+@pytest.mark.parametrize(
+    "k_t, x, name",
+    [(2.5, 1, "k_t"), (True, 1, "k_t"), (np.float64(3), 1, "k_t"), (3, True, "x"),
+     (3, np.True_, "x"), (3, 1.0, "x")],
+)
+def test_non_integer_count_or_indicator_rejected(k_t, x, name):
+    # A fractional count or a bool once passed the range checks: 2.5 LoS slots
+    # of 10 moved the estimate to 0.475.
+    prev = LosEstimate(window_slots=10)
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        update_f(prev, k_t, x)
+    assert update_f(prev, np.int64(3), np.int8(1)) == update_f(prev, 3, 1)
+
+
 def test_unassociated_decay_and_freeze():
     prev = LosEstimate(value=0.8, smoothing=0.25, window_slots=10)
     decayed = update_f(prev, 7, 0)

@@ -1,12 +1,12 @@
 """The package's surface: ``cellassoc.__all__`` lists exactly what it exports,
 every name the span tracer wraps exists, ``src/`` makes no BLAS call, and the
-field check reads every config annotation."""
+field check reads, and the config file parses, every config annotation."""
 
 import ast
 import importlib
 import types
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -95,10 +95,16 @@ def test_blas_guard_sees_each_spelling():
 def test_field_check_knows_every_config_annotation(config):
     # A field whose annotation has no kind would pass unchecked, so a new
     # field must come with its kind in ``scenario._KINDS`` (or be a nested config).
+    # Every other field is a config-file key, so its kind needs a parser too; the
+    # sweep dict is the exception, its keys parse as their swept fields.
     unknown = []
     for f in fields(config):
         try:
-            _field_kind(f)
+            parse = _field_kind(f)[2]
         except (KeyError, AttributeError):  # no entry, or an annotation that is no string
             unknown.append(f"{f.name}: {f.type}")
+            continue
+        sweep = (config, f.name) == (cellassoc.ExperimentConfig, "sweep")
+        if parse is None and not is_dataclass(f.default) and not sweep:
+            unknown.append(f"{f.name}: {f.type} has no parser")
     assert unknown == []
