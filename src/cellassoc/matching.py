@@ -202,6 +202,7 @@ class Matching:
     unmatched agent. ``loads`` (N,) counts each host's agents; both arrays are
     read-only, so the derived views always agree with the assignment. An
     (..., M) array holds one assignment per leading index, with (..., N) loads.
+    One ``bincount`` of N + 1 bins per assignment counts them; bin 0 (agents at -1) is dropped.
     """
 
     agent_to_host: np.ndarray
@@ -214,10 +215,11 @@ class Matching:
             at = tuple(np.argwhere(bad)[0])
             where = f"matching {list(at[:-1])}: " if len(at) > 1 else ""
             raise MatchingError(f"{where}agent {at[-1]} assigned to unknown host {a2h[at]}")
-        lead = a2h.shape[:-1]
-        flat = _flat_hosts(a2h, self.n_hosts)[a2h >= 0]
-        loads = np.bincount(flat, minlength=math.prod(lead) * self.n_hosts)
-        loads = loads.reshape(lead + (self.n_hosts,))
+        lead, bins = a2h.shape[:-1], self.n_hosts + 1
+        flat = _flat_hosts(a2h, bins)
+        flat += 1  # host h in bin h + 1, an unmatched agent in bin 0
+        loads = np.bincount(flat.reshape(-1), minlength=math.prod(lead) * bins)
+        loads = loads.reshape(lead + (bins,))[..., 1:]
         for array in (a2h, loads):
             array.setflags(write=False)
         self.__dict__.update(agent_to_host=a2h, loads=loads)  # frozen: bypass __setattr__

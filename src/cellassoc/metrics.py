@@ -52,8 +52,11 @@ def slot_averaged_rates(
     gives (..., M) rates. The links' (K..., M, N) and ``los_slots`` (S, K..., M, N1)
     arrays align their K leading axes with the matching's first K (a stacked
     run axis meets the matching's, as in ``verify``), and size-1 axes broadcast.
+    Only served entries get per-slot terms: (S, E) for the E mmW-served ones, one
+    term for each microwave-served one. They are added one slot at a time in slot
+    order, then divided by S, so a rate equals the per-slot loop's bit for bit.
     """
-    n_mmw = links.n_mmw
+    n_mmw, n_slots = links.n_mmw, len(los_slots)
     host, loads = matching.agent_to_host, matching.loads
     lead = host.shape[:-1]
 
@@ -62,25 +65,25 @@ def slot_averaged_rates(
         a = a.reshape(a.shape[: skip + k] + (1,) * (len(lead) - k) + a.shape[-2:])
         return np.broadcast_to(a, a.shape[:skip] + lead + a.shape[-2:])
 
-    matched = host >= 0
-    share = np.zeros(host.shape)
-    share[matched] = 1.0 / np.take_along_axis(loads, np.maximum(host, 0), axis=-1)[matched]
-    mmw = np.nonzero(matched & (host < n_mmw))  # leading indices, then the UE
-    muw = np.nonzero(host >= n_mmw)
-    bandwidth = np.zeros(host.shape)
-    bandwidth[mmw] = config.bandwidth_mmw_hz
-    bandwidth[muw] = config.bandwidth_muw_hz
+    def served(at, bandwidth):  # leading indices and UE of each served entry, its BS, its w / load
+        at = at + (host[at],)
+        return at, bandwidth * (1.0 / loads[at[:-2] + at[-1:]])
+
     se_los, se_nlos, se_muw = (
         aligned(a, 0) for a in (links.se_mmw_los, links.se_mmw_nlos, links.se_muw)
     )
-    slots = aligned(los_slots, 1)
-    se = np.zeros((len(los_slots),) + host.shape)
-    at_mmw = mmw + (host[mmw],)
-    se[(slice(None),) + mmw] = np.where(
-        slots[(slice(None),) + at_mmw], se_los[at_mmw], se_nlos[at_mmw]
-    )
-    se[(slice(None),) + muw] = se_muw[muw + (host[muw] - n_mmw,)]
-    return (bandwidth * share * se).cumsum(axis=0)[-1] / len(los_slots)  # summed in slot order
+    mmw, mmw_share = served(np.nonzero((host >= 0) & (host < n_mmw)), config.bandwidth_mmw_hz)
+    muw, muw_share = served(np.nonzero(host >= n_mmw), config.bandwidth_muw_hz)
+    mmw_terms = np.where(aligned(los_slots, 1)[(slice(None),) + mmw], se_los[mmw], se_nlos[mmw])
+    mmw_terms *= mmw_share  # (S, E), in place: share * se is se * share, bit for bit
+    muw_term = muw_share * se_muw[muw[:-1] + (muw[-1] - n_mmw,)]  # the same in every slot
+    mmw_sum, muw_sum = np.zeros(len(mmw_share)), np.zeros(len(muw_share))
+    for slot_terms in mmw_terms:  # in slot order: a pairwise .sum(axis=0) rounds otherwise
+        mmw_sum += slot_terms
+        muw_sum += muw_term
+    rates = np.zeros(host.shape)
+    rates[mmw[:-1]], rates[muw[:-1]] = mmw_sum / n_slots, muw_sum / n_slots
+    return rates
 
 
 def rate_cdf(samples) -> tuple[np.ndarray, np.ndarray]:

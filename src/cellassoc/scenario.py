@@ -64,7 +64,12 @@ def _holds(value, container, item) -> bool:
 
 
 def _parse_list(item):
-    return lambda text: tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
+    def parse(text):  # a wholly empty text is the empty list; an empty item is refused
+        tokens = [tok.strip() for tok in text.split(",")] if text.strip() else []
+        if "" in tokens:
+            raise ValueError(f"empty item in {text!r}")
+        return tuple(map(item, tokens))
+    return parse
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,  # the bool kind's words

@@ -186,6 +186,16 @@ def test_empty_policy_list_rejected():
         ExperimentConfig(policies_enabled=())
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("sweep.m", "8,,12"), ("experiment.policies", "mmq,"), ("experiment.policies", ",mmq")],
+)
+def test_empty_list_item_names_line_and_key(key, value):
+    # An empty item between, after or before the commas is refused, not dropped.
+    with pytest.raises(ConfigurationError, match=rf"^line 2: bad value '{value}' for '{key}'$"):
+        parse_config(f"experiment.runs = 2\n{key} = {value}\n")
+
+
 def test_repeated_policy_rejected():
     with pytest.raises(ConfigurationError, match=r"policies_enabled repeats a policy"):
         ExperimentConfig(policies_enabled=("mmq", "mmq", "max_rssi"))

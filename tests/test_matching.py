@@ -229,6 +229,23 @@ def test_matching_arrays_are_read_only():
         m.loads[0] = 5
 
 
+@pytest.mark.parametrize(
+    "shape, n_hosts",
+    [((9,), 4), ((5, 7), 3), ((2, 3, 6), 5), ((4, 0), 3), ((3, 5), 0), ((13, 16, 100), 20)],
+)
+def test_loads_equal_a_per_row_bincount(shape, n_hosts):
+    # 1-D, (R, M) and (G, R, M) stacks (the CRE search's is (13, 16, 100) with
+    # N = 20), with unmatched agents, no agents, and no hosts at all.
+    rng = np.random.default_rng(list(shape) + [n_hosts])
+    a2h = rng.integers(-1, n_hosts, size=shape)
+    loads = Matching(a2h, n_hosts).loads
+    rows = [a2h[i] for i in np.ndindex(shape[:-1])]
+    want = [np.bincount(row[row >= 0], minlength=n_hosts) for row in rows]
+    assert loads.shape == shape[:-1] + (n_hosts,)
+    assert np.array_equal(loads, np.reshape(want, loads.shape))
+    assert not loads.flags.writeable
+
+
 def test_matching_derives_loads_and_host_sets():
     source = np.array([2, -1, 0, 2])
     m = build_matching(source, 4)

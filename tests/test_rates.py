@@ -1,5 +1,7 @@
 """The vectorised rate code against the per-UE, per-slot loop oracle, bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,62 @@ def test_rates_match_loop_oracle_without_mmw_tier(n_slots):
     assignment = [-1, 0, 1, 2, 2, -1, 1, 0, 0]
     assert_rates_match_oracle(build_matching(assignment, n_muw), links, slots, ScenarioConfig())
 
+
+def random_stacked_links(rng, n_runs, n_ue, n_mmw, n_muw):
+    """(R, M, N) links of random spectral efficiencies; rates read slots, not los_state."""
+    return LinkRealization(
+        los_state=np.zeros((n_runs, n_ue, n_mmw), dtype=bool),
+        se_mmw_los=rng.uniform(1.0, 9.0, size=(n_runs, n_ue, n_mmw)),
+        se_mmw_nlos=rng.uniform(0.1, 1.0, size=(n_runs, n_ue, n_mmw)),
+        se_muw=rng.uniform(0.1, 5.0, size=(n_runs, n_ue, n_muw)),
+    )
+
+
+@pytest.mark.parametrize("n_slots", [1, 9])
+@pytest.mark.parametrize("n_ue", [1, 9])
+@pytest.mark.parametrize("n_mmw", [0, 3])
+def test_stacked_rates_match_loop_oracle_row_by_row(n_mmw, n_ue, n_slots):
+    # (R, P, M) assignments with (R, M, N) links and (S, R, M, N1) slots, each row
+    # against the oracle on its run's links and slots, with unmatched UEs and,
+    # at n_mmw = 0, no mmW tier. A load of 9 makes the bandwidth share inexact.
+    rng = np.random.default_rng([n_mmw, n_ue, n_slots])
+    n_runs, n_bs = 3, n_mmw + 2
+    links = random_stacked_links(rng, n_runs, n_ue, n_mmw, 2)
+    slots = rng.random((n_slots, n_runs, n_ue, n_mmw)) < 0.6
+    hosts = rng.integers(-1, n_bs, size=(n_runs, 4, n_ue))
+    hosts[:, 0] = -1  # policy 0 leaves every UE unmatched
+    hosts[:, 1] = n_bs - 1  # policy 1 puts every UE on one microwave BS
+    cfg = ScenarioConfig()
+    rates = slot_averaged_rates(build_matching(hosts, n_bs), links, slots, cfg)
+    assert rates.shape == hosts.shape
+    for r, p in np.ndindex(hosts.shape[:2]):
+        run_links = LinkRealization(
+            los_state=slots[0, r],
+            se_mmw_los=links.se_mmw_los[r],
+            se_mmw_nlos=links.se_mmw_nlos[r],
+            se_muw=links.se_muw[r],
+        )
+        want = oracle_slot_averaged_rates(
+            build_matching(hosts[r, p], n_bs), run_links, slots[:, r], cfg
+        )
+        assert np.array_equal(rates[r, p], want), (r, p)
+
+
+def test_rates_build_no_slot_stack_scratch():
+    # At fig7's batch shape the call peaks below two (S, R, P, M) float64 arrays,
+    # so no scratch array of that shape (a zero-filled slot stack) fits in it
+    # beside the per-slot terms of the served entries.
+    n_slots, n_runs, n_policies, n_ue, n_mmw, n_muw = 10, 16, 3, 100, 10, 10
+    rng = np.random.default_rng(7)
+    links = random_stacked_links(rng, n_runs, n_ue, n_mmw, n_muw)
+    slots = rng.random((n_slots, n_runs, n_ue, n_mmw)) < 0.6
+    hosts = rng.integers(-1, n_mmw + n_muw, size=(n_runs, n_policies, n_ue))
+    matching, cfg = build_matching(hosts, n_mmw + n_muw), ScenarioConfig()
+    slot_averaged_rates(matching, links, slots, cfg)  # lazy set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        slot_averaged_rates(matching, links, slots, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_slots * hosts.size * 8
