@@ -7,10 +7,12 @@ quota-aware matcher spreads the UEs while staying stable and Pareto optimal.
 Run: python demos/quota_matching_basics.py
 """
 
+from itertools import product
+
 from cellassoc import (
     MatchingInstance,
+    build_matching,
     deferred_acceptance,
-    enumerate_feasible,
     format_instance,
     mmq_match,
     verify,
@@ -43,8 +45,9 @@ def main():
          deferred_acceptance(instance), instance)
     show("Quota-aware matcher", mmq_match(instance), instance)
 
-    feasible = list(enumerate_feasible(instance))
-    print(f"Brute-force oracle: {len(feasible)} feasible matchings exist "
+    feasible = [hosts for hosts in product(range(3), repeat=3)
+                if verify(instance, build_matching(hosts, 3)).feasible]
+    print(f"Brute force over all 27 assignments: {len(feasible)} are feasible "
           f"(each BS takes exactly one UE, so 3! = 6).")
 
     relaxed = MatchingInstance(

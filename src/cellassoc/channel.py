@@ -44,10 +44,10 @@ def path_loss_db(params: PathLossParams, d, shadow_db=0.0):
     """Log-distance path loss in dB: intercept + slope * 10 log10(d) + shadowing.
 
     The intercept is defined at 1 m, so distances below 1 m are clamped to
-    1 m. Non-positive distances are rejected.
+    1 m. Non-positive and NaN distances are rejected.
     """
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    if not (d > 0).all():  # NaN fails the comparison too
         raise ValueError("distance must be positive")
     shadow_db = np.asarray(shadow_db, dtype=float)
     out = np.empty(np.broadcast_shapes(d.shape, shadow_db.shape))

@@ -11,7 +11,6 @@ instance with a shorter or longer preference list is rejected). Provided here:
                         quotas only; may violate minimum quotas.
 * ``verify``         -- feasibility, blocking pairs (two readings), and Pareto
                         optimality by closure of the host-improvement digraph.
-* ``enumerate_feasible`` -- brute-force oracle over all feasible matchings.
 
 Agents and hosts are integer ids 0..M-1 and 0..N-1. An instance may stack R
 runs of one size on a leading axis: it is validated once, the matchers walk
@@ -26,12 +25,9 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-DEFAULT_ENUMERATION_BUDGET = 10**6
-
 
 class MatchingError(ValueError):
     """Structural problem with an instance or a matching. ``run`` is the index
@@ -47,10 +43,6 @@ class MatchingError(ValueError):
 
 class InfeasibleInstanceError(MatchingError):
     """Quota sums leave no feasible assignment (sum q_min <= M <= sum q_max fails)."""
-
-
-class EnumerationBudgetError(MatchingError):
-    """The instance is too large for exhaustive enumeration."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,43 +407,6 @@ def _check_consistency(instance: MatchingInstance, matching: Matching) -> None:
 def _require_one_run(instance: MatchingInstance) -> None:
     if instance.agent_prefs.ndim == 3:
         raise MatchingError("a stacked instance: take one run with instance.run(k)")
-
-
-def enumerate_feasible(
-    instance: MatchingInstance, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[Matching]:
-    """Yield every feasible matching exactly once (brute-force oracle).
-
-    Feasible means every agent is assigned to a host and all quota bounds
-    hold. Refuses instances with more than ``budget`` raw assignments to
-    scan.
-    """
-    _require_one_run(instance)
-    if instance.n_hosts**instance.n_agents > budget:
-        raise EnumerationBudgetError(
-            f"{instance.n_hosts}^{instance.n_agents} assignments exceed the "
-            f"budget of {budget}"
-        )
-    q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
-    loads = [0] * instance.n_hosts
-    assignment = [-1] * instance.n_agents
-
-    def recurse(agent: int, deficit: int) -> Iterator[Matching]:
-        # ``deficit``: the minimum quota still unmet once agents 0..agent-1 are placed.
-        if deficit > instance.n_agents - agent:
-            return  # not enough agents left to meet the minima
-        if agent == instance.n_agents:
-            yield build_matching(assignment, instance.n_hosts)
-            return
-        for host in range(instance.n_hosts):
-            if loads[host] < q_max[host]:
-                below_min = loads[host] < q_min[host]
-                loads[host] += 1
-                assignment[agent] = host
-                yield from recurse(agent + 1, deficit - below_min)
-                loads[host] -= 1
-
-    yield from recurse(0, sum(q_min))
 
 
 def verify(

@@ -101,17 +101,37 @@ def build_preferences(
     a microwave BS other than the UE's top choice is gated when its utility
     falls below ``c_th``; mmW BSs (the first ``n_mmw`` columns) and top
     choices are never gated.
+
+    Rows are sorted in blocks of ``max(1, channel._BATCH_ELEMENTS // N)``, so
+    the negated sort key and the tie test never span more than one block;
+    each row is sorted alone, so the blocks do not change the result. ``u``
+    is never written.
     """
-    key = -u
-    prefs = np.argsort(key, axis=-1)
-    key.sort(axis=-1)  # in place: no third (..., M, N) float array
-    tied = (key[..., 1:] == key[..., :-1]).any(axis=-1) | np.isnan(key[..., -1:]).any(axis=-1)
-    prefs[tied] = np.argsort(-u[tied], axis=-1, kind="stable")
+    *lead, n = u.shape
+    rows = u.reshape(math.prod(lead), n)
+    step = max(1, channel._BATCH_ELEMENTS // max(1, n))
+    if len(rows) <= step:  # one block: its order is the output, with no copy beside it
+        prefs = _sort_block(rows)
+    else:
+        prefs = np.empty(rows.shape, dtype=np.intp)
+        for lo in range(0, len(rows), step):
+            prefs[lo : lo + step] = _sort_block(rows[lo : lo + step])
+    prefs = prefs.reshape(u.shape)
     gated = u < c_th
     gated[..., :n_mmw] = False
     if u.shape[-1]:
         np.put_along_axis(gated, prefs[..., :1], False, axis=-1)
     return prefs, gated
+
+
+def _sort_block(rows: np.ndarray) -> np.ndarray:
+    """The tie-guarded descending argsort of each of the (B, N) ``rows``."""
+    key = -rows
+    order = np.argsort(key, axis=-1)
+    key.sort(axis=-1)  # in place: no second block-sized float array
+    tied = (key[:, 1:] == key[:, :-1]).any(axis=-1) | np.isnan(key[:, -1:]).any(axis=-1)
+    order[tied] = np.argsort(-rows[tied], axis=-1, kind="stable")
+    return order
 
 
 def build_master_list(u: np.ndarray) -> np.ndarray:

@@ -8,14 +8,15 @@ array-based engine replaced, the per-UE, per-slot rate loop that the
 vectorised rate code replaced, the per-bias CRE search, the 3-D distance
 matrix and the one-shot LoS slot draw that the link-budget code replaced,
 the one-generator-per-run scenario draw that the batched draw replaced, and
-the radio chain as it was before it worked in place on its own temporaries.
-They read an instance through plain per-agent lists only, so they stay
-independent of the arrays' internals.
+the radio chain as it was before it worked in place on its own temporaries,
+and the brute-force enumeration of feasible matchings that the Pareto
+closure replaced in ``verify``. They read an instance through plain
+per-agent lists only, so they stay independent of the arrays' internals.
 """
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from cellassoc.matching import (
     Matching,
     MatchingError,
     MatchingInstance,
+    _require_one_run,
     build_matching,
-    enumerate_feasible,
 )
 from cellassoc.scenario import STREAM_SCENARIO, Scenario, ScenarioConfig, rng_stream
 
@@ -195,6 +196,50 @@ def oracle_blocking_pairs(
                 if leaves_feasible:
                     capacity_aware.append((agent, host))
     return capacity_aware, literal
+
+
+DEFAULT_ENUMERATION_BUDGET = 10**6
+
+
+class EnumerationBudgetError(MatchingError):
+    """The instance is too large for exhaustive enumeration."""
+
+
+def enumerate_feasible(
+    instance: MatchingInstance, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> Iterator[Matching]:
+    """Yield every feasible matching exactly once (brute-force oracle).
+
+    Feasible means every agent is assigned to a host and all quota bounds
+    hold. Refuses instances with more than ``budget`` raw assignments to
+    scan.
+    """
+    _require_one_run(instance)
+    if instance.n_hosts**instance.n_agents > budget:
+        raise EnumerationBudgetError(
+            f"{instance.n_hosts}^{instance.n_agents} assignments exceed the "
+            f"budget of {budget}"
+        )
+    q_min, q_max = instance.q_min.tolist(), instance.q_max.tolist()
+    loads = [0] * instance.n_hosts
+    assignment = [-1] * instance.n_agents
+
+    def recurse(agent: int, deficit: int) -> Iterator[Matching]:
+        # ``deficit``: the minimum quota still unmet once agents 0..agent-1 are placed.
+        if deficit > instance.n_agents - agent:
+            return  # not enough agents left to meet the minima
+        if agent == instance.n_agents:
+            yield build_matching(assignment, instance.n_hosts)
+            return
+        for host in range(instance.n_hosts):
+            if loads[host] < q_max[host]:
+                below_min = loads[host] < q_min[host]
+                loads[host] += 1
+                assignment[agent] = host
+                yield from recurse(agent + 1, deficit - below_min)
+                loads[host] -= 1
+
+    yield from recurse(0, sum(q_min))
 
 
 def oracle_pareto_optimal(instance: MatchingInstance, matching: Matching, budget: int) -> bool:

@@ -16,6 +16,7 @@ from cellassoc.channel import (
     realize_links,
 )
 from cellassoc.scenario import (
+    MMW_LOS_PATHLOSS,
     PathLossParams,
     Scenario,
     ScenarioConfig,
@@ -53,6 +54,17 @@ def test_path_loss_rejects_nonpositive_distance():
         path_loss_db(PathLossParams(2.0, 70.0), 0.0)
     with pytest.raises(ValueError):
         path_loss_db(PathLossParams(2.0, 70.0), -3.0)
+
+
+@pytest.mark.parametrize("d", [np.nan, -0.0, [3.0, np.nan], [[np.inf], [np.nan]]], ids=repr)
+def test_path_loss_rejects_nan_and_signed_zero_distances(d):
+    with pytest.raises(ValueError, match="distance must be positive"):
+        path_loss_db(MMW_LOS_PATHLOSS, d)
+
+
+def test_path_loss_takes_infinite_and_empty_distances():
+    assert path_loss_db(MMW_LOS_PATHLOSS, np.inf) == np.inf
+    assert path_loss_db(MMW_LOS_PATHLOSS, np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_path_loss_clamps_below_one_meter():

@@ -48,6 +48,8 @@ from cellassoc.scenario import (
     generate_scenario,
 )
 
+import helpers
+
 TINY = ExperimentConfig(
     scenario=ScenarioConfig(n_mmw=2, n_muw=2, n_ue=8, seed=77),
     policy=PolicyConfig(q_min_muw=1),
@@ -1124,11 +1126,12 @@ def test_cli_match_roundtrip(tmp_path, capsys):
 
 
 def test_cli_match_decides_pareto_optimality_beyond_enumeration(tmp_path, capsys, monkeypatch):
-    # 3^12 = 531,441 assignments, every one of them feasible: none is enumerated.
+    # 3^12 = 531,441 assignments, every one of them feasible: none is enumerated
+    # by the brute-force oracle, which the test helpers hold.
     def no_enumeration(*args, **kwargs):
         raise AssertionError("verify enumerated the feasible matchings")
 
-    monkeypatch.setattr("cellassoc.matching.enumerate_feasible", no_enumeration)
+    monkeypatch.setattr(helpers, "enumerate_feasible", no_enumeration)
     inst = MatchingInstance(
         n_agents=12, n_hosts=3,
         agent_prefs=tuple(tuple(np.roll([0, 1, 2], a)) for a in range(12)),

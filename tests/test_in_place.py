@@ -3,17 +3,19 @@
 Each function is compared with its out-of-place body in ``helpers`` through
 ``tobytes``, so signed zeros and NaN payloads count, and must return the same
 type (scalars stay scalars). Every writable input must come back unchanged.
-The last test bounds the traced peak of one tight batch by the arrays its
-design keeps alive at the peak.
+The preference sort, which works in row blocks, must equal the whole-table
+stable argsort across every block edge. The last tests bound the traced peaks
+of the preference sort and of one tight batch by the arrays their design keeps
+alive at the peak.
 """
 
-import math
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from cellassoc import channel
 from cellassoc.channel import (
     LinkRealization,
     db_to_linear,
@@ -24,7 +26,7 @@ from cellassoc.channel import (
     realize_links,
 )
 from cellassoc.experiments import ExperimentConfig, _run_batch
-from cellassoc.policies import PolicyConfig, compute_utilities
+from cellassoc.policies import PolicyConfig, build_preferences, compute_utilities
 from cellassoc.scenario import (
     MMW_LOS_PATHLOSS,
     MUW_PATHLOSS,
@@ -35,6 +37,7 @@ from cellassoc.scenario import (
     rng_stream,
 )
 from helpers import (
+    oracle_build_preferences,
     oracle_compute_utilities,
     oracle_db_to_linear,
     oracle_link_budget,
@@ -106,7 +109,7 @@ def test_linear_to_db_matches_out_of_place(x):
 
 DISTANCES = [
     0.3, 1.0, 2, np.float64(0.01), np.array(800.0),
-    np.array([0.01, 0.5, 0.999, 1.0, 1.0000001, 3.0, 1e4, np.inf, np.nan]),
+    np.array([0.01, 0.5, 0.999, 1.0, 1.0000001, 3.0, 1e4, np.inf]),  # NaN is refused
     *(np.random.default_rng(6).uniform(0.01, 800.0, shape) for shape in [(40, 7), (3, 40, 7)]),
 ]
 
@@ -192,6 +195,55 @@ def test_utilities_match_out_of_place(lead, f):
                 call_unchanged(oracle_compute_utilities, links, est))
 
 
+def _edge_rows(n: int) -> np.ndarray:
+    # Rows of every kind the tie guard must get right, one kind after another,
+    # so that a block edge falls between two kinds at every block size.
+    rng = np.random.default_rng(n)
+    kinds = [
+        rng.integers(0, 2, n).astype(float),  # equal finite values
+        np.where(np.arange(n) % 3 == 1, np.nan, rng.normal(size=n)),  # NaN pairs
+        rng.choice([np.inf, -np.inf, 1.0], n),  # +-inf pairs
+        rng.choice([0.0, -0.0, 2.0], n),  # -0.0 and 0.0 compare equal
+        rng.normal(size=n),  # no tie
+    ]
+    return np.stack([rng.permutation(kinds[i % len(kinds)]) for i in range(23)])
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 20, 7 * 20 + 19], ids=["1-row", "3-row", "7-row"])
+def test_preference_blocks_equal_the_whole_table_sort(monkeypatch, budget):
+    # N = 20: blocks of 1, 3 and 7 rows. Rows this long can show a missing
+    # tie guard (see test_preferences_equal_the_stable_argsort_on_ties).
+    monkeypatch.setattr(channel, "_BATCH_ELEMENTS", budget)
+    u = _edge_rows(20)
+    for table in (u, u[:21].reshape(3, 7, 20), u[:, :0], np.zeros((2, 0, 20)), np.zeros((3, 4, 0))):
+        prefs, gated = call_unchanged(build_preferences, table, 2, 0.5)
+        want = oracle_build_preferences(table)
+        assert prefs.shape == gated.shape == table.shape
+        assert prefs.dtype == np.intp and (prefs == want).all()
+        # The gate: a microwave BS below c_th that is not the UE's top choice.
+        want_gated = table < 0.5
+        want_gated[..., :2] = False
+        if table.shape[-1]:
+            np.put_along_axis(want_gated, want[..., :1], False, axis=-1)
+        assert (gated == want_gated).all()
+
+
+def test_preference_sort_peak_stays_within_its_output():
+    m, n = 5000, 200
+    u = np.random.default_rng(8).normal(size=(m, n))
+    build_preferences(u, 100, 0.0)
+    tracemalloc.start()
+    try:
+        build_preferences(u, 100, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The preference order (one unit) and the gate mask (1/8 unit), plus one
+    # row block's sort key and order: 1.13 units. A whole-table sort key
+    # peaked at 2.14.
+    assert peak <= 1.5 * u.nbytes, f"{peak / u.nbytes:.2f} arrays of (M, N) floats"
+
+
 def test_tight_batch_peak_stays_within_its_live_arrays():
     m, n1, n2, q = 2000, 50, 50, 20
     exp = ExperimentConfig(
@@ -210,8 +262,10 @@ def test_tight_batch_peak_stays_within_its_live_arrays():
     unit = m * (n1 + n2) * 8  # bytes of one (M, N) float array
     # Alive at the peak, the preference sort: los_prob and the three SE
     # arrays (half a unit each), the LoS slot stack (one bool per slot and
-    # (UE, mmW BS) pair) and the utilities, their negated sort key and the
-    # preference order (a unit each). The drop's shadowing and the link
-    # budget are gone by then. Smaller arrays round up to a whole unit.
-    live = 4 * 0.5 + exp.n_slots * m * n1 / unit + 3
-    assert peak <= math.ceil(live) * unit, f"{peak / unit:.2f} arrays of (M, N) floats"
+    # (UE, mmW BS) pair), and the utilities and the preference order (a unit
+    # each). The drop's shadowing and the link budget are gone by then. The
+    # gate mask (1/8 unit), one row block's sort key and order (0.33 unit
+    # here) and smaller arrays fit in the last 7/8 unit: 5.5 units in all,
+    # where a whole-table sort key peaked at 5.85.
+    live = 4 * 0.5 + exp.n_slots * m * n1 / unit + 2
+    assert peak <= (live + 0.875) * unit, f"{peak / unit:.2f} arrays of (M, N) floats"

@@ -6,21 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellassoc.matching import (
-    EnumerationBudgetError,
     InfeasibleInstanceError,
     Matching,
     MatchingError,
     MatchingInstance,
     build_matching,
     deferred_acceptance,
-    enumerate_feasible,
     format_instance,
     mmq_match,
     parse_instance,
     verify,
 )
 from helpers import (
+    EnumerationBudgetError,
     assert_reports_agree,
+    enumerate_feasible,
     oracle_deferred_acceptance,
     oracle_mmq_match,
     oracle_pareto_optimal,
