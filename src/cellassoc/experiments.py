@@ -136,17 +136,18 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     the run and its seed.
 
     Each (R, M, N) array dies after its last reader: the drop's shadowing as
-    soon as the link budget is taken (the LoS slots are drawn after that),
-    the budget once the links and the baselines' metrics are, the utilities
-    inside the instance build, and ``verify``'s masks once counted."""
+    soon as the link budget is taken, the budget once the links and the
+    baselines' metrics are, the utilities inside the instance build,
+    ``verify``'s masks once counted, and the instance once checked. The
+    association reads LoS probabilities only, so the links carry no LoS state
+    and the (S, R, M, N1) slot stack is drawn last, for the rates alone."""
     scen, pol = _point_configs(exp, overrides)
     seeds = [int(scen.seed) + r for r in runs]
     batch = generate_scenario(scen, seeds)
     budget = link_budget(batch)
     batch = replace(batch, shadow_mmw_los=None, shadow_mmw_nlos=None, shadow_muw=None)
     rng = rng_stream(seeds[0], STREAM_SLOTS)  # re-keyed to each run's slot and quota streams
-    los_slots = draw_los_slots(batch, rng, exp.n_slots, seeds)
-    links = realize_links(batch, los_slots[0], budget)  # rates read the slots, not los_state
+    links = realize_links(batch, None, budget)  # the rates read the slot stack drawn below
     # The baselines' metrics come from the same budget, which is then dropped
     # so that it is not alive through the matching.
     choices = {}  # baseline -> (bias per run, host choices per run)
@@ -196,9 +197,13 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
                 f"Instance dump:\n{format_instance(instance.run(k))}"
                 f"Assignment: {matchings.agent_to_host[k, p].tolist()}"
             )
+    totals = instance.q_min[:, scen.n_mmw :].sum(axis=-1).tolist()
+    del instance
 
     # The links' and slots' run axis is the matching's first: rates are (R, P, M),
-    # statistics (R, P).
+    # statistics (R, P). Each run's slots re-key ``rng``, so drawing them last
+    # changes no byte.
+    los_slots = draw_los_slots(batch, rng, exp.n_slots, seeds)
     rates = slot_averaged_rates(matchings, links, los_slots, scen)
     rm = run_metrics(matchings, links, rates)
     mmw_loads, muw_loads = np.split(matchings.loads, [scen.n_mmw], axis=-1)
@@ -217,7 +222,6 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
         "q_min_mmw": pol.q_min_mmw, "q_min_muw": pol.q_min_muw, "c_th": pol.c_th,
         "bias_rssi_db": pol.bias_rssi_db, "bias_sinr_db": pol.bias_sinr_db,
     }
-    totals = instance.q_min[:, scen.n_mmw :].sum(axis=-1).tolist()
     per_run = {"q_min_muw_total": totals, "seed": seeds, "run": runs}
     columns = {key: [value] * (len(runs) * len(enabled)) for key, value in point.items()}
     columns.update({key: [v for v in values for _ in enabled] for key, values in per_run.items()})

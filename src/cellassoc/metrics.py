@@ -34,6 +34,9 @@ def achievable_rates(
     matching: Matching, links: LinkRealization, config: ScenarioConfig
 ) -> np.ndarray:
     """Per-UE rate in bit/s in the single slot ``links.los_state`` describes."""
+    if links.los_state is None:
+        raise ValueError("the links carry no LoS state: average over a slot stack "
+                         "with slot_averaged_rates")
     return slot_averaged_rates(matching, links, links.los_state[None], config)
 
 
@@ -98,9 +101,12 @@ def rate_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 def percentile(samples, q: float):
     """``np.percentile(samples, q, axis=-1)``, bit for bit, from one sort: numpy's
     default linear method without the ``numpy.ma`` import its first call pays."""
+    q = q / 100
+    if not 0 <= q <= 1:  # numpy's test, on q / 100; NaN fails it too
+        raise ValueError("Percentiles must be in the range [0, 100]")
     xs = np.sort(samples, axis=-1)
     n = xs.shape[-1]
-    index = (n - 1) * (q / 100)
+    index = (n - 1) * q
     lo, hi = (int(index), int(index) + 1) if index < n - 1 else (-1, -1)  # numpy's neighbours
     a, b, g = xs[..., lo], xs[..., hi], index - lo
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as in numpy

@@ -75,7 +75,7 @@ def compute_utilities(links: channel.LinkRealization, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != links.se_mmw_los.shape:
         raise ValueError(f"LoS estimates must have shape {links.se_mmw_los.shape}, got {f.shape}")
-    if f.size and (f.min() < 0.0 or f.max() > 1.0):
+    if f.size and not (0.0 <= f.min() and f.max() <= 1.0):  # NaN fails both comparisons
         raise ValueError("LoS estimates must lie in [0, 1]")
     u = np.empty(f.shape[:-1] + (links.n_mmw + links.n_muw,))
     expected_mmw = np.multiply(f, links.se_mmw_los, out=u[..., : links.n_mmw])

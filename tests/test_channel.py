@@ -239,6 +239,14 @@ def test_realize_links_full_scenario_properties():
     assert links.los_state.dtype == bool
 
 
+def test_realize_links_without_rng_carry_no_los_state():
+    sc = generate_scenario(ScenarioConfig(n_ue=25, seed=22))
+    drawn, bare = realize_links(sc, rng_stream(22, 1)), realize_links(sc, None)
+    assert bare.los_state is None
+    for name in ("se_mmw_los", "se_mmw_nlos", "se_muw"):
+        assert np.array_equal(getattr(bare, name), getattr(drawn, name)), name
+
+
 def test_los_beats_nlos_at_equal_shadowing():
     # Equal shadowing draws leave only the exponent gap, and d >= 1 m.
     sc = _hand_scenario()

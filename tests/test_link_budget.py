@@ -6,6 +6,7 @@ are also checked entry by entry against scalar path loss arithmetic.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ def test_run_batch_evaluates_the_link_budget_once(monkeypatch):
 def test_run_batch_builds_two_generators(monkeypatch, random_muw_quota):
     # Two generators per batch, one for the scenarios and one for the slots and
     # random minima, each re-keyed once per run and stream used; the links carry
-    # slot 0 of the slot stack, so the link stream is never keyed.
+    # no LoS state, so the link stream is never keyed.
     built, keys, rekeys = [], [], []
     real_generator, real_key = np.random.Generator, scenario._stream_key
 
@@ -234,6 +235,48 @@ def test_run_batch_builds_two_generators(monkeypatch, random_muw_quota):
     assert len(built) == 2
     assert sorted(rekeys) == sorted((4 + run, stream) for run in runs for stream in streams)
     assert len(keys) == 2 + len(rekeys) and STREAM_LINKS not in keys
+
+
+@pytest.mark.parametrize("random_muw_quota", [False, True])
+def test_run_batch_draws_the_slots_after_the_instance_is_released(monkeypatch, random_muw_quota):
+    # The association reads LoS probabilities only: the slot stack is drawn
+    # after ``verify``, once the instance is gone, and the links carry no state.
+    calls, instances = [], []
+
+    def recorded(name, real, check):
+        def wrapper(*args, **kwargs):
+            check(*args)
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    def no_state(scenario, rng, budget):
+        assert rng is None
+
+    def keep(instance, matchings):
+        instances.append(weakref.ref(instance))
+
+    def no_instance(*args):
+        assert [ref() for ref in instances] == [None]
+
+    for name, check in (
+        ("realize_links", no_state),
+        ("build_matching_instance", lambda *args: None),
+        ("verify", keep),
+        ("draw_los_slots", no_instance),
+        ("slot_averaged_rates", lambda *args: None),
+    ):
+        monkeypatch.setattr(experiments, name, recorded(name, getattr(experiments, name), check))
+    exp = ExperimentConfig(
+        scenario=ScenarioConfig(n_ue=30, seed=4),
+        policies_enabled=POLICY_ORDER,
+        random_muw_quota=random_muw_quota,
+    )
+    _run_batch(exp, {}, range(3))
+    assert calls == [
+        "realize_links", "build_matching_instance", "verify", "draw_los_slots",
+        "slot_averaged_rates",
+    ]
 
 
 def test_budget_matrices_match_per_entry_recomputation():

@@ -70,6 +70,13 @@ def test_rates_use_realized_los_state():
     assert rates[0] == pytest.approx(2.0e9)
 
 
+def test_rates_refuse_links_without_a_los_state():
+    sc = generate_scenario(ScenarioConfig(n_ue=6, seed=5))
+    links = realize_links(sc, None)
+    with pytest.raises(ValueError, match="no LoS state"):
+        achievable_rates(build_matching([0] * 6, sc.config.n_bs), links, sc.config)
+
+
 def test_rates_equal_split():
     links = make_links([[4.0], [4.0]], [[1.0], [1.0]], [[1.0], [1.0]],
                        los_state=[[True], [True]])
@@ -187,6 +194,15 @@ def test_percentile_matches_numpy(q):
         got = percentile(x, q)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want, equal_nan=True), (q, x.shape)
+
+
+@pytest.mark.parametrize("q", [-10, 150, math.nan, -1e-300, 100.5])
+def test_percentile_refuses_q_outside_0_100_as_numpy_does(q):
+    x = np.arange(5.0)
+    with pytest.raises(ValueError, match=r"^Percentiles must be in the range \[0, 100\]$"):
+        np.percentile(x, q)
+    with pytest.raises(ValueError, match=r"^Percentiles must be in the range \[0, 100\]$"):
+        percentile(x, q)
 
 
 def test_quota_sweep_zero_candidates():

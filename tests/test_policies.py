@@ -89,6 +89,14 @@ def test_utilities_validate_f():
         compute_utilities(links, [[0.2, 0.3]])
 
 
+@pytest.mark.parametrize("f", [[[0.5, math.nan]], [[math.nan, math.nan]]])
+def test_utilities_reject_nan_estimates(f):
+    # A NaN estimate passed the range test and gave a NaN utility.
+    links = make_links([[8.0, 4.0]], [[2.0, 1.0]], [[1.0]])
+    with pytest.raises(ValueError, match=r"LoS estimates must lie in \[0, 1\]"):
+        compute_utilities(links, f)
+
+
 # --- preferences and master list ----------------------------------------------
 
 def test_preferences_sorting():
