@@ -11,22 +11,25 @@ Run: python demos/association_policies_demo.py
 import numpy as np
 
 from cellassoc import (
+    Matching,
     PolicyConfig,
     ScenarioConfig,
     build_matching_instance,
     deferred_acceptance,
     draw_los_slots,
     generate_scenario,
-    max_rssi_policy,
-    max_sinr_policy,
+    link_budget,
     mmq_match,
     realize_links,
     rng_stream,
+    rssi_matrix_dbm,
     run_metrics,
+    sinr_matrix_db,
     slot_averaged_rates,
     verify,
 )
-from cellassoc.scenario import STREAM_LINKS, STREAM_SLOTS
+from cellassoc.policies import cre_association
+from cellassoc.scenario import STREAM_SLOTS
 
 SEED = 2
 
@@ -49,7 +52,8 @@ def describe(name, matching, scenario, links, slots, instance=None):
 def main():
     cfg = ScenarioConfig(n_ue=50, seed=SEED)
     scenario = generate_scenario(cfg)
-    links = realize_links(scenario, rng_stream(SEED, STREAM_LINKS))
+    budget = link_budget(scenario)  # the links and both baselines' metrics derive from it
+    links = realize_links(scenario, None, budget)
     slots = draw_los_slots(scenario, rng_stream(SEED, STREAM_SLOTS), 10)
 
     policy = PolicyConfig(q_min_mmw=2, q_min_muw=2)
@@ -59,10 +63,15 @@ def main():
 
     describe("quota-aware matching", mmq_match(instance), scenario, links, slots, instance)
     describe("deferred acceptance", deferred_acceptance(instance), scenario, links, slots, instance)
-    describe("max-RSSI", max_rssi_policy(scenario), scenario, links, slots, instance)
-    describe("max-RSSI + 40 dB CRE", max_rssi_policy(scenario, 40.0), scenario, links, slots, instance)
-    describe("max-SINR", max_sinr_policy(scenario), scenario, links, slots, instance)
-    describe("max-SINR + 10 dB CRE", max_sinr_policy(scenario, 10.0), scenario, links, slots, instance)
+    for label, name, metric, bias_db in (
+        ("max-RSSI", "max_rssi", rssi_matrix_dbm, 0.0),
+        ("max-RSSI + 40 dB CRE", "max_rssi", rssi_matrix_dbm, 40.0),
+        ("max-SINR", "max_sinr", sinr_matrix_db, 0.0),
+        ("max-SINR + 10 dB CRE", "max_sinr", sinr_matrix_db, 10.0),
+    ):
+        # One argmax baseline at one cell range expansion bias: a one-entry grid.
+        _, choice = cre_association(name, metric(scenario, budget), cfg.n_mmw, (bias_db,))
+        describe(label, Matching(choice, cfg.n_bs), scenario, links, slots, instance)
 
     print("\nPlain max-RSSI piles onto the microwave tier, plain max-SINR onto")
     print("the mmW tier; biasing shifts the split but cannot pin per-BS loads,")

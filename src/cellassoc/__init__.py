@@ -43,7 +43,6 @@ from .matching import (
 )
 from .metrics import (
     RunMetrics,
-    achievable_rates,
     max_load_difference,
     rate_cdf,
     run_metrics,
@@ -55,8 +54,6 @@ from .policies import (
     build_matching_instance,
     build_preferences,
     compute_utilities,
-    max_rssi_policy,
-    max_sinr_policy,
     mmq_policy,
     rssi_matrix_dbm,
     sinr_matrix_db,
@@ -90,7 +87,6 @@ __all__ = [
     "ScenarioConfig",
     "VerificationFailure",
     "VerifierReport",
-    "achievable_rates",
     "build_master_list",
     "build_matching",
     "build_matching_instance",
@@ -106,8 +102,6 @@ __all__ = [
     "link_budget",
     "load_config",
     "max_load_difference",
-    "max_rssi_policy",
-    "max_sinr_policy",
     "mmq_match",
     "mmq_policy",
     "mmw_spectral_efficiency",

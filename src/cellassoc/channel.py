@@ -94,15 +94,10 @@ def muw_spectral_efficiency(p_dbm, pathloss_db, interferer_pathlosses_db, w2_hz,
 
 @dataclass(frozen=True, eq=False)
 class LinkRealization:
-    """Per-pair spectral efficiencies plus one slot's LoS/NLoS outcome.
+    """Per-pair spectral efficiencies, fixed for a run: they depend only on
+    geometry and static shadowing. The per-slot LoS states are the stack
+    ``draw_los_slots`` draws, which the rates read beside these."""
 
-    The three SE matrices are fixed for a run (they depend only on geometry
-    and static shadowing); ``los_state`` is the part that is redrawn per slot.
-    It is None in links that carry no slot, such as the Monte Carlo driver's,
-    whose rates read the slot stack it draws last.
-    """
-
-    los_state: Optional[np.ndarray] = field(repr=False)  # (M, N1) bool, or None
     se_mmw_los: np.ndarray = field(repr=False)  # (M, N1) bit/s/Hz
     se_mmw_nlos: np.ndarray = field(repr=False)  # (M, N1)
     se_muw: np.ndarray = field(repr=False)  # (M, N2)
@@ -164,18 +159,14 @@ def link_budget(scenario: Scenario) -> LinkBudget:
 
 
 def realize_links(
-    scenario: Scenario,
-    rng: np.random.Generator | np.ndarray | None,
-    budget: Optional[LinkBudget] = None,
+    scenario: Scenario, rng: object, budget: Optional[LinkBudget] = None
 ) -> LinkRealization:
-    """Per-pair spectral efficiencies from the link budget, plus one LoS slot.
+    """Per-pair spectral efficiencies from the link budget; (R, M, N) when stacked.
 
-    ``rng`` draws the slot of a one-run scenario. In its place, a boolean
-    state drawn already serves any scenario, stacked ones too, and None gives
-    links with no state: the Monte Carlo driver passes None, since its rates
-    read a slot stack it draws once the association is checked. ``budget``
-    defaults to ``link_budget(scenario)``; pass it when the same run derives
-    other matrices from it too.
+    ``budget`` defaults to ``link_budget(scenario)``; pass it when the same
+    run derives other matrices from it too. ``rng`` is accepted and ignored:
+    it has no effect, since links carry no LoS state; ``draw_los_slots``
+    draws the per-slot states.
     """
     cfg = scenario.config
     if budget is None:
@@ -188,13 +179,8 @@ def realize_links(
     )
     se_muw = db_to_linear(budget.sinr_muw_db)  # last: no mmW temporary is alive beside it
     se_muw += 1.0
-    if rng is not None and not isinstance(rng, np.ndarray):
-        rng = draw_los_slots(scenario, rng, 1)[0]
     return LinkRealization(
-        los_state=rng,
-        se_mmw_los=se_los,
-        se_mmw_nlos=se_nlos,
-        se_muw=np.log2(se_muw, out=se_muw),
+        se_mmw_los=se_los, se_mmw_nlos=se_nlos, se_muw=np.log2(se_muw, out=se_muw)
     )
 
 

@@ -133,14 +133,15 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     once for the batch, on arrays with a leading run axis, and gives each run
     what it gets alone: one validated instance, one (R, P, M) matching of
     every enabled policy, one ``verify`` call. An error names the grid point,
-    the run and its seed.
+    the run and its seed; a failed verification also its first blocking pair.
 
     Each (R, M, N) array dies after its last reader: the drop's shadowing as
     soon as the link budget is taken, the budget once the links and the
     baselines' metrics are, the utilities inside the instance build,
-    ``verify``'s masks once counted, and the instance once checked. The
-    association reads LoS probabilities only, so the links carry no LoS state
-    and the (S, R, M, N1) slot stack is drawn last, for the rates alone."""
+    ``verify``'s masks once the quota-aware runs are checked, and the
+    instance then. The association reads LoS probabilities only, so the links
+    carry no LoS state and the (S, R, M, N1) slot stack is drawn last, for
+    the rates alone."""
     scen, pol = _point_configs(exp, overrides)
     seeds = [int(scen.seed) + r for r in runs]
     batch = generate_scenario(scen, seeds)
@@ -184,7 +185,6 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     )
     report = verify(instance, matchings)
     feasible, blocking = report.feasible, report.n_blocking_pairs
-    del report  # its (R, P, M, N) masks need not outlive the counts
     if "mmq" in enabled:
         p = enabled.index("mmq")
         failed = np.flatnonzero(~feasible[:, p] | (blocking[:, p] > 0))
@@ -193,10 +193,12 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
             raise VerificationFailure(
                 f"quota-aware matching failed verification at grid point "
                 f"{overrides}, run {runs[k]}, seed {seeds[k]} "
-                f"(feasible={feasible[k, p]}, blocking={blocking[k, p]}).\n"
+                f"(feasible={feasible[k, p]}, blocking={blocking[k, p]} "
+                f"{list(report.blocking_pairs[k, p][:1])}).\n"
                 f"Instance dump:\n{format_instance(instance.run(k))}"
                 f"Assignment: {matchings.agent_to_host[k, p].tolist()}"
             )
+    del report  # its (R, P, M, N) masks need not outlive the check
     totals = instance.q_min[:, scen.n_mmw :].sum(axis=-1).tolist()
     del instance
 

@@ -1,4 +1,4 @@
-"""Loads, load difference, achievable rates, rate CDFs and percentiles."""
+"""Loads, load difference, slot-averaged rates, rate CDFs and percentiles."""
 
 from __future__ import annotations
 
@@ -28,16 +28,6 @@ def max_load_difference(loads):
         raise ValueError("load vector is empty")
     spread = loads.max(axis=-1) - loads.min(axis=-1)
     return int(spread) if spread.ndim == 0 else spread
-
-
-def achievable_rates(
-    matching: Matching, links: LinkRealization, config: ScenarioConfig
-) -> np.ndarray:
-    """Per-UE rate in bit/s in the single slot ``links.los_state`` describes."""
-    if links.los_state is None:
-        raise ValueError("the links carry no LoS state: average over a slot stack "
-                         "with slot_averaged_rates")
-    return slot_averaged_rates(matching, links, links.los_state[None], config)
 
 
 def slot_averaged_rates(

@@ -3,7 +3,8 @@
 The quota-aware policy turns expected spectral efficiencies into UE
 utilities, ranks BSs per UE and UEs on one shared master list, and hands the
 result to the matching engine. The max-RSSI and max-SINR baselines are
-quota-free per-UE argmax rules, optionally with a cell range expansion bias.
+quota-free per-UE argmax rules with a cell range expansion bias, and share
+one search over their bias grids, ``cre_association``.
 
 BS indexing follows the scenario convention: mmW BSs first, then microwave.
 """
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import channel
-from .matching import Matching, MatchingInstance, build_matching, mmq_match
+from .matching import Matching, MatchingInstance, mmq_match
 from .metrics import max_load_difference
 from .scenario import ConfigurationError, Scenario, _check_fields, _require
 
@@ -278,25 +279,3 @@ def cre_association(
         choice[:, guard] = shifted.argmax(-1)
     best = np.argmin(max_load_difference(Matching(choice, n_bs).loads), axis=0)
     return grid[best].reshape(lead), choice[best, np.arange(n_runs)].reshape(*lead, n_ue)
-
-
-def max_rssi_policy(scenario: Scenario, bias_db: float = 0.0) -> Matching:
-    """Each UE picks the BS with the strongest average received power.
-
-    ``bias_db`` implements cell range expansion: it is added to the mmW
-    entries before the argmax, since plain max-RSSI under-loads the mmW
-    tier. No quotas are enforced.
-    """
-    _, choice = cre_association("max_rssi", rssi_matrix_dbm(scenario), scenario.n_mmw, (bias_db,))
-    return build_matching(choice, scenario.n_mmw + scenario.n_muw)
-
-
-def max_sinr_policy(scenario: Scenario, bias_db: float = 0.0) -> Matching:
-    """Each UE picks the BS with the best average SINR.
-
-    Plain max-SINR over-loads the interference-free mmW tier, so the cell
-    range expansion bias ``bias_db`` favors microwave. No quotas are
-    enforced.
-    """
-    _, choice = cre_association("max_sinr", sinr_matrix_db(scenario), scenario.n_mmw, (bias_db,))
-    return build_matching(choice, scenario.n_mmw + scenario.n_muw)

@@ -18,9 +18,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Stream ids for the counter-based generators. One Philox key is (seed, stream),
 # and every matrix inside a stream comes from a single vectorized call, so
-# per-pair draws never depend on iteration order.
+# per-pair draws never depend on iteration order. The ids are part of the keys,
+# so they keep their values and none is reused.
 STREAM_SCENARIO = 0
-STREAM_LINKS = 1
 STREAM_QUOTAS = 2
 STREAM_SLOTS = 3
 

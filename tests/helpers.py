@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from cellassoc.channel import LinkBudget, LinkRealization, draw_los_slots, noise_power_dbm
+from cellassoc.channel import LinkBudget, LinkRealization, noise_power_dbm
 from cellassoc.matching import (
     Matching,
     MatchingError,
@@ -440,12 +440,11 @@ def oracle_link_budget(scenario) -> LinkBudget:
     )
 
 
-def oracle_realize_links(scenario, rng, budget=None) -> LinkRealization:
+def oracle_realize_links(scenario, budget=None) -> LinkRealization:
     cfg = scenario.config
     if budget is None:
         budget = oracle_link_budget(scenario)
     return LinkRealization(
-        los_state=rng if isinstance(rng, np.ndarray) else draw_los_slots(scenario, rng, 1)[0],
         se_mmw_los=oracle_mmw_spectral_efficiency(
             cfg.tx_power_dbm, cfg.antenna_gain_dbi, budget.loss_mmw_los,
             cfg.bandwidth_mmw_hz, cfg.noise_psd_dbm_hz,

@@ -115,7 +115,7 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
     assert (batch.n_ue, batch.n_mmw, batch.n_muw) == (11, 3, 4)
     budget = link_budget(batch)
     slots = draw_los_slots(batch, rng_stream(0), 5, [c.seed for c in configs])
-    links = realize_links(batch, slots[0], budget)
+    links = realize_links(batch, None, budget)
     u = compute_utilities(links, batch.los_prob)
     prefs, gated = build_preferences(u, batch.n_mmw, c_th)
     master = build_master_list(u)
@@ -126,9 +126,8 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
         run_budget = link_budget(sc)
         for name in ("loss_mmw_los", "loss_mmw_nlos", "loss_muw", "sinr_muw_db"):
             assert np.array_equal(getattr(budget, name)[r], getattr(run_budget, name))
-        # One slot drawn from the slot stream is slot 0 of the run's slot stack.
-        run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_SLOTS), run_budget)
-        for name in ("los_state", "se_mmw_los", "se_mmw_nlos", "se_muw"):
+        run_links = realize_links(sc, None, run_budget)
+        for name in ("se_mmw_los", "se_mmw_nlos", "se_muw"):
             assert np.array_equal(getattr(links, name)[r], getattr(run_links, name))
         run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), 5)
         assert np.array_equal(slots[:, r], run_slots)
@@ -171,7 +170,7 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     rng = np.random.default_rng([n_slots, n_ue])
     configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=2, n_ue=n_ue, seed=5), 3)
     slots = draw_los_slots(batch, rng_stream(0), n_slots, [c.seed for c in configs])
-    links = realize_links(batch, slots[0])
+    links = realize_links(batch, None)
     instance = build_matching_instance(batch, links, batch.los_prob, PolicyConfig())
     hosts = np.stack(  # (run, policy, UE); the random policy has both tiers and unmatched UEs
         [mmq_match(instance).agent_to_host, rng.integers(-1, 5, (3, n_ue))], axis=1
@@ -185,7 +184,7 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     assert rm.muw_rate_samples.shape == (per_row.sum(),)
     row_samples = np.split(rm.muw_rate_samples, np.cumsum(per_row)[:-1])
     for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
-        run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_SLOTS))
+        run_links = realize_links(sc, None)
         run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), n_slots)
         for p in range(2):
             matching = build_matching(hosts[r, p], 5)
@@ -206,10 +205,10 @@ def test_stacked_rates_align_on_the_run_axis():
     slots = draw_los_slots(batch, rng_stream(0), 2, [c.seed for c in configs])
     hosts = np.random.default_rng(4).integers(-1, 5, (2, 2, 8))  # (run, policy, UE)
     rates = slot_averaged_rates(
-        build_matching(hosts, 5), realize_links(batch, slots[0]), slots, configs[0]
+        build_matching(hosts, 5), realize_links(batch, None), slots, configs[0]
     )
     for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
-        run_links = realize_links(sc, rng_stream(cfg.seed, STREAM_SLOTS))
+        run_links = realize_links(sc, None)
         run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), 2)
         for p in range(2):
             want = slot_averaged_rates(build_matching(hosts[r, p], 5), run_links, run_slots, cfg)

@@ -17,6 +17,7 @@ from cellassoc.channel import (
 )
 from cellassoc.scenario import (
     MMW_LOS_PATHLOSS,
+    STREAM_SLOTS,
     PathLossParams,
     Scenario,
     ScenarioConfig,
@@ -181,7 +182,7 @@ def _hand_scenario():
 def test_realize_links_matches_per_entry_recomputation():
     sc = _hand_scenario()
     cfg = sc.config
-    links = realize_links(sc, rng_stream(7, 1))
+    links = realize_links(sc, None)
     for m in range(2):
         d1 = max(distance(sc.ue_positions[m], sc.mmw_positions[0]), 1.0)
         loss_los = path_loss_db(cfg.pathloss_mmw_los, d1, sc.shadow_mmw_los[m, 0])
@@ -224,25 +225,24 @@ def test_realize_links_empty_mmw_tier():
         shadow_mmw_nlos=np.zeros((3, 0)),
         shadow_muw=np.zeros((3, 2)),
     )
-    links = realize_links(sc, rng_stream(0, 1))
+    links = realize_links(sc, None)
     assert links.se_mmw_los.shape == (3, 0)
-    assert links.los_state.shape == (3, 0)
+    assert draw_los_slots(sc, rng_stream(0, STREAM_SLOTS), 1).shape == (1, 3, 0)
     assert links.se_muw.shape == (3, 2)
     assert np.all(links.se_muw > 0)
 
 
 def test_realize_links_full_scenario_properties():
     sc = generate_scenario(ScenarioConfig(n_ue=25, seed=21))
-    links = realize_links(sc, rng_stream(21, 1))
+    links = realize_links(sc, None)
     for mat in (links.se_mmw_los, links.se_mmw_nlos, links.se_muw):
         assert np.all(np.isfinite(mat)) and np.all(mat >= 0)
-    assert links.los_state.dtype == bool
+    assert draw_los_slots(sc, rng_stream(21, STREAM_SLOTS), 1).dtype == bool
 
 
-def test_realize_links_without_rng_carry_no_los_state():
+def test_realize_links_ignores_its_rng():
     sc = generate_scenario(ScenarioConfig(n_ue=25, seed=22))
     drawn, bare = realize_links(sc, rng_stream(22, 1)), realize_links(sc, None)
-    assert bare.los_state is None
     for name in ("se_mmw_los", "se_mmw_nlos", "se_muw"):
         assert np.array_equal(getattr(bare, name), getattr(drawn, name)), name
 
@@ -260,7 +260,7 @@ def test_los_beats_nlos_at_equal_shadowing():
         shadow_mmw_nlos=np.array([[1.0], [0.0]]),
         shadow_muw=sc.shadow_muw,
     )
-    links = realize_links(sc, rng_stream(5, 1))
+    links = realize_links(sc, None)
     assert np.all(links.se_mmw_los >= links.se_mmw_nlos)
 
 

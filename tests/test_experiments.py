@@ -41,7 +41,7 @@ from cellassoc.matching import (
     parse_instance,
     verify,
 )
-from cellassoc.policies import PolicyConfig, max_rssi_policy, max_sinr_policy
+from cellassoc.policies import PolicyConfig, cre_association, rssi_matrix_dbm, sinr_matrix_db
 from cellassoc.scenario import (
     ConfigurationError,
     ScenarioConfig,
@@ -449,8 +449,8 @@ def test_run_seeds_outside_64_bits_are_refused_before_any_run(
 
 @pytest.mark.parametrize("seed", [3, 11, 29])
 def test_driver_baselines_match_one_scenario_policies(tmp_path, seed):
-    # The driver and max_rssi_policy/max_sinr_policy share one CRE search: with
-    # fixed biases, each baseline row describes the one-scenario policy's matching.
+    # With fixed biases, each baseline row of the driver describes the matching
+    # that ``cre_association`` gives the one scenario at that one bias.
     cfg = ExperimentConfig(
         scenario=ScenarioConfig(n_ue=40, seed=seed),
         policy=PolicyConfig(bias_rssi_db=20.0, bias_sinr_db=6.0),
@@ -459,10 +459,11 @@ def test_driver_baselines_match_one_scenario_policies(tmp_path, seed):
     )
     rows = {row["policy"]: row for row in read_rows(run_experiment(cfg))}
     sc = generate_scenario(cfg.scenario)
-    for name, policy, bias in (
-        ("max_rssi", max_rssi_policy, 20.0), ("max_sinr", max_sinr_policy, 6.0)
+    for name, metric, bias in (
+        ("max_rssi", rssi_matrix_dbm, 20.0), ("max_sinr", sinr_matrix_db, 6.0)
     ):
-        loads = policy(sc, bias).loads
+        _, choice = cre_association(name, metric(sc), sc.n_mmw, (bias,))
+        loads = build_matching(choice, sc.config.n_bs).loads
         assert float(rows[name]["bias_db"]) == bias
         assert int(rows[name]["ue_mmw"]) == loads[: sc.n_mmw].sum()
         assert int(rows[name]["ue_muw"]) == loads[sc.n_mmw :].sum()
@@ -688,6 +689,30 @@ def test_verification_failure_names_run_and_seed(tmp_path, monkeypatch):
     assert f"grid point {{}}, run 2, seed {TINY.scenario.seed + 2} (feasible=False" in message
     assert message.split("Assignment: ")[1].startswith("[-1, ")
     assert not (tmp_path / "broken.csv").exists()
+
+
+def test_verification_failure_names_the_first_blocking_pair(tmp_path, monkeypatch):
+    # Run 2's quota-aware assignment gets one capacity-aware blocking pair,
+    # agent 5 with host 3; the message names that pair after the count.
+    import cellassoc.experiments as experiments
+
+    def block_run_2(instance, matching):
+        report = verify(instance, matching)
+        capacity_aware = report.capacity_aware.copy()
+        assert not capacity_aware[:, 0].any()  # policy 0 is mmq, which is stable
+        capacity_aware[2, 0, 5, 3] = True
+        return replace(report, capacity_aware=capacity_aware)
+
+    monkeypatch.setattr(experiments, "verify", block_run_2)
+    exp = replace(
+        TINY, policies_enabled=("mmq", "da", "max_rssi"), n_runs=4,
+        output_path=str(tmp_path / "blocked.csv"),
+    )
+    with pytest.raises(VerificationFailure) as failure:
+        run_experiment(exp)
+    seed = TINY.scenario.seed + 2
+    assert f"run 2, seed {seed} (feasible=True, blocking=1 [(5, 3)]).\n" in str(failure.value)
+    assert not (tmp_path / "blocked.csv").exists()
 
 
 def test_verification_failure_dump_replays_through_match(tmp_path, monkeypatch, capsys):

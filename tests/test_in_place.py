@@ -30,11 +30,9 @@ from cellassoc.policies import PolicyConfig, build_preferences, compute_utilitie
 from cellassoc.scenario import (
     MMW_LOS_PATHLOSS,
     MUW_PATHLOSS,
-    STREAM_LINKS,
     ScenarioConfig,
     generate_scenario,
     pairwise_distances,
-    rng_stream,
 )
 from helpers import (
     oracle_build_preferences,
@@ -159,11 +157,8 @@ def test_budget_and_links_match_out_of_place(seeds):
     budget, want = link_budget(sc), oracle_link_budget(sc)
     for f in fields(budget):
         assert_same(getattr(budget, f.name), getattr(want, f.name))
-    state = sc.los_prob > 0.5
-    pairs = [(realize_links(sc, state, budget), oracle_realize_links(sc, state))]
-    if seeds is None:  # a one-run scenario may draw its own slot and budget
-        pairs.append(tuple(fn(sc, rng_stream(4, STREAM_LINKS))
-                           for fn in (realize_links, oracle_realize_links)))
+    pairs = [(realize_links(sc, None, budget), oracle_realize_links(sc)),
+             (realize_links(sc, None), oracle_realize_links(sc, want))]
     for got, ref in pairs:
         for f in fields(got):
             assert_same(getattr(got, f.name), getattr(ref, f.name))
@@ -185,7 +180,7 @@ def test_utilities_match_out_of_place(lead, f):
     se = [rng.uniform(0.0, 9.0, lead + (m, n)) for n in (n1, n1, n2)]
     for a in se:
         a[..., 0, :] = 0.0  # a zero SE: utility -inf
-    links = LinkRealization(np.zeros(lead + (m, n1), dtype=bool), *se)
+    links = LinkRealization(*se)
     est = rng.uniform(0.0, 1.0, lead + (m, n1))
     if f == "mixed":
         est[..., 1, :2] = (0.0, 1.0)

@@ -16,7 +16,6 @@ from cellassoc.channel import draw_los_slots, link_budget, path_loss_db, realize
 from cellassoc.experiments import POLICY_ORDER, ExperimentConfig, _run_batch
 from cellassoc.policies import CRE_BIAS_GRIDS, cre_association, rssi_matrix_dbm, sinr_matrix_db
 from cellassoc.scenario import (
-    STREAM_LINKS,
     STREAM_QUOTAS,
     STREAM_SCENARIO,
     STREAM_SLOTS,
@@ -203,8 +202,8 @@ def test_run_batch_evaluates_the_link_budget_once(monkeypatch):
 @pytest.mark.parametrize("random_muw_quota", [False, True])
 def test_run_batch_builds_two_generators(monkeypatch, random_muw_quota):
     # Two generators per batch, one for the scenarios and one for the slots and
-    # random minima, each re-keyed once per run and stream used; the links carry
-    # no LoS state, so the link stream is never keyed.
+    # random minima, each re-keyed once per run and stream used, and no
+    # other stream ever keyed.
     built, keys, rekeys = [], [], []
     real_generator, real_key = np.random.Generator, scenario._stream_key
 
@@ -234,7 +233,7 @@ def test_run_batch_builds_two_generators(monkeypatch, random_muw_quota):
     streams = [STREAM_SCENARIO, STREAM_SLOTS] + [STREAM_QUOTAS] * random_muw_quota
     assert len(built) == 2
     assert sorted(rekeys) == sorted((4 + run, stream) for run in runs for stream in streams)
-    assert len(keys) == 2 + len(rekeys) and STREAM_LINKS not in keys
+    assert len(keys) == 2 + len(rekeys) and set(keys) <= set(streams)
 
 
 @pytest.mark.parametrize("random_muw_quota", [False, True])
@@ -287,8 +286,8 @@ def test_budget_matrices_match_per_entry_recomputation():
     sinr = sinr_matrix_db(sc, budget)
     assert np.array_equal(rssi, rssi_matrix_dbm(sc))
     assert np.array_equal(sinr, sinr_matrix_db(sc))
-    links = realize_links(sc, rng_stream(11, 1), budget)
-    assert np.array_equal(links.se_muw, realize_links(sc, rng_stream(11, 1)).se_muw)
+    links = realize_links(sc, None, budget)
+    assert np.array_equal(links.se_muw, realize_links(sc, None).se_muw)
 
     noise_mmw_dbm = cfg.noise_psd_dbm_hz + 10.0 * math.log10(cfg.bandwidth_mmw_hz)
     noise_muw_mw = 10.0 ** ((cfg.noise_psd_dbm_hz + 10.0 * math.log10(cfg.bandwidth_muw_hz)) / 10.0)

@@ -7,7 +7,6 @@ from cellassoc.channel import LinkRealization, draw_los_slots, realize_links
 from cellassoc.experiments import optimal_min_quota_sweep
 from cellassoc.matching import build_matching
 from cellassoc.metrics import (
-    achievable_rates,
     max_load_difference,
     percentile,
     rate_cdf,
@@ -15,19 +14,27 @@ from cellassoc.metrics import (
     slot_averaged_rates,
 )
 from cellassoc.policies import PolicyConfig, mmq_policy
-from cellassoc.scenario import ScenarioConfig, generate_scenario, rng_stream
+from cellassoc.scenario import STREAM_SLOTS, ScenarioConfig, generate_scenario, rng_stream
+from helpers import oracle_slot_averaged_rates
 
 
-def make_links(se_los, se_nlos, se_muw, los_state=None):
-    se_los = np.atleast_2d(np.asarray(se_los, float))
-    if los_state is None:
-        los_state = np.zeros_like(se_los, dtype=bool)
+def make_links(se_los, se_nlos, se_muw):
     return LinkRealization(
-        los_state=np.atleast_2d(np.asarray(los_state, bool)),
-        se_mmw_los=se_los,
+        se_mmw_los=np.atleast_2d(np.asarray(se_los, float)),
         se_mmw_nlos=np.atleast_2d(np.asarray(se_nlos, float)),
         se_muw=np.atleast_2d(np.asarray(se_muw, float)),
     )
+
+
+def one_slot_rates(matching, links, los_state=None, cfg=ScenarioConfig()):
+    """The rates of one slot in ``los_state`` (all NLoS by default), as a
+    one-slot stack, checked against the loop oracle."""
+    if los_state is None:
+        los_state = np.zeros_like(links.se_mmw_los, dtype=bool)
+    slots = np.atleast_2d(np.asarray(los_state, bool))[None]
+    rates = slot_averaged_rates(matching, links, slots, cfg)
+    assert np.array_equal(rates, oracle_slot_averaged_rates(matching, links, slots, cfg))
+    return rates
 
 
 def test_load_vector_counts():
@@ -57,31 +64,23 @@ def test_max_load_difference():
 def test_rates_single_ue_on_mmw():
     # 1 GHz times the LoS spectral efficiency, frozen from the link budget.
     se = 7.317316001936548
-    links = make_links([[se]], [[1.0]], [[1.0]], los_state=[[True]])
+    links = make_links([[se]], [[1.0]], [[1.0]])
     m = build_matching([0], 2)
-    rates = achievable_rates(m, links, ScenarioConfig())
+    rates = one_slot_rates(m, links, [[True]])
     assert rates[0] == pytest.approx(se * 1e9, rel=1e-9)
 
 
 def test_rates_use_realized_los_state():
-    links = make_links([[8.0]], [[2.0]], [[1.0]], los_state=[[False]])
+    links = make_links([[8.0]], [[2.0]], [[1.0]])
     m = build_matching([0], 2)
-    rates = achievable_rates(m, links, ScenarioConfig())
+    rates = one_slot_rates(m, links, [[False]])
     assert rates[0] == pytest.approx(2.0e9)
 
 
-def test_rates_refuse_links_without_a_los_state():
-    sc = generate_scenario(ScenarioConfig(n_ue=6, seed=5))
-    links = realize_links(sc, None)
-    with pytest.raises(ValueError, match="no LoS state"):
-        achievable_rates(build_matching([0] * 6, sc.config.n_bs), links, sc.config)
-
-
 def test_rates_equal_split():
-    links = make_links([[4.0], [4.0]], [[1.0], [1.0]], [[1.0], [1.0]],
-                       los_state=[[True], [True]])
-    solo = achievable_rates(build_matching([0, 1], 2), links, ScenarioConfig())
-    shared = achievable_rates(build_matching([0, 0], 2), links, ScenarioConfig())
+    links = make_links([[4.0], [4.0]], [[1.0], [1.0]], [[1.0], [1.0]])
+    solo = one_slot_rates(build_matching([0, 1], 2), links, [[True], [True]])
+    shared = one_slot_rates(build_matching([0, 0], 2), links, [[True], [True]])
     assert shared[0] == pytest.approx(solo[0] / 2)
     assert shared[1] == pytest.approx(shared[0])
 
@@ -89,7 +88,7 @@ def test_rates_equal_split():
 def test_rates_microwave_alone():
     links = make_links([[4.0]], [[1.0]], [[1.0]])
     m = build_matching([1], 2)  # the single microwave BS
-    rates = achievable_rates(m, links, ScenarioConfig())
+    rates = one_slot_rates(m, links)
     assert rates[0] == pytest.approx(10e6)
 
 
@@ -97,16 +96,17 @@ def test_sum_rate_accounting_invariant():
     # Sum over UEs must equal the per-BS bandwidth-split accounting.
     cfg = ScenarioConfig(n_ue=24, seed=14)
     sc = generate_scenario(cfg)
-    links = realize_links(sc, rng_stream(14, 1))
+    links = realize_links(sc, None)
     m = mmq_policy(sc, links, sc.los_prob, PolicyConfig(q_min_muw=1))
-    rates = achievable_rates(m, links, cfg)
+    (los_state,) = draw_los_slots(sc, rng_stream(14, STREAM_SLOTS), 1)
+    rates = one_slot_rates(m, links, los_state, cfg)
     per_bs = 0.0
     for bs, agents in enumerate(m.host_to_agents):
         if not agents:
             continue
         if bs < sc.n_mmw:
             ses = [
-                links.se_mmw_los[a, bs] if links.los_state[a, bs] else links.se_mmw_nlos[a, bs]
+                links.se_mmw_los[a, bs] if los_state[a, bs] else links.se_mmw_nlos[a, bs]
                 for a in agents
             ]
             per_bs += cfg.bandwidth_mmw_hz * sum(ses) / len(agents)
@@ -119,29 +119,18 @@ def test_sum_rate_accounting_invariant():
 def test_slot_averaging_matches_manual_mean():
     cfg = ScenarioConfig(n_ue=5, seed=6)
     sc = generate_scenario(cfg)
-    links = realize_links(sc, rng_stream(6, 1))
+    links = realize_links(sc, None)
     m = mmq_policy(sc, links, sc.los_prob, PolicyConfig())
-    slots = draw_los_slots(sc, rng_stream(6, 3), 7)
+    slots = draw_los_slots(sc, rng_stream(6, STREAM_SLOTS), 7)
     avg = slot_averaged_rates(m, links, slots, cfg)
-    manual = np.mean(
-        [
-            achievable_rates(
-                m,
-                make_links(links.se_mmw_los, links.se_mmw_nlos, links.se_muw, s),
-                cfg,
-            )
-            for s in slots
-        ],
-        axis=0,
-    )
+    manual = np.mean([one_slot_rates(m, links, s, cfg) for s in slots], axis=0)
     assert np.allclose(avg, manual)
 
 
 def test_run_metrics_bundle():
-    links = make_links([[8.0], [8.0]], [[2.0], [2.0]], [[1.0], [1.0]],
-                       los_state=[[True], [True]])
+    links = make_links([[8.0], [8.0]], [[2.0], [2.0]], [[1.0], [1.0]])
     m = build_matching([0, 1], 2)
-    rm = run_metrics(m, links, achievable_rates(m, links, ScenarioConfig()))
+    rm = run_metrics(m, links, one_slot_rates(m, links, [[True], [True]]))
     assert rm.delta_kappa == 0
     assert rm.sum_rate_bps == pytest.approx(8.0e9 + 10e6)
     assert rm.muw_rate_samples.tolist() == [10e6]

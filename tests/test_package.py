@@ -1,5 +1,5 @@
 """The package's surface: ``cellassoc.__all__`` lists exactly what it exports,
-every name the span tracer wraps exists, ``src/`` makes no BLAS call, and the
+links carry no LoS state, every name the span tracer wraps exists, ``src/`` makes no BLAS call, and the
 field check reads, and the config file parses, every config annotation."""
 
 import ast
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cellassoc
+from cellassoc import scenario
 from cellassoc.scenario import _field_kind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +31,16 @@ def test_all_names_every_public_export_once():
     }
     assert set(cellassoc.__all__) == public
     assert not {"enumerate_feasible", "EnumerationBudgetError"} & public  # oracles of the tests
+    # One-bias and one-slot forms of cre_association and slot_averaged_rates.
+    assert not {"achievable_rates", "max_rssi_policy", "max_sinr_policy"} & public
+
+
+def test_links_carry_no_los_state():
+    # The LoS states live in draw_los_slots' stack alone; the stream ids key the
+    # generators, so the ids in use keep their values.
+    assert "los_state" not in {f.name for f in fields(cellassoc.LinkRealization)}
+    assert not hasattr(scenario, "STREAM_LINKS")
+    assert (scenario.STREAM_SCENARIO, scenario.STREAM_QUOTAS, scenario.STREAM_SLOTS) == (0, 2, 3)
 
 
 def _tracer_targets():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellassoc.channel import LinkRealization, realize_links
-from cellassoc.matching import verify
+from cellassoc.matching import build_matching, verify
 from cellassoc.policies import (
     PolicyConfig,
     build_master_list,
@@ -14,29 +14,19 @@ from cellassoc.policies import (
     build_preferences,
     compute_utilities,
     cre_association,
-    max_rssi_policy,
-    max_sinr_policy,
     mmq_policy,
     rssi_matrix_dbm,
     sinr_matrix_db,
 )
-from cellassoc.scenario import (
-    PathLossParams,
-    Scenario,
-    ScenarioConfig,
-    generate_scenario,
-    rng_stream,
-)
+from cellassoc.scenario import Scenario, ScenarioConfig, generate_scenario
 from helpers import oracle_best_bias, oracle_build_preferences
 
 NEG_INF = float("-inf")
 
 
 def make_links(se_los, se_nlos, se_muw):
-    se_los = np.atleast_2d(np.asarray(se_los, float))
     return LinkRealization(
-        los_state=np.zeros_like(se_los, dtype=bool),
-        se_mmw_los=se_los,
+        se_mmw_los=np.atleast_2d(np.asarray(se_los, float)),
         se_mmw_nlos=np.atleast_2d(np.asarray(se_nlos, float)),
         se_muw=np.atleast_2d(np.asarray(se_muw, float)),
     )
@@ -193,7 +183,7 @@ def test_rankings_invariant_under_monotone_transform(scale, shift):
 
 def test_mmq_policy_unconstrained_is_argmax():
     sc = generate_scenario(ScenarioConfig(n_ue=12, seed=3))
-    links = realize_links(sc, rng_stream(3, 1))
+    links = realize_links(sc, None)
     matching = mmq_policy(sc, links, sc.los_prob, PolicyConfig())
     u = compute_utilities(links, sc.los_prob)
     expected = [int(n) for n in np.argmax(u, axis=1)]
@@ -219,7 +209,7 @@ def test_mmq_policy_feasible_and_stable_on_random_scenarios():
     for seed in range(5):
         cfg = ScenarioConfig(n_ue=30, seed=seed)
         sc = generate_scenario(cfg)
-        links = realize_links(sc, rng_stream(seed, 1))
+        links = realize_links(sc, None)
         pol = PolicyConfig(q_min_mmw=1, q_min_muw=1)
         matching = mmq_policy(sc, links, sc.los_prob, pol)
         inst = build_matching_instance(sc, links, sc.los_prob, pol)
@@ -231,7 +221,7 @@ def test_mmq_policy_feasible_and_stable_on_random_scenarios():
 def test_pigeonhole_balance_quotas():
     cfg = ScenarioConfig(n_ue=50, seed=9)
     sc = generate_scenario(cfg)
-    links = realize_links(sc, rng_stream(9, 1))
+    links = realize_links(sc, None)
     n = cfg.n_bs
     pol = PolicyConfig(
         q_min_mmw=50 // n, q_min_muw=50 // n,
@@ -306,6 +296,13 @@ def test_policy_config_accepts_infinite_gate():
 
 # --- baselines -------------------------------------------------------------------
 
+def baseline(name: str, sc: Scenario, bias_db: float = 0.0):
+    """Baseline ``name``'s matching at one CRE bias: the one-entry bias grid."""
+    metric = rssi_matrix_dbm(sc) if name == "max_rssi" else sinr_matrix_db(sc)
+    _, choice = cre_association(name, metric, sc.n_mmw, (bias_db,))
+    return build_matching(choice, sc.n_mmw + sc.n_muw)
+
+
 def co_located_scenario(rho: float) -> Scenario:
     """One mmW and one microwave BS at the origin, one UE 100 m away."""
     cfg = ScenarioConfig(n_mmw=1, n_muw=1, n_ue=1)
@@ -331,12 +328,12 @@ def test_max_rssi_prefers_microwave_without_bias():
     assert mat[0, 0] == pytest.approx(rssi_mmw, rel=1e-9)
     assert mat[0, 1] == pytest.approx(rssi_muw, rel=1e-9)
     assert rssi_muw > rssi_mmw
-    assert max_rssi_policy(sc, 0.0).agent_to_host == (1,)
+    assert baseline("max_rssi", sc, 0.0).agent_to_host == (1,)
 
 
 def test_max_rssi_bias_pulls_ue_to_mmw():
     sc = co_located_scenario(rho=0.1)
-    assert max_rssi_policy(sc, 60.0).agent_to_host == (0,)
+    assert baseline("max_rssi", sc, 60.0).agent_to_host == (0,)
 
 
 def test_max_rssi_single_bs():
@@ -351,8 +348,8 @@ def test_max_rssi_single_bs():
         shadow_mmw_nlos=np.zeros((1, 0)),
         shadow_muw=np.zeros((1, 1)),
     )
-    assert max_rssi_policy(sc).agent_to_host == (0,)
-    assert max_sinr_policy(sc).agent_to_host == (0,)
+    assert baseline("max_rssi", sc).agent_to_host == (0,)
+    assert baseline("max_sinr", sc).agent_to_host == (0,)
 
 
 def ring_scenario(rho: float) -> Scenario:
@@ -378,28 +375,28 @@ def test_max_sinr_interference_pushes_ue_to_mmw():
     assert mat[0, 0] == pytest.approx(22.0, rel=1e-9)
     # Nine equal interferers: SINR just below 1/9 (frozen -9.5425 dB).
     assert mat[0, 1] == pytest.approx(-9.542546303636945, rel=1e-3)
-    assert max_sinr_policy(sc, 0.0).agent_to_host == (0,)
+    assert baseline("max_sinr", sc, 0.0).agent_to_host == (0,)
 
 
 def test_max_sinr_isolated_microwave_wins():
     sc = co_located_scenario(rho=1.0)
     mat = sinr_matrix_db(sc)
     assert mat[0, 1] == pytest.approx(36.0, rel=1e-9)  # 30-98 over -104 dBm noise
-    assert max_sinr_policy(sc, 0.0).agent_to_host == (1,)
+    assert baseline("max_sinr", sc, 0.0).agent_to_host == (1,)
 
 
 def test_max_sinr_huge_bias_sends_everyone_to_microwave():
     sc = generate_scenario(ScenarioConfig(n_ue=20, seed=4))
-    matching = max_sinr_policy(sc, 500.0)
+    matching = baseline("max_sinr", sc, 500.0)
     assert all(h >= sc.n_mmw for h in matching.agent_to_host)
 
 
-@pytest.mark.parametrize("policy", [max_rssi_policy, max_sinr_policy])
-def test_baselines_reject_non_finite_bias(policy):
+@pytest.mark.parametrize("name", ["max_rssi", "max_sinr"])
+def test_baselines_reject_non_finite_bias(name):
     sc = generate_scenario(ScenarioConfig(n_ue=20, seed=4))
     for bias in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="CRE biases must be finite"):
-            policy(sc, bias)
+            baseline(name, sc, bias)
 
 
 def test_cre_association_rejects_an_empty_bias_grid():
@@ -447,5 +444,5 @@ def test_cre_association_at_float_max_matches_the_per_bias_search(name, row):
 
 def test_baselines_assign_every_ue():
     sc = generate_scenario(ScenarioConfig(n_ue=33, seed=8))
-    for matching in (max_rssi_policy(sc, 20.0), max_sinr_policy(sc, 6.0)):
+    for matching in (baseline("max_rssi", sc, 20.0), baseline("max_sinr", sc, 6.0)):
         assert sum(matching.loads) == 33

@@ -7,21 +7,19 @@ import pytest
 
 from cellassoc.channel import LinkRealization, draw_los_slots, realize_links
 from cellassoc.matching import build_matching
-from cellassoc.metrics import achievable_rates, slot_averaged_rates
+from cellassoc.metrics import slot_averaged_rates
 from cellassoc.policies import PolicyConfig, mmq_policy
 from cellassoc.scenario import ScenarioConfig, generate_scenario, rng_stream
 from helpers import oracle_slot_averaged_rates
 
 
 def assert_rates_match_oracle(matching, links, slots, cfg):
-    assert np.array_equal(
-        slot_averaged_rates(matching, links, slots, cfg),
-        oracle_slot_averaged_rates(matching, links, slots, cfg),
-    )
-    assert np.array_equal(
-        achievable_rates(matching, links, cfg),
-        oracle_slot_averaged_rates(matching, links, links.los_state[None], cfg),
-    )
+    # The whole stack, and its first slot alone as a one-slot stack.
+    for stack in (slots, slots[:1]):
+        assert np.array_equal(
+            slot_averaged_rates(matching, links, stack, cfg),
+            oracle_slot_averaged_rates(matching, links, stack, cfg),
+        )
 
 
 @pytest.mark.parametrize("n_slots", [1, 7])
@@ -56,7 +54,6 @@ def test_rates_match_loop_oracle_without_mmw_tier(n_slots):
     rng = np.random.default_rng(5)
     m, n_muw = 9, 3
     links = LinkRealization(
-        los_state=np.zeros((m, 0), dtype=bool),
         se_mmw_los=np.zeros((m, 0)),
         se_mmw_nlos=np.zeros((m, 0)),
         se_muw=rng.uniform(0.1, 5.0, size=(m, n_muw)),
@@ -67,9 +64,8 @@ def test_rates_match_loop_oracle_without_mmw_tier(n_slots):
 
 
 def random_stacked_links(rng, n_runs, n_ue, n_mmw, n_muw):
-    """(R, M, N) links of random spectral efficiencies; rates read slots, not los_state."""
+    """(R, M, N) links of random spectral efficiencies."""
     return LinkRealization(
-        los_state=np.zeros((n_runs, n_ue, n_mmw), dtype=bool),
         se_mmw_los=rng.uniform(1.0, 9.0, size=(n_runs, n_ue, n_mmw)),
         se_mmw_nlos=rng.uniform(0.1, 1.0, size=(n_runs, n_ue, n_mmw)),
         se_muw=rng.uniform(0.1, 5.0, size=(n_runs, n_ue, n_muw)),
@@ -95,7 +91,6 @@ def test_stacked_rates_match_loop_oracle_row_by_row(n_mmw, n_ue, n_slots):
     assert rates.shape == hosts.shape
     for r, p in np.ndindex(hosts.shape[:2]):
         run_links = LinkRealization(
-            los_state=slots[0, r],
             se_mmw_los=links.se_mmw_los[r],
             se_mmw_nlos=links.se_mmw_nlos[r],
             se_muw=links.se_muw[r],
