@@ -30,21 +30,18 @@ class LosEstimate:
         _require(self, ("window_slots",), lambda v: v >= 1, ">= 1")
 
 
-def update_f(prev: LosEstimate, k_t: int, x: int, freeze_unobserved: bool = False) -> LosEstimate:
+def update_f(prev: LosEstimate, k_t: int, x: int) -> LosEstimate:
     """Fold one frame's LoS count into the moving average.
 
     ``k_t`` is the number of LoS slots observed this frame and ``x`` the
-    association indicator (1 when the UE was served by this BS). The literal
-    update multiplies the observation by ``x``, which decays the estimate of
-    BSs the UE is not connected to; ``freeze_unobserved`` keeps those
-    estimates untouched instead. Both must be integers; a bool is refused.
+    association indicator (1 when the UE was served by this BS). The update
+    multiplies the observation by ``x``, which decays the estimate of BSs the
+    UE is not connected to. Both must be integers; a bool is refused.
     """
     if not (_is_integer(k_t) and 0 <= k_t <= prev.window_slots):
         raise ValueError(f"k_t must be an integer in [0, {prev.window_slots}], got {k_t!r}")
     if not (_is_integer(x) and x in (0, 1)):
         raise ValueError(f"x must be the integer 0 or 1, got {x!r}")
-    if freeze_unobserved and x == 0:
-        return prev
     new_value = (
         prev.smoothing * (k_t * x) / prev.window_slots
         + (1.0 - prev.smoothing) * prev.value

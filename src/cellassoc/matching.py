@@ -486,9 +486,9 @@ def parse_instance(text: str) -> MatchingInstance:
 
     Blank lines are skipped; a line holding only ``-`` has no entries. A
     token other than ``-?[0-9]+`` (with a trailing ``*`` on a preference
-    line), a ``*`` on any other line, and a negative agent or host count in
-    the header are rejected naming their line, counted from 1 with blank
-    lines included.
+    line), a ``*`` on any other line, and a header that is not two
+    non-negative counts are rejected naming their line, counted from 1 with
+    blank lines included.
     """
     lines = []  # (line number, integers, which had a trailing '*') of each non-blank line
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -503,7 +503,7 @@ def parse_instance(text: str) -> MatchingInstance:
         raise MatchingError("empty instance file")
     header_line, header, _ = lines[0]
     if len(header) != 2:
-        raise MatchingError(f"bad header line {' '.join(map(str, header))!r}")
+        raise MatchingError(f"line {header_line}: bad header line {' '.join(map(str, header))!r}")
     m, n = header
     if m < 0 or n < 0:
         raise MatchingError(

@@ -111,12 +111,9 @@ def build_preferences(
     *lead, n = u.shape
     rows = u.reshape(math.prod(lead), n)
     step = max(1, channel._BATCH_ELEMENTS // max(1, n))
-    if len(rows) <= step:  # one block: its order is the output, with no copy beside it
-        prefs = _sort_block(rows)
-    else:
-        prefs = np.empty(rows.shape, dtype=np.intp)
-        for lo in range(0, len(rows), step):
-            prefs[lo : lo + step] = _sort_block(rows[lo : lo + step])
+    prefs = np.empty(rows.shape, dtype=np.intp)
+    for lo in range(0, len(rows), step):
+        prefs[lo : lo + step] = _sort_block(rows[lo : lo + step])
     prefs = prefs.reshape(u.shape)
     gated = u < c_th
     gated[..., :n_mmw] = False
@@ -182,19 +179,16 @@ def _los_average(rho: np.ndarray, x_los_db: np.ndarray, x_nlos_db: np.ndarray) -
     return rho * channel.db_to_linear(x_los_db) + (1.0 - rho) * channel.db_to_linear(x_nlos_db)
 
 
-def rssi_matrix_dbm(scenario: Scenario, budget: Optional[channel.LinkBudget] = None) -> np.ndarray:
+def rssi_matrix_dbm(scenario: Scenario, budget: channel.LinkBudget) -> np.ndarray:
     """(..., M, N) averaged received signal strength in dBm, mmW columns first.
 
     A mmW entry is transmit power plus antenna gain minus the attenuation
     averaged over the LoS state in the linear domain,
     10 log10(rho * 10^(L_los/10) + (1-rho) * 10^(L_nlos/10)). NLoS slots
     dominate that average, which is what makes plain max-RSSI shun the mmW
-    tier. Microwave entries are transmit power minus path loss. ``budget``
-    defaults to ``channel.link_budget(scenario)``.
+    tier. Microwave entries are transmit power minus path loss.
     """
     cfg = scenario.config
-    if budget is None:
-        budget = channel.link_budget(scenario)
     mean_loss_db = channel.linear_to_db(
         _los_average(scenario.los_prob, budget.loss_mmw_los, budget.loss_mmw_nlos)
     )
@@ -202,18 +196,15 @@ def rssi_matrix_dbm(scenario: Scenario, budget: Optional[channel.LinkBudget] = N
     return np.concatenate([rssi_mmw_dbm, cfg.tx_power_dbm - budget.loss_muw], axis=-1)
 
 
-def sinr_matrix_db(scenario: Scenario, budget: Optional[channel.LinkBudget] = None) -> np.ndarray:
+def sinr_matrix_db(scenario: Scenario, budget: channel.LinkBudget) -> np.ndarray:
     """(..., M, N) average SINR in dB, mmW columns first.
 
     mmW entries are the noise-limited SNR with the linear SNR (equivalently
     the channel gain) averaged over the LoS state, which keeps max-SINR
     partial to the interference-free mmW tier; microwave entries carry the
-    cross-microwave interference. ``budget`` defaults to
-    ``channel.link_budget(scenario)``.
+    cross-microwave interference.
     """
     cfg = scenario.config
-    if budget is None:
-        budget = channel.link_budget(scenario)
     mean_gain = _los_average(scenario.los_prob, -budget.loss_mmw_los, -budget.loss_mmw_nlos)
     noise_db = channel.noise_power_dbm(cfg.noise_psd_dbm_hz, cfg.bandwidth_mmw_hz)
     snr_mmw_db = (

@@ -39,16 +39,21 @@ def random_feasible_instance(
     gates: bool = False,
     zero_capacity: bool = False,
     allow_empty: bool = False,
+    by_assignment: bool = False,
 ) -> MatchingInstance:
     """Random instance whose quota sums admit a solution.
 
     By default every host takes at least one agent. The keywords widen the
     instance language: ``gates`` flags a random subset of each agent's
     hosts in the (M, N) bool mask, ``zero_capacity`` lets ``q_max`` be 0,
-    and ``allow_empty`` lets M be 0.
+    and ``allow_empty`` lets M be 0. ``by_assignment`` draws the instance
+    with ``assignment_bounded_instance``, which takes no rejection loop and
+    so scales to the simulator's sizes.
     """
     m = int(rng.integers(0 if allow_empty else 1, max_agents + 1))
     n = int(rng.integers(1, max_hosts + 1))
+    if by_assignment:
+        return assignment_bounded_instance(rng, m, n, gates=gates, zero_capacity=zero_capacity)
     prefs = tuple(tuple(int(h) for h in rng.permutation(n)) for _ in range(m))
     master = tuple(int(a) for a in rng.permutation(m))
     low = 0 if zero_capacity else 1
@@ -74,6 +79,28 @@ def random_feasible_instance(
         q_max=tuple(int(q) for q in q_max),
         gated=gated,
     )
+
+
+def assignment_bounded_instance(
+    rng: np.random.Generator, m: int, n: int, *, gates: bool = False, zero_capacity: bool = False
+) -> MatchingInstance:
+    """An M x N instance that is feasible by construction.
+
+    The loads of a uniformly random assignment bound the quotas: host h gets
+    ``q_min = floor(load * U)`` with U uniform in [0, 1) and ``q_max = load +
+    {0, 1, 2}``, raised to at least 1 unless ``zero_capacity``. The
+    assignment meets both, whatever the preferences. ``gates`` flags each
+    (agent, host) pair alone with probability 0.4.
+    """
+    prefs = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=-1)
+    master = rng.permutation(m)
+    load = np.bincount(rng.integers(0, n, size=m), minlength=n)
+    q_min = np.floor(load * rng.random(n)).astype(int)
+    q_max = load + rng.integers(0, 3, size=n)
+    if not zero_capacity:
+        q_max = np.maximum(q_max, 1)
+    gated = rng.random((m, n)) < 0.4 if gates else None
+    return MatchingInstance(m, n, prefs, master, q_min, q_max, gated)
 
 
 def oracle_build_preferences(u: np.ndarray) -> np.ndarray:

@@ -131,8 +131,8 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
             assert np.array_equal(getattr(links, name)[r], getattr(run_links, name))
         run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), 5)
         assert np.array_equal(slots[:, r], run_slots)
-        assert np.array_equal(rssi_matrix_dbm(batch, budget)[r], rssi_matrix_dbm(sc))
-        assert np.array_equal(sinr_matrix_db(batch, budget)[r], sinr_matrix_db(sc))
+        assert np.array_equal(rssi_matrix_dbm(batch, budget)[r], rssi_matrix_dbm(sc, run_budget))
+        assert np.array_equal(sinr_matrix_db(batch, budget)[r], sinr_matrix_db(sc, run_budget))
         run_u = compute_utilities(run_links, sc.los_prob)
         assert np.array_equal(u[r], run_u)
         run_prefs, run_gated = build_preferences(run_u, sc.n_mmw, c_th)

@@ -104,6 +104,12 @@ def test_mmw_se_requires_positive_bandwidth():
         mmw_spectral_efficiency(30.0, 18.0, 110.0, 0.0, -174.0)
 
 
+@pytest.mark.parametrize("w2_hz", [0.0, -1e6])
+def test_muw_se_requires_positive_bandwidth(w2_hz):
+    with pytest.raises(ValueError, match="^bandwidth must be positive$"):
+        muw_spectral_efficiency(30.0, 103.0, [113.0], w2_hz, -174.0)
+
+
 def test_muw_se_no_interference_zero_db():
     assert muw_spectral_efficiency(0.0, 0.0, [], 1.0, 0.0) == pytest.approx(1.0)
 

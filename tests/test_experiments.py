@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellassoc.channel import _BATCH_ELEMENTS
+from cellassoc.channel import _BATCH_ELEMENTS, link_budget
 from cellassoc.cli import match_main, simulate_main
 from cellassoc.experiments import (
     POLICY_ORDER,
@@ -111,6 +111,13 @@ def test_unknown_key_is_hard_error():
 def test_bad_value_reports_line():
     with pytest.raises(ConfigurationError, match="line 1"):
         parse_config("scenario.n_ue = many\n")
+
+
+def test_empty_sweep_is_refused():
+    with pytest.raises(ConfigurationError, match=r"^line 2: sweep\.m: sweep\.m has no values$"):
+        parse_config("scenario.n_ue = 9\nsweep.m =\n")
+    with pytest.raises(ConfigurationError, match=r"^sweep\.m has no values$"):
+        ExperimentConfig(sweep={"m": ()})
 
 
 def test_missing_equals_rejected():
@@ -462,7 +469,7 @@ def test_driver_baselines_match_one_scenario_policies(tmp_path, seed):
     for name, metric, bias in (
         ("max_rssi", rssi_matrix_dbm, 20.0), ("max_sinr", sinr_matrix_db, 6.0)
     ):
-        _, choice = cre_association(name, metric(sc), sc.n_mmw, (bias,))
+        _, choice = cre_association(name, metric(sc, link_budget(sc)), sc.n_mmw, (bias,))
         loads = build_matching(choice, sc.config.n_bs).loads
         assert float(rows[name]["bias_db"]) == bias
         assert int(rows[name]["ue_mmw"]) == loads[: sc.n_mmw].sum()
@@ -1193,10 +1200,12 @@ def test_cli_match_bad_token_names_its_line(tmp_path, capsys):
     [
         ("-1 2\n0 0\n1 1\n", "line 1: agent and host counts must be non-negative, got -1 2"),
         ("\n1 -2\n0\n1\n0\n0\n", "line 2: agent and host counts must be non-negative, got 1 -2"),
+        ("3\n0 0 0\n", "line 1: bad header line '3'"),
+        ("\n1 2 3\n0 0\n", "line 2: bad header line '1 2 3'"),
     ],
 )
-def test_cli_match_rejects_negative_counts(tmp_path, capsys, text, message):
-    path = tmp_path / "negative.txt"
+def test_cli_match_rejects_a_bad_header_naming_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "header.txt"
     path.write_text(text)
     assert match_main(["--instance", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

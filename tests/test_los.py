@@ -50,12 +50,10 @@ def test_non_integer_count_or_indicator_rejected(k_t, x, name):
     assert update_f(prev, np.int64(3), np.int8(1)) == update_f(prev, 3, 1)
 
 
-def test_unassociated_decay_and_freeze():
+def test_unassociated_decay():
     prev = LosEstimate(value=0.8, smoothing=0.25, window_slots=10)
     decayed = update_f(prev, 7, 0)
-    assert decayed.value == pytest.approx(0.75 * 0.8)  # literal update pulls toward 0
-    frozen = update_f(prev, 7, 0, freeze_unobserved=True)
-    assert frozen.value == 0.8
+    assert decayed.value == pytest.approx(0.75 * 0.8)  # the update pulls toward 0
 
 
 def test_estimate_constructor_validation():

@@ -20,6 +20,7 @@ from cellassoc.matching import (
 from helpers import (
     EnumerationBudgetError,
     assert_reports_agree,
+    assignment_bounded_instance,
     enumerate_feasible,
     oracle_deferred_acceptance,
     oracle_mmq_match,
@@ -448,6 +449,18 @@ def test_one_run_functions_reject_stacks():
     with pytest.raises(MatchingError, match=r"one \(M,\) assignment"):
         mmq_match(stacked).host_to_agents  # noqa: B018
 
+
+def test_verify_refuses_a_matching_of_other_runs():
+    # Three runs' assignments against a two-run stack: no run axis to align.
+    stacked = MatchingInstance(
+        2, 2, np.array([[[0, 1], [1, 0]]] * 2), np.array([[0, 1]] * 2), (0, 0), (2, 2)
+    )
+    three_runs = Matching(np.zeros((3, 2), dtype=int), 2)
+    refused = r"^matching's leading axes must start with the instance's \(2,\)$"
+    with pytest.raises(MatchingError, match=refused):
+        verify(stacked, three_runs)
+    assert verify(stacked, Matching(np.zeros((2, 2), dtype=int), 2)).feasible.tolist() == [True] * 2
+
 @pytest.mark.parametrize(
     "edits, run, error, message",
     [
@@ -731,6 +744,43 @@ def test_mmq_partitions_agents(seed):
     assert (m.agent_to_host >= 0).all()
     seen = [a for agents in m.host_to_agents for a in agents]
     assert sorted(seen) == list(range(inst.n_agents))
+
+
+# --- guarantees at the simulator's sizes -------------------------------------------
+
+def _assert_guarantees(runs):
+    # One instance, or a stack of several of one size: mmq_match's output is
+    # feasible, has no blocking pair under either reading and is Pareto
+    # optimal; DA equals the proposal loop; each run survives the text format.
+    inst = runs[0] if len(runs) == 1 else _stack(runs)
+    report = verify(inst, mmq_match(inst))
+    assert np.all(report.feasible)
+    assert not report.capacity_aware.any() and not report.envy.any()
+    assert set(np.ravel(report.pareto_optimal).tolist()) == {True}
+    want = [oracle_deferred_acceptance(run).agent_to_host for run in runs]
+    want = want if len(runs) > 1 else want[0]
+    assert deferred_acceptance(inst) == build_matching(want, inst.n_hosts)
+    for run in runs:
+        assert parse_instance(format_instance(run)) == run
+
+
+@pytest.mark.parametrize(
+    "variant", [{}, {"gates": True}, {"zero_capacity": True}, {"allow_empty": True}, EXTENDED]
+)
+def test_guarantees_hold_up_to_200_by_20(variant):
+    rng = np.random.default_rng([200, 20, len(str(variant))])
+    for _ in range(80):
+        _assert_guarantees([random_feasible_instance(rng, 200, 20, by_assignment=True, **variant)])
+    kwargs = {k: v for k, v in variant.items() if k != "allow_empty"}
+    for _ in range(16):  # stacks of 2 to 4 runs that share M and N
+        m, n, r = int(rng.integers(0, 201)), int(rng.integers(1, 21)), int(rng.integers(2, 5))
+        _assert_guarantees([assignment_bounded_instance(rng, m, n, **kwargs) for _ in range(r)])
+
+
+@pytest.mark.parametrize("variant", [{}, {"gates": True}, {"zero_capacity": True}])
+def test_guarantees_hold_at_2000_by_100(variant):
+    rng = np.random.default_rng(2000)
+    _assert_guarantees([assignment_bounded_instance(rng, 2000, 100, **variant)])
 
 
 # --- text format ------------------------------------------------------------------

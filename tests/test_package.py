@@ -1,9 +1,12 @@
 """The package's surface: ``cellassoc.__all__`` lists exactly what it exports,
-links carry no LoS state, every name the span tracer wraps exists, ``src/`` makes no BLAS call, and the
-field check reads, and the config file parses, every config annotation."""
+links carry no LoS state, the metric matrices take the run's link budget, the
+LoS update has one rule, every name the span tracer wraps exists, ``src/``
+makes no BLAS call, and the field check reads, and the config file parses,
+every config annotation."""
 
 import ast
 import importlib
+import inspect
 import types
 from collections import Counter
 from dataclasses import fields, is_dataclass
@@ -41,6 +44,25 @@ def test_links_carry_no_los_state():
     assert "los_state" not in {f.name for f in fields(cellassoc.LinkRealization)}
     assert not hasattr(scenario, "STREAM_LINKS")
     assert (scenario.STREAM_SCENARIO, scenario.STREAM_QUOTAS, scenario.STREAM_SLOTS) == (0, 2, 3)
+
+
+@pytest.mark.parametrize("metric", [cellassoc.rssi_matrix_dbm, cellassoc.sinr_matrix_db])
+def test_metric_matrices_take_the_run_budget(metric):
+    # The driver evaluates one link budget per run and hands it to both
+    # baselines' metrics; neither evaluates a budget of its own.
+    budget = inspect.signature(metric).parameters["budget"]
+    assert budget.default is inspect.Parameter.empty
+    sc = cellassoc.generate_scenario(cellassoc.ScenarioConfig(n_ue=3, seed=1))
+    with pytest.raises(TypeError):
+        metric(sc)
+
+
+def test_los_update_has_one_rule():
+    # The paper's update multiplies the observation by the association
+    # indicator; no switch freezes an unobserved estimate.
+    assert list(inspect.signature(cellassoc.update_f).parameters) == ["prev", "k_t", "x"]
+    with pytest.raises(TypeError):
+        cellassoc.update_f(cellassoc.LosEstimate(), 3, 0, freeze_unobserved=True)
 
 
 def _tracer_targets():

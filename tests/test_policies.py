@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellassoc.channel import LinkRealization, realize_links
+from cellassoc.channel import LinkRealization, link_budget, realize_links
 from cellassoc.matching import build_matching, verify
 from cellassoc.policies import (
     PolicyConfig,
@@ -298,7 +298,7 @@ def test_policy_config_accepts_infinite_gate():
 
 def baseline(name: str, sc: Scenario, bias_db: float = 0.0):
     """Baseline ``name``'s matching at one CRE bias: the one-entry bias grid."""
-    metric = rssi_matrix_dbm(sc) if name == "max_rssi" else sinr_matrix_db(sc)
+    metric = (rssi_matrix_dbm if name == "max_rssi" else sinr_matrix_db)(sc, link_budget(sc))
     _, choice = cre_association(name, metric, sc.n_mmw, (bias_db,))
     return build_matching(choice, sc.n_mmw + sc.n_muw)
 
@@ -324,7 +324,7 @@ def test_max_rssi_prefers_microwave_without_bias():
     mean_loss = 0.1 * 10 ** (110.0 / 10.0) + 0.9 * 10 ** (150.0 / 10.0)
     rssi_mmw = 30.0 + 18.0 - 10.0 * math.log10(mean_loss)
     rssi_muw = 30.0 - 98.0
-    mat = rssi_matrix_dbm(sc)
+    mat = rssi_matrix_dbm(sc, link_budget(sc))
     assert mat[0, 0] == pytest.approx(rssi_mmw, rel=1e-9)
     assert mat[0, 1] == pytest.approx(rssi_muw, rel=1e-9)
     assert rssi_muw > rssi_mmw
@@ -370,7 +370,7 @@ def ring_scenario(rho: float) -> Scenario:
 
 def test_max_sinr_interference_pushes_ue_to_mmw():
     sc = ring_scenario(rho=1.0)
-    mat = sinr_matrix_db(sc)
+    mat = sinr_matrix_db(sc, link_budget(sc))
     # mmW SNR: 30+18-110 over noise in 1 GHz (-84 dBm) = 22 dB.
     assert mat[0, 0] == pytest.approx(22.0, rel=1e-9)
     # Nine equal interferers: SINR just below 1/9 (frozen -9.5425 dB).
@@ -380,7 +380,7 @@ def test_max_sinr_interference_pushes_ue_to_mmw():
 
 def test_max_sinr_isolated_microwave_wins():
     sc = co_located_scenario(rho=1.0)
-    mat = sinr_matrix_db(sc)
+    mat = sinr_matrix_db(sc, link_budget(sc))
     assert mat[0, 1] == pytest.approx(36.0, rel=1e-9)  # 30-98 over -104 dBm noise
     assert baseline("max_sinr", sc, 0.0).agent_to_host == (1,)
 
