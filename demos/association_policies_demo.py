@@ -21,7 +21,6 @@ from cellassoc import (
     link_budget,
     mmq_match,
     realize_links,
-    rng_stream,
     rssi_matrix_dbm,
     run_metrics,
     sinr_matrix_db,
@@ -29,7 +28,6 @@ from cellassoc import (
     verify,
 )
 from cellassoc.policies import cre_association
-from cellassoc.scenario import STREAM_SLOTS
 
 SEED = 2
 
@@ -54,7 +52,7 @@ def main():
     scenario = generate_scenario(cfg)
     budget = link_budget(scenario)  # the links and both baselines' metrics derive from it
     links = realize_links(scenario, None, budget)
-    slots = draw_los_slots(scenario, rng_stream(SEED, STREAM_SLOTS), 10)
+    slots = draw_los_slots(scenario, 10)
 
     policy = PolicyConfig(q_min_mmw=2, q_min_muw=2)
     instance = build_matching_instance(scenario, links, scenario.los_prob, policy)

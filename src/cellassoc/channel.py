@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import STREAM_SLOTS, PathLossParams, Scenario, pairwise_distances, rekey
+from .scenario import STREAM_SLOTS, PathLossParams, Scenario, pairwise_distances, rekey, rng_stream
 
 # Entries per working array: the Monte Carlo driver batches as many runs as
 # keep its (R, M, N) stacks within it, and a slot draw as many slots.
@@ -184,29 +184,29 @@ def realize_links(
     )
 
 
-def draw_los_slots(
-    scenario: Scenario, rng: np.random.Generator, n_slots: int, seeds=None
-) -> np.ndarray:
-    """(n_slots, M, N1) boolean stack of independent per-slot LoS states. A
-    stacked scenario gives (n_slots, R, M, N1) and takes its runs' ``seeds``:
-    ``rng``, a Philox generator, is re-keyed to ``(seed, STREAM_SLOTS)``
-    before each run's draw. A ``random`` call fills as many slots as fit in
-    ``_BATCH_ELEMENTS`` floats, at least one."""
+def draw_los_slots(scenario: Scenario, n_slots: int, seeds=None) -> np.ndarray:
+    """(n_slots, M, N1) boolean stack of independent per-slot LoS states drawn from
+    the stream ``(config.seed, STREAM_SLOTS)``. A stacked scenario gives (n_slots, R,
+    M, N1), run r drawn from ``(seeds[r], STREAM_SLOTS)``: one generator is re-keyed
+    per run. A ``random`` call fills as many slots as fit in ``_BATCH_ELEMENTS``
+    floats, at least one."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     prob = scenario.los_prob
     stacked = prob.ndim > 2
     if stacked != (seeds is not None) or stacked and len(seeds) != len(prob):
         raise ValueError("a stacked scenario takes one seed per run, one run none")
+    if not stacked:  # one run: a run axis of one, keyed by the config's seed
+        seeds, prob = (scenario.config.seed,), prob[None]
     slots = np.empty((n_slots,) + prob.shape, dtype=bool)
-    runs = zip(seeds, prob, slots.swapaxes(0, 1)) if stacked else [(None, prob, slots)]
     # Chunks of slots read the same stream as one (S, M, N1) draw, through one float buffer.
     chunk = min(n_slots, max(1, _BATCH_ELEMENTS // max(1, prob.shape[-2] * prob.shape[-1])))
     buffer = np.empty((chunk,) + prob.shape[-2:])
-    for seed, run_prob, run_slots in runs:
-        run_rng = rng if seed is None else rekey(rng, seed, STREAM_SLOTS)
+    rng = rng_stream(seeds[0], STREAM_SLOTS)
+    for seed, run_prob, run_slots in zip(seeds, prob, slots.swapaxes(0, 1)):
+        rekey(rng, seed, STREAM_SLOTS)
         for start in range(0, n_slots, chunk):
             draw = buffer[: n_slots - start]
-            run_rng.random(out=draw)
+            rng.random(out=draw)
             np.less(draw, run_prob, out=run_slots[start : start + chunk])
-    return slots
+    return slots if stacked else slots[:, 0]

@@ -51,7 +51,6 @@ from .policies import (
 )
 from .scenario import (
     STREAM_QUOTAS,
-    STREAM_SLOTS,
     ConfigurationError,
     ScenarioConfig,
     _check_fields,
@@ -99,6 +98,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown policies in policies_enabled: {sorted(unknown)}")
         if len(set(self.policies_enabled)) < len(self.policies_enabled):
             raise ConfigurationError(f"policies_enabled repeats a policy: {self.policies_enabled}")
+        if not Path(self.output_path).name:  # "", "." and "/" name no file to write
+            raise ConfigurationError(f"output_path must name a file, got {self.output_path!r}")
         for key, values in (self.sweep or {}).items():
             if key not in SWEEP_KEYS:
                 raise ConfigurationError(f"unknown sweep parameter {key!r}")
@@ -128,8 +129,9 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     """The rows of runs ``runs`` of one grid point as ``ROW_COLUMNS`` columns,
     run-major with policies in ``POLICY_ORDER``, plus ``muw_rates_bps``: one
     flat array of every row's microwave UE rates in row order, row i holding
-    ``ue_muw[i]`` of them. Run r's seed is the base seed plus r (its streams
-    re-keyed, see ``rekey``), and each run has its own matcher walk. Everything else runs
+    ``ue_muw[i]`` of them. Run r's seed is the base seed plus r, and each run has its
+    own matcher walk. Each stream the batch draws (scenario, slots, random minima) has
+    one generator, re-keyed to each run's seed (see ``rekey``). Everything else runs
     once for the batch, on arrays with a leading run axis, and gives each run
     what it gets alone: one validated instance, one (R, P, M) matching of
     every enabled policy, one ``verify`` call. An error names the grid point,
@@ -147,7 +149,6 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     batch = generate_scenario(scen, seeds)
     budget = link_budget(batch)
     batch = replace(batch, shadow_mmw_los=None, shadow_mmw_nlos=None, shadow_muw=None)
-    rng = rng_stream(seeds[0], STREAM_SLOTS)  # re-keyed to each run's slot and quota streams
     links = realize_links(batch, None, budget)  # the rates read the slot stack drawn below
     # The baselines' metrics come from the same budget, which is then dropped
     # so that it is not alive through the matching.
@@ -164,6 +165,7 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     q_min = None
     if exp.random_muw_quota:
         cap = scen.n_ue // scen.n_muw
+        rng = rng_stream(seeds[0], STREAM_QUOTAS)  # re-keyed to each run's quota stream
         draws = [rekey(rng, s, STREAM_QUOTAS).integers(0, cap + 1, scen.n_muw) for s in seeds]
         q_min = [(pol.q_min_mmw,) * scen.n_mmw + tuple(d.tolist()) for d in draws]
 
@@ -203,9 +205,9 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     del instance
 
     # The links' and slots' run axis is the matching's first: rates are (R, P, M),
-    # statistics (R, P). Each run's slots re-key ``rng``, so drawing them last
-    # changes no byte.
-    los_slots = draw_los_slots(batch, rng, exp.n_slots, seeds)
+    # statistics (R, P). Each run's slots come from its own stream, so drawing
+    # them last changes no byte.
+    los_slots = draw_los_slots(batch, exp.n_slots, seeds)
     rates = slot_averaged_rates(matchings, links, los_slots, scen)
     rm = run_metrics(matchings, links, rates)
     mmw_loads, muw_loads = np.split(matchings.loads, [scen.n_mmw], axis=-1)
@@ -586,6 +588,7 @@ def _with_fields(obj, values: dict, lines: dict[str, int], path: tuple[str, ...]
             and re.search(rf"\b{_CONFIG_KEYS[key][0][-1]}\b", str(exc))
         ]
         message = f"{', '.join(named)}: {exc}" if named else str(exc)
+        message = re.sub(r"\b(\w+\.\w+): \1\b", r"\1", message)  # a key its message names, once
         raise ConfigurationError(message) from exc
 
 

@@ -38,13 +38,7 @@ from cellassoc.policies import (
     rssi_matrix_dbm,
     sinr_matrix_db,
 )
-from cellassoc.scenario import (
-    STREAM_SLOTS,
-    Scenario,
-    ScenarioConfig,
-    generate_scenario,
-    rng_stream,
-)
+from cellassoc.scenario import Scenario, ScenarioConfig, generate_scenario
 from helpers import oracle_best_bias, oracle_slot_averaged_rates
 
 BASE = ExperimentConfig(scenario=ScenarioConfig(n_mmw=3, n_muw=4, n_ue=20, seed=31), n_slots=9)
@@ -114,7 +108,7 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
     configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=4, n_ue=11, seed=9), n_runs)
     assert (batch.n_ue, batch.n_mmw, batch.n_muw) == (11, 3, 4)
     budget = link_budget(batch)
-    slots = draw_los_slots(batch, rng_stream(0), 5, [c.seed for c in configs])
+    slots = draw_los_slots(batch, 5, [c.seed for c in configs])
     links = realize_links(batch, None, budget)
     u = compute_utilities(links, batch.los_prob)
     prefs, gated = build_preferences(u, batch.n_mmw, c_th)
@@ -129,7 +123,7 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
         run_links = realize_links(sc, None, run_budget)
         for name in ("se_mmw_los", "se_mmw_nlos", "se_muw"):
             assert np.array_equal(getattr(links, name)[r], getattr(run_links, name))
-        run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), 5)
+        run_slots = draw_los_slots(sc, 5)
         assert np.array_equal(slots[:, r], run_slots)
         assert np.array_equal(rssi_matrix_dbm(batch, budget)[r], rssi_matrix_dbm(sc, run_budget))
         assert np.array_equal(sinr_matrix_db(batch, budget)[r], sinr_matrix_db(sc, run_budget))
@@ -169,7 +163,7 @@ def test_stacked_best_bias_matches_oracle_per_run(m, n, tier, integer):
 def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     rng = np.random.default_rng([n_slots, n_ue])
     configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=2, n_ue=n_ue, seed=5), 3)
-    slots = draw_los_slots(batch, rng_stream(0), n_slots, [c.seed for c in configs])
+    slots = draw_los_slots(batch, n_slots, [c.seed for c in configs])
     links = realize_links(batch, None)
     instance = build_matching_instance(batch, links, batch.los_prob, PolicyConfig())
     hosts = np.stack(  # (run, policy, UE); the random policy has both tiers and unmatched UEs
@@ -185,7 +179,7 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     row_samples = np.split(rm.muw_rate_samples, np.cumsum(per_row)[:-1])
     for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
         run_links = realize_links(sc, None)
-        run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), n_slots)
+        run_slots = draw_los_slots(sc, n_slots)
         for p in range(2):
             matching = build_matching(hosts[r, p], 5)
             want = oracle_slot_averaged_rates(matching, run_links, run_slots, cfg)
@@ -202,14 +196,14 @@ def test_stacked_rates_align_on_the_run_axis():
     # R == P == S == 2: broadcast from the trailing axes, run r's links would
     # meet policy r's assignments of every run, and no shape would object.
     configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=2, n_ue=8, seed=9), 2)
-    slots = draw_los_slots(batch, rng_stream(0), 2, [c.seed for c in configs])
+    slots = draw_los_slots(batch, 2, [c.seed for c in configs])
     hosts = np.random.default_rng(4).integers(-1, 5, (2, 2, 8))  # (run, policy, UE)
     rates = slot_averaged_rates(
         build_matching(hosts, 5), realize_links(batch, None), slots, configs[0]
     )
     for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
         run_links = realize_links(sc, None)
-        run_slots = draw_los_slots(sc, rng_stream(cfg.seed, STREAM_SLOTS), 2)
+        run_slots = draw_los_slots(sc, 2)
         for p in range(2):
             want = slot_averaged_rates(build_matching(hosts[r, p], 5), run_links, run_slots, cfg)
             assert np.array_equal(rates[r, p], want)

@@ -17,7 +17,6 @@ from cellassoc.channel import (
 )
 from cellassoc.scenario import (
     MMW_LOS_PATHLOSS,
-    STREAM_SLOTS,
     PathLossParams,
     Scenario,
     ScenarioConfig,
@@ -233,7 +232,7 @@ def test_realize_links_empty_mmw_tier():
     )
     links = realize_links(sc, None)
     assert links.se_mmw_los.shape == (3, 0)
-    assert draw_los_slots(sc, rng_stream(0, STREAM_SLOTS), 1).shape == (1, 3, 0)
+    assert draw_los_slots(sc, 1).shape == (1, 3, 0)
     assert links.se_muw.shape == (3, 2)
     assert np.all(links.se_muw > 0)
 
@@ -243,7 +242,7 @@ def test_realize_links_full_scenario_properties():
     links = realize_links(sc, None)
     for mat in (links.se_mmw_los, links.se_mmw_nlos, links.se_muw):
         assert np.all(np.isfinite(mat)) and np.all(mat >= 0)
-    assert draw_los_slots(sc, rng_stream(21, STREAM_SLOTS), 1).dtype == bool
+    assert draw_los_slots(sc, 1).dtype == bool
 
 
 def test_realize_links_ignores_its_rng():
@@ -272,10 +271,10 @@ def test_los_beats_nlos_at_equal_shadowing():
 
 def test_draw_los_slots_shape_and_bias():
     sc = generate_scenario(ScenarioConfig(n_ue=10, seed=2))
-    slots = draw_los_slots(sc, rng_stream(2, 3), 200)
+    slots = draw_los_slots(sc, 200)
     assert slots.shape == (200, 10, 10)
     # Per-pair LoS frequency tracks rho loosely at 200 slots.
     freq = slots.mean(axis=0)
     assert np.abs(freq - sc.los_prob).max() < 0.2
     with pytest.raises(ValueError):
-        draw_los_slots(sc, rng_stream(2, 3), 0)
+        draw_los_slots(sc, 0)

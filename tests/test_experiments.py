@@ -114,10 +114,21 @@ def test_bad_value_reports_line():
 
 
 def test_empty_sweep_is_refused():
-    with pytest.raises(ConfigurationError, match=r"^line 2: sweep\.m: sweep\.m has no values$"):
+    # The message names the dotted key itself: the file's error names it once.
+    with pytest.raises(ConfigurationError, match=r"^line 2: sweep\.m has no values$"):
         parse_config("scenario.n_ue = 9\nsweep.m =\n")
     with pytest.raises(ConfigurationError, match=r"^sweep\.m has no values$"):
         ExperimentConfig(sweep={"m": ()})
+
+
+@pytest.mark.parametrize("out", ["", ".", "/"])
+def test_an_output_path_naming_no_file_is_refused(out):
+    message = f"output_path must name a file, got {out!r}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(output_path=out)
+    file_message = f"line 2: experiment.out: {message}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(file_message)}$"):
+        parse_config(f"scenario.n_ue = 9\nexperiment.out = {out}\n")
 
 
 def test_missing_equals_rejected():
@@ -799,6 +810,20 @@ def test_unwritable_output_parent_fails_before_any_run(tmp_path, capsys, monkeyp
     out = tmp_path / "new" / "out.csv"
     assert simulate_main(["figure", "fig5", "--runs", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: output path {out}: {tmp_path} is not writable\n"
+
+
+@pytest.mark.parametrize("figure", [False, True], ids=["config", "figure"])
+def test_cli_refuses_an_empty_output_path_before_any_run(tmp_path, capsys, monkeypatch, figure):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the output path was checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("scenario.n_ue = 9\nexperiment.runs = 1\n")
+    argv = ["figure", "fig7"] if figure else ["--config", str(cfg_file)]
+    assert simulate_main(argv + ["--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: output_path must name a file, got ''\n"
 
 
 def test_a_path_the_writer_does_not_open_is_not_checked(tmp_path):

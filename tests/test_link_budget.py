@@ -48,7 +48,7 @@ def test_pairwise_distances_match_3d_oracle(m, n, seed):
 @pytest.mark.parametrize("n_slots", [1, 3, 10])
 def test_draw_los_slots_matches_one_shot_draw(m, n, n_slots):
     sc = generate_scenario(ScenarioConfig(n_ue=m, n_mmw=n, n_muw=1, seed=m + n_slots))
-    got = draw_los_slots(sc, rng_stream(sc.config.seed, STREAM_SLOTS), n_slots)
+    got = draw_los_slots(sc, n_slots)
     want = oracle_draw_los_slots(sc, rng_stream(sc.config.seed, STREAM_SLOTS), n_slots)
     assert got.dtype == bool and got.shape == (n_slots, m, n)
     assert np.array_equal(got, want)
@@ -61,12 +61,12 @@ def test_chunked_slot_draw_matches_one_shot_draw(monkeypatch, budget):
     monkeypatch.setattr(channel, "_BATCH_ELEMENTS", budget)
     cfg = ScenarioConfig(n_ue=4, n_mmw=4, n_muw=1, seed=3)
     seeds = [3, -1, 2**63]
-    got = draw_los_slots(generate_scenario(cfg, seeds), rng_stream(0), 7, seeds)
+    got = draw_los_slots(generate_scenario(cfg, seeds), 7, seeds)
     assert got.dtype == bool and got.shape == (7, 3, 4, 4)
     for r, seed in enumerate(seeds):
         sc = generate_scenario(ScenarioConfig(n_ue=4, n_mmw=4, n_muw=1, seed=seed))
         assert np.array_equal(got[:, r], oracle_draw_los_slots(sc, rng_stream(seed, STREAM_SLOTS), 7))
-        assert np.array_equal(got[:, r], draw_los_slots(sc, rng_stream(seed, STREAM_SLOTS), 7))
+        assert np.array_equal(got[:, r], draw_los_slots(sc, 7))
 
 
 def test_slot_draw_takes_one_seed_per_stacked_run():
@@ -74,7 +74,7 @@ def test_slot_draw_takes_one_seed_per_stacked_run():
     batch = generate_scenario(cfg, [3, 4])
     for sc, seeds in ((batch, None), (batch, [3]), (batch, [3, 4, 5]), (generate_scenario(cfg), [3])):
         with pytest.raises(ValueError, match="one seed per run"):
-            draw_los_slots(sc, rng_stream(0), 2, seeds)
+            draw_los_slots(sc, 2, seeds)
 
 
 @pytest.mark.parametrize("m, n", SHAPES)
@@ -200,10 +200,10 @@ def test_run_batch_evaluates_the_link_budget_once(monkeypatch):
 
 
 @pytest.mark.parametrize("random_muw_quota", [False, True])
-def test_run_batch_builds_two_generators(monkeypatch, random_muw_quota):
-    # Two generators per batch, one for the scenarios and one for the slots and
-    # random minima, each re-keyed once per run and stream used, and no
-    # other stream ever keyed.
+def test_run_batch_builds_one_generator_per_stream(monkeypatch, random_muw_quota):
+    # One generator per stream the batch draws: the scenarios, the slots and,
+    # when on, the random minima. Each is re-keyed once per run, and no other
+    # stream is ever keyed.
     built, keys, rekeys = [], [], []
     real_generator, real_key = np.random.Generator, scenario._stream_key
 
@@ -231,9 +231,9 @@ def test_run_batch_builds_two_generators(monkeypatch, random_muw_quota):
     runs = range(3, 8)
     _run_batch(exp, {}, runs)
     streams = [STREAM_SCENARIO, STREAM_SLOTS] + [STREAM_QUOTAS] * random_muw_quota
-    assert len(built) == 2
+    assert len(built) == len(streams)
     assert sorted(rekeys) == sorted((4 + run, stream) for run in runs for stream in streams)
-    assert len(keys) == 2 + len(rekeys) and set(keys) <= set(streams)
+    assert len(keys) == len(built) + len(rekeys) and set(keys) <= set(streams)
 
 
 @pytest.mark.parametrize("random_muw_quota", [False, True])

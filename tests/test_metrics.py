@@ -14,7 +14,7 @@ from cellassoc.metrics import (
     slot_averaged_rates,
 )
 from cellassoc.policies import PolicyConfig, mmq_policy
-from cellassoc.scenario import STREAM_SLOTS, ScenarioConfig, generate_scenario, rng_stream
+from cellassoc.scenario import ScenarioConfig, generate_scenario
 from helpers import oracle_slot_averaged_rates
 
 
@@ -98,7 +98,7 @@ def test_sum_rate_accounting_invariant():
     sc = generate_scenario(cfg)
     links = realize_links(sc, None)
     m = mmq_policy(sc, links, sc.los_prob, PolicyConfig(q_min_muw=1))
-    (los_state,) = draw_los_slots(sc, rng_stream(14, STREAM_SLOTS), 1)
+    (los_state,) = draw_los_slots(sc, 1)
     rates = one_slot_rates(m, links, los_state, cfg)
     per_bs = 0.0
     for bs, agents in enumerate(m.host_to_agents):
@@ -121,7 +121,7 @@ def test_slot_averaging_matches_manual_mean():
     sc = generate_scenario(cfg)
     links = realize_links(sc, None)
     m = mmq_policy(sc, links, sc.los_prob, PolicyConfig())
-    slots = draw_los_slots(sc, rng_stream(6, STREAM_SLOTS), 7)
+    slots = draw_los_slots(sc, 7)
     avg = slot_averaged_rates(m, links, slots, cfg)
     manual = np.mean([one_slot_rates(m, links, s, cfg) for s in slots], axis=0)
     assert np.allclose(avg, manual)

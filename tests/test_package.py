@@ -1,8 +1,8 @@
 """The package's surface: ``cellassoc.__all__`` lists exactly what it exports,
-links carry no LoS state, the metric matrices take the run's link budget, the
-LoS update has one rule, every name the span tracer wraps exists, ``src/``
-makes no BLAS call, and the field check reads, and the config file parses,
-every config annotation."""
+links carry no LoS state, the metric matrices take the run's link budget, no
+public callable takes a generator, the LoS update has one rule, every name the
+span tracer wraps exists, ``src/`` makes no BLAS call, and the field check
+reads, and the config file parses, every config annotation."""
 
 import ast
 import importlib
@@ -55,6 +55,20 @@ def test_metric_matrices_take_the_run_budget(metric):
     sc = cellassoc.generate_scenario(cellassoc.ScenarioConfig(n_ue=3, seed=1))
     with pytest.raises(TypeError):
         metric(sc)
+
+
+def test_no_public_callable_takes_a_generator():
+    # Each draw keys its own generator by (seed, stream), so no caller builds
+    # one to hand in. realize_links' rng is accepted and ignored.
+    takers = []
+    for name in cellassoc.__all__:
+        value = getattr(cellassoc, name)
+        if not callable(value) or isinstance(value, type) and issubclass(value, Exception):
+            continue  # an exception's signature is the builtin one
+        for param in inspect.signature(value).parameters.values():
+            if param.name in {"rng", "generator"} or "Generator" in str(param.annotation):
+                takers.append(f"{name}({param.name})")
+    assert takers == ["realize_links(rng)"]
 
 
 def test_los_update_has_one_rule():
