@@ -43,7 +43,7 @@ def simulate_main(argv=None) -> int:
             config = with_overrides(load_config(args.config), args.runs, args.seed, args.out)
             out = run_experiment(config, workers=args.workers)
     except (ValueError, VerificationFailure, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n", file=sys.stderr)
         return 1
     print(out)
     return 0

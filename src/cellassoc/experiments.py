@@ -32,14 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import _BATCH_ELEMENTS, draw_los_slots, link_budget, realize_links
-from .matching import (
-    InfeasibleInstanceError,
-    build_matching,
-    deferred_acceptance,
-    format_instance,
-    mmq_match,
-    verify,
-)
+from .matching import build_matching, deferred_acceptance, format_instance, mmq_match, verify
 from .metrics import max_load_difference, percentile, rate_cdf, run_metrics, slot_averaged_rates
 from .policies import (
     CRE_BIAS_GRIDS,
@@ -105,6 +98,10 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown sweep parameter {key!r}")
             if len(values) == 0:
                 raise ConfigurationError(f"sweep.{key} has no values")
+        if self.random_muw_quota and (self.policy.q_min_muw or "q_min_muw" in (self.sweep or {})):
+            raise ConfigurationError(
+                "random_muw_quota draws the microwave minima: q_min_muw must be 0 and not swept"
+            )
 
 
 def _grid_points(sweep: Optional[dict[str, tuple]]) -> list[dict]:
@@ -125,17 +122,50 @@ def _point_configs(exp: ExperimentConfig, overrides: dict) -> tuple[ScenarioConf
         raise ConfigurationError(f"grid point {overrides}: {exc}") from exc
 
 
-def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str, list]:
+def _point_tasks(exp: ExperimentConfig, overrides: dict) -> list[tuple]:
+    """The ``_run_batch`` arguments of grid point ``overrides``, one tuple per batch, each
+    with its runs' drawn minimum quotas (None for fixed minima). Every run's row is checked
+    against M first: a refusal names the point and, for drawn minima, the run and its seed."""
+    scen, pol = _point_configs(exp, overrides)
+    q_min, q_max = pol.quota_vectors(scen.n_mmw, scen.n_muw, scen.n_ue)
+    seed, rows = int(scen.seed), [q_min]
+    if exp.random_muw_quota:
+        cap = scen.n_ue // scen.n_muw  # random microwave minima are drawn in [0, cap]
+        if cap > q_max[-1]:
+            raise ConfigurationError(
+                f"grid point {overrides}: random microwave minima reach M // N2 = {cap} > "
+                f"q_max_muw = {q_max[-1]}"
+            )
+        rng = rng_stream(seed, STREAM_QUOTAS)  # re-keyed to each run's quota stream
+        draws = [rekey(rng, seed + r, STREAM_QUOTAS).integers(0, cap + 1, scen.n_muw)
+                 for r in range(exp.n_runs)]
+        rows = [q_min[: scen.n_mmw] + tuple(d.tolist()) for d in draws]
+    for r, row in enumerate(rows):
+        if not sum(row) <= scen.n_ue <= sum(q_max):
+            run = f", run {r}, seed {seed + r}" if exp.random_muw_quota else ""
+            raise ConfigurationError(
+                f"grid point {overrides}{run}: no feasible matching: sum q_min={sum(row)}, "
+                f"M={scen.n_ue}, sum q_max={sum(q_max)}"
+            )
+    # Runs per batch depend on the grid point alone, never on ``workers``.
+    size = max(1, min(exp.n_runs, _BATCH_ELEMENTS // (scen.n_ue * scen.n_bs)))
+    batches = (range(start, min(start + size, exp.n_runs)) for start in range(0, exp.n_runs, size))
+    return [(exp, overrides, runs, rows[runs.start : runs.stop] if exp.random_muw_quota else None)
+            for runs in batches]
+
+
+def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> dict[str, list]:
     """The rows of runs ``runs`` of one grid point as ``ROW_COLUMNS`` columns,
     run-major with policies in ``POLICY_ORDER``, plus ``muw_rates_bps``: one
     flat array of every row's microwave UE rates in row order, row i holding
     ``ue_muw[i]`` of them. Run r's seed is the base seed plus r, and each run has its
-    own matcher walk. Each stream the batch draws (scenario, slots, random minima) has
+    own matcher walk. ``q_min`` is None or each run's minimum quotas, which
+    ``_point_tasks`` drew and checked. Each stream the batch draws (scenario, slots) has
     one generator, re-keyed to each run's seed (see ``rekey``). Everything else runs
     once for the batch, on arrays with a leading run axis, and gives each run
     what it gets alone: one validated instance, one (R, P, M) matching of
-    every enabled policy, one ``verify`` call. An error names the grid point,
-    the run and its seed; a failed verification also its first blocking pair.
+    every enabled policy, one ``verify`` call. A failed verification names the
+    grid point, the run, its seed and its first blocking pair.
 
     Each (R, M, N) array dies after its last reader: the drop's shadowing as
     soon as the link budget is taken, the budget once the links and the
@@ -162,19 +192,8 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
             choices[name] = cre_association(name, metric(batch, budget), scen.n_mmw, grid)
     del budget
 
-    q_min = None
-    if exp.random_muw_quota:
-        cap = scen.n_ue // scen.n_muw
-        rng = rng_stream(seeds[0], STREAM_QUOTAS)  # re-keyed to each run's quota stream
-        draws = [rekey(rng, s, STREAM_QUOTAS).integers(0, cap + 1, scen.n_muw) for s in seeds]
-        q_min = [(pol.q_min_mmw,) * scen.n_mmw + tuple(d.tolist()) for d in draws]
-
     enabled = [name for name in POLICY_ORDER if name in exp.policies_enabled]
-    try:
-        instance = build_matching_instance(batch, links, batch.los_prob, pol, q_min)
-    except InfeasibleInstanceError as exc:
-        where = f"grid point {overrides}, run {runs[exc.run]}, seed {seeds[exc.run]}"
-        raise ConfigurationError(f"{where}: {exc.args[0]}") from exc
+    instance = build_matching_instance(batch, links, batch.los_prob, pol, q_min)
     matchers = {"mmq": mmq_match, "da": deferred_acceptance}
     # Policy p's assignment of run k is matchings.agent_to_host[k, p].
     matchings = build_matching(
@@ -233,6 +252,20 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range) -> dict[str,
     columns["policy"] = enabled * len(runs)
     columns["muw_rates_bps"] = rm.muw_rate_samples
     return columns
+
+
+def _noted_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> dict[str, list]:
+    """``_run_batch``; an error other than a ``VerificationFailure``, which names its
+    run, gets a note naming the grid point, the runs and their seeds."""
+    try:
+        return _run_batch(exp, overrides, runs, q_min)
+    except VerificationFailure:
+        raise
+    except Exception as exc:
+        seed = int(exp.scenario.seed)
+        exc.add_note(f"in grid point {overrides}, runs {runs[0]}-{runs[-1]}, "
+                     f"seeds {seed + runs[0]}-{seed + runs[-1]}")
+        raise
 
 
 ROW_COLUMNS = (
@@ -296,40 +329,21 @@ def _collect_rows(exp: ExperimentConfig, grid: list[dict], workers: int) -> dict
 
     ``grid`` is a list of override dicts (``SWEEP_KEYS`` to values); it need
     not be a product, so one call can cover a ragged sweep. A grid point's
-    runs go to ``_run_batch`` in batches, the pool's tasks; rows arrive in
+    runs go to ``_run_batch`` in batches, the pool's tasks (``_point_tasks``: every
+    run's minima are drawn and checked before any batch); rows arrive in
     task order (grid point, run, policy). ``muw_rates_bps`` lists each
     batch's flat array of microwave UE rates, unjoined.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    tasks = []
-    for overrides in grid:  # fail a point no run can meet before any work
-        scen, pol = _point_configs(exp, overrides)
-        q_min, q_max = pol.quota_vectors(scen.n_mmw, scen.n_muw, scen.n_ue)
-        cap = scen.n_ue // scen.n_muw  # random microwave minima are drawn in [0, cap]
-        if exp.random_muw_quota and cap > q_max[-1]:
-            raise ConfigurationError(
-                f"grid point {overrides}: random microwave minima reach M // N2 = {cap} > "
-                f"q_max_muw = {q_max[-1]}"
-            )
-        low = sum(q_min[: scen.n_mmw] if exp.random_muw_quota else q_min)
-        if not low <= scen.n_ue <= sum(q_max):
-            raise ConfigurationError(
-                f"grid point {overrides}: no feasible matching: sum q_min={low}, "
-                f"M={scen.n_ue}, sum q_max={sum(q_max)}"
-            )
-        # Runs per batch depend on the grid point alone, never on ``workers``.
-        size = max(1, min(exp.n_runs, _BATCH_ELEMENTS // (scen.n_ue * scen.n_bs)))
-        tasks += [
-            (exp, overrides, range(start, min(start + size, exp.n_runs)))
-            for start in range(0, exp.n_runs, size)
-        ]
+    # A point no run can meet fails before any work.
+    tasks = [task for overrides in grid for task in _point_tasks(exp, overrides)]
     workers = min(workers, len(tasks))  # a worker without a batch would sit idle
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_batch, *zip(*tasks)))
+            results = list(pool.map(_noted_batch, *zip(*tasks)))
     else:
-        results = list(itertools.starmap(_run_batch, tasks))
+        results = list(itertools.starmap(_noted_batch, tasks))
     columns = {key: [value for batch in results for value in batch[key]] for key in ROW_COLUMNS}
     columns["muw_rates_bps"] = [batch["muw_rates_bps"] for batch in results]
     return columns
@@ -428,12 +442,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Path:
     """Execute the experiment and write the per-run CSV plus the aggregate.
 
     Returns the per-run CSV path; the aggregate sits next to it with an
-    ``_agg`` suffix. Raises ``VerificationFailure`` if any run's quota-aware
-    matching is infeasible or unstable, ``ConfigurationError`` naming the grid
-    point (and run and seed, for random minima) whose quotas M cannot meet,
-    and, before any run, ``ConfigurationError`` naming the grid point and field
-    of a sweep value of the wrong kind and ``OSError`` for an output path it
-    could not write.
+    ``_agg`` suffix. Raises, before any run, ``ConfigurationError`` naming the
+    grid point (and run and seed, for random minima) whose quotas M cannot meet
+    or the grid point and field of a sweep value of the wrong kind, and
+    ``OSError`` for an output path it could not write; ``VerificationFailure``
+    if any run's quota-aware matching is infeasible or unstable. Any other
+    error from a batch carries a note naming its grid point, runs and seeds.
     """
     return _run_and_write(config, _grid_points(config.sweep), _write_experiment, workers)
 

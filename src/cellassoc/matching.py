@@ -75,7 +75,8 @@ class MatchingInstance:
     gated: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        m, n = self.n_agents, self.n_hosts
+        # Counts pass the ids' rule: integers, never bools or floats.
+        m, n = (int(_integers(name, getattr(self, name))) for name in ("n_agents", "n_hosts"))
         if m < 0 or n < 0:
             raise MatchingError("agent and host counts must be non-negative")
         prefs = self.agent_prefs
@@ -201,6 +202,7 @@ class Matching:
     n_hosts: int
 
     def __post_init__(self) -> None:
+        _integers("n_hosts", self.n_hosts)  # a count, refused as the ids are
         a2h = _integers("host ids", self.agent_to_host).copy()  # the caller's array stays its own
         bad = (a2h < -1) | (a2h >= self.n_hosts)
         if bad.any():  # argwhere only on failure: it costs more than the check

@@ -1,4 +1,5 @@
-"""Shared test utilities: random instances and loop-based reference oracles.
+"""Shared test utilities: random instances, loop-based reference oracles and
+one batch of the Monte Carlo driver as its tasks run it.
 
 The oracles are the row-wise stable argsort that the tie-guarded
 preference sort replaced, the proposal-loop deferred acceptance, the per-agent
@@ -21,6 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from cellassoc.channel import LinkBudget, LinkRealization, noise_power_dbm
+from cellassoc.experiments import _point_tasks, _run_batch
 from cellassoc.matching import (
     Matching,
     MatchingError,
@@ -489,3 +491,10 @@ def oracle_compute_utilities(links, f) -> np.ndarray:
     expected_mmw = f * links.se_mmw_los + (1.0 - f) * links.se_mmw_nlos
     with np.errstate(divide="ignore"):
         return np.concatenate([np.log(expected_mmw), np.log(links.se_muw)], axis=-1)
+
+
+def run_batch(exp, overrides: dict, runs: range) -> dict[str, list]:
+    """``_run_batch`` on runs ``runs`` of grid point ``overrides``, handed the minimum
+    quotas that the driver's tasks carry for those runs (None for fixed minima)."""
+    rows = [row for *_, q_min in _point_tasks(exp, overrides) for row in q_min or ()]
+    return _run_batch(exp, overrides, runs, rows[runs.start : runs.stop] or None)

@@ -18,7 +18,6 @@ from cellassoc.channel import draw_los_slots, link_budget, realize_links
 from cellassoc.experiments import (
     ROW_COLUMNS,
     ExperimentConfig,
-    _run_batch,
     _write_rows,
     aggregate_path,
     load_config,
@@ -39,7 +38,7 @@ from cellassoc.policies import (
     sinr_matrix_db,
 )
 from cellassoc.scenario import Scenario, ScenarioConfig, generate_scenario
-from helpers import oracle_best_bias, oracle_slot_averaged_rates
+from helpers import oracle_best_bias, oracle_slot_averaged_rates, run_batch
 
 BASE = ExperimentConfig(scenario=ScenarioConfig(n_mmw=3, n_muw=4, n_ue=20, seed=31), n_slots=9)
 
@@ -68,8 +67,8 @@ def test_batch_rows_equal_one_run_batches(tmp_path, case, overrides):
     # policies in POLICY_ORDER, and one flat array of microwave rates in row order.
     exp = CASES[case]
     runs = range(2, 7)
-    batch = _run_batch(exp, overrides, runs)
-    singles = [_run_batch(exp, overrides, range(run, run + 1)) for run in runs]
+    batch = run_batch(exp, overrides, runs)  # random minima: each run's drawn row
+    singles = [run_batch(exp, overrides, range(run, run + 1)) for run in runs]
     assert batch.keys() == set(ROW_COLUMNS + ("muw_rates_bps",))
     samples = batch.pop("muw_rates_bps")
     assert isinstance(samples, np.ndarray) and samples.ndim == 1

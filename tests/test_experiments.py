@@ -1,5 +1,5 @@
 import csv
-import importlib.util
+import importlib
 import json
 import math
 import os
@@ -393,9 +393,13 @@ def test_bad_sweep_value_names_grid_point_before_any_run(tmp_path, monkeypatch, 
     assert not (tmp_path / "bad.csv").exists()
 
 
-def test_random_quota_failure_names_point_run_and_seed(tmp_path):
+def test_random_quota_failure_names_point_run_and_seed(tmp_path, monkeypatch):
     # Ten mmW minima of 1 plus ten random microwave minima in [0, 2] exceed
-    # M = 20 on some runs; the grid check cannot see that in advance.
+    # M = 20 on some runs: every run's minima are drawn and checked before any batch.
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started before the minima were checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
     cfg = ExperimentConfig(
         scenario=ScenarioConfig(n_ue=20, seed=40), policy=PolicyConfig(q_min_mmw=1),
         policies_enabled=("mmq",), n_runs=30, n_slots=1, random_muw_quota=True,
@@ -406,6 +410,51 @@ def test_random_quota_failure_names_point_run_and_seed(tmp_path):
         match=r"grid point \{'m': 20\}, run \d+, seed \d+: no feasible matching: sum q_min=",
     ):
         run_experiment(cfg)
+
+
+def test_random_minima_m_cannot_meet_fail_before_any_batch(tmp_path, capsys, monkeypatch):
+    # M = 100 and 60 are met; run 0 at M = 10 draws 3 microwave minima on top of
+    # ten mmW minima of 1. Drawn inside its batch, it was refused after 21 batches.
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a batch started before every run's minima were checked")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_runs)
+    message = (
+        "grid point {'m': 10}, run 0, seed 1: no feasible matching: "
+        "sum q_min=13, M=10, sum q_max=200"
+    )
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(seed=1), policy=PolicyConfig(q_min_mmw=1),
+        policies_enabled=("mmq",), n_runs=200, random_muw_quota=True,
+        sweep={"m": (100, 60, 10)}, output_path=str(tmp_path / "m.csv"),
+    )
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        run_experiment(cfg)
+    cfg_file = tmp_path / "m.cfg"
+    cfg_file.write_text(
+        "scenario.seed = 1\npolicy.q_min_mmw = 1\nexperiment.runs = 200\n"
+        "experiment.random_muw_quota = true\nexperiment.policies = mmq\nsweep.m = 100, 60, 10\n"
+    )
+    assert simulate_main(["--config", str(cfg_file), "--out", str(tmp_path / "m.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"policy": PolicyConfig(q_min_muw=2)},
+        {"sweep": {"q_min_muw": (0, 2)}},
+        {"sweep": {"m": (8,), "q_min_muw": (0,)}},
+    ],
+)
+def test_random_minima_refuse_a_set_microwave_minimum(changes):
+    # The draws would replace it: grid points whose rows differ in their label alone.
+    refused = r"^random_muw_quota draws the microwave minima: q_min_muw must be 0 and not swept$"
+    changes = {"policy": PolicyConfig(), **changes}
+    with pytest.raises(ConfigurationError, match=refused):
+        replace(TINY, random_muw_quota=True, **changes)
+    replace(TINY, **changes)  # fixed minima may be set and swept
 
 
 def test_random_minima_above_the_microwave_cap_fail_before_any_run(tmp_path, capsys, monkeypatch):
@@ -432,8 +481,8 @@ def test_numpy_integer_seed_gives_the_same_bytes(tmp_path):
     outs = []
     for seed in (3, np.int64(3)):
         cfg = replace(
-            TINY, scenario=replace(TINY.scenario, seed=seed), random_muw_quota=True,
-            output_path=str(tmp_path / f"{type(seed).__name__}.csv"),
+            TINY, scenario=replace(TINY.scenario, seed=seed), policy=PolicyConfig(),
+            random_muw_quota=True, output_path=str(tmp_path / f"{type(seed).__name__}.csv"),
         )
         out = run_experiment(cfg)
         outs.append((out.read_bytes(), aggregate_path(out).read_bytes()))
@@ -656,6 +705,36 @@ def test_fig4_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_fig3_parallel_matches_serial(tmp_path):
+    # Random minima: at 17 runs, M = 100 takes two batches (16 + 1), each handed
+    # its own runs' drawn minima.
+    serial = run_figure("fig3", output_path=tmp_path / "serial.csv", n_runs=17)
+    parallel = run_figure("fig3", output_path=tmp_path / "par.csv", n_runs=17, workers=2)
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_a_batch_error_names_its_grid_point_runs_and_seeds(tmp_path, capsys, monkeypatch):
+    # A stage's own error names no run. The driver notes the batch's grid point,
+    # runs and seeds; the note survives the pool, and simulate prints it.
+    def broken(*args, **kwargs):
+        raise ValueError("stage failed")
+
+    monkeypatch.setattr("cellassoc.experiments.cre_association", broken)
+    note = "in grid point {'m': 6}, runs 0-1, seeds 77-78"
+    exp = replace(TINY, n_runs=2, sweep={"m": (6, 8)}, output_path=str(tmp_path / "e.csv"))
+    for workers in (1, 2):
+        with pytest.raises(ValueError) as failure:
+            run_experiment(exp, workers=workers)
+        assert (str(failure.value), failure.value.__notes__) == ("stage failed", [note])
+    cfg_file = tmp_path / "e.cfg"
+    cfg_file.write_text("scenario.n_mmw = 2\nscenario.n_muw = 2\nscenario.seed = 77\n"
+                        "policy.q_min_muw = 1\nexperiment.runs = 2\nsweep.m = 6, 8\n")
+    argv = ["--config", str(cfg_file), "--out", str(tmp_path / "e.csv"), "--workers", "2"]
+    assert simulate_main(argv) == 1
+    assert capsys.readouterr().err == f"error: stage failed\n{note}\n"
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_fig4_runs_pass_through_the_verifier(tmp_path, monkeypatch):
     def report_infeasible(instance, matching):
         report = verify(instance, matching)
@@ -706,6 +785,7 @@ def test_verification_failure_names_run_and_seed(tmp_path, monkeypatch):
     message = str(failure.value)
     assert f"grid point {{}}, run 2, seed {TINY.scenario.seed + 2} (feasible=False" in message
     assert message.split("Assignment: ")[1].startswith("[-1, ")
+    assert not hasattr(failure.value, "__notes__")  # it names its run itself
     assert not (tmp_path / "broken.csv").exists()
 
 
@@ -1009,8 +1089,21 @@ def test_cli_simulate_rejects_nan_scenario_value(tmp_path, capsys, monkeypatch):
             "error: line 1: policy.bias_rssi_db: "
             "bias_rssi_db must be a finite non-negative dB offset, got inf\n",
         ),
+        (
+            "experiment.random_muw_quota = true\nscenario.n_ue = 30\npolicy.q_min_muw = 2\n",
+            "error: line 1: experiment.random_muw_quota, line 3: policy.q_min_muw: "
+            "random_muw_quota draws the microwave minima: q_min_muw must be 0 and not swept\n",
+        ),
+        (
+            "sweep.q_min_muw = 0, 1\nexperiment.random_muw_quota = true\n",
+            "error: line 1: sweep.q_min_muw, line 2: experiment.random_muw_quota: "
+            "random_muw_quota draws the microwave minima: q_min_muw must be 0 and not swept\n",
+        ),
     ],
-    ids=["one_key", "two_keys", "policy_bias", "experiment", "policy_bias_inf"],
+    ids=[
+        "one_key", "two_keys", "policy_bias", "experiment", "policy_bias_inf",
+        "random_minima_policy", "random_minima_sweep",
+    ],
 )
 def test_cli_simulate_rejected_value_names_line_and_key(
     tmp_path, capsys, monkeypatch, text, message
@@ -1106,7 +1199,7 @@ def test_batches_depend_on_the_grid_point_alone(monkeypatch):
     # here, whatever --workers says.
     batches = []
 
-    def record(exp, overrides, runs):
+    def record(exp, overrides, runs, q_min):
         batches.append((overrides["m"], runs))
         return {**dict.fromkeys(ROW_COLUMNS, ()), "muw_rates_bps": runs}
 
@@ -1248,15 +1341,3 @@ def test_load_config_roundtrip(tmp_path):
     cfg = load_config(path)
     assert cfg.scenario.n_ue == 9
     assert cfg.n_runs == 2
-
-
-def test_bench_trace_targets_resolve():
-    # The benchmark's span tracer wraps these names; a rename must fail here,
-    # not only show up as a missing name in a benchmark note.
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
-    for module, attribute, _layer in tracing.TARGETS:
-        assert hasattr(importlib.import_module(module), attribute), f"{module}.{attribute}"

@@ -247,10 +247,10 @@ def test_tight_batch_peak_stays_within_its_live_arrays():
         policies_enabled=("mmq", "da"),
         n_runs=1,
     )
-    _run_batch(exp, {}, range(1))  # lazy imports and first-call set-up stay out of the trace
+    _run_batch(exp, {}, range(1), None)  # lazy imports and first-call set-up stay out of the trace
     tracemalloc.start()
     try:
-        _run_batch(exp, {}, range(1))
+        _run_batch(exp, {}, range(1), None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,7 +13,7 @@ import pytest
 
 from cellassoc import channel, experiments, scenario
 from cellassoc.channel import draw_los_slots, link_budget, path_loss_db, realize_links
-from cellassoc.experiments import POLICY_ORDER, ExperimentConfig, _run_batch
+from cellassoc.experiments import POLICY_ORDER, ExperimentConfig, _point_tasks, _run_batch
 from cellassoc.policies import CRE_BIAS_GRIDS, cre_association, rssi_matrix_dbm, sinr_matrix_db
 from cellassoc.scenario import (
     STREAM_QUOTAS,
@@ -26,7 +26,7 @@ from cellassoc.scenario import (
     rekey,
     rng_stream,
 )
-from helpers import oracle_best_bias, oracle_draw_los_slots, oracle_pairwise_distances
+from helpers import oracle_best_bias, oracle_draw_los_slots, oracle_pairwise_distances, run_batch
 
 SHAPES = [(7, 3), (1, 1), (5000, 100)]
 
@@ -191,7 +191,7 @@ def test_run_batch_evaluates_the_link_budget_once(monkeypatch):
         policies_enabled=POLICY_ORDER,
         auto_bias=True,
     )
-    columns = _run_batch(exp, {}, range(5))
+    columns = _run_batch(exp, {}, range(5), None)
     assert columns["policy"] == list(POLICY_ORDER) * 5
     assert columns["run"] == [run for run in range(5) for _ in POLICY_ORDER]
     # One distance matrix per tier; LoS, NLoS and microwave path loss once
@@ -200,10 +200,10 @@ def test_run_batch_evaluates_the_link_budget_once(monkeypatch):
 
 
 @pytest.mark.parametrize("random_muw_quota", [False, True])
-def test_run_batch_builds_one_generator_per_stream(monkeypatch, random_muw_quota):
-    # One generator per stream the batch draws: the scenarios, the slots and,
-    # when on, the random minima. Each is re-keyed once per run, and no other
-    # stream is ever keyed.
+def test_quotas_and_batches_build_one_generator_per_stream(monkeypatch, random_muw_quota):
+    # A grid point's random minima are drawn before any batch, from one generator
+    # re-keyed once per run; a batch builds one generator per stream it draws, the
+    # scenarios and the slots, each re-keyed once per run. No other stream is keyed.
     built, keys, rekeys = [], [], []
     real_generator, real_key = np.random.Generator, scenario._stream_key
 
@@ -226,11 +226,19 @@ def test_run_batch_builds_one_generator_per_stream(monkeypatch, random_muw_quota
     exp = ExperimentConfig(
         scenario=ScenarioConfig(n_ue=30, seed=4),
         policies_enabled=POLICY_ORDER,
+        n_runs=8,
         random_muw_quota=random_muw_quota,
     )
+    [(_, _, runs, q_min)] = _point_tasks(exp, {})  # 8 runs of 30 x 20 fit one batch
+    assert runs == range(8) and (q_min is None) != random_muw_quota
+    assert len(built) == random_muw_quota
+    assert rekeys == [(4 + run, STREAM_QUOTAS) for run in runs if random_muw_quota]
+    assert len(keys) == len(built) + len(rekeys) and set(keys) <= {STREAM_QUOTAS}
+    for record in (built, keys, rekeys):
+        record.clear()
     runs = range(3, 8)
-    _run_batch(exp, {}, runs)
-    streams = [STREAM_SCENARIO, STREAM_SLOTS] + [STREAM_QUOTAS] * random_muw_quota
+    _run_batch(exp, {}, runs, q_min and q_min[3:])
+    streams = [STREAM_SCENARIO, STREAM_SLOTS]
     assert len(built) == len(streams)
     assert sorted(rekeys) == sorted((4 + run, stream) for run in runs for stream in streams)
     assert len(keys) == len(built) + len(rekeys) and set(keys) <= set(streams)
@@ -271,7 +279,7 @@ def test_run_batch_draws_the_slots_after_the_instance_is_released(monkeypatch, r
         policies_enabled=POLICY_ORDER,
         random_muw_quota=random_muw_quota,
     )
-    _run_batch(exp, {}, range(3))
+    run_batch(exp, {}, range(3))
     assert calls == [
         "realize_links", "build_matching_instance", "verify", "draw_los_slots",
         "slot_averaged_rates",

@@ -222,6 +222,19 @@ def test_build_matching_rejects_non_integer_hosts():
         build_matching([0.7, 1], 2)
 
 
+@pytest.mark.parametrize(
+    "n_hosts, dtype", [(True, "bool"), (np.bool_(True), "bool"), (1.0, "float64"), ("1", "<U1")]
+)
+def test_build_matching_rejects_a_non_integer_host_count(n_hosts, dtype):
+    with pytest.raises(MatchingError, match=f"^n_hosts must be integers, got {dtype}$"):
+        build_matching([0], n_hosts)
+
+
+def test_numpy_integer_counts_are_accepted():
+    instance = MatchingInstance(np.int64(1), np.int32(1), ((0,),), (0,), (0,), (1,))
+    assert build_matching([0], np.int64(1)) == mmq_match(instance)
+
+
 def test_matching_arrays_are_read_only():
     m = build_matching([0, -1, 2, 0], 3)
     with pytest.raises(ValueError):
@@ -537,6 +550,14 @@ def test_structural_validation():
     [
         ((-1, 0, (), (), (), ()), {},
          "agent and host counts must be non-negative"),
+        ((2, 2.0, ((0, 1), (1, 0)), (0, 1), (0, 0), (2, 2)), {},
+         "n_hosts must be integers, got float64"),
+        ((True, 1, ((0,),), (0,), (0,), (1,)), {},
+         "n_agents must be integers, got bool"),
+        ((1, np.bool_(True), ((0,),), (0,), (0,), (1,)), {},
+         "n_hosts must be integers, got bool"),
+        (("1", 1, ((0,),), (0,), (0,), (1,)), {},
+         "n_agents must be integers, got <U1"),
         ((2, 1, ((0,),), (0, 1), (0,), (2,)), {},
          "expected 2 preference lists, got 1"),
         ((1, 2, ((0, 1),), (0,), (0,), (1, 1)), {},
