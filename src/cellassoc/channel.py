@@ -184,19 +184,16 @@ def realize_links(
     )
 
 
-def draw_los_slots(scenario: Scenario, n_slots: int, seeds=None) -> np.ndarray:
+def draw_los_slots(scenario: Scenario, n_slots: int) -> np.ndarray:
     """(n_slots, M, N1) boolean stack of independent per-slot LoS states drawn from
     the stream ``(config.seed, STREAM_SLOTS)``. A stacked scenario gives (n_slots, R,
-    M, N1), run r drawn from ``(seeds[r], STREAM_SLOTS)``: one generator is re-keyed
-    per run. A ``random`` call fills as many slots as fit in ``_BATCH_ELEMENTS``
-    floats, at least one."""
+    M, N1), run r drawn from ``(scenario.seeds[r], STREAM_SLOTS)``: the stack names its
+    runs, and one generator is re-keyed per run. A ``random`` call fills as many slots as
+    fit in ``_BATCH_ELEMENTS`` floats, at least one."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    prob = scenario.los_prob
-    stacked = prob.ndim > 2
-    if stacked != (seeds is not None) or stacked and len(seeds) != len(prob):
-        raise ValueError("a stacked scenario takes one seed per run, one run none")
-    if not stacked:  # one run: a run axis of one, keyed by the config's seed
+    seeds, prob = scenario.seeds, scenario.los_prob
+    if seeds is None:  # one run: a run axis of one, keyed by the config's seed
         seeds, prob = (scenario.config.seed,), prob[None]
     slots = np.empty((n_slots,) + prob.shape, dtype=bool)
     # Chunks of slots read the same stream as one (S, M, N1) draw, through one float buffer.
@@ -209,4 +206,4 @@ def draw_los_slots(scenario: Scenario, n_slots: int, seeds=None) -> np.ndarray:
             draw = buffer[: n_slots - start]
             rng.random(out=draw)
             np.less(draw, run_prob, out=run_slots[start : start + chunk])
-    return slots if stacked else slots[:, 0]
+    return slots if scenario.seeds is not None else slots[:, 0]

@@ -48,6 +48,7 @@ from .scenario import (
     ScenarioConfig,
     _check_fields,
     _field_kind,
+    _is_integer,
     _parse_list,
     _require,
     generate_scenario,
@@ -160,12 +161,12 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
     flat array of every row's microwave UE rates in row order, row i holding
     ``ue_muw[i]`` of them. Run r's seed is the base seed plus r, and each run has its
     own matcher walk. ``q_min`` is None or each run's minimum quotas, which
-    ``_point_tasks`` drew and checked. Each stream the batch draws (scenario, slots) has
-    one generator, re-keyed to each run's seed (see ``rekey``). Everything else runs
-    once for the batch, on arrays with a leading run axis, and gives each run
-    what it gets alone: one validated instance, one (R, P, M) matching of
-    every enabled policy, one ``verify`` call. A failed verification names the
-    grid point, the run, its seed and its first blocking pair.
+    ``_point_tasks`` drew and checked. The drop keeps its runs' seeds, which the slot
+    draw and the ``seed`` column read; each stream (scenario, slots) has one generator,
+    re-keyed per run (see ``rekey``). Everything else runs once for the batch, on arrays
+    with a leading run axis, and gives each run what it gets alone: one validated
+    instance, one (R, P, M) matching of every enabled policy, one ``verify`` call. A
+    failed verification names the grid point, the run, its seed and its first blocking pair.
 
     Each (R, M, N) array dies after its last reader: the drop's shadowing as
     soon as the link budget is taken, the budget once the links and the
@@ -175,8 +176,7 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
     carry no LoS state and the (S, R, M, N1) slot stack is drawn last, for
     the rates alone."""
     scen, pol = _point_configs(exp, overrides)
-    seeds = [int(scen.seed) + r for r in runs]
-    batch = generate_scenario(scen, seeds)
+    batch = generate_scenario(scen, [int(scen.seed) + r for r in runs])
     budget = link_budget(batch)
     batch = replace(batch, shadow_mmw_los=None, shadow_mmw_nlos=None, shadow_muw=None)
     links = realize_links(batch, None, budget)  # the rates read the slot stack drawn below
@@ -213,7 +213,7 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
             k = failed[0]
             raise VerificationFailure(
                 f"quota-aware matching failed verification at grid point "
-                f"{overrides}, run {runs[k]}, seed {seeds[k]} "
+                f"{overrides}, run {runs[k]}, seed {batch.seeds[k]} "
                 f"(feasible={feasible[k, p]}, blocking={blocking[k, p]} "
                 f"{list(report.blocking_pairs[k, p][:1])}).\n"
                 f"Instance dump:\n{format_instance(instance.run(k))}"
@@ -226,7 +226,7 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
     # The links' and slots' run axis is the matching's first: rates are (R, P, M),
     # statistics (R, P). Each run's slots come from its own stream, so drawing
     # them last changes no byte.
-    los_slots = draw_los_slots(batch, exp.n_slots, seeds)
+    los_slots = draw_los_slots(batch, exp.n_slots)
     rates = slot_averaged_rates(matchings, links, los_slots, scen)
     rm = run_metrics(matchings, links, rates)
     mmw_loads, muw_loads = np.split(matchings.loads, [scen.n_mmw], axis=-1)
@@ -245,7 +245,7 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
         "q_min_mmw": pol.q_min_mmw, "q_min_muw": pol.q_min_muw, "c_th": pol.c_th,
         "bias_rssi_db": pol.bias_rssi_db, "bias_sinr_db": pol.bias_sinr_db,
     }
-    per_run = {"q_min_muw_total": totals, "seed": seeds, "run": runs}
+    per_run = {"q_min_muw_total": totals, "seed": batch.seeds, "run": runs}
     columns = {key: [value] * (len(runs) * len(enabled)) for key, value in point.items()}
     columns.update({key: [v for v in values for _ in enabled] for key, values in per_run.items()})
     columns.update({key: value.ravel().tolist() for key, value in stats.items()})
@@ -334,6 +334,8 @@ def _collect_rows(exp: ExperimentConfig, grid: list[dict], workers: int) -> dict
     task order (grid point, run, policy). ``muw_rates_bps`` lists each
     batch's flat array of microwave UE rates, unjoined.
     """
+    if not _is_integer(workers):  # a bool or a float would reach the pool
+        raise ConfigurationError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     # A point no run can meet fails before any work.

@@ -179,7 +179,8 @@ class Scenario:
     BS indexing convention used throughout the package: indices 0..n_mmw-1 are
     the mmW BSs, n_mmw..n_bs-1 the microwave BSs. Arrays are write-protected;
     a scenario may be shared read-only across workers. A stacked scenario
-    puts a leading run axis on every array (runs that differ only in seed).
+    puts a leading run axis on every array and names its runs' seeds, one
+    Python int each; a one-run scenario has none and is keyed by config.seed.
     Only ``channel.link_budget`` reads the shadowing. The Monte Carlo driver
     replaces it by None once a batch's budget is taken, so that the rest of
     the batch runs without it.
@@ -193,11 +194,14 @@ class Scenario:
     shadow_mmw_los: Optional[np.ndarray] = field(repr=False)  # (M, N1)
     shadow_mmw_nlos: Optional[np.ndarray] = field(repr=False)  # (M, N1)
     shadow_muw: Optional[np.ndarray] = field(repr=False)  # (M, N2)
+    seeds: Optional[tuple] = None  # (R,) run seeds of a stack
 
     def __post_init__(self) -> None:
-        for f in fields(self)[1:]:  # every array after the config; released shadowing is None
+        for f in fields(self)[1:-1]:  # the arrays after the config; released shadowing is None
             if getattr(self, f.name) is not None:
                 getattr(self, f.name).setflags(write=False)
+        if self.los_prob.shape[:-2] != (() if self.seeds is None else (len(self.seeds),)):
+            raise ValueError("a stacked scenario names one seed per run, one run none")
 
     @property
     def n_mmw(self) -> int:
@@ -219,13 +223,13 @@ def generate_scenario(config: ScenarioConfig, seeds=None) -> Scenario:
     probabilities are i.i.d. uniform on [0, 1]; shadowing is zero-mean
     Gaussian with the per-class sigma, drawn once per (pair, LoS state)
     and held fixed for the run. With ``seeds``, one stacked scenario holds a
-    run per seed instead. Each run re-keys one generator to its seed and
-    draws three blocks: every position, the LoS probabilities, then all
-    shadowing as standard normals; disk transforms and scaling run once for
-    all runs.
+    run per seed instead and keeps them as a tuple, from which later draws key
+    each run. Each run re-keys one generator to its seed and draws three
+    blocks: every position, the LoS probabilities, then all shadowing as
+    standard normals; disk transforms and scaling run once for all runs.
     """
     stacked = seeds is not None
-    seeds = seeds if stacked else (config.seed,)
+    seeds = tuple(map(int, seeds)) if stacked else (config.seed,)
     rng = rng_stream(seeds[0])
     n1, n2, m = config.n_mmw, config.n_muw, config.n_ue
     uniform = np.empty((len(seeds), 2 * (n1 + n2 + m)))
@@ -248,7 +252,7 @@ def generate_scenario(config: ScenarioConfig, seeds=None) -> Scenario:
         z *= params.shadow_sigma_db
         z += 0.0  # rng.normal's loc + scale * z, bit for bit (-0.0 becomes 0.0)
         arrays.append(z.reshape(len(seeds), m, -1))
-    return Scenario(config, *(arrays if stacked else [a[0] for a in arrays]))
+    return Scenario(config, *(a if stacked else a[0] for a in arrays), seeds if stacked else None)
 
 
 def distance(a, b) -> float:

@@ -88,6 +88,7 @@ def _per_run(cfg: ScenarioConfig, n_runs: int):
     """Per-run configs and scenarios, plus the batched draw of the same seeds."""
     configs = [replace(cfg, seed=cfg.seed + k) for k in range(n_runs)]
     batch = generate_scenario(cfg, [c.seed for c in configs])
+    assert batch.seeds == tuple(c.seed for c in configs)  # the slot draw keys run k from it
     return configs, [generate_scenario(c) for c in configs], batch
 
 
@@ -96,7 +97,8 @@ def test_one_run_stack_is_a_view():
     cfg = ScenarioConfig(n_ue=6, seed=2)
     (sc,), batch = _per_run(cfg, 1)[1:]
     assert batch.los_prob.shape == (1,) + sc.los_prob.shape
-    for f in fields(Scenario)[1:]:
+    assert batch.seeds == (cfg.seed,) and sc.seeds is None
+    for f in fields(Scenario)[1:-1]:  # the arrays
         assert np.array_equal(getattr(batch, f.name)[0], getattr(sc, f.name))
         assert not getattr(sc, f.name).flags.owndata
 
@@ -107,7 +109,7 @@ def test_stacked_stages_match_per_run(n_runs, c_th):
     configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=4, n_ue=11, seed=9), n_runs)
     assert (batch.n_ue, batch.n_mmw, batch.n_muw) == (11, 3, 4)
     budget = link_budget(batch)
-    slots = draw_los_slots(batch, 5, [c.seed for c in configs])
+    slots = draw_los_slots(batch, 5)
     links = realize_links(batch, None, budget)
     u = compute_utilities(links, batch.los_prob)
     prefs, gated = build_preferences(u, batch.n_mmw, c_th)
@@ -162,7 +164,7 @@ def test_stacked_best_bias_matches_oracle_per_run(m, n, tier, integer):
 def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     rng = np.random.default_rng([n_slots, n_ue])
     configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=2, n_ue=n_ue, seed=5), 3)
-    slots = draw_los_slots(batch, n_slots, [c.seed for c in configs])
+    slots = draw_los_slots(batch, n_slots)
     links = realize_links(batch, None)
     instance = build_matching_instance(batch, links, batch.los_prob, PolicyConfig())
     hosts = np.stack(  # (run, policy, UE); the random policy has both tiers and unmatched UEs
@@ -195,7 +197,7 @@ def test_stacked_rates_align_on_the_run_axis():
     # R == P == S == 2: broadcast from the trailing axes, run r's links would
     # meet policy r's assignments of every run, and no shape would object.
     configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=2, n_ue=8, seed=9), 2)
-    slots = draw_los_slots(batch, 2, [c.seed for c in configs])
+    slots = draw_los_slots(batch, 2)
     hosts = np.random.default_rng(4).integers(-1, 5, (2, 2, 8))  # (run, policy, UE)
     rates = slot_averaged_rates(
         build_matching(hosts, 5), realize_links(batch, None), slots, configs[0]

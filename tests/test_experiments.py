@@ -1163,6 +1163,30 @@ def test_cli_simulate_rejects_bad_workers(tmp_path, capsys, monkeypatch, argv):
     assert "workers must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", [2.0, 2.5, True, "2"])
+@pytest.mark.parametrize("entry", ["run_experiment", "run_figure", "optimal_min_quota_sweep"])
+def test_api_rejects_non_integer_workers(tmp_path, monkeypatch, entry, workers):
+    # A float or str would fail inside the pool, and a bool would pass as 0 or 1.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("cellassoc.experiments._run_batch", no_run)
+    monkeypatch.setattr("cellassoc.experiments._point_tasks", no_run)
+    out = tmp_path / "out.csv"
+    calls = {
+        "run_experiment": lambda: run_experiment(
+            replace(TINY, sweep={"m": (8, 10)}, output_path=str(out)), workers=workers
+        ),
+        "run_figure": lambda: run_figure("fig7", out, 2, workers=workers),
+        "optimal_min_quota_sweep": lambda: optimal_min_quota_sweep(
+            TINY.scenario, [8], [0, 1], n_runs=2, n_slots=2, workers=workers
+        ),
+    }
+    with pytest.raises(ConfigurationError, match="^workers must be an integer"):
+        calls[entry]()
+    assert not out.exists()
+
+
 def recording_pool(sizes):
     class RecordingPool:  # runs the tasks in process; starts no worker
         def __init__(self, max_workers):
@@ -1191,7 +1215,8 @@ def test_pool_is_capped_at_the_batch_count(tmp_path, monkeypatch):
     assert sizes == []  # one batch (TINY's three runs fit in one): serial, no pool at all
     run_experiment(three_points, workers=8)
     run_experiment(three_points, workers=2)
-    assert sizes == [3, 2]
+    run_experiment(three_points, workers=np.int64(2))  # a numpy integer is an integer
+    assert sizes == [3, 2, 2]
 
 
 def test_batches_depend_on_the_grid_point_alone(monkeypatch):

@@ -5,8 +5,10 @@ live on in ``helpers`` as oracles; the budget-derived RSSI and SINR matrices
 are also checked entry by entry against scalar path loss arithmetic.
 """
 
+import inspect
 import math
 import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cellassoc.scenario import (
     STREAM_QUOTAS,
     STREAM_SCENARIO,
     STREAM_SLOTS,
+    Scenario,
     ScenarioConfig,
     distance,
     generate_scenario,
@@ -61,7 +64,7 @@ def test_chunked_slot_draw_matches_one_shot_draw(monkeypatch, budget):
     monkeypatch.setattr(channel, "_BATCH_ELEMENTS", budget)
     cfg = ScenarioConfig(n_ue=4, n_mmw=4, n_muw=1, seed=3)
     seeds = [3, -1, 2**63]
-    got = draw_los_slots(generate_scenario(cfg, seeds), 7, seeds)
+    got = draw_los_slots(generate_scenario(cfg, seeds), 7)  # the stack names its runs
     assert got.dtype == bool and got.shape == (7, 3, 4, 4)
     for r, seed in enumerate(seeds):
         sc = generate_scenario(ScenarioConfig(n_ue=4, n_mmw=4, n_muw=1, seed=seed))
@@ -69,12 +72,24 @@ def test_chunked_slot_draw_matches_one_shot_draw(monkeypatch, budget):
         assert np.array_equal(got[:, r], draw_los_slots(sc, 7))
 
 
-def test_slot_draw_takes_one_seed_per_stacked_run():
+def test_stack_is_built_with_one_seed_per_run():
+    # The slot draw takes no seeds: it reads the stack's own, so a stack is refused
+    # where it is built without exactly one per run, and a one-run scenario with any.
+    assert list(inspect.signature(draw_los_slots).parameters) == ["scenario", "n_slots"]
     cfg = ScenarioConfig(n_ue=4, n_mmw=4, n_muw=1, seed=3)
-    batch = generate_scenario(cfg, [3, 4])
-    for sc, seeds in ((batch, None), (batch, [3]), (batch, [3, 4, 5]), (generate_scenario(cfg), [3])):
+    batch, one = generate_scenario(cfg, [3, 4]), generate_scenario(cfg)
+    arrays = [getattr(batch, f.name) for f in fields(Scenario)[1:-1]]
+    with pytest.raises(ValueError, match="one seed per run"):
+        Scenario(cfg, *arrays)
+    for sc, seeds in ((batch, None), (batch, (3,)), (batch, (3, 4, 5)), (one, (3,))):
         with pytest.raises(ValueError, match="one seed per run"):
-            draw_los_slots(sc, 2, seeds)
+            replace(sc, seeds=seeds)
+    released = replace(batch, shadow_mmw_los=None, shadow_mmw_nlos=None, shadow_muw=None)
+    assert released.seeds == batch.seeds == (3, 4)
+    assert np.array_equal(draw_los_slots(released, 2), draw_los_slots(batch, 2))
+    # numpy seeds are kept as Python ints, which key the streams without wrapping.
+    seeds = generate_scenario(cfg, np.array([2**64 - 1, 5], dtype=np.uint64)).seeds
+    assert seeds == (2**64 - 1, 5) and all(type(seed) is int for seed in seeds)
 
 
 @pytest.mark.parametrize("m, n", SHAPES)

@@ -59,16 +59,17 @@ def test_metric_matrices_take_the_run_budget(metric):
 
 def test_no_public_callable_takes_a_generator():
     # Each draw keys its own generator by (seed, stream), so no caller builds
-    # one to hand in. realize_links' rng is accepted and ignored.
+    # one to hand in. realize_links' rng is accepted and ignored. A stack's run
+    # seeds are given once, where it is drawn, and the Scenario keeps them.
     takers = []
     for name in cellassoc.__all__:
         value = getattr(cellassoc, name)
         if not callable(value) or isinstance(value, type) and issubclass(value, Exception):
             continue  # an exception's signature is the builtin one
         for param in inspect.signature(value).parameters.values():
-            if param.name in {"rng", "generator"} or "Generator" in str(param.annotation):
+            if param.name in {"rng", "generator", "seeds"} or "Generator" in str(param.annotation):
                 takers.append(f"{name}({param.name})")
-    assert takers == ["realize_links(rng)"]
+    assert sorted(takers) == ["Scenario(seeds)", "generate_scenario(seeds)", "realize_links(rng)"]
 
 
 def test_los_update_has_one_rule():

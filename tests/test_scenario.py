@@ -224,10 +224,12 @@ def test_batched_draw_matches_per_run_oracle(m, n1, n2, seeds, sigma_muw):
     )
     batch = generate_scenario(cfg, seeds)
     assert batch.config is cfg and batch.los_prob.shape == (len(seeds), m, n1)
+    assert batch.seeds == tuple(seeds)  # the stack names its runs
     for r, seed in enumerate(seeds):
         want = oracle_generate_scenario(replace(cfg, seed=seed))
         one = generate_scenario(replace(cfg, seed=seed))
-        for f in fields(Scenario)[1:]:
+        assert one.seeds is None and want.seeds is None  # a one-run drop is keyed by its config
+        for f in fields(Scenario)[1:-1]:  # the arrays; seeds is checked above
             got, expected = getattr(batch, f.name)[r], getattr(want, f.name)
             assert np.array_equal(got, expected)
             assert got.tobytes() == expected.tobytes()  # signed zeros too
