@@ -17,8 +17,16 @@ import numpy as np
 from .scenario import STREAM_SLOTS, PathLossParams, Scenario, pairwise_distances, rekey, rng_stream
 
 # Entries per working array: the Monte Carlo driver batches as many runs as
-# keep its (R, M, N) stacks within it, and a slot draw as many slots.
+# keep its (R, M, N) stacks within it, and each row-blocked stage (the batch's
+# radio chain and instance build, the preference sort, the slot draw) as many rows.
 _BATCH_ELEMENTS = 32768
+
+
+def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
+    """Consecutive slices over ``n_rows`` rows of ``row_size`` entries each: as many rows
+    per slice as keep a block within ``_BATCH_ELEMENTS`` entries, one row at least."""
+    step = max(1, _BATCH_ELEMENTS // max(1, row_size))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def db_to_linear(x_db):
@@ -196,14 +204,14 @@ def draw_los_slots(scenario: Scenario, n_slots: int) -> np.ndarray:
     if seeds is None:  # one run: a run axis of one, keyed by the config's seed
         seeds, prob = (scenario.config.seed,), prob[None]
     slots = np.empty((n_slots,) + prob.shape, dtype=bool)
-    # Chunks of slots read the same stream as one (S, M, N1) draw, through one float buffer.
-    chunk = min(n_slots, max(1, _BATCH_ELEMENTS // max(1, prob.shape[-2] * prob.shape[-1])))
-    buffer = np.empty((chunk,) + prob.shape[-2:])
+    # Blocks of slots read the same stream as one (S, M, N1) draw, through one float buffer.
+    blocks = _row_blocks(n_slots, prob[0].size)
+    buffer = np.empty((blocks[0].stop,) + prob.shape[-2:])
     rng = rng_stream(seeds[0], STREAM_SLOTS)
     for seed, run_prob, run_slots in zip(seeds, prob, slots.swapaxes(0, 1)):
         rekey(rng, seed, STREAM_SLOTS)
-        for start in range(0, n_slots, chunk):
-            draw = buffer[: n_slots - start]
+        for block in blocks:
+            draw = buffer[: block.stop - block.start]
             rng.random(out=draw)
-            np.less(draw, run_prob, out=run_slots[start : start + chunk])
+            np.less(draw, run_prob, out=run_slots[block])
     return slots if scenario.seeds is not None else slots[:, 0]

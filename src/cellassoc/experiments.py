@@ -31,9 +31,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import _BATCH_ELEMENTS, draw_los_slots, link_budget, realize_links
+from .channel import (
+    _BATCH_ELEMENTS,
+    LinkRealization,
+    _row_blocks,
+    draw_los_slots,
+    link_budget,
+    realize_links,
+)
 from .matching import build_matching, deferred_acceptance, format_instance, mmq_match, verify
-from .metrics import max_load_difference, percentile, rate_cdf, run_metrics, slot_averaged_rates
+from .metrics import (
+    max_load_difference,
+    percentile,
+    rate_cdf,
+    run_metrics,
+    served_links,
+    slot_averaged_rates,
+)
 from .policies import (
     CRE_BIAS_GRIDS,
     PolicyConfig,
@@ -123,13 +137,18 @@ def _point_configs(exp: ExperimentConfig, overrides: dict) -> tuple[ScenarioConf
         raise ConfigurationError(f"grid point {overrides}: {exc}") from exc
 
 
+def _run_seed(scen: ScenarioConfig, run: int) -> int:
+    """The seed of Monte Carlo run ``run``: the base seed plus the run index."""
+    return int(scen.seed) + run
+
+
 def _point_tasks(exp: ExperimentConfig, overrides: dict) -> list[tuple]:
     """The ``_run_batch`` arguments of grid point ``overrides``, one tuple per batch, each
     with its runs' drawn minimum quotas (None for fixed minima). Every run's row is checked
     against M first: a refusal names the point and, for drawn minima, the run and its seed."""
     scen, pol = _point_configs(exp, overrides)
     q_min, q_max = pol.quota_vectors(scen.n_mmw, scen.n_muw, scen.n_ue)
-    seed, rows = int(scen.seed), [q_min]
+    rows = [q_min]
     if exp.random_muw_quota:
         cap = scen.n_ue // scen.n_muw  # random microwave minima are drawn in [0, cap]
         if cap > q_max[-1]:
@@ -137,13 +156,13 @@ def _point_tasks(exp: ExperimentConfig, overrides: dict) -> list[tuple]:
                 f"grid point {overrides}: random microwave minima reach M // N2 = {cap} > "
                 f"q_max_muw = {q_max[-1]}"
             )
-        rng = rng_stream(seed, STREAM_QUOTAS)  # re-keyed to each run's quota stream
-        draws = [rekey(rng, seed + r, STREAM_QUOTAS).integers(0, cap + 1, scen.n_muw)
+        rng = rng_stream(scen.seed, STREAM_QUOTAS)  # re-keyed to each run's quota stream
+        draws = [rekey(rng, _run_seed(scen, r), STREAM_QUOTAS).integers(0, cap + 1, scen.n_muw)
                  for r in range(exp.n_runs)]
         rows = [q_min[: scen.n_mmw] + tuple(d.tolist()) for d in draws]
     for r, row in enumerate(rows):
         if not sum(row) <= scen.n_ue <= sum(q_max):
-            run = f", run {r}, seed {seed + r}" if exp.random_muw_quota else ""
+            run = f", run {r}, seed {_run_seed(scen, r)}" if exp.random_muw_quota else ""
             raise ConfigurationError(
                 f"grid point {overrides}{run}: no feasible matching: sum q_min={sum(row)}, "
                 f"M={scen.n_ue}, sum q_max={sum(q_max)}"
@@ -168,29 +187,54 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
     instance, one (R, P, M) matching of every enabled policy, one ``verify`` call. A
     failed verification names the grid point, the run, its seed and its first blocking pair.
 
-    Each (R, M, N) array dies after its last reader: the drop's shadowing as
-    soon as the link budget is taken, the budget once the links and the
-    baselines' metrics are, the utilities inside the instance build,
-    ``verify``'s masks once the quota-aware runs are checked, and the
-    instance then. The association reads LoS probabilities only, so the links
+    The radio chain runs in blocks of UE rows (``_row_blocks``, R·N entries a row):
+    each block's link budget comes from its rows of the drop, its links and the
+    enabled baselines' metrics go into batch-wide arrays (each allocated with its
+    first block), and the block's budget is dropped. The drop's shadowing dies
+    once the last block's budget is taken, the baselines' metrics once their bias
+    searches are, and the links once each UE's served spectral efficiencies are
+    gathered, right after the matchers; ``verify``'s masks die once the
+    quota-aware runs are checked, and the instance then. The association reads LoS probabilities only, so the links
     carry no LoS state and the (S, R, M, N1) slot stack is drawn last, for
     the rates alone."""
     scen, pol = _point_configs(exp, overrides)
-    batch = generate_scenario(scen, [int(scen.seed) + r for r in runs])
-    budget = link_budget(batch)
-    batch = replace(batch, shadow_mmw_los=None, shadow_mmw_nlos=None, shadow_muw=None)
-    links = realize_links(batch, None, budget)  # the rates read the slot stack drawn below
-    # The baselines' metrics come from the same budget, which is then dropped
-    # so that it is not alive through the matching.
-    choices = {}  # baseline -> (bias per run, host choices per run)
-    for name, metric, bias in (
-        ("max_rssi", rssi_matrix_dbm, pol.bias_rssi_db),
-        ("max_sinr", sinr_matrix_db, pol.bias_sinr_db),
-    ):
-        if name in exp.policies_enabled:
-            grid = CRE_BIAS_GRIDS[name] if exp.auto_bias else (bias,)
-            choices[name] = cre_association(name, metric(batch, budget), scen.n_mmw, grid)
-    del budget
+    batch = generate_scenario(scen, [_run_seed(scen, r) for r in runs])
+    baselines = {  # baseline -> (metric matrix builder, fixed bias)
+        name: spec
+        for name, spec in (("max_rssi", (rssi_matrix_dbm, pol.bias_rssi_db)),
+                           ("max_sinr", (sinr_matrix_db, pol.bias_sinr_db)))
+        if name in exp.policies_enabled
+    }
+    whole = {}  # link field or baseline -> its (R, M, N) array, allocated with its first block
+
+    def put(name: str, rows: slice, part: np.ndarray) -> None:
+        if name not in whole:
+            whole[name] = np.empty(batch.los_prob.shape[:-1] + part.shape[-1:])
+        whole[name][:, rows] = part
+
+    ue_fields = ("ue_positions", "los_prob", "shadow_mmw_los", "shadow_mmw_nlos", "shadow_muw")
+    released = dict.fromkeys(ue_fields[2:])  # the shadowing, replaced by None
+    blocks = _row_blocks(scen.n_ue, len(runs) * scen.n_bs)
+    for rows in blocks:
+        block = replace(batch, **{name: getattr(batch, name)[:, rows] for name in ue_fields})
+        budget = link_budget(block)
+        block = replace(block, **released)
+        if rows == blocks[-1]:  # every budget is taken: the drop's shadowing dies
+            batch = replace(batch, **released)
+        block_links = realize_links(block, None, budget)  # the rates read the slot stack drawn below
+        for f in fields(block_links):
+            put(f.name, rows, getattr(block_links, f.name))
+        del block_links
+        for name, (metric, _) in baselines.items():
+            put(name, rows, metric(block, budget))
+        del block, budget
+    links = LinkRealization(*(whole.pop(f.name) for f in fields(LinkRealization)))
+    choices = {  # baseline -> (bias per run, host choices per run)
+        name: cre_association(
+            name, whole.pop(name), scen.n_mmw, CRE_BIAS_GRIDS[name] if exp.auto_bias else (bias,)
+        )
+        for name, (_, bias) in baselines.items()
+    }
 
     enabled = [name for name in POLICY_ORDER if name in exp.policies_enabled]
     instance = build_matching_instance(batch, links, batch.los_prob, pol, q_min)
@@ -204,6 +248,8 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
         ),
         scen.n_bs,
     )
+    served = served_links(matchings, links)  # all the rates read of the links
+    del links
     report = verify(instance, matchings)
     feasible, blocking = report.feasible, report.n_blocking_pairs
     if "mmq" in enabled:
@@ -223,12 +269,12 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
     totals = instance.q_min[:, scen.n_mmw :].sum(axis=-1).tolist()
     del instance
 
-    # The links' and slots' run axis is the matching's first: rates are (R, P, M),
-    # statistics (R, P). Each run's slots come from its own stream, so drawing
-    # them last changes no byte.
+    # The slots' run axis is the matching's first: rates are (R, P, M), statistics
+    # (R, P). Each run's slots come from its own stream, so drawing them last
+    # changes no byte.
     los_slots = draw_los_slots(batch, exp.n_slots)
-    rates = slot_averaged_rates(matchings, links, los_slots, scen)
-    rm = run_metrics(matchings, links, rates)
+    rates = slot_averaged_rates(matchings, served, los_slots, scen)
+    rm = run_metrics(matchings, served, rates)
     mmw_loads, muw_loads = np.split(matchings.loads, [scen.n_mmw], axis=-1)
     stats = {  # (R, P) each
         "bias_db": np.stack([choices.get(name, [np.zeros(len(runs))])[0] for name in enabled], 1),
@@ -262,9 +308,8 @@ def _noted_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> 
     except VerificationFailure:
         raise
     except Exception as exc:
-        seed = int(exp.scenario.seed)
-        exc.add_note(f"in grid point {overrides}, runs {runs[0]}-{runs[-1]}, "
-                     f"seeds {seed + runs[0]}-{seed + runs[-1]}")
+        first, last = (_run_seed(exp.scenario, r) for r in (runs[0], runs[-1]))
+        exc.add_note(f"in grid point {overrides}, runs {runs[0]}-{runs[-1]}, seeds {first}-{last}")
         raise
 
 

@@ -50,14 +50,16 @@ class MatchingInstance:
     """A quota-constrained matching problem, held as arrays.
 
     ``agent_prefs`` (M, N) ranks all N host ids best-first per agent: each
-    row is a permutation of 0..N-1. ``master_list`` (M,) ranks agent ids
-    best-first for every host. ``gated`` is None (no gates) or an (M, N) bool
-    array flagging the hosts an agent avoids unless forced to meet a minimum
-    quota; they keep their place in ``agent_prefs``. Derived: ``rank[m, h]``,
-    host h's position on agent m's list, and ``ml_rank[m]``, agent m's
-    master-list position. ``agent_prefs`` may also be given as one N-host
-    tuple per agent. Every id must be an integer. The arrays are stored as
-    read-only views: the caller must not write to an array it passed in.
+    row is a permutation of 0..N-1, stored as int32 like ``rank``.
+    ``master_list`` (M,) ranks agent ids best-first for every host. ``gated``
+    is None (no gates) or an (M, N) bool array flagging the hosts an agent
+    avoids unless forced to meet a minimum quota; they keep their place in
+    ``agent_prefs``. Derived: ``rank[m, h]``, host h's position on agent m's
+    list, and ``ml_rank[m]``, agent m's master-list position. ``agent_prefs``
+    may also be given as one N-host tuple per agent. Every id must be an
+    integer; a preference id beyond int32 is refused, not wrapped. The arrays
+    are stored as read-only views: the caller must not write to an array it
+    passed in.
 
     A stacked instance holds R runs that share M and N: an (R, M, N)
     ``agent_prefs`` array gives every array a leading run axis (quotas given
@@ -93,7 +95,7 @@ class MatchingInstance:
                     got = f"must rank all {n} hosts, got {len(row)}"
                     raise MatchingError(f"agent {a}: preference list {got}")
             prefs = np.asarray(prefs).reshape(m, n)
-        prefs = _integers("agent_prefs", prefs)
+        prefs = _integers("agent_prefs", prefs, np.int32)
         q_min, q_max = _integers("q_min", self.q_min), _integers("q_max", self.q_max)
         if not {q_min.shape, q_max.shape} <= {(n,), lead + (n,)}:
             raise MatchingError("quota vectors must have one entry per host")
@@ -144,15 +146,18 @@ class MatchingInstance:
         return np.argsort(self.rank + self.n_hosts * self.gated, axis=-1)
 
 
-def _integers(name: str, values) -> np.ndarray:
-    # An intp array; a non-empty one of another dtype is refused, not truncated,
-    # and an unsigned value beyond intp is refused, not wrapped.
+def _integers(name: str, values, dtype=np.intp) -> np.ndarray:
+    # A ``dtype`` array; a non-empty one of another kind is refused, not truncated,
+    # and a value beyond ``dtype`` is refused before the cast, not wrapped.
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise MatchingError(f"{name} must be integers, got {array.dtype}")
-    if array.dtype.kind == "u" and array.size and array.max() > np.iinfo(np.intp).max:
-        raise MatchingError(f"{name} must fit in {np.dtype(np.intp)}, got {array.max()}")
-    return array.astype(np.intp, copy=False)
+    if array.size and not np.can_cast(array.dtype, dtype):
+        info, low, high = np.iinfo(dtype), int(array.min()), int(array.max())
+        if low < info.min or high > info.max:
+            got = high if high > info.max else low
+            raise MatchingError(f"{name} must fit in {np.dtype(dtype)}, got {got}")
+    return array.astype(dtype, copy=False)
 
 
 def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
@@ -167,7 +172,7 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
     ml_rank = np.argsort(master, axis=-1)  # for a permutation, the inverse one
     if not (np.take_along_axis(master, ml_rank, -1) == np.arange(m)).all():
         raise MatchingError("master list must be a permutation of all agents")
-    known = prefs.view(np.uintp) < n  # a slot holding a host id in 0..n-1
+    known = prefs.view(np.uint32) < n  # a slot holding a host id in 0..n-1
     rank = np.full(prefs.shape[:-1] + (n + 1,), n, dtype=np.int32)  # column n: unknown ids
     slots = prefs if known.all() else np.where(known, prefs, n)
     np.put_along_axis(rank, slots, np.arange(n), axis=-1)

@@ -30,9 +30,46 @@ def max_load_difference(loads):
     return int(spread) if spread.ndim == 0 else spread
 
 
+@dataclass(frozen=True, eq=False)
+class ServedLinks:
+    """What the rates read of a ``LinkRealization`` for one matching, gathered by
+    ``served_links``. ``mmw`` and ``muw`` index the matching's mmW-served and
+    microwave-served entries (leading indices, UE, then its BS id); ``se_los`` and
+    ``se_nlos`` hold the former's LoS and NLoS spectral efficiencies, ``se_muw`` the
+    latter's."""
+
+    agent_to_host: np.ndarray = field(repr=False)  # the assignment they were gathered for
+    mmw: tuple = field(repr=False)
+    se_los: np.ndarray = field(repr=False)  # (E,) for E mmW-served entries
+    se_nlos: np.ndarray = field(repr=False)  # (E,)
+    muw: tuple = field(repr=False)
+    se_muw: np.ndarray = field(repr=False)  # (F,) for F microwave-served entries
+    n_mmw: int
+
+
+def _aligned(a: np.ndarray, skip: int, lead: tuple) -> np.ndarray:
+    # a's K leading axes after its first ``skip`` go over lead's first K; size-1 axes broadcast.
+    k = a.ndim - 2 - skip
+    a = a.reshape(a.shape[: skip + k] + (1,) * (len(lead) - k) + a.shape[-2:])
+    return np.broadcast_to(a, a.shape[:skip] + lead + a.shape[-2:])
+
+
+def served_links(matching: Matching, links: LinkRealization) -> ServedLinks:
+    """The spectral efficiencies of ``links`` at each UE's host in ``matching``. The
+    links' (K..., M, N) arrays align their K leading axes with the matching's first K,
+    as in ``slot_averaged_rates``."""
+    host, n_mmw = matching.agent_to_host, links.n_mmw
+    lead = host.shape[:-1]
+    mmw, muw = np.nonzero((host >= 0) & (host < n_mmw)), np.nonzero(host >= n_mmw)
+    mmw, muw = mmw + (host[mmw],), muw + (host[muw],)
+    se_los, se_nlos = (_aligned(a, 0, lead)[mmw] for a in (links.se_mmw_los, links.se_mmw_nlos))
+    se_muw = _aligned(links.se_muw, 0, lead)[muw[:-1] + (muw[-1] - n_mmw,)]
+    return ServedLinks(host, mmw, se_los, se_nlos, muw, se_muw, n_mmw)
+
+
 def slot_averaged_rates(
     matching: Matching,
-    links: LinkRealization,
+    links: LinkRealization | ServedLinks,
     los_slots: np.ndarray,
     config: ScenarioConfig,
 ) -> np.ndarray:
@@ -45,31 +82,25 @@ def slot_averaged_rates(
     gives (..., M) rates. The links' (K..., M, N) and ``los_slots`` (S, K..., M, N1)
     arrays align their K leading axes with the matching's first K (a stacked
     run axis meets the matching's, as in ``verify``), and size-1 axes broadcast.
+    ``links`` may also be ``served_links(matching, links)``, which is all the rates
+    read of them: the result is the same, bit for bit; served links gathered for
+    another matching are refused.
     Only served entries get per-slot terms: (S, E) for the E mmW-served ones, one
     term for each microwave-served one. They are added one slot at a time in slot
     order, then divided by S, so a rate equals the per-slot loop's bit for bit.
     """
-    n_mmw, n_slots = links.n_mmw, len(los_slots)
-    host, loads = matching.agent_to_host, matching.loads
-    lead = host.shape[:-1]
-
-    def aligned(a, skip):  # a's K leading axes after its first ``skip`` go over lead's first K
-        k = a.ndim - 2 - skip
-        a = a.reshape(a.shape[: skip + k] + (1,) * (len(lead) - k) + a.shape[-2:])
-        return np.broadcast_to(a, a.shape[:skip] + lead + a.shape[-2:])
-
-    def served(at, bandwidth):  # leading indices and UE of each served entry, its BS, its w / load
-        at = at + (host[at],)
-        return at, bandwidth * (1.0 / loads[at[:-2] + at[-1:]])
-
-    se_los, se_nlos, se_muw = (
-        aligned(a, 0) for a in (links.se_mmw_los, links.se_mmw_nlos, links.se_muw)
-    )
-    mmw, mmw_share = served(np.nonzero((host >= 0) & (host < n_mmw)), config.bandwidth_mmw_hz)
-    muw, muw_share = served(np.nonzero(host >= n_mmw), config.bandwidth_muw_hz)
-    mmw_terms = np.where(aligned(los_slots, 1)[(slice(None),) + mmw], se_los[mmw], se_nlos[mmw])
+    if isinstance(links, LinkRealization):
+        links = served_links(matching, links)
+    elif links.agent_to_host is not matching.agent_to_host:
+        raise ValueError("served links were gathered for another matching")
+    n_slots, host, loads = len(los_slots), matching.agent_to_host, matching.loads
+    mmw, muw = links.mmw, links.muw
+    mmw_share = config.bandwidth_mmw_hz * (1.0 / loads[mmw[:-2] + mmw[-1:]])
+    muw_share = config.bandwidth_muw_hz * (1.0 / loads[muw[:-2] + muw[-1:]])
+    los = _aligned(los_slots, 1, host.shape[:-1])[(slice(None),) + mmw]
+    mmw_terms = np.where(los, links.se_los, links.se_nlos)
     mmw_terms *= mmw_share  # (S, E), in place: share * se is se * share, bit for bit
-    muw_term = muw_share * se_muw[muw[:-1] + (muw[-1] - n_mmw,)]  # the same in every slot
+    muw_term = muw_share * links.se_muw  # the same in every slot
     mmw_sum, muw_sum = np.zeros(len(mmw_share)), np.zeros(len(muw_share))
     for slot_terms in mmw_terms:  # in slot order: a pairwise .sum(axis=0) rounds otherwise
         mmw_sum += slot_terms
@@ -104,10 +135,12 @@ def percentile(samples, q: float):
     return np.where(np.isnan(xs[..., -1]), xs[..., -1], value)  # a nan sorts last
 
 
-def run_metrics(matching: Matching, links: LinkRealization, rates: np.ndarray) -> RunMetrics:
+def run_metrics(
+    matching: Matching, links: LinkRealization | ServedLinks, rates: np.ndarray
+) -> RunMetrics:
     """Bundle the load spread of ``matching`` with the sum and the microwave UEs' share
     of ``rates``, its per-UE rates as the caller computed them (the driver passes
-    ``slot_averaged_rates``). An (..., M) matching and its (..., M) rates give their
+    ``slot_averaged_rates``); of ``links`` it reads the mmW BS count. An (..., M) matching and its (..., M) rates give their
     leading axes to the spread and the sum; the microwave UEs' rates are one flat
     array in C order (leading indices, then UE)."""
     return RunMetrics(

@@ -96,24 +96,20 @@ def build_preferences(
     """Strict per-UE BS rankings and the gated-BS mask of utilities ``u``, both (..., M, N).
 
     Row m of the first array lists BS ids by descending utility, ties broken
-    toward the lower BS index. Distinct keys have one sorted order, so the
-    default argsort is exact on a row without a tie; a row whose sorted keys
-    hold equal neighbours or a NaN takes the stable argsort. In the bool mask
-    a microwave BS other than the UE's top choice is gated when its utility
-    falls below ``c_th``; mmW BSs (the first ``n_mmw`` columns) and top
-    choices are never gated.
+    toward the lower BS index: the stable argsort of the negated row. In the
+    bool mask a microwave BS other than the UE's top choice is gated when its
+    utility falls below ``c_th``; mmW BSs (the first ``n_mmw`` columns) and
+    top choices are never gated.
 
-    Rows are sorted in blocks of ``max(1, channel._BATCH_ELEMENTS // N)``, so
-    the negated sort key and the tie test never span more than one block;
-    each row is sorted alone, so the blocks do not change the result. ``u``
-    is never written.
+    Rows are sorted in blocks of ``channel._row_blocks``, so the sort keys
+    never span more than one block; each row is sorted alone, so the blocks do
+    not change the result. ``u`` is never written.
     """
     *lead, n = u.shape
-    rows = u.reshape(math.prod(lead), n)
-    step = max(1, channel._BATCH_ELEMENTS // max(1, n))
+    rows = np.asarray(u, dtype=float).reshape(math.prod(lead), n)  # the keys read float64 bits
     prefs = np.empty(rows.shape, dtype=np.intp)
-    for lo in range(0, len(rows), step):
-        prefs[lo : lo + step] = _sort_block(rows[lo : lo + step])
+    for block in channel._row_blocks(len(rows), n):
+        _sort_block(rows[block], prefs[block])
     prefs = prefs.reshape(u.shape)
     gated = u < c_th
     gated[..., :n_mmw] = False
@@ -122,14 +118,37 @@ def build_preferences(
     return prefs, gated
 
 
-def _sort_block(rows: np.ndarray) -> np.ndarray:
-    """The tie-guarded descending argsort of each of the (B, N) ``rows``."""
-    key = -rows
-    order = np.argsort(key, axis=-1)
-    key.sort(axis=-1)  # in place: no second block-sized float array
-    tied = (key[:, 1:] == key[:, :-1]).any(axis=-1) | np.isnan(key[:, -1:]).any(axis=-1)
-    order[tied] = np.argsort(-rows[tied], axis=-1, kind="stable")
-    return order
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)  # a float64's bits but the sign
+_INF_BITS = np.int64(0x7FF0_0000_0000_0000)  # inf's magnitude bits; NaN's exceed them
+
+
+def _sort_block(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the stable descending argsort of each of the (B, N) ``rows`` into the intp
+    ``out``, from one int64 sort.
+
+    A float's magnitude bits grow with its magnitude, so the signed magnitude
+    bits order floats as their values do, with -0.0 and 0.0 as one key; negated,
+    they order by descending value. Each key's low ``shift`` bits are replaced
+    by its column, so sorting the keys orders a row by value, then column, and
+    the low bits give the order. A row where two keys agree above the low bits
+    (values within 2**shift ulps, equal values among them) or holding a NaN
+    takes the stable argsort of its negated values instead.
+    """
+    n = rows.shape[-1]
+    shift = max(n - 1, 0).bit_length()
+    bits = rows.view(np.int64)
+    key = bits & _MAGNITUDE
+    nan = key.max(axis=-1, initial=0) > _INF_BITS
+    flip = np.invert(bits >> 63)  # -1 where x >= 0.0, 0 where x <= -0.0
+    key ^= flip
+    key -= flip  # two's complement: the key of -x, -|x| where x >= 0.0, else |x|
+    key &= np.int64(-1 << shift)
+    key |= np.arange(n)
+    key.sort(axis=-1)
+    np.bitwise_and(key, (1 << shift) - 1, out=out)
+    key >>= shift
+    tied = (key[:, 1:] == key[:, :-1]).any(axis=-1) | nan
+    out[tied] = np.argsort(-rows[tied], axis=-1, kind="stable")
 
 
 def build_master_list(u: np.ndarray) -> np.ndarray:
@@ -156,14 +175,28 @@ def build_matching_instance(
     e.g. for per-run random quota draws. A stacked scenario (with one
     override row per run) gives one stacked instance, validated as a whole;
     an invalid run raises naming the lowest such run.
+
+    Utilities, preferences, gates and each UE's best utility are taken in
+    blocks of UE rows (``channel._row_blocks``), so no whole utility table
+    exists; each block's order goes straight into the instance's int32
+    preference array. The master list ranks the gathered best utilities.
     """
-    u = compute_utilities(links, f)
-    prefs, gated = build_preferences(u, scenario.n_mmw, policy.c_th)
-    master = build_master_list(u)
-    del u  # the (..., M, N) utilities are not alive while the instance is checked
+    n_bs = scenario.n_mmw + scenario.n_muw
+    los, nlos, muw = links.se_mmw_los, links.se_mmw_nlos, links.se_muw
+    f = np.asarray(f, dtype=float)
+    if f.shape != los.shape:
+        raise ValueError(f"LoS estimates must have shape {los.shape}, got {f.shape}")
+    prefs = np.empty(los.shape[:-1] + (n_bs,), dtype=np.int32)
+    gated = np.empty(prefs.shape, dtype=bool)
+    best = np.empty(los.shape[:-1])
+    for rows in channel._row_blocks(scenario.n_ue, math.prod(los.shape[:-2]) * n_bs):
+        block = channel.LinkRealization(los[..., rows, :], nlos[..., rows, :], muw[..., rows, :])
+        u = compute_utilities(block, f[..., rows, :])
+        prefs[..., rows, :], gated[..., rows, :] = build_preferences(u, scenario.n_mmw, policy.c_th)
+        u.max(axis=-1, initial=NEG_INF, out=best[..., rows])
+    master = build_master_list(best[..., None])  # a one-column table: its maxima are ``best``
     q_min, q_max = policy.quota_vectors(scenario.n_mmw, scenario.n_muw, scenario.n_ue)
     q_min = q_min if q_min_override is None else q_min_override
-    n_bs = scenario.n_mmw + scenario.n_muw
     return MatchingInstance(scenario.n_ue, n_bs, prefs, master, q_min, q_max, gated)
 
 

@@ -226,9 +226,17 @@ def generate_scenario(config: ScenarioConfig, seeds=None) -> Scenario:
     run per seed instead and keeps them as a tuple, from which later draws key
     each run. Each run re-keys one generator to its seed and draws three
     blocks: every position, the LoS probabilities, then all shadowing as
-    standard normals; disk transforms and scaling run once for all runs.
+    standard normals; disk transforms and scaling run once for all runs. An
+    empty ``seeds``, or a seed that is not an integer (a bool, a float), is
+    refused naming its index.
     """
     stacked = seeds is not None
+    if stacked:
+        if not len(seeds):
+            raise ConfigurationError("seeds must name at least one run")
+        for i, seed in enumerate(seeds):
+            if not _is_integer(seed):
+                raise ConfigurationError(f"seeds[{i}] must be an integer, got {seed!r}")
     seeds = tuple(map(int, seeds)) if stacked else (config.seed,)
     rng = rng_stream(seeds[0])
     n1, n2, m = config.n_mmw, config.n_muw, config.n_ue

@@ -263,7 +263,9 @@ def test_quotas_and_batches_build_one_generator_per_stream(monkeypatch, random_m
 def test_run_batch_draws_the_slots_after_the_instance_is_released(monkeypatch, random_muw_quota):
     # The association reads LoS probabilities only: the slot stack is drawn
     # after ``verify``, once the instance is gone, and the links carry no state.
-    calls, instances = [], []
+    # The links themselves are gone before ``verify``: the rates read only each
+    # UE's served spectral efficiencies, gathered right after the matchers.
+    calls, instances, links = [], [], []
 
     def recorded(name, real, check):
         def wrapper(*args, **kwargs):
@@ -275,7 +277,11 @@ def test_run_batch_draws_the_slots_after_the_instance_is_released(monkeypatch, r
     def no_state(scenario, rng, budget):
         assert rng is None
 
+    def gather(matchings, batch_links):
+        links.append(weakref.ref(batch_links))
+
     def keep(instance, matchings):
+        assert [ref() for ref in links] == [None]
         instances.append(weakref.ref(instance))
 
     def no_instance(*args):
@@ -284,6 +290,7 @@ def test_run_batch_draws_the_slots_after_the_instance_is_released(monkeypatch, r
     for name, check in (
         ("realize_links", no_state),
         ("build_matching_instance", lambda *args: None),
+        ("served_links", gather),
         ("verify", keep),
         ("draw_los_slots", no_instance),
         ("slot_averaged_rates", lambda *args: None),
@@ -296,7 +303,7 @@ def test_run_batch_draws_the_slots_after_the_instance_is_released(monkeypatch, r
     )
     run_batch(exp, {}, range(3))
     assert calls == [
-        "realize_links", "build_matching_instance", "verify", "draw_los_slots",
+        "realize_links", "build_matching_instance", "served_links", "verify", "draw_los_slots",
         "slot_averaged_rates",
     ]
 

@@ -428,15 +428,19 @@ def test_stacked_matchers_walk_each_run():
 
 
 def test_stacked_instance_reuses_complete_arrays():
-    prefs = np.argsort(np.random.default_rng(3).random((2, 4, 3)), axis=-1)
+    # Preferences are stored as int32: an int32 array is kept as a view, a wider one is cast.
+    wide = np.argsort(np.random.default_rng(3).random((2, 4, 3)), axis=-1)
+    prefs = wide.astype(np.int32)
     inst = MatchingInstance(4, 3, prefs, np.tile(np.arange(4), (2, 1)), (0, 0, 0), (4, 4, 4))
     assert inst.agent_prefs.base is prefs  # a read-only view, not a copy
+    cast = MatchingInstance(4, 3, wide, np.tile(np.arange(4), (2, 1)), (0, 0, 0), (4, 4, 4))
+    assert cast.agent_prefs.dtype == np.int32 and cast == inst
     assert prefs.flags.writeable and not inst.agent_prefs.flags.writeable
     assert inst.q_min.shape == (2, 3) and np.shares_memory(inst.q_min[0], inst.q_min[1])
 
 
 def test_instance_arrays_are_read_only_views():
-    prefs, gated = np.array([[0, 1], [1, 0]]), np.zeros((2, 2), dtype=bool)
+    prefs, gated = np.array([[0, 1], [1, 0]], dtype=np.int32), np.zeros((2, 2), dtype=bool)
     master, q_min, q_max = np.array([1, 0]), np.array([0, 0]), np.array([2, 2])
     inst = MatchingInstance(2, 2, prefs, master, q_min, q_max, gated)
     with pytest.raises(ValueError, match="read-only"):
@@ -619,6 +623,26 @@ def test_structural_validation():
 def test_structural_errors_keep_their_messages(args, kwargs, message):
     with pytest.raises(MatchingError, match=re.escape(message)):
         MatchingInstance(*args, **kwargs)
+
+
+@pytest.mark.parametrize("host", [2**31, -(2**31) - 1, 2**40])
+def test_preference_ids_beyond_int32_are_refused_not_wrapped(host):
+    # Preferences are stored as int32: an id past it is refused before the cast, so
+    # 2**32 + 1 cannot wrap onto host 1.
+    message = re.escape(f"agent_prefs must fit in int32, got {host}")
+    prefs = np.array([[0, 1], [1, host]])
+    forms = [prefs, prefs.tolist()] + ([prefs.astype(np.uint64)] if host > 0 else [])
+    for form in forms:
+        with pytest.raises(MatchingError, match=message):
+            MatchingInstance(2, 2, form, (0, 1), (0, 0), (2, 2))
+    with pytest.raises(MatchingError, match=message):
+        parse_instance(f"2 2\n0 0\n2 2\n0 1\n1 {host}\n0 1\n")
+
+
+def test_a_wrapping_id_is_not_taken_for_a_host():
+    # 2**32 + 1 narrowed to int32 would be host 1 and pass as a permutation.
+    with pytest.raises(MatchingError, match="must fit in int32"):
+        MatchingInstance(2, 2, np.array([[0, 1], [2**32 + 1, 0]]), (0, 1), (0, 0), (2, 2))
 
 
 def test_array_form_equals_tuple_form():

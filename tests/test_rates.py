@@ -7,19 +7,20 @@ import pytest
 
 from cellassoc.channel import LinkRealization, draw_los_slots, realize_links
 from cellassoc.matching import build_matching
-from cellassoc.metrics import slot_averaged_rates
+from cellassoc.metrics import run_metrics, served_links, slot_averaged_rates
 from cellassoc.policies import PolicyConfig, mmq_policy
 from cellassoc.scenario import ScenarioConfig, generate_scenario, rng_stream
 from helpers import oracle_slot_averaged_rates
 
 
 def assert_rates_match_oracle(matching, links, slots, cfg):
-    # The whole stack, and its first slot alone as a one-slot stack.
+    # The whole stack, and its first slot alone as a one-slot stack; the links'
+    # served spectral efficiencies give the same rates, bit for bit.
     for stack in (slots, slots[:1]):
-        assert np.array_equal(
-            slot_averaged_rates(matching, links, stack, cfg),
-            oracle_slot_averaged_rates(matching, links, stack, cfg),
-        )
+        want = oracle_slot_averaged_rates(matching, links, stack, cfg)
+        assert np.array_equal(slot_averaged_rates(matching, links, stack, cfg), want)
+        served = served_links(matching, links)
+        assert slot_averaged_rates(matching, served, stack, cfg).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_slots", [1, 7])
@@ -99,6 +100,45 @@ def test_stacked_rates_match_loop_oracle_row_by_row(n_mmw, n_ue, n_slots):
             build_matching(hosts[r, p], n_bs), run_links, slots[:, r], cfg
         )
         assert np.array_equal(rates[r, p], want), (r, p)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one run", "stacked"])
+@pytest.mark.parametrize("n_mmw", [0, 3])
+def test_served_links_hold_each_ues_host_efficiencies(n_mmw, lead):
+    # The driver gathers these right after the matchers and releases the links: a mmW
+    # host's LoS and NLoS SE, a microwave host's SE, nothing for an unmatched UE.
+    # Links without a run axis broadcast over (P, M) hosts; stacked ones over (R, P, M).
+    rng = np.random.default_rng(n_mmw)
+    n_ue, n_bs = 7, n_mmw + 2
+    links = random_stacked_links(rng, 3, n_ue, n_mmw, 2)
+    if not lead:
+        links = LinkRealization(links.se_mmw_los[0], links.se_mmw_nlos[0], links.se_muw[0])
+    hosts = rng.integers(-1, n_bs, size=lead + (4, n_ue))
+    matching = build_matching(hosts, n_bs)
+    served = served_links(matching, links)
+    assert served.n_mmw == links.n_mmw == n_mmw
+    got = {}
+    for i, at in enumerate(zip(*served.mmw)):
+        got[at[:-1]] = (at[-1], served.se_los[i], served.se_nlos[i])
+    for i, at in enumerate(zip(*served.muw)):
+        got[at[:-1]] = (at[-1], served.se_muw[i])
+    for at in np.ndindex(hosts.shape):
+        run, ue, host = at[: len(lead)], at[-1], hosts[at]
+        if host < 0:
+            assert at not in got
+        elif host < n_mmw:
+            cell = run + (ue, host)
+            assert got[at] == (host, links.se_mmw_los[cell], links.se_mmw_nlos[cell])
+        else:
+            assert got[at] == (host, links.se_muw[run + (ue, host - n_mmw)])
+    slots = rng.random((5,) + lead + (n_ue, n_mmw)) < 0.5
+    rates = slot_averaged_rates(matching, links, slots, ScenarioConfig())
+    assert slot_averaged_rates(matching, served, slots, ScenarioConfig()).tobytes() == rates.tobytes()
+    got, want = run_metrics(matching, served, rates), run_metrics(matching, links, rates)
+    assert got.muw_rate_samples.tobytes() == want.muw_rate_samples.tobytes()
+    other = build_matching(hosts, n_bs)  # equal, but not the matching they were gathered for
+    with pytest.raises(ValueError, match="gathered for another matching"):
+        slot_averaged_rates(other, served, slots, ScenarioConfig())
 
 
 def test_rates_build_no_slot_stack_scratch():

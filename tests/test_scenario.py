@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -236,6 +237,28 @@ def test_batched_draw_matches_per_run_oracle(m, n1, n2, seeds, sigma_muw):
             assert getattr(one, f.name).tobytes() == expected.tobytes()
     alias = seeds.index(2**64 - 1)
     assert np.array_equal(batch.ue_positions[alias], batch.ue_positions[seeds.index(-1)])
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [([], "seeds must name at least one run"),
+     ((), "seeds must name at least one run"),
+     ([1.5], "seeds[0] must be an integer, got 1.5"),
+     ([True], "seeds[0] must be an integer, got True"),
+     ([4, np.True_], "seeds[1] must be an integer, got np.True_"),
+     ([3, 4, np.float64(5.0)], "seeds[2] must be an integer, got"),
+     ([0, "1"], "seeds[1] must be an integer, got '1'")],
+)
+def test_stacked_draw_refuses_a_bad_seed_list(seeds, message):
+    # An empty list used to raise a bare IndexError, and 1.5 and True were keyed as seed 1.
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        generate_scenario(ScenarioConfig(n_ue=3, n_mmw=2, n_muw=1), seeds)
+
+
+def test_stacked_draw_takes_numpy_integer_seeds():
+    cfg = ScenarioConfig(n_ue=3, n_mmw=2, n_muw=1)
+    batch = generate_scenario(cfg, [np.int64(-1), np.uint64(2**63), 7])
+    assert batch.seeds == (-1, 2**63, 7) and all(type(s) is int for s in batch.seeds)
 
 
 def test_rekey_after_half_used_word_equals_fresh_stream():
