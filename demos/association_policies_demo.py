@@ -23,6 +23,7 @@ from cellassoc import (
     realize_links,
     rssi_matrix_dbm,
     run_metrics,
+    served_links,
     sinr_matrix_db,
     slot_averaged_rates,
     verify,
@@ -33,8 +34,9 @@ SEED = 2
 
 
 def describe(name, matching, scenario, links, slots, instance=None):
-    rates = slot_averaged_rates(matching, links, slots, scenario.config)
-    rm = run_metrics(matching, links, rates)
+    served = served_links(matching, links)  # all the rates read of the links
+    rates = slot_averaged_rates(served, slots, scenario.config)
+    rm = run_metrics(served, rates)
     n1 = scenario.n_mmw
     loads = np.asarray(matching.loads)
     line = (f"{name:<22} mmW/microwave UEs {int(loads[:n1].sum()):>2}/"

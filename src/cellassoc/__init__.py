@@ -46,6 +46,7 @@ from .metrics import (
     max_load_difference,
     rate_cdf,
     run_metrics,
+    served_links,
     slot_averaged_rates,
 )
 from .policies import (
@@ -118,6 +119,7 @@ __all__ = [
     "run_experiment",
     "run_figure",
     "run_metrics",
+    "served_links",
     "sinr_matrix_db",
     "slot_averaged_rates",
     "update_f",

@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import (
-    _BATCH_ELEMENTS,
     LinkRealization,
     _row_blocks,
     draw_los_slots,
@@ -168,10 +167,8 @@ def _point_tasks(exp: ExperimentConfig, overrides: dict) -> list[tuple]:
                 f"M={scen.n_ue}, sum q_max={sum(q_max)}"
             )
     # Runs per batch depend on the grid point alone, never on ``workers``.
-    size = max(1, min(exp.n_runs, _BATCH_ELEMENTS // (scen.n_ue * scen.n_bs)))
-    batches = (range(start, min(start + size, exp.n_runs)) for start in range(0, exp.n_runs, size))
-    return [(exp, overrides, runs, rows[runs.start : runs.stop] if exp.random_muw_quota else None)
-            for runs in batches]
+    return [(exp, overrides, range(b.start, b.stop), rows[b] if exp.random_muw_quota else None)
+            for b in _row_blocks(exp.n_runs, scen.n_ue * scen.n_bs)]
 
 
 def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> dict[str, list]:
@@ -187,16 +184,15 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
     instance, one (R, P, M) matching of every enabled policy, one ``verify`` call. A
     failed verification names the grid point, the run, its seed and its first blocking pair.
 
-    The radio chain runs in blocks of UE rows (``_row_blocks``, R·N entries a row):
-    each block's link budget comes from its rows of the drop, its links and the
-    enabled baselines' metrics go into batch-wide arrays (each allocated with its
-    first block), and the block's budget is dropped. The drop's shadowing dies
-    once the last block's budget is taken, the baselines' metrics once their bias
-    searches are, and the links once each UE's served spectral efficiencies are
-    gathered, right after the matchers; ``verify``'s masks die once the
-    quota-aware runs are checked, and the instance then. The association reads LoS probabilities only, so the links
-    carry no LoS state and the (S, R, M, N1) slot stack is drawn last, for
-    the rates alone."""
+    The radio chain runs in blocks of UE rows (``_row_blocks``, R·N entries a row): each
+    block's link budget comes from its rows of the drop, its links and the enabled baselines'
+    metrics are written into their rows of arrays allocated before the first block (``np.empty``
+    touches no page a block has not written), and the block's budget is dropped. The drop's
+    shadowing dies once the last block's budget is taken, the baselines' metrics once their bias
+    searches are, and the links once ``served_links`` has gathered what the rates read, right
+    after the matchers; ``verify``'s masks die once the quota-aware runs are checked, and the
+    instance then. The association reads LoS probabilities only, so the links carry no LoS
+    state and the (S, R, M, N1) slot stack is drawn last, for the rates alone."""
     scen, pol = _point_configs(exp, overrides)
     batch = generate_scenario(scen, [_run_seed(scen, r) for r in runs])
     baselines = {  # baseline -> (metric matrix builder, fixed bias)
@@ -205,13 +201,9 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
                            ("max_sinr", (sinr_matrix_db, pol.bias_sinr_db)))
         if name in exp.policies_enabled
     }
-    whole = {}  # link field or baseline -> its (R, M, N) array, allocated with its first block
-
-    def put(name: str, rows: slice, part: np.ndarray) -> None:
-        if name not in whole:
-            whole[name] = np.empty(batch.los_prob.shape[:-1] + part.shape[-1:])
-        whole[name][:, rows] = part
-
+    lead = batch.los_prob.shape[:-1]  # (R, M): every block writes its rows of these
+    links = LinkRealization(*(np.empty(lead + (n,)) for n in (scen.n_mmw, scen.n_mmw, scen.n_muw)))
+    matrices = {name: np.empty(lead + (scen.n_bs,)) for name in baselines}
     ue_fields = ("ue_positions", "los_prob", "shadow_mmw_los", "shadow_mmw_nlos", "shadow_muw")
     released = dict.fromkeys(ue_fields[2:])  # the shadowing, replaced by None
     blocks = _row_blocks(scen.n_ue, len(runs) * scen.n_bs)
@@ -221,17 +213,16 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
         block = replace(block, **released)
         if rows == blocks[-1]:  # every budget is taken: the drop's shadowing dies
             batch = replace(batch, **released)
-        block_links = realize_links(block, None, budget)  # the rates read the slot stack drawn below
-        for f in fields(block_links):
-            put(f.name, rows, getattr(block_links, f.name))
+        block_links = realize_links(block, None, budget)  # the rates read the slots drawn below
+        for f in fields(links):
+            getattr(links, f.name)[:, rows] = getattr(block_links, f.name)
         del block_links
         for name, (metric, _) in baselines.items():
-            put(name, rows, metric(block, budget))
+            matrices[name][:, rows] = metric(block, budget)
         del block, budget
-    links = LinkRealization(*(whole.pop(f.name) for f in fields(LinkRealization)))
-    choices = {  # baseline -> (bias per run, host choices per run)
+    choices = {  # baseline -> (bias per run, host choices per run); each search frees its matrix
         name: cre_association(
-            name, whole.pop(name), scen.n_mmw, CRE_BIAS_GRIDS[name] if exp.auto_bias else (bias,)
+            name, matrices.pop(name), scen.n_mmw, CRE_BIAS_GRIDS[name] if exp.auto_bias else (bias,)
         )
         for name, (_, bias) in baselines.items()
     }
@@ -273,8 +264,8 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
     # (R, P). Each run's slots come from its own stream, so drawing them last
     # changes no byte.
     los_slots = draw_los_slots(batch, exp.n_slots)
-    rates = slot_averaged_rates(matchings, served, los_slots, scen)
-    rm = run_metrics(matchings, served, rates)
+    rates = slot_averaged_rates(served, los_slots, scen)
+    rm = run_metrics(served, rates)
     mmw_loads, muw_loads = np.split(matchings.loads, [scen.n_mmw], axis=-1)
     stats = {  # (R, P) each
         "bias_db": np.stack([choices.get(name, [np.zeros(len(runs))])[0] for name in enabled], 1),

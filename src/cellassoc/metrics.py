@@ -32,13 +32,13 @@ def max_load_difference(loads):
 
 @dataclass(frozen=True, eq=False)
 class ServedLinks:
-    """What the rates read of a ``LinkRealization`` for one matching, gathered by
-    ``served_links``. ``mmw`` and ``muw`` index the matching's mmW-served and
-    microwave-served entries (leading indices, UE, then its BS id); ``se_los`` and
-    ``se_nlos`` hold the former's LoS and NLoS spectral efficiencies, ``se_muw`` the
-    latter's."""
+    """What the rates read of a ``LinkRealization`` for ``matching``, gathered by
+    ``served_links``: the one form in which links reach the rates. ``mmw`` and ``muw``
+    index the matching's mmW-served and microwave-served entries (leading indices, UE,
+    then its BS id); ``se_los`` and ``se_nlos`` hold the former's LoS and NLoS spectral
+    efficiencies, ``se_muw`` the latter's."""
 
-    agent_to_host: np.ndarray = field(repr=False)  # the assignment they were gathered for
+    matching: Matching = field(repr=False)  # the matching they were gathered for
     mmw: tuple = field(repr=False)
     se_los: np.ndarray = field(repr=False)  # (E,) for E mmW-served entries
     se_nlos: np.ndarray = field(repr=False)  # (E,)
@@ -57,50 +57,54 @@ def _aligned(a: np.ndarray, skip: int, lead: tuple) -> np.ndarray:
 def served_links(matching: Matching, links: LinkRealization) -> ServedLinks:
     """The spectral efficiencies of ``links`` at each UE's host in ``matching``. The
     links' (K..., M, N) arrays align their K leading axes with the matching's first K,
-    as in ``slot_averaged_rates``."""
-    host, n_mmw = matching.agent_to_host, links.n_mmw
+    as in ``slot_averaged_rates``; links with an array of another M, or of N1 + N2
+    other than the matching's host count, are refused."""
+    host, n_mmw, n_bs = matching.agent_to_host, links.n_mmw, links.n_mmw + links.se_muw.shape[-1]
+    m = [a.shape[-2] for a in (links.se_mmw_los, links.se_mmw_nlos, links.se_muw)]
+    if m != [host.shape[-1]] * 3 or n_bs != matching.n_hosts:
+        raise ValueError(
+            f"links of M = {m} (mmW LoS, NLoS, microwave) and N1 + N2 = {n_bs} do not fit "
+            f"a matching of M = {host.shape[-1]} and {matching.n_hosts} hosts"
+        )
     lead = host.shape[:-1]
     mmw, muw = np.nonzero((host >= 0) & (host < n_mmw)), np.nonzero(host >= n_mmw)
     mmw, muw = mmw + (host[mmw],), muw + (host[muw],)
     se_los, se_nlos = (_aligned(a, 0, lead)[mmw] for a in (links.se_mmw_los, links.se_mmw_nlos))
     se_muw = _aligned(links.se_muw, 0, lead)[muw[:-1] + (muw[-1] - n_mmw,)]
-    return ServedLinks(host, mmw, se_los, se_nlos, muw, se_muw, n_mmw)
+    return ServedLinks(matching, mmw, se_los, se_nlos, muw, se_muw, n_mmw)
 
 
 def slot_averaged_rates(
-    matching: Matching,
-    links: LinkRealization | ServedLinks,
-    los_slots: np.ndarray,
-    config: ScenarioConfig,
+    served: ServedLinks, los_slots: np.ndarray, config: ScenarioConfig
 ) -> np.ndarray:
-    """Per-UE rates in bit/s, averaged over a stack of per-slot LoS states.
+    """Per-UE rates in bit/s of ``served.matching``, averaged over a stack of LoS slots.
 
     Each BS splits its bandwidth equally. A UE served by mmW BS n gets
     (w1 / load_n) times its LoS or NLoS spectral efficiency, whichever the
     slot's state says; a microwave UE gets (w2 / load_n) times its
     interference-limited SE. Unmatched UEs get zero. An (..., M) matching
-    gives (..., M) rates. The links' (K..., M, N) and ``los_slots`` (S, K..., M, N1)
-    arrays align their K leading axes with the matching's first K (a stacked
-    run axis meets the matching's, as in ``verify``), and size-1 axes broadcast.
-    ``links`` may also be ``served_links(matching, links)``, which is all the rates
-    read of them: the result is the same, bit for bit; served links gathered for
-    another matching are refused.
+    gives (..., M) rates. The (S, K..., M, N1) ``los_slots`` align their K leading
+    axes with the matching's first K (a stacked run axis meets the matching's, as in
+    ``verify``), and size-1 axes broadcast; a stack of no slot, or of another
+    (M, N1), is refused.
     Only served entries get per-slot terms: (S, E) for the E mmW-served ones, one
     term for each microwave-served one. They are added one slot at a time in slot
     order, then divided by S, so a rate equals the per-slot loop's bit for bit.
     """
-    if isinstance(links, LinkRealization):
-        links = served_links(matching, links)
-    elif links.agent_to_host is not matching.agent_to_host:
-        raise ValueError("served links were gathered for another matching")
+    matching, mmw, muw = served.matching, served.mmw, served.muw
     n_slots, host, loads = len(los_slots), matching.agent_to_host, matching.loads
-    mmw, muw = links.mmw, links.muw
+    trailing = (host.shape[-1], served.n_mmw)  # (M, N1)
+    if los_slots.ndim < 3 or n_slots < 1 or los_slots.shape[-2:] != trailing:
+        raise ValueError(
+            f"slot stack of shape {los_slots.shape} is not (S >= 1, ..., M, N1) with "
+            f"(M, N1) = {trailing}"
+        )
     mmw_share = config.bandwidth_mmw_hz * (1.0 / loads[mmw[:-2] + mmw[-1:]])
     muw_share = config.bandwidth_muw_hz * (1.0 / loads[muw[:-2] + muw[-1:]])
     los = _aligned(los_slots, 1, host.shape[:-1])[(slice(None),) + mmw]
-    mmw_terms = np.where(los, links.se_los, links.se_nlos)
+    mmw_terms = np.where(los, served.se_los, served.se_nlos)
     mmw_terms *= mmw_share  # (S, E), in place: share * se is se * share, bit for bit
-    muw_term = muw_share * links.se_muw  # the same in every slot
+    muw_term = muw_share * served.se_muw  # the same in every slot
     mmw_sum, muw_sum = np.zeros(len(mmw_share)), np.zeros(len(muw_share))
     for slot_terms in mmw_terms:  # in slot order: a pairwise .sum(axis=0) rounds otherwise
         mmw_sum += slot_terms
@@ -135,16 +139,14 @@ def percentile(samples, q: float):
     return np.where(np.isnan(xs[..., -1]), xs[..., -1], value)  # a nan sorts last
 
 
-def run_metrics(
-    matching: Matching, links: LinkRealization | ServedLinks, rates: np.ndarray
-) -> RunMetrics:
-    """Bundle the load spread of ``matching`` with the sum and the microwave UEs' share
-    of ``rates``, its per-UE rates as the caller computed them (the driver passes
-    ``slot_averaged_rates``); of ``links`` it reads the mmW BS count. An (..., M) matching and its (..., M) rates give their
+def run_metrics(served: ServedLinks, rates: np.ndarray) -> RunMetrics:
+    """Bundle the load spread of ``served.matching`` with the sum and the microwave UEs'
+    share of ``rates``, its per-UE rates as the caller computed them (the driver passes
+    ``slot_averaged_rates``). An (..., M) matching and its (..., M) rates give their
     leading axes to the spread and the sum; the microwave UEs' rates are one flat
     array in C order (leading indices, then UE)."""
     return RunMetrics(
-        delta_kappa=max_load_difference(matching.loads),
+        delta_kappa=max_load_difference(served.matching.loads),
         sum_rate_bps=rates.sum(axis=-1),
-        muw_rate_samples=rates[matching.agent_to_host >= links.n_mmw],
+        muw_rate_samples=rates[served.matching.agent_to_host >= served.n_mmw],
     )

@@ -25,7 +25,7 @@ from cellassoc.experiments import (
     run_figure,
 )
 from cellassoc.matching import build_matching, mmq_match
-from cellassoc.metrics import run_metrics, slot_averaged_rates
+from cellassoc.metrics import run_metrics, served_links, slot_averaged_rates
 from cellassoc.policies import (
     CRE_BIAS_GRIDS,
     PolicyConfig,
@@ -170,9 +170,9 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
     hosts = np.stack(  # (run, policy, UE); the random policy has both tiers and unmatched UEs
         [mmq_match(instance).agent_to_host, rng.integers(-1, 5, (3, n_ue))], axis=1
     )
-    matchings = build_matching(hosts, 5)
-    rates = slot_averaged_rates(matchings, links, slots, configs[0])  # run axes align
-    rm = run_metrics(matchings, links, rates)
+    served = served_links(build_matching(hosts, 5), links)
+    rates = slot_averaged_rates(served, slots, configs[0])  # run axes align
+    rm = run_metrics(served, rates)
     assert rates.shape == (3, 2, n_ue) and rm.delta_kappa.shape == rm.sum_rate_bps.shape == (3, 2)
     # The samples are flat in row order (run, policy, UE): row (r, p) holds one per microwave UE.
     per_row = (hosts >= 3).sum(axis=-1).ravel()
@@ -185,9 +185,10 @@ def test_stacked_rates_match_oracle_per_run(n_slots, n_ue):
             matching = build_matching(hosts[r, p], 5)
             want = oracle_slot_averaged_rates(matching, run_links, run_slots, cfg)
             assert np.array_equal(rates[r, p], want)
-            one_run = slot_averaged_rates(matching, run_links, run_slots, cfg)
+            one_served = served_links(matching, run_links)
+            one_run = slot_averaged_rates(one_served, run_slots, cfg)
             assert np.array_equal(rates[r, p], one_run)
-            one = run_metrics(matching, run_links, want)
+            one = run_metrics(one_served, want)
             assert rm.delta_kappa[r, p] == one.delta_kappa
             assert rm.sum_rate_bps[r, p] == one.sum_rate_bps
             assert np.array_equal(row_samples[2 * r + p], one.muw_rate_samples)
@@ -199,14 +200,15 @@ def test_stacked_rates_align_on_the_run_axis():
     configs, scenarios, batch = _per_run(ScenarioConfig(n_mmw=3, n_muw=2, n_ue=8, seed=9), 2)
     slots = draw_los_slots(batch, 2)
     hosts = np.random.default_rng(4).integers(-1, 5, (2, 2, 8))  # (run, policy, UE)
-    rates = slot_averaged_rates(
-        build_matching(hosts, 5), realize_links(batch, None), slots, configs[0]
-    )
+    served = served_links(build_matching(hosts, 5), realize_links(batch, None))
+    rates = slot_averaged_rates(served, slots, configs[0])
     for r, (cfg, sc) in enumerate(zip(configs, scenarios)):
         run_links = realize_links(sc, None)
         run_slots = draw_los_slots(sc, 2)
         for p in range(2):
-            want = slot_averaged_rates(build_matching(hosts[r, p], 5), run_links, run_slots, cfg)
+            want = slot_averaged_rates(
+                served_links(build_matching(hosts[r, p], 5), run_links), run_slots, cfg
+            )
             assert np.array_equal(rates[r, p], want)
 
 

@@ -822,6 +822,32 @@ def test_guarantees_hold_up_to_200_by_20(variant):
         _assert_guarantees([assignment_bounded_instance(rng, m, n, **kwargs) for _ in range(r)])
 
 
+@st.composite
+def bounded_instances(draw, max_m=12, max_n=6):
+    """``assignment_bounded_instance``'s construction with every choice drawn by
+    Hypothesis, M, N, the gates and zero capacity included, so that a failing
+    instance shrinks: the loads of a drawn assignment bound the quotas (q_min in
+    [0, load - 1], q_max = load + {0, 1, 2}, raised to 1 unless zero capacity)."""
+    m, n = draw(st.integers(0, max_m)), draw(st.integers(1, max_n))
+    gates, zero_capacity = draw(st.booleans()), draw(st.booleans())
+    prefs = np.array([draw(st.permutations(range(n))) for _ in range(m)], int).reshape(m, n)
+    master = np.array(draw(st.permutations(range(m))), int)
+    hosts = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    load = np.bincount(np.array(hosts, int), minlength=n).tolist()
+    q_min = [draw(st.integers(0, max(k - 1, 0))) for k in load]
+    q_max = [k + draw(st.integers(0, 2)) for k in load]
+    q_max = q_max if zero_capacity else [max(q, 1) for q in q_max]
+    row = st.lists(st.booleans(), min_size=n, max_size=n)
+    gated = np.array(draw(st.lists(row, min_size=m, max_size=m)), bool).reshape(m, n)
+    return MatchingInstance(m, n, prefs, master, q_min, q_max, gated if gates else None)
+
+
+@given(instance=bounded_instances())
+@settings(max_examples=300, deadline=None)
+def test_guarantees_hold_on_shrinking_instances(instance):
+    _assert_guarantees([instance])
+
+
 @pytest.mark.parametrize("variant", [{}, {"gates": True}, {"zero_capacity": True}])
 def test_guarantees_hold_at_2000_by_100(variant):
     rng = np.random.default_rng(2000)

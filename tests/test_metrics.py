@@ -11,6 +11,7 @@ from cellassoc.metrics import (
     percentile,
     rate_cdf,
     run_metrics,
+    served_links,
     slot_averaged_rates,
 )
 from cellassoc.policies import PolicyConfig, mmq_policy
@@ -32,7 +33,7 @@ def one_slot_rates(matching, links, los_state=None, cfg=ScenarioConfig()):
     if los_state is None:
         los_state = np.zeros_like(links.se_mmw_los, dtype=bool)
     slots = np.atleast_2d(np.asarray(los_state, bool))[None]
-    rates = slot_averaged_rates(matching, links, slots, cfg)
+    rates = slot_averaged_rates(served_links(matching, links), slots, cfg)
     assert np.array_equal(rates, oracle_slot_averaged_rates(matching, links, slots, cfg))
     return rates
 
@@ -122,7 +123,7 @@ def test_slot_averaging_matches_manual_mean():
     links = realize_links(sc, None)
     m = mmq_policy(sc, links, sc.los_prob, PolicyConfig())
     slots = draw_los_slots(sc, 7)
-    avg = slot_averaged_rates(m, links, slots, cfg)
+    avg = slot_averaged_rates(served_links(m, links), slots, cfg)
     manual = np.mean([one_slot_rates(m, links, s, cfg) for s in slots], axis=0)
     assert np.allclose(avg, manual)
 
@@ -130,7 +131,7 @@ def test_slot_averaging_matches_manual_mean():
 def test_run_metrics_bundle():
     links = make_links([[8.0], [8.0]], [[2.0], [2.0]], [[1.0], [1.0]])
     m = build_matching([0, 1], 2)
-    rm = run_metrics(m, links, one_slot_rates(m, links, [[True], [True]]))
+    rm = run_metrics(served_links(m, links), one_slot_rates(m, links, [[True], [True]]))
     assert rm.delta_kappa == 0
     assert rm.sum_rate_bps == pytest.approx(8.0e9 + 10e6)
     assert rm.muw_rate_samples.tolist() == [10e6]

@@ -38,6 +38,16 @@ def test_all_names_every_public_export_once():
     assert not {"achievable_rates", "max_rssi_policy", "max_sinr_policy"} & public
 
 
+def test_links_reach_the_rates_in_one_form():
+    # served_links gathers what the rates read of the links, with the matching it
+    # was gathered for; the rates and the run metrics take that and no other form.
+    assert "served_links" in cellassoc.__all__
+    for fn in (cellassoc.slot_averaged_rates, cellassoc.run_metrics):
+        served = next(iter(inspect.signature(fn).parameters.values()))
+        assert (served.name, served.annotation) == ("served", "ServedLinks")
+        assert "matching" not in inspect.signature(fn).parameters
+
+
 def test_links_carry_no_los_state():
     # The LoS states live in draw_los_slots' stack alone; the stream ids key the
     # generators, so the ids in use keep their values.

@@ -1,6 +1,7 @@
 """The vectorised rate code against the per-UE, per-slot loop oracle, bit for bit."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,14 +14,15 @@ from cellassoc.scenario import ScenarioConfig, generate_scenario, rng_stream
 from helpers import oracle_slot_averaged_rates
 
 
+def rates_of(matching, links, slots, cfg):
+    return slot_averaged_rates(served_links(matching, links), slots, cfg)
+
+
 def assert_rates_match_oracle(matching, links, slots, cfg):
-    # The whole stack, and its first slot alone as a one-slot stack; the links'
-    # served spectral efficiencies give the same rates, bit for bit.
+    # The whole stack, and its first slot alone as a one-slot stack, bit for bit.
     for stack in (slots, slots[:1]):
         want = oracle_slot_averaged_rates(matching, links, stack, cfg)
-        assert np.array_equal(slot_averaged_rates(matching, links, stack, cfg), want)
-        served = served_links(matching, links)
-        assert slot_averaged_rates(matching, served, stack, cfg).tobytes() == want.tobytes()
+        assert rates_of(matching, links, stack, cfg).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_slots", [1, 7])
@@ -44,7 +46,7 @@ def test_rates_match_loop_oracle_on_random_scenarios(seed, n_slots):
     assignment[:3] = [-1, 0, cfg.n_mmw]
     matching = build_matching(assignment, cfg.n_bs)
     assert_rates_match_oracle(matching, links, slots, cfg)
-    assert slot_averaged_rates(matching, links, slots, cfg)[0] == 0.0
+    assert rates_of(matching, links, slots, cfg)[0] == 0.0
 
     policy = PolicyConfig(q_min_muw=int(cfg.n_ue >= cfg.n_muw))
     assert_rates_match_oracle(mmq_policy(sc, links, sc.los_prob, policy), links, slots, cfg)
@@ -88,7 +90,7 @@ def test_stacked_rates_match_loop_oracle_row_by_row(n_mmw, n_ue, n_slots):
     hosts[:, 0] = -1  # policy 0 leaves every UE unmatched
     hosts[:, 1] = n_bs - 1  # policy 1 puts every UE on one microwave BS
     cfg = ScenarioConfig()
-    rates = slot_averaged_rates(build_matching(hosts, n_bs), links, slots, cfg)
+    rates = rates_of(build_matching(hosts, n_bs), links, slots, cfg)
     assert rates.shape == hosts.shape
     for r, p in np.ndindex(hosts.shape[:2]):
         run_links = LinkRealization(
@@ -116,7 +118,7 @@ def test_served_links_hold_each_ues_host_efficiencies(n_mmw, lead):
     hosts = rng.integers(-1, n_bs, size=lead + (4, n_ue))
     matching = build_matching(hosts, n_bs)
     served = served_links(matching, links)
-    assert served.n_mmw == links.n_mmw == n_mmw
+    assert served.matching is matching and served.n_mmw == links.n_mmw == n_mmw
     got = {}
     for i, at in enumerate(zip(*served.mmw)):
         got[at[:-1]] = (at[-1], served.se_los[i], served.se_nlos[i])
@@ -132,13 +134,56 @@ def test_served_links_hold_each_ues_host_efficiencies(n_mmw, lead):
         else:
             assert got[at] == (host, links.se_muw[run + (ue, host - n_mmw)])
     slots = rng.random((5,) + lead + (n_ue, n_mmw)) < 0.5
-    rates = slot_averaged_rates(matching, links, slots, ScenarioConfig())
-    assert slot_averaged_rates(matching, served, slots, ScenarioConfig()).tobytes() == rates.tobytes()
-    got, want = run_metrics(matching, served, rates), run_metrics(matching, links, rates)
-    assert got.muw_rate_samples.tobytes() == want.muw_rate_samples.tobytes()
-    other = build_matching(hosts, n_bs)  # equal, but not the matching they were gathered for
-    with pytest.raises(ValueError, match="gathered for another matching"):
-        slot_averaged_rates(other, served, slots, ScenarioConfig())
+    rates = slot_averaged_rates(served, slots, ScenarioConfig())
+    samples = run_metrics(served, rates).muw_rate_samples
+    assert samples.tobytes() == rates[hosts >= n_mmw].tobytes()
+
+
+def fitting_links(n_ue=3, n_muw=1):
+    """Links of ``n_ue`` UEs, 2 mmW and ``n_muw`` microwave BSs, and a (4, 3, 2) slot
+    stack: by default both fit ``Matching([0, 1, 2], 3)``."""
+    stacked = random_stacked_links(np.random.default_rng([n_ue, n_muw]), 1, n_ue, 2, n_muw)
+    links = LinkRealization(stacked.se_mmw_los[0], stacked.se_mmw_nlos[0], stacked.se_muw[0])
+    return links, np.ones((4, 3, 2), dtype=bool)
+
+
+@pytest.mark.parametrize("field", ["se_mmw_los", "se_mmw_nlos", "se_muw", None])
+def test_served_links_refuse_links_of_another_ue_count(field):
+    # Links of a 5-UE drop do not fit a 3-UE matching, nor do links whose arrays
+    # disagree on M, though indexing would read the first 3 rows of the longer ones.
+    links, _ = fitting_links(n_ue=5)
+    if field is not None:
+        fit, _ = fitting_links()
+        links = replace(fit, **{field: getattr(links, field)})
+    want = [5 if field in (name, None) else 3 for name in ("se_mmw_los", "se_mmw_nlos", "se_muw")]
+    with pytest.raises(ValueError, match=rf"M = \[{', '.join(map(str, want))}\] .* M = 3 "):
+        served_links(build_matching([0, 1, 2], 3), links)
+
+
+def test_served_links_refuse_links_of_another_bs_count():
+    # Links with N1 + N2 = 4 do not fit a 3-host matching.
+    links, _ = fitting_links(n_muw=2)
+    with pytest.raises(ValueError, match=r"N1 \+ N2 = 4 .* 3 hosts"):
+        served_links(build_matching([0, 1, 2], 3), links)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 3), (4, 5, 2), (3, 2)])
+def test_rates_refuse_a_slot_stack_of_another_shape(shape):
+    # (4, 3, 3) and (4, 5, 2) stacks do not fit (M, N1) = (3, 2), though indexing
+    # would read them; a (3, 2) array is one slot without its stack axis.
+    links, slots = fitting_links()
+    served = served_links(build_matching([0, 1, 2], 3), links)
+    assert (slot_averaged_rates(served, slots, ScenarioConfig()) > 0).all()
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, .* \(M, N1\) = \(3, 2\)"):
+        slot_averaged_rates(served, np.ones(shape, dtype=bool), ScenarioConfig())
+
+
+def test_rates_refuse_a_stack_of_no_slot():
+    # No slot gives no average (S = 0 divides), and draw_los_slots refuses to draw it.
+    links, slots = fitting_links()
+    served = served_links(build_matching([0, 1, 2], 3), links)
+    with pytest.raises(ValueError, match=r"shape \(0, 3, 2\) is not \(S >= 1"):
+        slot_averaged_rates(served, slots[:0], ScenarioConfig())
 
 
 def test_rates_build_no_slot_stack_scratch():
@@ -150,11 +195,11 @@ def test_rates_build_no_slot_stack_scratch():
     links = random_stacked_links(rng, n_runs, n_ue, n_mmw, n_muw)
     slots = rng.random((n_slots, n_runs, n_ue, n_mmw)) < 0.6
     hosts = rng.integers(-1, n_mmw + n_muw, size=(n_runs, n_policies, n_ue))
-    matching, cfg = build_matching(hosts, n_mmw + n_muw), ScenarioConfig()
-    slot_averaged_rates(matching, links, slots, cfg)  # lazy set-up stays out of the peak
+    served, cfg = served_links(build_matching(hosts, n_mmw + n_muw), links), ScenarioConfig()
+    slot_averaged_rates(served, slots, cfg)  # lazy set-up stays out of the peak
     tracemalloc.start()
     try:
-        slot_averaged_rates(matching, links, slots, cfg)
+        slot_averaged_rates(served, slots, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
