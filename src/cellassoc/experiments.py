@@ -60,6 +60,7 @@ from .scenario import (
     ConfigurationError,
     ScenarioConfig,
     _check_fields,
+    _drop_and_buffer,
     _field_kind,
     _is_integer,
     _parse_list,
@@ -185,34 +186,35 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
     failed verification names the grid point, the run, its seed and its first blocking pair.
 
     The radio chain runs in blocks of UE rows (``_row_blocks``, R·N entries a row): each
-    block's link budget comes from its rows of the drop, its links and the enabled baselines'
-    metrics are written into their rows of arrays allocated before the first block (``np.empty``
-    touches no page a block has not written), and the block's budget is dropped. The drop's
-    shadowing dies once the last block's budget is taken, the baselines' metrics once their bias
-    searches are, and the links once ``served_links`` has gathered what the rates read, right
-    after the matchers; ``verify``'s masks die once the quota-aware runs are checked, and the
-    instance then. The association reads LoS probabilities only, so the links carry no LoS
-    state and the (S, R, M, N1) slot stack is drawn last, for the rates alone."""
+    block's link budget comes from its rows of the drop, and the block's budget is dropped once
+    its links and the enabled baselines' metrics are written into their rows. The links have no
+    memory of their own: the drop is drawn through ``scenario._drop_and_buffer``, whose buffer of
+    LoS, NLoS and microwave shadowing has the links' layout, and a block's links overwrite the
+    shadowing rows its budget has just read. The metrics go into arrays allocated before the
+    first block (``np.empty`` touches no page a block has not written). The baselines' metrics
+    die once their bias searches are done, and the links once ``served_links`` has gathered what
+    the rates read, right after the matchers; ``verify`` builds the instance's ``rank`` then, its
+    masks die once the quota-aware runs are checked, and the instance then. The association
+    reads LoS probabilities only, so the links carry no LoS state and the (S, R, M, N1) slot
+    stack is drawn last, for the rates alone."""
     scen, pol = _point_configs(exp, overrides)
-    batch = generate_scenario(scen, [_run_seed(scen, r) for r in runs])
+    drop, links = _drop_and_buffer(generate_scenario, scen, [_run_seed(scen, r) for r in runs])
+    links = LinkRealization(*links)  # each block's links overwrite the shadowing its budget read
+    ue_fields = ("ue_positions", "los_prob", "shadow_mmw_los", "shadow_mmw_nlos", "shadow_muw")
+    released = dict.fromkeys(ue_fields[2:])  # the shadowing, replaced by None
+    batch = replace(drop, **released)
     baselines = {  # baseline -> (metric matrix builder, fixed bias)
         name: spec
         for name, spec in (("max_rssi", (rssi_matrix_dbm, pol.bias_rssi_db)),
                            ("max_sinr", (sinr_matrix_db, pol.bias_sinr_db)))
         if name in exp.policies_enabled
     }
-    lead = batch.los_prob.shape[:-1]  # (R, M): every block writes its rows of these
-    links = LinkRealization(*(np.empty(lead + (n,)) for n in (scen.n_mmw, scen.n_mmw, scen.n_muw)))
-    matrices = {name: np.empty(lead + (scen.n_bs,)) for name in baselines}
-    ue_fields = ("ue_positions", "los_prob", "shadow_mmw_los", "shadow_mmw_nlos", "shadow_muw")
-    released = dict.fromkeys(ue_fields[2:])  # the shadowing, replaced by None
-    blocks = _row_blocks(scen.n_ue, len(runs) * scen.n_bs)
-    for rows in blocks:
-        block = replace(batch, **{name: getattr(batch, name)[:, rows] for name in ue_fields})
+    # Each block writes its rows of the enabled baselines' (R, M, N) metrics.
+    matrices = {name: np.empty(batch.los_prob.shape[:-1] + (scen.n_bs,)) for name in baselines}
+    for rows in _row_blocks(scen.n_ue, len(runs) * scen.n_bs):
+        block = replace(drop, **{name: getattr(drop, name)[:, rows] for name in ue_fields})
         budget = link_budget(block)
         block = replace(block, **released)
-        if rows == blocks[-1]:  # every budget is taken: the drop's shadowing dies
-            batch = replace(batch, **released)
         block_links = realize_links(block, None, budget)  # the rates read the slots drawn below
         for f in fields(links):
             getattr(links, f.name)[:, rows] = getattr(block_links, f.name)
@@ -220,6 +222,7 @@ def _run_batch(exp: ExperimentConfig, overrides: dict, runs: range, q_min) -> di
         for name, (metric, _) in baselines.items():
             matrices[name][:, rows] = metric(block, budget)
         del block, budget
+    del drop  # its shadowing rows now hold the links
     choices = {  # baseline -> (bias per run, host choices per run); each search frees its matrix
         name: cre_association(
             name, matrices.pop(name), scen.n_mmw, CRE_BIAS_GRIDS[name] if exp.auto_bias else (bias,)

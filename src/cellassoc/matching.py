@@ -29,6 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .channel import _row_blocks
+
+
 class MatchingError(ValueError):
     """Structural problem with an instance or a matching. ``run`` is the index
     of the failing run of a stacked instance (None otherwise); it prefixes the
@@ -54,8 +57,9 @@ class MatchingInstance:
     ``master_list`` (M,) ranks agent ids best-first for every host. ``gated``
     is None (no gates) or an (M, N) bool array flagging the hosts an agent
     avoids unless forced to meet a minimum quota; they keep their place in
-    ``agent_prefs``. Derived: ``rank[m, h]``, host h's position on agent m's
-    list, and ``ml_rank[m]``, agent m's master-list position. ``agent_prefs``
+    ``agent_prefs``. Derived: ``ml_rank[m]``, agent m's master-list position,
+    and ``rank[m, h]``, host h's position on agent m's list, which is derived
+    on first read (construction only checks the rows). ``agent_prefs``
     may also be given as one N-host tuple per agent. Every id must be an
     integer; a preference id beyond int32 is refused, not wrapped. The arrays
     are stored as read-only views: the caller must not write to an array it
@@ -95,7 +99,7 @@ class MatchingInstance:
                     got = f"must rank all {n} hosts, got {len(row)}"
                     raise MatchingError(f"agent {a}: preference list {got}")
             prefs = np.asarray(prefs).reshape(m, n)
-        prefs = _integers("agent_prefs", prefs, np.int32)
+        prefs = _integers("agent_prefs", prefs, prefs.dtype)  # the int32 range: a run's check
         q_min, q_max = _integers("q_min", self.q_min), _integers("q_max", self.q_max)
         if not {q_min.shape, q_max.shape} <= {(n,), lead + (n,)}:
             raise MatchingError("quota vectors must have one entry per host")
@@ -110,6 +114,7 @@ class MatchingInstance:
         if gates.dtype != bool:
             raise MatchingError(f"gated must be a bool array, got {gates.dtype}")
         try:
+            prefs = _integers("agent_prefs", prefs, np.int32)
             arrays = _validated(m, n, prefs, master, q_min, q_max, gates)
         except MatchingError as exc:
             if not lead:
@@ -137,6 +142,18 @@ class MatchingInstance:
             np.array_equal(getattr(self, f.name), getattr(other, f.name))
             for f in fields(self)
         )
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """(..., M, N) int32, read-only: ``rank[m, h]`` is host h's position on agent m's
+        list. One flat scatter per row block of ``agent_prefs``, built on first read."""
+        rank = np.empty(self.agent_prefs.shape, dtype=np.int32)
+        rows = rank.reshape(math.prod(rank.shape[:-1]), self.n_hosts)
+        positions = np.arange(self.n_hosts, dtype=np.int32)
+        for start, block, flat in _pref_blocks(self.agent_prefs):
+            rows[start : start + len(block)].reshape(-1)[flat] = positions
+        rank.setflags(write=False)
+        return rank
 
     @cached_property
     def _walk_order(self) -> np.ndarray:
@@ -172,26 +189,37 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
     ml_rank = np.argsort(master, axis=-1)  # for a permutation, the inverse one
     if not (np.take_along_axis(master, ml_rank, -1) == np.arange(m)).all():
         raise MatchingError("master list must be a permutation of all agents")
-    known = prefs.view(np.uint32) < n  # a slot holding a host id in 0..n-1
-    rank = np.full(prefs.shape[:-1] + (n + 1,), n, dtype=np.int32)  # column n: unknown ids
-    slots = prefs if known.all() else np.where(known, prefs, n)
-    np.put_along_axis(rank, slots, np.arange(n), axis=-1)
-    rank = rank[..., :n]
-    bad = np.argwhere((rank == n).any(axis=-1))  # a host no slot names: not a permutation
-    if bad.size:
-        at = tuple(bad[0])
-        row = prefs[at].tolist()
-        what = "contains duplicates" if len(set(row)) < len(row) else "names an unknown host"
-        raise MatchingError(f"agent {at[-1]}: preference list {what}")
+    for start, block, flat in _pref_blocks(prefs):  # each row names every host once
+        seen = np.zeros(flat.size, dtype=bool)
+        if block.view(np.uint32).max(initial=0) < n:  # no unknown id (a negative one reads huge)
+            seen[flat.reshape(-1)] = True
+        if not seen.all():
+            rows = block.tolist()
+            at = next(i for i, row in enumerate(rows) if set(row) != set(range(n)))
+            what = "contains duplicates" if len(set(rows[at])) < n else "names an unknown host"
+            raise MatchingError(f"agent {(start + at) % m}: preference list {what}")
     low, high = q_min.sum(axis=-1), q_max.sum(axis=-1)
     if (low > m).any() or (m > high).any():
         sums = f"sum q_min={low.max()}, M={m}, sum q_max={high.min()}"
         raise InfeasibleInstanceError(f"no feasible matching: {sums}")
     arrays = dict(
         agent_prefs=prefs, master_list=master, q_min=q_min, q_max=q_max,
-        gated=gated, rank=rank, ml_rank=ml_rank,
+        gated=gated, ml_rank=ml_rank,
     )
     return {name: np.broadcast_to(x, x.shape) for name, x in arrays.items()}  # read-only views
+
+
+def _pref_blocks(prefs: np.ndarray):
+    # The rows of the (..., M, N) ``prefs`` in ``channel._row_blocks``: each block's first
+    # row, its (B, N) rows, and the flat index i * N + prefs[i, j] of each entry within the
+    # block's table. The row offsets are taken once, for the first (longest) block.
+    *lead, n = prefs.shape
+    rows = prefs.reshape(math.prod(lead), n)
+    blocks = _row_blocks(len(rows), n)
+    offsets = n * np.arange(blocks[0].stop if blocks else 0)[:, None]
+    for block in blocks:
+        values = rows[block]
+        yield block.start, values, values + offsets[: len(values)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -138,7 +138,9 @@ def _sort_block(rows: np.ndarray, out: np.ndarray) -> None:
     shift = max(n - 1, 0).bit_length()
     bits = rows.view(np.int64)
     key = bits & _MAGNITUDE
-    nan = key.max(axis=-1, initial=0) > _INF_BITS
+    nan = key.max(initial=0) > _INF_BITS  # each guard tests the whole block, then its rows
+    if nan:
+        nan = key.max(axis=-1) > _INF_BITS
     flip = np.invert(bits >> 63)  # -1 where x >= 0.0, 0 where x <= -0.0
     key ^= flip
     key -= flip  # two's complement: the key of -x, -|x| where x >= 0.0, else |x|
@@ -147,8 +149,10 @@ def _sort_block(rows: np.ndarray, out: np.ndarray) -> None:
     key.sort(axis=-1)
     np.bitwise_and(key, (1 << shift) - 1, out=out)
     key >>= shift
-    tied = (key[:, 1:] == key[:, :-1]).any(axis=-1) | nan
-    out[tied] = np.argsort(-rows[tied], axis=-1, kind="stable")
+    tied = key[:, 1:] == key[:, :-1]
+    if tied.any() or nan.any():
+        tied = tied.any(axis=-1) | nan
+        out[tied] = np.argsort(-rows[tied], axis=-1, kind="stable")
 
 
 def build_master_list(u: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ channel module.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
@@ -182,8 +183,11 @@ class Scenario:
     puts a leading run axis on every array and names its runs' seeds, one
     Python int each; a one-run scenario has none and is keyed by config.seed.
     Only ``channel.link_budget`` reads the shadowing. The Monte Carlo driver
-    replaces it by None once a batch's budget is taken, so that the rest of
-    the batch runs without it.
+    takes over its memory: it draws through ``_drop_and_buffer``, which also
+    hands it writable views of the one buffer that the three shadowing arrays
+    view, and each block of UE rows writes its links over the rows whose
+    budget it has just taken. The rest of the batch runs on a copy of the drop
+    whose shadowing is None. For every other caller the arrays stay read-only.
     """
 
     config: ScenarioConfig
@@ -256,11 +260,42 @@ def generate_scenario(config: ScenarioConfig, seeds=None) -> Scenario:
         arrays.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1))
     arrays.append(rho)
     classes = (config.pathloss_mmw_los, config.pathloss_mmw_nlos, config.pathloss_muw)
-    for z, params in zip(np.split(normal, [m * n1, 2 * m * n1], axis=-1), classes):
+    for z, params in zip(_shadow_views(normal, m, n1), classes):
         z *= params.shadow_sigma_db
         z += 0.0  # rng.normal's loc + scale * z, bit for bit (-0.0 becomes 0.0)
-        arrays.append(z.reshape(len(seeds), m, -1))
+        arrays.append(z)
+    if (handover := _HANDOVER.get()) is not None:
+        handover.append(normal)
     return Scenario(config, *(a if stacked else a[0] for a in arrays), seeds if stacked else None)
+
+
+def _shadow_views(normal: np.ndarray, m: int, n1: int) -> list[np.ndarray]:
+    # The LoS, NLoS and microwave (R, M, N) views of the (R, M·(2N1 + N2)) shadowing draw.
+    return [z.reshape(len(normal), m, -1) for z in np.split(normal, [m * n1, 2 * m * n1], -1)]
+
+
+# While ``_drop_and_buffer`` draws, in its context: the list ``generate_scenario`` puts
+# its shadowing buffer in.
+_HANDOVER: ContextVar[Optional[list]] = ContextVar("_HANDOVER", default=None)
+
+
+def _drop_and_buffer(draw, config: ScenarioConfig, seeds) -> tuple[Scenario, list[np.ndarray]]:
+    """The stacked drop ``draw(config, seeds)`` (``draw`` is ``generate_scenario`` or a
+    wrapper of it) and writable views of the buffer its three shadowing arrays view: LoS,
+    NLoS, then microwave, each (R, M, N), the order and layout of ``channel.LinkRealization``.
+    For the Monte Carlo driver, which reads each row of the shadowing once, for its link
+    budget, and writes the row's links over it; the drop's own arrays stay read-only."""
+    token = _HANDOVER.set(buffers := [])
+    try:
+        drop = draw(config, seeds)
+    finally:
+        _HANDOVER.reset(token)
+    shadow = (drop.shadow_mmw_los, drop.shadow_mmw_nlos, drop.shadow_muw)
+    views = _shadow_views(buffers[0], *drop.los_prob.shape[-2:]) if len(buffers) == 1 else []
+    layout = [[(a.shape, a.strides, a.ctypes.data) for a in arrays] for arrays in (views, shadow)]
+    if layout[0] != layout[1]:
+        raise RuntimeError("the drop's shadowing does not view the buffer its draw handed over")
+    return drop, views
 
 
 def distance(a, b) -> float:

@@ -7,7 +7,8 @@ The preference sort, which works in row blocks on packed integer keys, must
 equal the whole-table stable argsort across every block edge and on values a
 few ulps apart; a batch run in blocks of UE rows must equal its one-block run
 byte for byte. The last tests bound the traced peaks of the preference sort
-and of one tight batch by the arrays their design keeps alive at the peak.
+and of one tight batch by the arrays their design keeps alive at the peak; the
+batch's links are written over its drop's shadowing.
 """
 
 import tracemalloc
@@ -16,7 +17,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from cellassoc import channel
+from cellassoc import channel, experiments
 from cellassoc.channel import (
     LinkRealization,
     db_to_linear,
@@ -27,6 +28,7 @@ from cellassoc.channel import (
     realize_links,
 )
 from cellassoc.experiments import POLICY_ORDER, ExperimentConfig, _point_tasks, _run_batch
+from cellassoc.metrics import served_links
 from cellassoc.policies import PolicyConfig, build_preferences, compute_utilities
 from cellassoc.scenario import (
     MMW_LOS_PATHLOSS,
@@ -277,6 +279,23 @@ def test_packed_key_sort_equals_the_stable_argsort(n):
     assert (prefs == oracle_build_preferences(u)).all()
 
 
+def test_sort_guards_fire_on_their_rows_alone(monkeypatch):
+    # The NaN and tie guards test a whole block first and its rows only when they
+    # fire: blocks of three rows, clean but for a NaN row, a near-tie row, or both.
+    # A near tie puts the larger value in the later column, which the packed keys'
+    # column bits alone would put second; the other rows keep the packed-key order.
+    monkeypatch.setattr(channel, "_BATCH_ELEMENTS", 3 * 20)
+    u = np.random.default_rng(21).normal(size=(12, 20))
+    u[1, 7] = np.nan  # block 0: a NaN row
+    u[5, 11] = np.nextafter(u[5, 3], np.inf)  # block 1: a near-tie row
+    u[6, 2], u[8, 9] = np.nan, np.nextafter(u[8, 4], np.inf)  # block 2: both
+    prefs, _ = call_unchanged(build_preferences, u, 0)
+    assert (prefs == oracle_build_preferences(u)).all()
+    for row, first, second in ((5, 11, 3), (8, 9, 4)):  # one ulp above: just before
+        assert prefs[row].tolist().index(first) + 1 == prefs[row].tolist().index(second)
+    assert prefs[1, -1] == 7 and prefs[6, -1] == 2  # NaN ranks last
+
+
 @pytest.mark.parametrize("rows", [1, 3, 7], ids=["1-row", "3-row", "7-row"])
 def test_row_blocked_batch_equals_its_one_block_run(monkeypatch, rows):
     # M = 20 UEs, N = 3 + 4 BSs and R = 3 runs: blocks of 1, 3 and 7 UE rows, the last
@@ -333,10 +352,24 @@ def _tight_batch(m: int, n1: int, n2: int, q: int) -> ExperimentConfig:
 
 
 @pytest.mark.parametrize("m, n1, n2, q", [(2000, 50, 50, 20), (5000, 100, 100, 25)])
-def test_tight_batch_peak_stays_within_its_live_arrays(m, n1, n2, q):
+def test_tight_batch_peak_stays_within_its_live_arrays(monkeypatch, m, n1, n2, q):
     exp = _tight_batch(m, n1, n2, q)
-    # Lazy imports and first-call set-up stay out of the trace.
+    # Lazy imports and first-call set-up stay out of the trace. This warm-up batch
+    # also shows that the links are written over the drop's shadowing, which stays
+    # read-only in the drop.
+    seen = {}
+    monkeypatch.setattr(experiments, "generate_scenario",
+                        lambda *args: seen.setdefault("drop", generate_scenario(*args)))
+    monkeypatch.setattr(experiments, "served_links",
+                        lambda hosts, links: served_links(hosts, seen.setdefault("links", links)))
     _run_batch(_tight_batch(36, 3, 3, 6), {}, range(1), None)
+    monkeypatch.undo()
+    drop, links = seen["drop"], seen["links"]
+    for shadow, link in (("shadow_mmw_los", "se_mmw_los"), ("shadow_mmw_nlos", "se_mmw_nlos"),
+                         ("shadow_muw", "se_muw")):
+        assert np.shares_memory(getattr(drop, shadow), getattr(links, link))
+        assert not getattr(drop, shadow).flags.writeable
+    del seen, drop, links
     tracemalloc.start()
     try:
         _run_batch(exp, {}, range(1), None)
@@ -344,12 +377,15 @@ def test_tight_batch_peak_stays_within_its_live_arrays(m, n1, n2, q):
     finally:
         tracemalloc.stop()
     unit = m * (n1 + n2) * 8  # bytes of one (M, N) float array
-    # Alive at the peak, in the radio chain's last block: los_prob and the drop's
-    # three shadowing arrays (half a unit each), the three batch-wide link arrays
-    # (likewise), and one block's budget and its temporaries: four arrays of the
-    # block's rows. The instance build, ``verify`` (the links are released before it)
-    # and the slot draw peak below that. A whole-batch link budget peaked at 4.61
-    # units at 2000 x 100 and 4.53 at 5000 x 200; these bounds are 4.25 and 3.73.
+    # Alive at the peak, in the instance build's preference sort: los_prob (half a
+    # unit), the drop's shadowing buffer that became the links (three half units),
+    # the instance's int32 agent_prefs (half a unit) and bool gates (an eighth), and
+    # one block's utilities, sort key, order and their temporaries: at most six
+    # arrays of the block's rows. The radio chain (los_prob, the buffer and one
+    # block's budget) and ``verify`` (the links are released before it builds
+    # ``rank``) peak below that. With links of their own and a rank built at
+    # construction, the peak was 4.10 units at 2000 x 100 and 3.63 at 5000 x 200;
+    # it is 3.48 and 2.81, and the bounds are 3.71 and 2.92.
     block = (channel._BATCH_ELEMENTS // (n1 + n2)) / m
-    live = 0.5 + 3 * 0.5 + 3 * 0.5 + 4 * block
+    live = 0.5 + 3 * 0.5 + 0.5 + 0.125 + 6 * block
     assert peak <= (live + 0.1) * unit, f"{peak / unit:.2f} arrays of (M, N) floats"

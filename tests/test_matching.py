@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellassoc import channel
 from cellassoc.matching import (
     InfeasibleInstanceError,
     Matching,
@@ -643,6 +644,48 @@ def test_a_wrapping_id_is_not_taken_for_a_host():
     # 2**32 + 1 narrowed to int32 would be host 1 and pass as a permutation.
     with pytest.raises(MatchingError, match="must fit in int32"):
         MatchingInstance(2, 2, np.array([[0, 1], [2**32 + 1, 0]]), (0, 1), (0, 0), (2, 2))
+
+
+def test_rank_is_built_on_first_read(monkeypatch):
+    # Construction only checks the rows; ``rank`` is the argsort inverse of the
+    # preferences, built in row blocks when first read, then kept read-only.
+    monkeypatch.setattr(channel, "_BATCH_ELEMENTS", 2 * 5)  # two rows of N = 5 per block
+    rng = np.random.default_rng(12)
+    prefs = np.argsort(rng.random((3, 7, 5)), axis=-1)
+    single = MatchingInstance(7, 5, prefs[1], np.arange(7), (0,) * 5, (7,) * 5)
+    stacked = MatchingInstance(7, 5, prefs, np.tile(np.arange(7), (3, 1)), (0,) * 5, (7,) * 5)
+    for inst, want in ((single, prefs[1]), (stacked, prefs)):
+        want = np.argsort(want, axis=-1)  # a permutation's inverse
+        assert "rank" not in vars(inst)
+        assert inst.rank.dtype == np.int32 and (inst.rank == want).all()
+        assert inst.rank is inst.rank  # cached
+        with pytest.raises(ValueError, match="read-only"):
+            inst.rank[0] = 0
+    assert (stacked.run(2).rank == stacked.rank[2]).all()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0, 2, 0), "agent 5: preference list contains duplicates"),
+        ((0, 3, 1), "agent 5: preference list names an unknown host"),
+        ((0, -1, 1), "agent 5: preference list names an unknown host"),
+        ((0, 2**31, 1), "agent_prefs must fit in int32, got 2147483648"),
+    ],
+)
+def test_a_bad_row_in_a_later_block_names_the_lowest_run(monkeypatch, bad, message):
+    # Blocks of two rows of N = 3: the bad rows sit in later blocks of runs 2 and 3.
+    monkeypatch.setattr(channel, "_BATCH_ELEMENTS", 2 * 3)
+    prefs = np.tile(np.array([0, 1, 2], dtype=np.int64), (4, 6, 1))
+    prefs[2, 5] = bad
+    prefs[3, 1] = bad
+    master = np.tile(np.arange(6), (4, 1))
+    with pytest.raises(MatchingError) as failure:
+        MatchingInstance(6, 3, prefs, master, (0,) * 3, (6,) * 3)
+    assert failure.value.run == 2
+    assert str(failure.value) == f"run 2: {message}"
+    with pytest.raises(MatchingError, match=f"^{re.escape(message)}$"):  # the run alone
+        MatchingInstance(6, 3, prefs[2], master[2], (0,) * 3, (6,) * 3)
 
 
 def test_array_form_equals_tuple_form():

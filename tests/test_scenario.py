@@ -17,6 +17,7 @@ from cellassoc.scenario import (
     PathLossParams,
     Scenario,
     ScenarioConfig,
+    _drop_and_buffer,
     distance,
     generate_scenario,
     rekey,
@@ -259,6 +260,30 @@ def test_stacked_draw_takes_numpy_integer_seeds():
     cfg = ScenarioConfig(n_ue=3, n_mmw=2, n_muw=1)
     batch = generate_scenario(cfg, [np.int64(-1), np.uint64(2**63), 7])
     assert batch.seeds == (-1, 2**63, 7) and all(type(s) is int for s in batch.seeds)
+
+
+def test_drop_and_buffer_hands_over_the_drops_own_shadowing():
+    # The views are writable and are the drop's three read-only shadowing arrays;
+    # a draw that hands over no buffer, two, or one its drop does not view is refused.
+    cfg = ScenarioConfig(n_ue=4, n_mmw=2, n_muw=3, seed=6)
+    drop, views = _drop_and_buffer(generate_scenario, cfg, [6, 7])
+    want = generate_scenario(cfg, [6, 7])
+    for view, name in zip(views, ("shadow_mmw_los", "shadow_mmw_nlos", "shadow_muw")):
+        assert view.flags.writeable and not getattr(drop, name).flags.writeable
+        assert np.shares_memory(view, getattr(drop, name))
+        assert view.tobytes() == getattr(want, name).tobytes()
+
+    def copied(config, seeds):
+        d = generate_scenario(config, seeds)
+        return replace(d, shadow_muw=d.shadow_muw.copy())
+
+    def twice(config, seeds):
+        generate_scenario(config, seeds)
+        return generate_scenario(config, seeds)
+
+    for draw in (copied, twice, lambda config, seeds: want):
+        with pytest.raises(RuntimeError, match="does not view the buffer its draw handed over"):
+            _drop_and_buffer(draw, cfg, [6, 7])
 
 
 def test_rekey_after_half_used_word_equals_fresh_stream():
