@@ -52,18 +52,19 @@ class InfeasibleInstanceError(MatchingError):
 class MatchingInstance:
     """A quota-constrained matching problem, held as arrays.
 
-    ``agent_prefs`` (M, N) ranks all N host ids best-first per agent: each
-    row is a permutation of 0..N-1, stored as int32 like ``rank``.
-    ``master_list`` (M,) ranks agent ids best-first for every host. ``gated``
-    is None (no gates) or an (M, N) bool array flagging the hosts an agent
-    avoids unless forced to meet a minimum quota; they keep their place in
-    ``agent_prefs``. Derived: ``ml_rank[m]``, agent m's master-list position,
-    and ``rank[m, h]``, host h's position on agent m's list, which is derived
-    on first read (construction only checks the rows). ``agent_prefs``
-    may also be given as one N-host tuple per agent. Every id must be an
-    integer; a preference id beyond int32 is refused, not wrapped. The arrays
-    are stored as read-only views: the caller must not write to an array it
-    passed in.
+    ``agent_prefs`` (M, N) ranks all N host ids best-first per agent: each row
+    is a permutation of 0..N-1, stored like ``rank`` in ``_pref_dtype(N)``, the
+    smallest unsigned type holding N - 1. ``master_list`` (M,) ranks agent ids
+    best-first for every host. ``gated`` is None (no gates: a read-only False
+    view) or an (M, N) bool array flagging the hosts an agent avoids unless
+    forced to meet a minimum quota; they keep their place in ``agent_prefs``.
+    Derived: ``ml_rank[m]``, agent m's master-list position, and ``rank[m, h]``,
+    host h's position on agent m's list, derived on first read (construction
+    only checks the rows). ``agent_prefs`` may also be given as one N-host tuple
+    per agent. Every id must be an integer; a preference id beyond int32 is
+    refused, and ids are cast only once their rows are checked, never wrapped.
+    The arrays are stored as read-only views (preferences of another dtype as
+    a compact copy): the caller must not write to an array it passed in.
 
     A stacked instance holds R runs that share M and N: an (R, M, N)
     ``agent_prefs`` array gives every array a leading run axis (quotas given
@@ -107,14 +108,14 @@ class MatchingInstance:
         master = _integers("master_list", self.master_list)
         if master.shape != lead + (m,):
             raise MatchingError("master list must be a permutation of all agents")
-        gates = np.zeros(shape, dtype=bool) if self.gated is None else self.gated
+        gates = np.broadcast_to(np.False_, shape) if self.gated is None else self.gated
         got = gates.shape if isinstance(gates, np.ndarray) else type(gates).__name__
         if got != shape:
             raise MatchingError(f"gated must be a {shape} array, got {got}")
         if gates.dtype != bool:
             raise MatchingError(f"gated must be a bool array, got {gates.dtype}")
         try:
-            prefs = _integers("agent_prefs", prefs, np.int32)
+            _fits("agent_prefs", prefs, np.int32)
             arrays = _validated(m, n, prefs, master, q_min, q_max, gates)
         except MatchingError as exc:
             if not lead:
@@ -145,11 +146,12 @@ class MatchingInstance:
 
     @cached_property
     def rank(self) -> np.ndarray:
-        """(..., M, N) int32, read-only: ``rank[m, h]`` is host h's position on agent m's
-        list. One flat scatter per row block of ``agent_prefs``, built on first read."""
-        rank = np.empty(self.agent_prefs.shape, dtype=np.int32)
+        """(..., M, N) in ``agent_prefs``' dtype, read-only: ``rank[m, h]`` is host h's
+        position on agent m's list. One flat scatter per row block of ``agent_prefs``,
+        built on first read."""
+        rank = np.empty(self.agent_prefs.shape, self.agent_prefs.dtype)  # C order: a view below
         rows = rank.reshape(math.prod(rank.shape[:-1]), self.n_hosts)
-        positions = np.arange(self.n_hosts, dtype=np.int32)
+        positions = np.arange(self.n_hosts, dtype=rank.dtype)
         for start, block, flat in _pref_blocks(self.agent_prefs):
             rows[start : start + len(block)].reshape(-1)[flat] = positions
         rank.setflags(write=False)
@@ -157,10 +159,26 @@ class MatchingInstance:
 
     @cached_property
     def _walk_order(self) -> np.ndarray:
-        """``agent_prefs`` in ``mmq_match``'s order, ascending ``rank + N * gated``."""
+        """``agent_prefs`` in ``mmq_match``'s order, ascending ``rank + N * gated``: each
+        row stably partitioned by its gate flags, ungated hosts first, in its dtype."""
         if not self.gated.any():
             return self.agent_prefs
-        return np.argsort(self.rank + self.n_hosts * self.gated, axis=-1)
+        n = self.n_hosts
+        order = np.empty(self.agent_prefs.shape, self.agent_prefs.dtype)  # C order, as ``rank``
+        rows, gates = order.reshape(-1, n), self.gated.reshape(-1, n)
+        for start, block, flat in _pref_blocks(self.agent_prefs):
+            at = slice(start, start + len(block))
+            flags = gates[at].reshape(-1)[flat]  # each entry's gate, in preference order
+            first = np.arange(n) < n - flags.sum(axis=-1, keepdims=True)  # the ungated places
+            rows[at][first] = block[~flags]
+            rows[at][~first] = block[flags]
+        return order
+
+
+def _pref_dtype(n_hosts: int) -> np.dtype:
+    """The dtype of an N-host instance's preferences and ranks: the smallest unsigned
+    type that holds every host id 0..N-1."""
+    return np.min_scalar_type(max(n_hosts - 1, 0))
 
 
 def _integers(name: str, values, dtype=np.intp) -> np.ndarray:
@@ -169,12 +187,17 @@ def _integers(name: str, values, dtype=np.intp) -> np.ndarray:
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise MatchingError(f"{name} must be integers, got {array.dtype}")
+    _fits(name, array, dtype)
+    return array.astype(dtype, copy=False)
+
+
+def _fits(name: str, array: np.ndarray, dtype) -> None:
+    # Refuse an integer array holding a value beyond ``dtype``; no copy is made.
     if array.size and not np.can_cast(array.dtype, dtype):
         info, low, high = np.iinfo(dtype), int(array.min()), int(array.max())
         if low < info.min or high > info.max:
             got = high if high > info.max else low
             raise MatchingError(f"{name} must fit in {np.dtype(dtype)}, got {got}")
-    return array.astype(dtype, copy=False)
 
 
 def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
@@ -191,7 +214,7 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
         raise MatchingError("master list must be a permutation of all agents")
     for start, block, flat in _pref_blocks(prefs):  # each row names every host once
         seen = np.zeros(flat.size, dtype=bool)
-        if block.view(np.uint32).max(initial=0) < n:  # no unknown id (a negative one reads huge)
+        if block.max(initial=0) < n and (block.dtype.kind == "u" or block.min(initial=0) >= 0):
             seen[flat.reshape(-1)] = True
         if not seen.all():
             rows = block.tolist()
@@ -202,6 +225,7 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
     if (low > m).any() or (m > high).any():
         sums = f"sum q_min={low.max()}, M={m}, sum q_max={high.min()}"
         raise InfeasibleInstanceError(f"no feasible matching: {sums}")
+    prefs = prefs.astype(_pref_dtype(n), copy=False)  # read in place until every row is checked
     arrays = dict(
         agent_prefs=prefs, master_list=master, q_min=q_min, q_max=q_max,
         gated=gated, ml_rank=ml_rank,
@@ -212,14 +236,14 @@ def _validated(m: int, n: int, prefs, master, q_min, q_max, gated) -> dict:
 def _pref_blocks(prefs: np.ndarray):
     # The rows of the (..., M, N) ``prefs`` in ``channel._row_blocks``: each block's first
     # row, its (B, N) rows, and the flat index i * N + prefs[i, j] of each entry within the
-    # block's table. The row offsets are taken once, for the first (longest) block.
+    # block's table, as intp. The row offsets are taken once, for the first (longest) block.
     *lead, n = prefs.shape
     rows = prefs.reshape(math.prod(lead), n)
     blocks = _row_blocks(len(rows), n)
     offsets = n * np.arange(blocks[0].stop if blocks else 0)[:, None]
     for block in blocks:
         values = rows[block]
-        yield block.start, values, values + offsets[: len(values)]
+        yield block.start, values, np.add(values, offsets[: len(values)], dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +421,7 @@ class VerifierReport:
     def pareto_optimal(self) -> Optional[bool]:
         a2h, loads, n = self.matching.agent_to_host, self.matching.loads, self.matching.n_hosts
         rank, gated, _, q_min, q_max = _aligned(self.instance, a2h.ndim)
-        key = rank + n * gated  # mmq_match's walk order, gated hosts last
+        key = rank + np.intp(n) * gated  # mmq_match's walk order, gated hosts last, as intp
         host = np.maximum(a2h, 0)  # an unassigned agent: infeasible, answered None below
         better = key < np.take_along_axis(key, host[..., None], -1)
         # reach[..., h, g]: the edge h -> g, then (boolean Warshall, no BLAS) a path.
@@ -464,7 +488,8 @@ def verify(
     assigned = a2h >= 0
     feasible = assigned.all(axis=-1) & ((q_min <= loads) & (loads <= q_max)).all(axis=-1)
     host = np.maximum(a2h, 0)  # the unassigned read host 0, masked out below
-    current_rank = np.where(assigned, np.take_along_axis(rank, host[..., None], -1)[..., 0], n)
+    held = np.take_along_axis(rank, host[..., None], -1)[..., 0]
+    current_rank = np.where(assigned, held, np.intp(n))  # intp: a compact rank cannot hold N
     # Worst (largest) master-list rank currently held by each host; -1 if empty.
     worst_held = np.full(loads.shape, -1, dtype=np.intp)
     held_ml = np.broadcast_to(ml_rank, a2h.shape)[assigned]

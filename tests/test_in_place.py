@@ -8,7 +8,8 @@ equal the whole-table stable argsort across every block edge and on values a
 few ulps apart; a batch run in blocks of UE rows must equal its one-block run
 byte for byte. The last tests bound the traced peaks of the preference sort
 and of one tight batch by the arrays their design keeps alive at the peak; the
-batch's links are written over its drop's shadowing.
+batch's links are written over its drop's shadowing, and its instance holds
+one-byte preferences and no gate array.
 """
 
 import tracemalloc
@@ -29,7 +30,12 @@ from cellassoc.channel import (
 )
 from cellassoc.experiments import POLICY_ORDER, ExperimentConfig, _point_tasks, _run_batch
 from cellassoc.metrics import served_links
-from cellassoc.policies import PolicyConfig, build_preferences, compute_utilities
+from cellassoc.policies import (
+    PolicyConfig,
+    build_matching_instance,
+    build_preferences,
+    compute_utilities,
+)
 from cellassoc.scenario import (
     MMW_LOS_PATHLOSS,
     MUW_PATHLOSS,
@@ -217,7 +223,7 @@ def test_preference_blocks_equal_the_whole_table_sort(monkeypatch, budget):
         prefs, gated = call_unchanged(build_preferences, table, 2, 0.5)
         want = oracle_build_preferences(table)
         assert prefs.shape == gated.shape == table.shape
-        assert prefs.dtype == np.intp and (prefs == want).all()
+        assert prefs.dtype == np.uint8 and (prefs == want).all()  # N <= 20: one byte
         # The gate: a microwave BS below c_th that is not the UE's top choice.
         want_gated = table < 0.5
         want_gated[..., :2] = False
@@ -236,10 +242,11 @@ def test_preference_sort_peak_stays_within_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The preference order (one unit) and the gate mask (1/8 unit), plus one
-    # row block's sort key and order: 1.13 units. A whole-table sort key
-    # peaked at 2.14.
-    assert peak <= 1.5 * u.nbytes, f"{peak / u.nbytes:.2f} arrays of (M, N) floats"
+    # The uint8 preference order and the gate mask (1/8 unit each), plus the
+    # gate step's small temporaries: 0.26 units; the sort's row-block
+    # temporaries peak below that. A whole-table sort key peaked at 2.14, and
+    # an intp order with its row block's temporaries at 1.13.
+    assert peak <= 0.4 * u.nbytes, f"{peak / u.nbytes:.2f} arrays of (M, N) floats"
 
 
 def _bits(x) -> np.ndarray:
@@ -275,7 +282,7 @@ def test_packed_key_sort_equals_the_stable_argsort(n):
     rng = np.random.default_rng(n)
     u = np.concatenate([_ulp_rows(n, rng), rng.normal(size=(5, n))])
     prefs, _ = call_unchanged(build_preferences, u, 0)
-    assert prefs.dtype == np.intp
+    assert prefs.dtype == (np.uint8 if n <= 256 else np.uint16)  # the smallest holding N - 1
     assert (prefs == oracle_build_preferences(u)).all()
 
 
@@ -356,20 +363,25 @@ def test_tight_batch_peak_stays_within_its_live_arrays(monkeypatch, m, n1, n2, q
     exp = _tight_batch(m, n1, n2, q)
     # Lazy imports and first-call set-up stay out of the trace. This warm-up batch
     # also shows that the links are written over the drop's shadowing, which stays
-    # read-only in the drop.
+    # read-only in the drop, and that the gate-free instance holds uint8 preferences
+    # and no gate array of its own (a False view with zero strides).
     seen = {}
     monkeypatch.setattr(experiments, "generate_scenario",
                         lambda *args: seen.setdefault("drop", generate_scenario(*args)))
     monkeypatch.setattr(experiments, "served_links",
                         lambda hosts, links: served_links(hosts, seen.setdefault("links", links)))
+    monkeypatch.setattr(experiments, "build_matching_instance",
+                        lambda *args: seen.setdefault("instance", build_matching_instance(*args)))
     _run_batch(_tight_batch(36, 3, 3, 6), {}, range(1), None)
     monkeypatch.undo()
-    drop, links = seen["drop"], seen["links"]
+    drop, links, instance = seen["drop"], seen["links"], seen["instance"]
     for shadow, link in (("shadow_mmw_los", "se_mmw_los"), ("shadow_mmw_nlos", "se_mmw_nlos"),
                          ("shadow_muw", "se_muw")):
         assert np.shares_memory(getattr(drop, shadow), getattr(links, link))
         assert not getattr(drop, shadow).flags.writeable
-    del seen, drop, links
+    assert instance.agent_prefs.dtype == np.uint8
+    assert instance.gated.strides == (0, 0, 0) and not instance.gated.any()
+    del seen, drop, links, instance
     tracemalloc.start()
     try:
         _run_batch(exp, {}, range(1), None)
@@ -379,13 +391,14 @@ def test_tight_batch_peak_stays_within_its_live_arrays(monkeypatch, m, n1, n2, q
     unit = m * (n1 + n2) * 8  # bytes of one (M, N) float array
     # Alive at the peak, in the instance build's preference sort: los_prob (half a
     # unit), the drop's shadowing buffer that became the links (three half units),
-    # the instance's int32 agent_prefs (half a unit) and bool gates (an eighth), and
-    # one block's utilities, sort key, order and their temporaries: at most six
-    # arrays of the block's rows. The radio chain (los_prob, the buffer and one
-    # block's budget) and ``verify`` (the links are released before it builds
-    # ``rank``) peak below that. With links of their own and a rank built at
-    # construction, the peak was 4.10 units at 2000 x 100 and 3.63 at 5000 x 200;
-    # it is 3.48 and 2.81, and the bounds are 3.71 and 2.92.
+    # the instance's uint8 agent_prefs (an eighth; there is no gate array), and one
+    # block's utilities, sort key and sign mask with their casting buffers and bool
+    # temporaries: at most four arrays of the block's rows. The radio chain
+    # (los_prob, the buffer and one block's budget) and ``verify`` (the links are
+    # released before it builds ``rank``) peak below that. With int32 preferences,
+    # a gate array and an intp order block the peak was 3.48 units at 2000 x 100
+    # and 2.81 at 5000 x 200 (bounds 3.71 and 2.92); it is 2.78 and 2.27, and the
+    # bounds are 2.88 and 2.36.
     block = (channel._BATCH_ELEMENTS // (n1 + n2)) / m
-    live = 0.5 + 3 * 0.5 + 0.5 + 0.125 + 6 * block
+    live = 0.5 + 3 * 0.5 + 0.125 + 4 * block
     assert peak <= (live + 0.1) * unit, f"{peak / unit:.2f} arrays of (M, N) floats"

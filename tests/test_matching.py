@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellassoc import channel
+from cellassoc import channel, matching
 from cellassoc.matching import (
     InfeasibleInstanceError,
     Matching,
@@ -23,6 +24,7 @@ from helpers import (
     assert_reports_agree,
     assignment_bounded_instance,
     enumerate_feasible,
+    oracle_blocking_pairs,
     oracle_deferred_acceptance,
     oracle_mmq_match,
     oracle_pareto_optimal,
@@ -429,19 +431,22 @@ def test_stacked_matchers_walk_each_run():
 
 
 def test_stacked_instance_reuses_complete_arrays():
-    # Preferences are stored as int32: an int32 array is kept as a view, a wider one is cast.
+    # Preferences are stored in the smallest unsigned type that holds N - 1 (uint8 at
+    # N = 3): a uint8 array is kept as a view, a wider one (intp, int32, uint16) is cast.
     wide = np.argsort(np.random.default_rng(3).random((2, 4, 3)), axis=-1)
-    prefs = wide.astype(np.int32)
+    prefs = wide.astype(np.uint8)
     inst = MatchingInstance(4, 3, prefs, np.tile(np.arange(4), (2, 1)), (0, 0, 0), (4, 4, 4))
     assert inst.agent_prefs.base is prefs  # a read-only view, not a copy
-    cast = MatchingInstance(4, 3, wide, np.tile(np.arange(4), (2, 1)), (0, 0, 0), (4, 4, 4))
-    assert cast.agent_prefs.dtype == np.int32 and cast == inst
+    for given in (wide, wide.astype(np.int32), wide.astype(np.uint16)):
+        cast = MatchingInstance(4, 3, given, np.tile(np.arange(4), (2, 1)), (0, 0, 0), (4, 4, 4))
+        assert cast.agent_prefs.dtype == np.uint8 and cast == inst
+        assert not np.shares_memory(cast.agent_prefs, given)
     assert prefs.flags.writeable and not inst.agent_prefs.flags.writeable
     assert inst.q_min.shape == (2, 3) and np.shares_memory(inst.q_min[0], inst.q_min[1])
 
 
 def test_instance_arrays_are_read_only_views():
-    prefs, gated = np.array([[0, 1], [1, 0]], dtype=np.int32), np.zeros((2, 2), dtype=bool)
+    prefs, gated = np.array([[0, 1], [1, 0]], dtype=np.uint8), np.zeros((2, 2), dtype=bool)
     master, q_min, q_max = np.array([1, 0]), np.array([0, 0]), np.array([2, 2])
     inst = MatchingInstance(2, 2, prefs, master, q_min, q_max, gated)
     with pytest.raises(ValueError, match="read-only"):
@@ -657,11 +662,67 @@ def test_rank_is_built_on_first_read(monkeypatch):
     for inst, want in ((single, prefs[1]), (stacked, prefs)):
         want = np.argsort(want, axis=-1)  # a permutation's inverse
         assert "rank" not in vars(inst)
-        assert inst.rank.dtype == np.int32 and (inst.rank == want).all()
+        assert inst.rank.dtype == inst.agent_prefs.dtype == np.uint8
+        assert (inst.rank == want).all()
         assert inst.rank is inst.rank  # cached
         with pytest.raises(ValueError, match="read-only"):
             inst.rank[0] = 0
     assert (stacked.run(2).rank == stacked.rank[2]).all()
+
+
+@pytest.mark.parametrize("gates", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("n, compact", [(256, np.uint8), (257, np.uint16)])
+def test_compact_ids_meet_host_counts_at_the_byte_edge(monkeypatch, n, compact, gates):
+    # At N = 256 a uint8 rank holds 255 but not N, the unassigned agent's rank, nor a
+    # gated host's N + rank; N = 257 is the first uint16 instance. Each answer must
+    # equal the same instance's held as int64 (written out and parsed back) and the oracles.
+    rng = np.random.default_rng(n + gates)
+    m = 6
+    prefs = np.argsort(rng.random((m, n)), axis=-1)
+    gated = rng.random((m, n)) < 0.4 if gates else None
+    inst = MatchingInstance(m, n, prefs, rng.permutation(m), (0,) * n, (m,) * n, gated)
+    with monkeypatch.context() as patch:
+        patch.setattr(matching, "_pref_dtype", lambda n_hosts: np.dtype(np.int64))
+        wide = parse_instance(format_instance(inst))
+    assert inst.agent_prefs.dtype == inst.rank.dtype == inst._walk_order.dtype == compact
+    assert wide.agent_prefs.dtype == wide.rank.dtype == np.int64
+    assert (inst._walk_order == wide._walk_order).all()
+    found = [mmq_match(inst), deferred_acceptance(inst)]
+    assert found == [mmq_match(wide), deferred_acceptance(wide)]
+    assert found == [oracle_mmq_match(inst), oracle_deferred_acceptance(inst)]
+    worst = prefs[:, -1].copy()  # every agent at its last host: feasible, and dominated
+    unassigned = found[0].agent_to_host.copy()
+    unassigned[2] = -1
+    stack = build_matching([*(f.agent_to_host for f in found), worst, unassigned], n)
+    got, want = verify(inst, stack), verify(wide, stack)
+    for name in ("feasible", "capacity_aware", "envy", "pareto_optimal"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.feasible.tolist() == [True, True, True, False]
+    assert got.pareto_optimal[[0, 2, 3]].tolist() == [True, False, None]  # DA may ignore gates
+    for k, assignment in enumerate(stack.agent_to_host):
+        pairs = oracle_blocking_pairs(inst, build_matching(assignment, n))
+        assert (got.blocking_pairs[k], got.blocking_pairs_literal[k]) == tuple(map(tuple, pairs))
+    assert any(agent == 2 for agent, _ in got.blocking_pairs[3])  # the unassigned agent blocks
+
+
+def test_validation_reads_a_compact_table_in_place():
+    # A uint8 table is checked in place and kept; an int32 or int64 one is checked, then
+    # cast once. No int32 or intp copy of the table is made (4 or 8 more table sizes):
+    # the peak is a few row blocks' temporaries, plus the cast table if there is one.
+    m, n = 8000, 200
+    prefs = np.argsort(np.random.default_rng(4).random((m, n)), axis=-1).astype(np.uint8)
+    args = (np.arange(m), (0,) * n, (m,) * n)
+    for given, bound in ((prefs, 0.5), (prefs.astype(np.int32), 1.25),
+                         (prefs.astype(np.int64), 1.25)):
+        MatchingInstance(m, n, given, *args)
+        tracemalloc.start()
+        try:
+            inst = MatchingInstance(m, n, given, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (inst.agent_prefs.base is given) == (given is prefs)
+        assert peak <= bound * prefs.nbytes, f"{peak / prefs.nbytes:.2f} uint8 tables"
 
 
 @pytest.mark.parametrize(
@@ -726,6 +787,7 @@ def test_matchers_equal_the_oracles_on_every_array_layout(variant):
                 case.gated,
             )
             runs = [stacked.run(k) for k in range(3)]  # one-run instances on non-contiguous rows
+            assert (stacked.rank == np.argsort(prefs, axis=-1)).all()
             for matcher, oracle in (
                 (mmq_match, oracle_mmq_match), (deferred_acceptance, oracle_deferred_acceptance)
             ):
@@ -889,6 +951,17 @@ def bounded_instances(draw, max_m=12, max_n=6):
 @settings(max_examples=300, deadline=None)
 def test_guarantees_hold_on_shrinking_instances(instance):
     _assert_guarantees([instance])
+
+
+@given(instance=bounded_instances())
+@settings(max_examples=300, deadline=None)
+def test_walk_order_is_the_argsort_of_rank_and_gates(instance):
+    # The walk order stably partitions each preference row by its gate flags; the
+    # keys rank + N * gated are distinct within a row, so any argsort gives that order.
+    key = instance.rank.astype(np.intp) + instance.n_hosts * instance.gated
+    order = instance._walk_order
+    assert order.dtype == instance.agent_prefs.dtype
+    assert (order == np.argsort(key, axis=-1)).all()
 
 
 @pytest.mark.parametrize("variant", [{}, {"gates": True}, {"zero_capacity": True}])

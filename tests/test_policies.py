@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellassoc import channel
 from cellassoc.channel import LinkRealization, link_budget, realize_links
 from cellassoc.matching import build_matching, verify
 from cellassoc.policies import (
@@ -216,6 +217,24 @@ def test_mmq_policy_feasible_and_stable_on_random_scenarios():
         report = verify(inst, matching)
         assert report.feasible
         assert report.blocking_pairs == ()
+
+
+@pytest.mark.parametrize("c_th", [NEG_INF, 1.0], ids=["gate-free", "gated"])
+def test_the_built_instance_is_compact(monkeypatch, c_th):
+    # Blocks of one UE row of the three runs: each block's order is sorted straight into
+    # strided rows of the instance's uint8 preferences. A gate-free policy writes no gate
+    # array: the instance holds a read-only False view with zero strides.
+    monkeypatch.setattr(channel, "_BATCH_ELEMENTS", 3 * 11)
+    sc = generate_scenario(ScenarioConfig(n_ue=12, n_mmw=5, n_muw=6, seed=4), [4, 5, 6])
+    links = realize_links(sc, None)
+    inst = build_matching_instance(sc, links, sc.los_prob, PolicyConfig(c_th=c_th))
+    u = compute_utilities(links, sc.los_prob)
+    prefs, gated = build_preferences(u, 5, c_th)
+    assert (inst.agent_prefs == oracle_build_preferences(u)).all() and (inst.gated == gated).all()
+    assert inst.agent_prefs.dtype == inst.rank.dtype == inst._walk_order.dtype == np.uint8
+    assert gated.any() == (c_th > NEG_INF) and not inst.gated.flags.writeable
+    if c_th == NEG_INF:
+        assert inst.gated.strides == (0, 0, 0)
 
 
 def test_pigeonhole_balance_quotas():
