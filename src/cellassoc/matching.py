@@ -159,20 +159,12 @@ class MatchingInstance:
 
     @cached_property
     def _walk_order(self) -> np.ndarray:
-        """``agent_prefs`` in ``mmq_match``'s order, ascending ``rank + N * gated``: each
-        row stably partitioned by its gate flags, ungated hosts first, in its dtype."""
+        """``agent_prefs`` in ``mmq_match``'s order, ascending ``rank + N * gated``, in
+        its dtype. The key is intp, so ``N * gated`` cannot wrap a compact ``rank``."""
         if not self.gated.any():
             return self.agent_prefs
-        n = self.n_hosts
-        order = np.empty(self.agent_prefs.shape, self.agent_prefs.dtype)  # C order, as ``rank``
-        rows, gates = order.reshape(-1, n), self.gated.reshape(-1, n)
-        for start, block, flat in _pref_blocks(self.agent_prefs):
-            at = slice(start, start + len(block))
-            flags = gates[at].reshape(-1)[flat]  # each entry's gate, in preference order
-            first = np.arange(n) < n - flags.sum(axis=-1, keepdims=True)  # the ungated places
-            rows[at][first] = block[~flags]
-            rows[at][~first] = block[flags]
-        return order
+        key = self.rank + np.intp(self.n_hosts) * self.gated
+        return np.argsort(key, axis=-1).astype(self.agent_prefs.dtype)
 
 
 def _pref_dtype(n_hosts: int) -> np.dtype:

@@ -91,28 +91,27 @@ def compute_utilities(links: channel.LinkRealization, f) -> np.ndarray:
 
 
 def build_preferences(
-    u: np.ndarray, n_mmw: int, c_th: float = NEG_INF, out: Optional[np.ndarray] = None
+    u: np.ndarray, n_mmw: int, c_th: float = NEG_INF
 ) -> tuple[np.ndarray, np.ndarray]:
     """Strict per-UE BS rankings and the gated-BS mask of utilities ``u``, both (..., M, N).
 
     Row m of the first array lists BS ids by descending utility, ties broken
-    toward the lower BS index: the stable argsort of the negated row, written
-    into ``out`` if given, else into a new ``matching._pref_dtype(N)`` array.
+    toward the lower BS index: the stable argsort of the negated row, stored
+    in ``matching._pref_dtype(N)``, the instance's compact preference type.
     In the bool mask a microwave BS other than the UE's top choice is gated
     when its utility falls below ``c_th``; mmW BSs (the first ``n_mmw``
     columns) and top choices are never gated.
 
-    UE rows are sorted in blocks of ``channel._row_blocks``, so the sort keys
+    Rows are sorted in blocks of ``channel._row_blocks``, so the sort keys
     never span more than one block; each row is sorted alone, so the blocks do
     not change the result. ``u`` is never written.
     """
-    u = np.asarray(u, dtype=float)  # the keys read float64 bits
-    *lead, m, n = u.shape
-    prefs = np.empty(u.shape, dtype=_pref_dtype(n)) if out is None else out
-    if prefs.shape != u.shape:
-        raise ValueError(f"out must have shape {u.shape}, got {prefs.shape}")
-    for rows in channel._row_blocks(m, math.prod(lead) * n):
-        _sort_block(u[..., rows, :], prefs[..., rows, :])
+    *lead, n = u.shape
+    rows = np.asarray(u, dtype=float).reshape(math.prod(lead), n)  # the keys read float64 bits
+    prefs = np.empty(rows.shape, dtype=_pref_dtype(n))
+    for block in channel._row_blocks(len(rows), n):
+        _sort_block(rows[block], prefs[block])
+    prefs = prefs.reshape(u.shape)
     gated = u < c_th
     gated[..., :n_mmw] = False
     if u.shape[-1]:
@@ -125,8 +124,8 @@ _INF_BITS = np.int64(0x7FF0_0000_0000_0000)  # inf's magnitude bits; NaN's excee
 
 
 def _sort_block(rows: np.ndarray, out: np.ndarray) -> None:
-    """Write the stable descending argsort of each of the (..., B, N) ``rows`` into the
-    integer ``out`` (the instance's compact rows), from one int64 sort.
+    """Write the stable descending argsort of each of the (B, N) ``rows`` into the
+    unsigned ``out``, from one int64 sort.
 
     A float's magnitude bits grow with its magnitude, so the signed magnitude
     bits order floats as their values do, with -0.0 and 0.0 as one key; negated,
@@ -152,7 +151,7 @@ def _sort_block(rows: np.ndarray, out: np.ndarray) -> None:
     key.sort(axis=-1)
     np.bitwise_and(key, (1 << shift) - 1, out=out, casting="unsafe")  # each id fits ``out``
     key >>= shift
-    tied = key[..., 1:] == key[..., :-1]
+    tied = key[:, 1:] == key[:, :-1]
     if tied.any() or nan.any():
         tied = tied.any(axis=-1) | nan
         out[tied] = np.argsort(-rows[tied], axis=-1, kind="stable")
@@ -185,7 +184,7 @@ def build_matching_instance(
 
     Utilities, preferences, gates and each UE's best utility are taken in
     blocks of UE rows (``channel._row_blocks``), so no whole utility table
-    exists; each block's order is sorted straight into the instance's compact
+    exists; each block's order is copied into the instance's compact
     preference array. A ``c_th`` of -inf gates nothing: that instance gets no
     gate array. The master list ranks the gathered best utilities.
     """
@@ -200,7 +199,7 @@ def build_matching_instance(
     for rows in channel._row_blocks(scenario.n_ue, math.prod(los.shape[:-2]) * n_bs):
         block = channel.LinkRealization(los[..., rows, :], nlos[..., rows, :], muw[..., rows, :])
         u = compute_utilities(block, f[..., rows, :])
-        _, gates = build_preferences(u, scenario.n_mmw, policy.c_th, prefs[..., rows, :])
+        prefs[..., rows, :], gates = build_preferences(u, scenario.n_mmw, policy.c_th)
         if gated is not None:
             gated[..., rows, :] = gates
         u.max(axis=-1, initial=NEG_INF, out=best[..., rows])

@@ -397,7 +397,7 @@ def test_tight_batch_peak_stays_within_its_live_arrays(monkeypatch, m, n1, n2, q
     # (los_prob, the buffer and one block's budget) and ``verify`` (the links are
     # released before it builds ``rank``) peak below that. With int32 preferences,
     # a gate array and an intp order block the peak was 3.48 units at 2000 x 100
-    # and 2.81 at 5000 x 200 (bounds 3.71 and 2.92); it is 2.78 and 2.27, and the
+    # and 2.81 at 5000 x 200 (bounds 3.71 and 2.92); it is 2.80 and 2.27, and the
     # bounds are 2.88 and 2.36.
     block = (channel._BATCH_ELEMENTS // (n1 + n2)) / m
     live = 0.5 + 3 * 0.5 + 0.125 + 4 * block

@@ -96,6 +96,12 @@ def test_preferences_sorting():
     assert np.flatnonzero(gated[0]).tolist() == []
 
 
+def test_one_utility_row_gives_one_preference_row():
+    prefs, gated = build_preferences(np.array([3.0, 1.0, 2.0]), 0, c_th=1.5)
+    assert prefs.tolist() == [0, 2, 1] and prefs.dtype == np.uint8
+    assert gated.tolist() == [False, True, False]
+
+
 def test_gate_marks_weak_unpreferred_microwave():
     # All-microwave row: top choice immune, entries below 0.5 gated.
     prefs, gated = build_preferences(np.array([[3.0, 0.4, 0.6]]), 0, c_th=0.5)
